@@ -14,6 +14,7 @@ Example:
 import argparse
 import math
 
+from mginf.law import ServiceLaw
 from mginf.params import BetaSpec, beta_bounds, validate_beta, validate_queue_params
 from mginf.verify import verify_point
 
@@ -35,7 +36,7 @@ def main() -> int:
         for beta in (lo, 0.0, 0.5 * hi, hi):
             print(f"== lambda={params.lam} rho={params.rho:.6f} beta={beta:+.6f} ==")
             vbeta = validate_beta(params, BetaSpec(constant=beta), 100.0)
-            for r in verify_point(params, vbeta, args.cycles, args.seed):
+            for r in verify_point(ServiceLaw(params, vbeta), args.cycles, args.seed):
                 print(f"  {r.status:<4} {r.name}: {r.detail}")
                 n_fail += r.status == "FAIL"
     print(f"\n{n_fail} failing checks (floor envelopes fail for interior beta)")

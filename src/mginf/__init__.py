@@ -31,7 +31,6 @@ from .kernel import (
     cumulative_beta,
     riccati_service_atom,
     riccati_service_cdf,
-    riccati_service_quantile,
 )
 from .transforms import (
     GridFunction,
@@ -52,9 +51,10 @@ from .simulate import (
     cycle_summary,
     empirical_cdf,
     ks_distance,
+    kernel_service_sampler,
     run_cycles,
-    sample_service,
 )
+from .law import ServiceLaw
 from .verify import verify_point
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -1,8 +1,11 @@
 """Command-line front end: `mginf eval|simulate|verify`.
 
-Emits plot-ready CSV (17 significant digits, '.' decimal separator, LF line
-endings) and pass/fail verification reports.  Exit codes: 0 success / all
-checks pass, 1 verification failure, 2 invalid input, 3 I/O failure.
+Each run validates its input and builds one ServiceLaw on the grid
+(`--t-max`, finer of `--step` and the law's default step); every command
+reads its curves, quantile and series from that law.  Emits plot-ready CSV
+(17 significant digits, '.' decimal separator, LF line endings) and
+pass/fail verification reports.  Exit codes: 0 success / all checks pass,
+1 verification failure, 2 invalid input, 3 I/O failure.
 """
 
 from __future__ import annotations
@@ -15,19 +18,12 @@ from pathlib import Path
 import numpy as np
 
 from . import closed_form as cf
-from .errors import DegenerateDistribution, MginfError
-from .kernel import build_kernel, riccati_service_cdf
-from .params import (
-    BetaSpec,
-    QueueParams,
-    ValidatedBeta,
-    load_beta_table,
-    validate_beta,
-    validate_queue_params,
-)
-from .simulate import empirical_cdf, kernel_service_sampler, ks_distance, run_cycles, cycle_summary
-from .transforms import GridSpec, busy_cycle_cdf_series, busy_period_cdf_series, default_grid
-from .verify import series_curves, verify_point
+from .errors import MginfError, NegativeParameter, NonPositiveParameter
+from .law import ServiceLaw
+from .params import BetaSpec, load_beta_table, validate_beta, validate_queue_params
+from .simulate import empirical_cdf, ks_distance, run_cycles, cycle_summary
+from .transforms import GridSpec, default_grid
+from .verify import verify_point
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -41,14 +37,11 @@ def _fmt(x: float) -> str:
 
 @dataclass
 class RunConfig:
-    params: QueueParams
-    vbeta: ValidatedBeta
-    beta: float | None  # constant value, None for tabulated
+    law: ServiceLaw
     t_max: float
     step: float
     cycles: int
     seed: int
-    tol: float
     out: Path | None
 
 
@@ -56,11 +49,15 @@ def _build_config(args) -> RunConfig:
     params = validate_queue_params(args.lam, args.rho)
     if (args.beta is None) == (args.beta_file is None):
         raise MginfError("exactly one of --beta / --beta-file is required")
+    if args.cycles < 1:
+        raise NonPositiveParameter(f"--cycles must be >= 1, got {args.cycles}")
+    if args.seed < 0:
+        raise NegativeParameter(f"--seed must be >= 0, got {args.seed}")
     if args.beta is not None:
         spec = BetaSpec(constant=args.beta)
     else:
         spec = load_beta_table(args.beta_file)
-    grid = default_grid(params)
+    grid = default_grid(params, spec)
     t_max = args.t_max if args.t_max is not None else grid.t_max
     if t_max <= 0:
         raise MginfError(f"--t-max must be > 0, got {t_max}")
@@ -69,14 +66,11 @@ def _build_config(args) -> RunConfig:
         raise MginfError(f"--step must be > 0, got {step}")
     vbeta = validate_beta(params, spec, t_max)
     return RunConfig(
-        params=params,
-        vbeta=vbeta,
-        beta=spec.constant,
+        law=ServiceLaw(params, vbeta, GridSpec(step=min(grid.step, step), t_max=t_max), args.tol),
         t_max=t_max,
         step=step,
         cycles=args.cycles,
         seed=args.seed,
-        tol=args.tol,
         out=Path(args.out) if args.out else None,
     )
 
@@ -88,36 +82,16 @@ def _open_out(config: RunConfig):
 
 
 def cmd_eval(config: RunConfig) -> int:
-    params = config.params
+    law = config.law
     n = int(round(config.t_max / config.step)) + 1
     ts = np.arange(n) * config.step
-    if config.beta is not None:
-        beta = config.beta
-        g = cf.service_cdf(params, beta, ts)
-        b = cf.busy_period_cdf(params, beta, ts)
-        z = cf.busy_cycle_cdf(params, beta, ts)
-        p00 = cf.empty_probability(params, beta, ts)
-        try:
-            ind = np.broadcast_to(cf.monotony_indicator(params, beta, ts), ts.shape)
-        except DegenerateDistribution:
-            ind = np.full_like(ts, beta)
-    else:
-        ctx = build_kernel(params, config.vbeta)
-        g = riccati_service_cdf(ctx, ts)
-        grid = GridSpec(step=min(default_grid(params).step, config.step),
-                        t_max=config.t_max)
-        b_grid = busy_period_cdf_series(ctx, grid, config.tol)
-        z_grid = busy_cycle_cdf_series(ctx, grid, config.tol)
-        b = np.interp(ts, b_grid.times, b_grid.values)
-        z = np.interp(ts, z_grid.times, z_grid.values)
-        # p00 from Eq-1-style quadrature of the survival of G
-        fine = np.linspace(0.0, config.t_max, 4 * n + 1)
-        surv = 1.0 - riccati_service_cdf(ctx, fine)
-        cum = np.concatenate([[0.0], np.cumsum(0.5 * (surv[1:] + surv[:-1]) * np.diff(fine))])
-        p00 = np.exp(-params.lam * np.interp(ts, fine, cum))
-        ind = config.vbeta.spec.value(ts)
+    g = law.cdf(ts)
+    b = law.busy_cdf(ts)
+    z = law.cycle_cdf(ts)
+    p00 = law.p00(ts)
+    ind = law.indicator(ts)
     p10 = p00 * g
-    env = cf.envelope_bounds(params, ts)
+    env = cf.envelope_bounds(law.params, ts)
     out = _open_out(config)
     try:
         out.write("t,G,B,Z,p00,p10,indicator,bp_floor,cycle_floor,cycle_ceiling\n")
@@ -132,24 +106,8 @@ def cmd_eval(config: RunConfig) -> int:
 
 
 def cmd_simulate(config: RunConfig) -> int:
-    params = config.params
-    if config.cycles < 1:
-        raise MginfError("--cycles must be >= 1")
-    if config.beta is not None:
-        samples = run_cycles(params, config.beta, config.cycles, config.seed)
-        if params.lam + config.beta <= 0:
-            b_cdf = lambda t: np.ones_like(np.asarray(t, dtype=float))
-            z_cdf = lambda t: -np.expm1(-params.lam * np.asarray(t, dtype=float))
-        else:
-            b_cdf = lambda t: cf.busy_period_cdf(params, config.beta, t)
-            z_cdf = lambda t: cf.busy_cycle_cdf(params, config.beta, t)
-    else:
-        ctx = build_kernel(params, config.vbeta)
-        samples = run_cycles(params, None, config.cycles, config.seed,
-                             service_sampler=kernel_service_sampler(ctx))
-        b_grid, z_grid = series_curves(params, config.vbeta)
-        b_cdf = lambda t: np.interp(t, b_grid.times, b_grid.values)
-        z_cdf = lambda t: np.interp(t, z_grid.times, z_grid.values)
+    law = config.law
+    samples = run_cycles(law.params, law.quantile, config.cycles, config.seed)
     out = _open_out(config)
     try:
         out.write("busy,idle,cycle\n")
@@ -159,10 +117,9 @@ def cmd_simulate(config: RunConfig) -> int:
         if out is not sys.stdout:
             out.close()
     summ = cycle_summary(samples)
-    ks_busy = ks_distance(empirical_cdf(samples.busy), b_cdf)
-    ks_cycle = ks_distance(empirical_cdf(samples.cycle), z_cdf)
-    ks_idle = ks_distance(empirical_cdf(samples.idle),
-                          lambda t: -np.expm1(-params.lam * np.asarray(t, dtype=float)))
+    ks_busy = ks_distance(empirical_cdf(samples.busy), law.busy_cdf)
+    ks_cycle = ks_distance(empirical_cdf(samples.cycle), law.cycle_cdf)
+    ks_idle = ks_distance(empirical_cdf(samples.idle), law.idle_cdf)
     print(f"cycles          {samples.n}")
     print(f"seed            {samples.seed}")
     print(f"mean_busy       {_fmt(summ.mean_busy)} (stderr {_fmt(summ.stderr_busy)})")
@@ -175,7 +132,7 @@ def cmd_simulate(config: RunConfig) -> int:
 
 
 def cmd_verify(config: RunConfig) -> int:
-    results = verify_point(config.params, config.vbeta, config.cycles, config.seed)
+    results = verify_point(config.law, config.cycles, config.seed)
     failed = False
     for r in results:
         print(f"{r.status:<4} {r.name}: {r.detail}")

@@ -75,21 +75,6 @@ def service_atom(params: QueueParams, beta: float) -> float:
     return 1.0 - (1.0 - q0) * (lam + beta) / lam
 
 
-def service_pdf(params: QueueParams, beta: float, t) -> float | np.ndarray:
-    """Density of the continuous part of G; undefined at beta = -lambda."""
-    _check_beta(params, beta)
-    if beta <= -params.lam:
-        raise DegenerateDistribution("no density at beta = -lambda")
-    tt = _check_time(t)
-    scalar = tt.ndim == 0
-    lam, q0 = params.lam, params.exp_neg_rho
-    s = lam + beta
-    e = np.exp(-s * tt)
-    d = lam * (q0 + (1.0 - q0) * e)
-    g = s * (1.0 - q0) * e * lam * q0 * s / d**2
-    return _ret(g, scalar)
-
-
 def service_quantile(params: QueueParams, beta: float, u: float) -> float:
     """Inverse of service_cdf: 0 inside the atom, else the closed-form root."""
     _check_beta(params, beta)

@@ -9,6 +9,10 @@ class NonPositiveParameter(MginfError):
     pass
 
 
+class NegativeParameter(MginfError):
+    pass
+
+
 class NonFiniteParameter(MginfError):
     pass
 
@@ -19,6 +23,10 @@ class BetaOutOfRange(MginfError):
 
 class EmptyTable(MginfError):
     pass
+
+
+class InvalidTable(MginfError, ValueError):
+    """A beta table row or knot sequence that cannot define beta(t)."""
 
 
 class NonPositiveTime(MginfError):

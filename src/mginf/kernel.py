@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import DivergentKernelIntegral, NegativeTime
 from .params import QueueParams, ValidatedBeta
@@ -92,7 +91,7 @@ def build_kernel(params: QueueParams, vbeta: ValidatedBeta) -> KernelContext:
     """Integrate the kernel once: grid prefix on [0, t_knot], exact exponential tail."""
     spec = vbeta.spec
     tail_rate = params.lam + spec.tail_rate()
-    t_knot = 0.0 if spec.is_constant else spec.knots[-1][0]
+    t_knot = spec.last_knot
     if tail_rate <= 0:
         raise DivergentKernelIntegral(
             "kernel tail rate lambda + beta(inf) must be > 0 "
@@ -147,14 +146,3 @@ def riccati_service_cdf(ctx: KernelContext, t) -> float | np.ndarray:
     prefix = ctx.prefix_integral(tt)
     g = 1.0 - one_m_q0 * f / (lam * (ctx.total_integral - one_m_q0 * prefix))
     return float(g) if scalar else g
-
-
-def riccati_service_quantile(ctx: KernelContext, u: float) -> float:
-    """Inverse CDF by bracketed root finding; 0 inside the atom at zero."""
-    atom = riccati_service_atom(ctx)
-    if u <= atom:
-        return 0.0
-    hi = ctx.horizon
-    while riccati_service_cdf(ctx, hi) < u:
-        hi *= 2.0
-    return brentq(lambda t: riccati_service_cdf(ctx, t) - u, 0.0, hi, xtol=1e-14, rtol=1e-15)

@@ -19,6 +19,7 @@ import numpy as np
 from .errors import (
     BetaOutOfRange,
     EmptyTable,
+    InvalidTable,
     NonFiniteParameter,
     NonPositiveParameter,
     NonPositiveTime,
@@ -47,11 +48,15 @@ class BetaSpec:
 
     A tabulated spec holds (t, beta) knots with strictly increasing abscissae
     starting at t = 0; beta is piecewise linear between knots and held constant
-    at the last ordinate beyond the table.
+    at the last ordinate beyond the table.  A constant is stored as the
+    one-knot table ((0, constant),), so both evaluate the same way.
     """
 
     constant: float | None = None
     knots: tuple[tuple[float, float], ...] | None = None
+    _ts: np.ndarray = field(init=False, repr=False, compare=False)
+    _vs: np.ndarray = field(init=False, repr=False, compare=False)
+    _prefix: np.ndarray = field(init=False, repr=False, compare=False)  # int_0^{t_k} beta
 
     def __post_init__(self):
         if (self.constant is None) == (self.knots is None):
@@ -61,45 +66,51 @@ class BetaSpec:
                 raise EmptyTable("tabulated beta needs at least one knot")
             ts = [t for t, _ in self.knots]
             if ts[0] != 0.0:
-                raise ValueError("first knot must be at t = 0")
+                raise InvalidTable("first knot must be at t = 0")
             if any(b <= a for a, b in zip(ts, ts[1:])):
-                raise ValueError("knot abscissae must be strictly increasing")
+                raise InvalidTable("knot abscissae must be strictly increasing")
             if not all(math.isfinite(t) and math.isfinite(v) for t, v in self.knots):
                 raise NonFiniteParameter("non-finite knot in beta table")
+        knots = self.knots if self.knots is not None else ((0.0, self.constant),)
+        ts = np.array([k[0] for k in knots], dtype=float)
+        vs = np.array([k[1] for k in knots], dtype=float)
+        prefix = np.concatenate([[0.0], np.cumsum(0.5 * (vs[1:] + vs[:-1]) * np.diff(ts))])
+        object.__setattr__(self, "_ts", ts)
+        object.__setattr__(self, "_vs", vs)
+        object.__setattr__(self, "_prefix", prefix)
 
     @property
     def is_constant(self) -> bool:
         return self.constant is not None
 
+    @property
+    def last_knot(self) -> float:
+        """Abscissa of the last knot (0 for a constant); beta is constant beyond it."""
+        return float(self._ts[-1])
+
+    @property
+    def max_abs(self) -> float:
+        """max |beta(t)| over t >= 0, attained at a knot."""
+        return float(np.max(np.abs(self._vs)))
+
     def value(self, t):
         """beta(t); vectorized over t."""
-        if self.constant is not None:
-            return np.full_like(np.asarray(t, dtype=float), self.constant)
-        ts = np.array([k[0] for k in self.knots])
-        vs = np.array([k[1] for k in self.knots])
-        return np.interp(t, ts, vs)
+        return np.interp(t, self._ts, self._vs)
 
     def tail_rate(self) -> float:
         """Constant value of beta beyond the last knot."""
-        if self.constant is not None:
-            return self.constant
-        return self.knots[-1][1]
+        return float(self._vs[-1])
 
     def cumulative(self, t):
         """int_0^t beta(u) du, exact for the piecewise-linear table; vectorized."""
         t = np.asarray(t, dtype=float)
-        if self.constant is not None:
-            return self.constant * t
-        ts = np.array([k[0] for k in self.knots])
-        vs = np.array([k[1] for k in self.knots])
-        # prefix trapezoid areas at the knots
-        prefix = np.concatenate([[0.0], np.cumsum(0.5 * (vs[1:] + vs[:-1]) * np.diff(ts))])
+        ts, vs = self._ts, self._vs
         idx = np.clip(np.searchsorted(ts, t, side="right") - 1, 0, len(ts) - 1)
         dt = t - ts[idx]
         bl = vs[idx]
         # interpolated beta at t (constant beyond the last knot)
         bt = np.interp(t, ts, vs)
-        out = prefix[idx] + 0.5 * (bl + bt) * dt
+        out = self._prefix[idx] + 0.5 * (bl + bt) * dt
         return out if out.shape else float(out)
 
 
@@ -175,7 +186,12 @@ def load_beta_table(path: str | Path) -> BetaSpec:
         for row in reader:
             if not row:
                 continue
-            knots.append((float(row[0]), float(row[1])))
+            try:
+                knots.append((float(row[0]), float(row[1])))
+            except (ValueError, IndexError):
+                raise InvalidTable(
+                    f"{path}, line {reader.line_num}: expected two numbers `t,beta`, got {row}"
+                ) from None
     if not knots:
         raise EmptyTable(f"{path}: no data rows")
     return BetaSpec(knots=tuple(knots))

@@ -4,7 +4,9 @@ With infinitely many servers the system first empties exactly at the maximum
 departure epoch among the customers of the current busy period, so no event
 calendar is needed: track that maximum and stop when the next arrival lands
 beyond it.  Each cycle gets its own counter-based substream, so runs are
-reproducible and order-independent.
+reproducible and order-independent.  Service draws go through a law's
+inverse CDF (`ServiceLaw.quantile`); the tabulated-beta inverse is
+`kernel_service_sampler`.
 """
 
 from __future__ import annotations
@@ -14,15 +16,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .closed_form import service_quantile
 from .errors import EmptySample
 from .kernel import KernelContext
 from .params import QueueParams
-
-
-def sample_service(params: QueueParams, beta: float, uniform: float) -> float:
-    """Inverse-transform service draw; exactly 0 with probability G(0)."""
-    return service_quantile(params, beta, uniform)
 
 
 def kernel_service_sampler(ctx: KernelContext) -> Callable[[float], float]:
@@ -70,40 +66,35 @@ class CycleSamples:
 
 def run_cycles(
     params: QueueParams,
-    beta: float | None,
+    quantile: Callable[[float], float],
     n_cycles: int,
     seed: int,
-    service_sampler: Callable[[float], float] | None = None,
 ) -> CycleSamples:
     """Simulate n_cycles independent busy cycles.
 
-    A cycle starts with an arrival to an empty system; interarrival gaps are
-    Exponential(lambda).  The busy period ends at the running maximum E of the
-    departure epochs once the next arrival exceeds it; the idle period is a
-    fresh Exponential(lambda) draw (memorylessness).  Records busy then idle
-    and sums them into the cycle length.
+    Service times are drawn by inverse transform through `quantile`, the
+    service law's inverse CDF (`ServiceLaw.quantile`), which returns exactly 0
+    inside the atom G(0).  A cycle starts with an arrival to an empty system;
+    interarrival gaps are Exponential(lambda).  The busy period ends at the
+    running maximum E of the departure epochs once the next arrival exceeds
+    it; the idle period is a fresh Exponential(lambda) draw (memorylessness).
+    Records busy then idle and sums them into the cycle length.
     """
     if n_cycles < 1:
         raise ValueError("n_cycles must be >= 1")
-    if service_sampler is None:
-        if beta is None:
-            raise ValueError("need either a constant beta or a service_sampler")
-        sampler = lambda u: sample_service(params, beta, u)
-    else:
-        sampler = service_sampler
     lam = params.lam
     base = np.random.Philox(key=seed)
     busy = np.empty(n_cycles)
     idle = np.empty(n_cycles)
     for i in range(n_cycles):
         rng = np.random.Generator(base.jumped(i))
-        e = sampler(rng.random())  # departure epoch of the opening customer
+        e = quantile(rng.random())  # departure epoch of the opening customer
         a = 0.0
         while True:
             a += rng.exponential(1.0 / lam)
             if a >= e:
                 break
-            depart = a + sampler(rng.random())
+            depart = a + quantile(rng.random())
             if depart > e:
                 e = depart
         busy[i] = e

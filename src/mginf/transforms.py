@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .errors import (
     NegativeS,
@@ -24,7 +23,7 @@ from .errors import (
     TruncationBudgetExceeded,
 )
 from .kernel import KernelContext, riccati_service_atom
-from .params import QueueParams, ValidatedBeta
+from .params import BetaSpec, QueueParams
 
 MAX_SERIES_TERMS = 2000
 
@@ -63,20 +62,28 @@ class GridSpec:
     t_max: float
 
 
-def default_grid(params: QueueParams) -> GridSpec:
-    """h small vs both the arrival and service scales; horizon 12 busy-period means."""
-    h = min(0.005 / params.lam, params.alpha / 200.0)
+def default_grid(params: QueueParams, spec: BetaSpec) -> GridSpec:
+    """h small vs the arrival, service and beta rates; horizon 12 busy-period means.
+
+    The beta term keeps h * (lambda + max|beta|) within the series' 0.01 limit.
+    """
+    h = min(0.005 / params.lam, params.alpha / 200.0, 0.01 / (params.lam + spec.max_abs))
     t_max = 12.0 * math.expm1(params.rho) / params.lam
     return GridSpec(step=h, t_max=t_max)
 
 
 def grid_convolve(a: GridFunction, b: GridFunction) -> GridFunction:
-    """Trapezoidal discrete convolution with half-weight endpoints."""
+    """Trapezoidal discrete convolution with half-weight endpoints.
+
+    The FFT length is the power of two at or above 2n - 1, so the circular
+    convolution equals the linear one on the first n points.
+    """
     if abs(a.step - b.step) > 1e-15 * max(a.step, b.step):
         raise StepMismatch(f"steps differ: {a.step} vs {b.step}")
     n = min(len(a.values), len(b.values))
     av, bv = a.values[:n], b.values[:n]
-    full = fftconvolve(av, bv)[:n]
+    size = 1 << (2 * n - 2).bit_length()
+    full = np.fft.irfft(np.fft.rfft(av, size) * np.fft.rfft(bv, size), size)[:n]
     trap = a.step * (full - 0.5 * av[0] * bv - 0.5 * av * bv[0])
     return GridFunction(step=a.step, values=trap, kind="density")
 
@@ -96,21 +103,13 @@ def series_truncation_order(params: QueueParams, tol: float) -> int:
     return n
 
 
-def _max_abs_beta(vbeta: ValidatedBeta) -> float:
-    spec = vbeta.spec
-    if spec.is_constant:
-        return abs(spec.constant)
-    return max(abs(v) for _, v in spec.knots)
-
-
 def _series_parts(ctx: KernelContext, grid: GridSpec, tol: float):
     """Grid samples of the kernel, the bracket factor, and the series weight."""
     params = ctx.params
     h = grid.step
-    if h * (params.lam + _max_abs_beta(ctx.vbeta)) > 0.01 * (1 + 1e-9):
-        raise StepTooCoarse(
-            f"step {h} too coarse for rates up to {params.lam + _max_abs_beta(ctx.vbeta)}"
-        )
+    rate = params.lam + ctx.vbeta.spec.max_abs
+    if h * rate > 0.01 * (1 + 1e-9):
+        raise StepTooCoarse(f"step {h} too coarse for rates up to {rate}")
     n = int(round(grid.t_max / h)) + 1
     ts = np.arange(n) * h
     f = ctx.kernel(ts)
@@ -138,22 +137,12 @@ def busy_period_cdf_series(ctx: KernelContext, grid: GridSpec, tol: float = 1e-8
     return GridFunction(step=grid.step, values=total, kind="cdf")
 
 
-def busy_cycle_cdf_series(ctx: KernelContext, grid: GridSpec, tol: float = 1e-8) -> GridFunction:
-    """Z(t) = (idle-period exponential density) * B(t) on the grid."""
-    b = busy_period_cdf_series(ctx, grid, tol)
-    lam = ctx.params.lam
-    idle = GridFunction(grid.step, lam * np.exp(-lam * b.times))
-    z = grid_convolve(idle, GridFunction(grid.step, b.values))
-    return GridFunction(step=grid.step, values=z.values, kind="cdf")
-
-
-def degenerate_series_curves(params: QueueParams, grid: GridSpec) -> tuple[GridFunction, GridFunction]:
-    """Exact B and Z grids for the degenerate service endpoint beta = -lambda."""
-    n = int(round(grid.t_max / grid.step)) + 1
-    ts = np.arange(n) * grid.step
-    b = GridFunction(grid.step, np.ones(n), kind="cdf")
-    z = GridFunction(grid.step, -np.expm1(-params.lam * ts), kind="cdf")
-    return b, z
+def busy_cycle_cdf_series(params: QueueParams, b: GridFunction) -> GridFunction:
+    """Z(t) = (idle-period exponential density) * B(t) on the grid of B."""
+    lam = params.lam
+    idle = GridFunction(b.step, lam * np.exp(-lam * b.times))
+    z = grid_convolve(idle, GridFunction(b.step, b.values))
+    return GridFunction(step=b.step, values=z.values, kind="cdf")
 
 
 def busy_period_laplace_from_service(

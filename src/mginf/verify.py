@@ -1,9 +1,10 @@
 """Cross-validation checks tying the four computation routes together.
 
-Each check compares two independent routes to the same quantity (closed form,
-kernel evaluation, Laplace transform, convolution series, Monte Carlo) at a
-fixed tolerance.  Used by the CLI `verify` subcommand and the acceptance
-tests.
+Each check takes a ServiceLaw and compares two independent routes to the
+same quantity (closed form, kernel evaluation, Laplace transform, convolution
+series, Monte Carlo) at a fixed tolerance.  The series and Monte Carlo
+checks share the law's series grids, so each law's busy-period series is
+solved once.  Used by the CLI `verify` subcommand and the acceptance tests.
 """
 
 from __future__ import annotations
@@ -12,30 +13,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import closed_form as cf
-from .kernel import (
-    KernelContext,
-    build_kernel,
-    riccati_service_cdf,
-)
-from .params import BetaSpec, QueueParams, ValidatedBeta, validate_beta
-from .simulate import (
-    empirical_cdf,
-    kernel_service_sampler,
-    ks_distance,
-    run_cycles,
-)
-from .transforms import (
-    GridSpec,
-    busy_cycle_cdf_series,
-    busy_period_cdf_series,
-    busy_period_laplace_from_service,
-    busy_period_laplace_general,
-    default_grid,
-    degenerate_series_curves,
-)
+from .kernel import KernelContext, riccati_service_cdf
+from .law import ServiceLaw
+from .simulate import empirical_cdf, ks_distance, run_cycles
+from .transforms import busy_period_laplace_from_service, busy_period_laplace_general
 
 TRANSFORM_S_POINTS = (0.1, 0.5, 1.0, 2.0, 5.0)
 
@@ -55,14 +38,6 @@ def _result(name: str, ok: bool, detail: str) -> CheckResult:
     return CheckResult(name, "PASS" if ok else "FAIL", detail)
 
 
-def riccati_service_mean(ctx: KernelContext) -> float:
-    """Mean service time by quadrature of the survival plus exponential tail."""
-    t_star = ctx.t_knot + 30.0 / ctx.tail_rate
-    val, _ = quad(lambda u: 1.0 - riccati_service_cdf(ctx, u), 0.0, t_star,
-                  limit=200, epsabs=1e-13, epsrel=1e-11)
-    return val + (1.0 - riccati_service_cdf(ctx, t_star)) / ctx.tail_rate
-
-
 def riccati_residual(ctx: KernelContext, n_points: int = 100, t_max: float | None = None) -> float:
     """Max defect of the service-CDF ODE dG/dt = -lam*G^2 - (beta-lam)*G + beta."""
     lam = ctx.params.lam
@@ -77,75 +52,62 @@ def riccati_residual(ctx: KernelContext, n_points: int = 100, t_max: float | Non
     return float(np.max(np.abs(dg - rhs)))
 
 
-def series_curves(params: QueueParams, vbeta: ValidatedBeta, grid: GridSpec | None = None,
-                  tol: float = 1e-8):
-    """(B, Z) series grids; the degenerate endpoint beta = -lambda is exact."""
-    if grid is None:
-        grid = default_grid(params)
-    spec = vbeta.spec
-    if spec.is_constant and params.lam + spec.constant <= 0:
-        return degenerate_series_curves(params, grid)
-    ctx = build_kernel(params, vbeta)
-    return busy_period_cdf_series(ctx, grid, tol), busy_cycle_cdf_series(ctx, grid, tol)
-
-
-def check_series_vs_closed_form(params: QueueParams, beta: float,
-                                grid: GridSpec | None = None,
-                                tol_sup: float = 1e-3) -> list[CheckResult]:
-    if grid is None:
-        grid = default_grid(params)
-    vbeta = validate_beta(params, BetaSpec(constant=beta), grid.t_max)
-    b_grid, z_grid = series_curves(params, vbeta, grid)
+def check_series_vs_closed_form(law: ServiceLaw, tol_sup: float = 1e-3) -> list[CheckResult]:
+    b_grid, z_grid = law.series
     ts = b_grid.times
-    db = float(np.max(np.abs(b_grid.values - cf.busy_period_cdf(params, beta, ts))))
-    dz = float(np.max(np.abs(z_grid.values - cf.busy_cycle_cdf(params, beta, ts))))
+    db = float(np.max(np.abs(b_grid.values - cf.busy_period_cdf(law.params, law.beta, ts))))
+    dz = float(np.max(np.abs(z_grid.values - cf.busy_cycle_cdf(law.params, law.beta, ts))))
     return [
         _result("busy period: series vs closed form", db < tol_sup, f"sup distance {db:.2e}"),
         _result("busy cycle: series vs closed form", dz < tol_sup, f"sup distance {dz:.2e}"),
     ]
 
 
-def check_transform_consistency(params: QueueParams, vbeta: ValidatedBeta,
-                                tol: float = 1e-5) -> list[CheckResult]:
-    spec = vbeta.spec
-    if spec.is_constant and params.lam + spec.constant <= 0:
+def check_series_envelope(law: ServiceLaw) -> list[CheckResult]:
+    """Series B and Z against envelope_bounds on the law's grid, past t = 0."""
+    b_grid, z_grid = law.series
+    ts = b_grid.times[1:]
+    env = cf.envelope_bounds(law.params, ts)
+    slack = 1e-9 + 2e-3  # series curves carry O(h) discretization error
+    ok = (np.all(b_grid.values[1:] >= env.bp_floor - slack)
+          and np.all(z_grid.values[1:] >= env.cycle_floor - slack)
+          and np.all(z_grid.values[1:] <= env.cycle_ceiling + slack))
+    return [_result("envelope bounds on series curves", bool(ok), "5000-point grid")]
+
+
+def check_transform_consistency(law: ServiceLaw, tol: float = 1e-5) -> list[CheckResult]:
+    """Kernel-form busy-period transform against nested quadrature of G."""
+    if law.kernel is None:
         return [CheckResult("transform consistency", "SKIP", "degenerate service")]
-    ctx = build_kernel(params, vbeta)
-    worst_pair = 0.0
-    worst_mix = 0.0
+    worst = 0.0
     for s in TRANSFORM_S_POINTS:
-        general = busy_period_laplace_general(ctx, s).value
+        general = busy_period_laplace_general(law.kernel, s).value
         direct = busy_period_laplace_from_service(
-            params, lambda t: riccati_service_cdf(ctx, t), s
+            law.params, lambda t: riccati_service_cdf(law.kernel, t), s
         ).value
-        worst_pair = max(worst_pair, abs(general - direct))
-        if spec.is_constant:
-            beta = spec.constant
-            g0 = cf.service_atom(params, beta)
-            mu = params.exp_neg_rho * (params.lam + beta)
-            mixture = g0 + (1.0 - g0) * mu / (s + mu)
-            worst_mix = max(worst_mix, abs(general - mixture))
-    results = [
-        _result("busy period transform: kernel form vs nested quadrature",
-                worst_pair < tol, f"max |diff| {worst_pair:.2e}")
-    ]
-    if spec.is_constant:
-        results.append(
-            _result("busy period transform: vs analytic exponential mixture",
-                    worst_mix < tol, f"max |diff| {worst_mix:.2e}")
-        )
-    else:
-        results.append(CheckResult("busy period transform: vs analytic exponential mixture",
-                                   "SKIP", "no closed form for tabulated beta"))
-    return results
+        worst = max(worst, abs(general - direct))
+    return [_result("busy period transform: kernel form vs nested quadrature",
+                    worst < tol, f"max |diff| {worst:.2e}")]
 
 
-def check_mean_identities(params: QueueParams, beta: float,
-                          rel_tol: float = 1e-6) -> list[CheckResult]:
+def check_transform_mixture(law: ServiceLaw, tol: float = 1e-5) -> list[CheckResult]:
+    """Kernel-form busy-period transform against the closed form's atom plus exponential."""
+    if law.kernel is None:
+        return []  # reported with the transform consistency SKIP
+    g0 = law.atom
+    mu = law.params.exp_neg_rho * (law.params.lam + law.beta)
+    worst = max(abs(busy_period_laplace_general(law.kernel, s).value
+                    - (g0 + (1.0 - g0) * mu / (s + mu))) for s in TRANSFORM_S_POINTS)
+    return [_result("busy period transform: vs analytic exponential mixture",
+                    worst < tol, f"max |diff| {worst:.2e}")]
+
+
+def check_mean_identities(law: ServiceLaw, rel_tol: float = 1e-6) -> list[CheckResult]:
     """Quadrature means of G, B, Z against rho/lam, (e^rho-1)/lam, e^rho/lam."""
-    if params.lam + beta <= 0:
+    if law.kernel is None:
         return [CheckResult("mean identities", "SKIP",
                             "degenerate endpoint: means collapse to 0, 0, 1/lambda")]
+    params, beta = law.params, law.beta
     targets = {
         "service mean": (cf.service_curve(params, beta), params.rho / params.lam),
         "busy period mean": (cf.busy_period_curve(params, beta), math.expm1(params.rho) / params.lam),
@@ -158,8 +120,8 @@ def check_mean_identities(params: QueueParams, beta: float,
     return out
 
 
-def check_bound_ordering(params: QueueParams, beta: float,
-                         n_points: int = 5000, slack: float = 1e-9) -> list[CheckResult]:
+def check_bound_ordering(law: ServiceLaw, n_points: int = 5000,
+                         slack: float = 1e-9) -> list[CheckResult]:
     """B and Z against envelope_bounds on t = 0.01, 0.02, ..., 0.01 n_points.
 
     The two floor checks FAIL for every interior beta by design: the floors
@@ -167,9 +129,9 @@ def check_bound_ordering(params: QueueParams, beta: float,
     must cross.  They PASS at both endpoints; the ceiling check always passes.
     """
     ts = 0.01 * np.arange(1, n_points + 1)
-    env = cf.envelope_bounds(params, ts)
-    b = cf.busy_period_cdf(params, beta, ts)
-    z = cf.busy_cycle_cdf(params, beta, ts)
+    env = cf.envelope_bounds(law.params, ts)
+    b = law.busy_cdf(ts)
+    z = law.cycle_cdf(ts)
     ok_b = float(np.min(b - env.bp_floor))
     ok_lo = float(np.min(z - env.cycle_floor))
     ok_hi = float(np.min(env.cycle_ceiling - z))
@@ -180,46 +142,20 @@ def check_bound_ordering(params: QueueParams, beta: float,
     ]
 
 
-def check_riccati_residual(params: QueueParams, vbeta: ValidatedBeta,
-                           tol: float = 1e-3) -> list[CheckResult]:
-    spec = vbeta.spec
-    if spec.is_constant and params.lam + spec.constant <= 0:
+def check_riccati_residual(law: ServiceLaw, tol: float = 1e-3) -> list[CheckResult]:
+    if law.kernel is None:
         return [CheckResult("Riccati residual", "SKIP", "degenerate service")]
-    ctx = build_kernel(params, vbeta)
-    res = riccati_residual(ctx)
+    res = riccati_residual(law.kernel)
     return [_result("service CDF solves the Riccati ODE", res < tol, f"max residual {res:.2e}")]
 
 
-def check_monte_carlo(params: QueueParams, vbeta: ValidatedBeta, n_cycles: int,
-                      seed: int, ks_tol: float = 0.01) -> list[CheckResult]:
-    spec = vbeta.spec
-    lam = params.lam
-    if spec.is_constant:
-        beta = spec.constant
-        samples = run_cycles(params, beta, n_cycles, seed)
-        if lam + beta <= 0:
-            b_cdf = lambda t: np.ones_like(np.asarray(t, dtype=float))
-            z_cdf = lambda t: -np.expm1(-lam * np.asarray(t, dtype=float))
-            atom = 1.0
-        else:
-            b_cdf = lambda t: cf.busy_period_cdf(params, beta, t)
-            z_cdf = lambda t: cf.busy_cycle_cdf(params, beta, t)
-            atom = cf.service_atom(params, beta)
-    else:
-        ctx = build_kernel(params, vbeta)
-        samples = run_cycles(params, None, n_cycles, seed,
-                             service_sampler=kernel_service_sampler(ctx))
-        grid = default_grid(params)
-        b_grid = busy_period_cdf_series(ctx, grid)
-        z_grid = busy_cycle_cdf_series(ctx, grid)
-        b_cdf = lambda t: np.interp(t, b_grid.times, b_grid.values)
-        z_cdf = lambda t: np.interp(t, z_grid.times, z_grid.values)
-        from .kernel import riccati_service_atom
-        atom = riccati_service_atom(ctx)
-    ks_busy = ks_distance(empirical_cdf(samples.busy), b_cdf)
-    ks_cycle = ks_distance(empirical_cdf(samples.cycle), z_cdf)
-    ks_idle = ks_distance(empirical_cdf(samples.idle),
-                          lambda t: -np.expm1(-lam * np.asarray(t, dtype=float)))
+def check_monte_carlo(law: ServiceLaw, n_cycles: int, seed: int,
+                      ks_tol: float = 0.01) -> list[CheckResult]:
+    samples = run_cycles(law.params, law.quantile, n_cycles, seed)
+    ks_busy = ks_distance(empirical_cdf(samples.busy), law.busy_cdf)
+    ks_cycle = ks_distance(empirical_cdf(samples.cycle), law.cycle_cdf)
+    ks_idle = ks_distance(empirical_cdf(samples.idle), law.idle_cdf)
+    atom = law.atom
     zero_frac = float(np.mean(samples.busy == 0.0))
     tol_atom = 3.0 * math.sqrt(max(atom * (1.0 - atom), 1e-12) / n_cycles)
     if samples.busy.std() == 0.0 or samples.idle.std() == 0.0:
@@ -239,30 +175,22 @@ def check_monte_carlo(params: QueueParams, vbeta: ValidatedBeta, n_cycles: int,
     ]
 
 
-def verify_point(params: QueueParams, vbeta: ValidatedBeta, n_cycles: int,
-                 seed: int, grid: GridSpec | None = None) -> list[CheckResult]:
-    """Run the full cross-validation battery for one parameter point."""
-    spec = vbeta.spec
-    results: list[CheckResult] = []
-    if spec.is_constant:
-        beta = spec.constant
-        results += check_series_vs_closed_form(params, beta, grid)
-        results += check_mean_identities(params, beta)
-        results += check_bound_ordering(params, beta)
+def verify_point(law: ServiceLaw, n_cycles: int, seed: int) -> list[CheckResult]:
+    """Run the full cross-validation battery for one service law.
+
+    The closed-form checks run when beta is constant; for tabulated beta they
+    are reported as SKIP and the series curves are checked against the
+    envelopes instead.
+    """
+    if law.beta is None:
+        no_closed_form = "no closed form for tabulated beta"
+        head = ([CheckResult("series vs closed form", "SKIP", no_closed_form)]
+                + check_series_envelope(law))
+        mixture = [CheckResult("busy period transform: vs analytic exponential mixture",
+                               "SKIP", no_closed_form)]
     else:
-        results.append(CheckResult("series vs closed form", "SKIP",
-                                   "no closed form for tabulated beta"))
-        if grid is None:
-            grid = default_grid(params)
-        b_grid, z_grid = series_curves(params, vbeta, grid)
-        ts = b_grid.times[1:]
-        env = cf.envelope_bounds(params, ts)
-        slack = 1e-9 + 2e-3  # series curves carry O(h) discretization error
-        ok = (np.all(b_grid.values[1:] >= env.bp_floor - slack)
-              and np.all(z_grid.values[1:] >= env.cycle_floor - slack)
-              and np.all(z_grid.values[1:] <= env.cycle_ceiling + slack))
-        results.append(_result("envelope bounds on series curves", bool(ok), "5000-point grid"))
-    results += check_transform_consistency(params, vbeta)
-    results += check_riccati_residual(params, vbeta)
-    results += check_monte_carlo(params, vbeta, n_cycles, seed)
-    return results
+        head = (check_series_vs_closed_form(law) + check_mean_identities(law)
+                + check_bound_ordering(law))
+        mixture = check_transform_mixture(law)
+    return (head + check_transform_consistency(law) + mixture
+            + check_riccati_residual(law) + check_monte_carlo(law, n_cycles, seed))

@@ -23,17 +23,16 @@ from scipy.integrate import quad_vec
 from mginf import closed_form as cf
 from mginf.cli import main
 from mginf.kernel import build_kernel
+from mginf.law import ServiceLaw
 from mginf.params import BetaSpec, beta_bounds, validate_beta, validate_queue_params
 from mginf.transforms import (
     busy_period_laplace_from_service,
     busy_period_laplace_general,
-    default_grid,
 )
 from mginf.verify import (
     check_bound_ordering,
     check_monte_carlo,
     riccati_residual,
-    series_curves,
 )
 
 PARAM_POINTS = [
@@ -64,8 +63,7 @@ def vb(p, beta, t_max=100.0):
 def test_criterion_1_series_equals_closed_form():
     worst = 0.0
     for p, beta in matrix():
-        grid = default_grid(p)
-        b, z = series_curves(p, vb(p, beta), grid)
+        b, z = ServiceLaw(p, vb(p, beta)).series
         ts = b.times
         worst = max(
             worst,
@@ -199,7 +197,7 @@ def test_criterion_7_bound_ordering():
                              ("Z - tight floor", z - cycle_tight),
                              ("ceiling - Z", env.cycle_ceiling - z)):
                 worst[key] = min(worst[key], float(np.min(gap)))
-            status = {r.name: r.status for r in check_bound_ordering(p, beta)}
+            status = {r.name: r.status for r in check_bound_ordering(ServiceLaw(p, vb(p, beta)))}
             if beta in (lo, hi):
                 expected = dict.fromkeys((*FLOOR_CHECKS, CEILING_CHECK), "PASS")
             else:
@@ -223,7 +221,7 @@ def test_criterion_8_monte_carlo():
     ]
     bad = []
     for p, beta, seed in points:
-        for r in check_monte_carlo(p, vb(p, beta), 100_000, seed):
+        for r in check_monte_carlo(ServiceLaw(p, vb(p, beta)), 100_000, seed):
             if r.status == "FAIL":
                 bad.append(f"(beta={beta}) {r.name}: {r.detail}")
     report(8, not bad,

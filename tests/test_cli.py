@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -189,3 +190,67 @@ def test_verify_tabulated_beta_skips_closed_form(tmp_path, capsys):
     assert report["zero-busy fraction matches atom"] == "PASS"
     # interior running-average beta, so the floor envelope fails here too
     assert report["envelope bounds on series curves"] == "FAIL"
+
+
+@pytest.mark.parametrize("beta_args", [["--beta", "0"], ["--beta-file", "ramp"]])
+def test_verify_solves_busy_period_series_once(beta_args, tmp_path, monkeypatch, capsys):
+    from mginf.transforms import busy_period_cdf_series as solve
+    table = tmp_path / "ramp.csv"
+    table.write_text("t,beta\n0.0,0.0\n1.0,0.2\n")
+    if beta_args[0] == "--beta-file":
+        beta_args = ["--beta-file", str(table)]
+    calls = []
+    for name, module in list(sys.modules.items()):
+        if name.startswith("mginf") and getattr(module, "busy_period_cdf_series", None) is solve:
+            monkeypatch.setattr(module, "busy_period_cdf_series",
+                                lambda *a, **k: calls.append(a) or solve(*a, **k))
+    run(["verify", "--lambda", "1", "--rho", "1", *beta_args,
+         "--cycles", "200", "--seed", "1"], capsys)
+    assert len(calls) == 1
+
+
+# ---- tabulated beta through the service law --------------------------------
+
+def test_eval_flat_table_reproduces_closed_form(tmp_path, capsys):
+    table = tmp_path / "flat.csv"
+    table.write_text("t,beta\n0,0.3\n1,0.3\n")
+    out = tmp_path / "curves.csv"
+    code, _, _ = run(["eval", "--lambda", "1", "--rho", "1", "--beta-file", str(table),
+                      "--t-max", "5", "--step", "0.05", "--out", str(out)], capsys)
+    assert code == EXIT_OK
+    rows = np.loadtxt(out, delimiter=",", skiprows=1)
+    ts = rows[:, 0]
+    assert np.max(np.abs(rows[:, 1] - cf.service_cdf(P11, 0.3, ts))) < 1e-12
+    assert np.max(np.abs(rows[:, 4] - cf.empty_probability(P11, 0.3, ts))) < 1e-12
+
+
+def test_eval_table_with_large_beta_picks_a_fine_enough_grid(tmp_path, capsys):
+    # max |beta| = 1.6 needs h <= 0.01 / 2.6, below the beta-blind default 0.005
+    table = tmp_path / "spike.csv"
+    table.write_text("t,beta\n0,-1\n0.2,1.6\n0.4,-1\n1,0\n")
+    out = tmp_path / "curves.csv"
+    code, _, err = run(["eval", "--lambda", "1", "--rho", "1", "--beta-file", str(table),
+                        "--out", str(out)], capsys)
+    assert code == EXIT_OK, err
+    rows = np.loadtxt(out, delimiter=",", skiprows=1)
+    assert (rows[1, 0] - rows[0, 0]) * (1.0 + 1.6) <= 0.01 * (1 + 1e-9)
+    b = rows[rows[:, 0] <= 1.0, 2]
+    assert np.all((b >= 0.0) & (b <= 1.0))
+
+
+# ---- bad input ends in exit 2, never a traceback ---------------------------
+
+@pytest.mark.parametrize("table,extra", [
+    ("t,beta\n0,abc\n", []),            # non-numeric cell
+    ("t,beta\n0,0\n1\n", []),           # short row
+    ("t,beta\n0,0\n1,0.1\n1,0.2\n", []),  # knots that do not increase
+    ("t,beta\n0,0\n1,0.2\n", ["--seed", "-1"]),
+    ("t,beta\n0,0\n1,0.2\n", ["--cycles", "0"]),
+])
+def test_verify_bad_input_exits_invalid(table, extra, tmp_path, capsys):
+    path = tmp_path / "beta.csv"
+    path.write_text(table)
+    code, _, err = run(["verify", "--lambda", "1", "--rho", "1",
+                        "--beta-file", str(path), *extra], capsys)
+    assert code == EXIT_INVALID
+    assert err.startswith("error: ") and "Traceback" not in err

@@ -10,10 +10,10 @@ from mginf.kernel import (
     cumulative_beta,
     riccati_service_atom,
     riccati_service_cdf,
-    riccati_service_quantile,
 )
 from mginf.params import BetaSpec, validate_beta, validate_queue_params
-from mginf.verify import riccati_residual, riccati_service_mean
+from mginf.simulate import kernel_service_sampler
+from mginf.verify import riccati_residual
 
 P11 = validate_queue_params(1.0, 1.0)
 PLN2 = validate_queue_params(1.0, math.log(2))
@@ -124,7 +124,9 @@ def test_tabulated_mean_is_rho_over_lambda():
                     (P11, BetaSpec(knots=((0.0, 0.3), (2.0, -0.2), (5.0, 0.1)))),
                     (PLN2, BetaSpec(knots=((0.0, -0.5), (3.0, 0.5))))]:
         ctx = build_kernel(p, vbeta(p, spec))
-        assert riccati_service_mean(ctx) == pytest.approx(p.rho / p.lam, rel=1e-5)
+        curve = cf.DistributionCurve(riccati_service_atom(ctx),
+                                     lambda t: riccati_service_cdf(ctx, t), ctx.tail_rate)
+        assert curve.mean == pytest.approx(p.rho / p.lam, rel=1e-5)
 
 
 @pytest.mark.parametrize("spec", [BetaSpec(constant=0.2), RAMP,
@@ -137,9 +139,10 @@ def test_riccati_residual(spec):
 def test_quantile_roundtrip_tabulated():
     ctx = build_kernel(P11, vbeta(P11, RAMP))
     atom = riccati_service_atom(ctx)
-    assert riccati_service_quantile(ctx, atom / 2) == 0.0
+    quantile = kernel_service_sampler(ctx)
+    assert quantile(atom / 2) == 0.0
     for u in (atom + 0.01, 0.5, 0.9, 0.99):
-        t = riccati_service_quantile(ctx, u)
+        t = quantile(u)
         assert riccati_service_cdf(ctx, t) == pytest.approx(u, abs=1e-10)
 
 

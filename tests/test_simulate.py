@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from mginf import closed_form as cf
 from mginf.errors import EmptySample
 from mginf.kernel import build_kernel
+from mginf.law import ServiceLaw
 from mginf.params import BetaSpec, validate_beta, validate_queue_params
 from mginf.simulate import (
     cycle_summary,
@@ -14,18 +15,22 @@ from mginf.simulate import (
     kernel_service_sampler,
     ks_distance,
     run_cycles,
-    sample_service,
 )
 
 P11 = validate_queue_params(1.0, 1.0)
 PLN2 = validate_queue_params(1.0, math.log(2))
 
 
+def quantile(p, beta):
+    """Inverse service CDF of the constant-beta law."""
+    return ServiceLaw(p, validate_beta(p, BetaSpec(constant=beta), 100.0)).quantile
+
+
 def test_sample_service_examples():
-    assert sample_service(P11, 0.0, 0.1) == 0.0
-    assert sample_service(P11, 0.0, 0.5) == pytest.approx(0.541324854612918, abs=1e-12)
+    assert quantile(P11, 0.0)(0.1) == 0.0
+    assert quantile(P11, 0.0)(0.5) == pytest.approx(0.541324854612918, abs=1e-12)
     for u in (0.0, 0.3, 0.99):
-        assert sample_service(P11, -1.0, u) == 0.0
+        assert quantile(P11, -1.0)(u) == 0.0
 
 
 def test_empirical_cdf_examples():
@@ -58,16 +63,16 @@ def test_ks_distance_examples():
 
 
 def test_run_cycles_determinism():
-    a = run_cycles(P11, 0.0, 500, seed=9)
-    b = run_cycles(P11, 0.0, 500, seed=9)
+    a = run_cycles(P11, quantile(P11, 0.0), 500, seed=9)
+    b = run_cycles(P11, quantile(P11, 0.0), 500, seed=9)
     assert np.array_equal(a.busy, b.busy)
     assert np.array_equal(a.idle, b.idle)
-    c = run_cycles(P11, 0.0, 500, seed=10)
+    c = run_cycles(P11, quantile(P11, 0.0), 500, seed=10)
     assert not np.array_equal(a.busy, c.busy)
 
 
 def test_run_cycles_structure():
-    s = run_cycles(P11, 0.3, 1000, seed=4)
+    s = run_cycles(P11, quantile(P11, 0.3), 1000, seed=4)
     assert np.all(s.busy >= 0)
     assert np.all(s.idle > 0)
     assert np.array_equal(s.cycle, s.busy + s.idle)
@@ -75,14 +80,14 @@ def test_run_cycles_structure():
 
 
 def test_degenerate_service_all_zero_busy():
-    s = run_cycles(P11, -1.0, 10_000, seed=42)
+    s = run_cycles(P11, quantile(P11, -1.0), 10_000, seed=42)
     assert np.all(s.busy == 0.0)
     assert s.cycle.mean() == pytest.approx(1.0, abs=0.03)
 
 
 @pytest.fixture(scope="module")
 def big_run():
-    return run_cycles(P11, 0.0, 100_000, seed=1)
+    return run_cycles(P11, quantile(P11, 0.0), 100_000, seed=1)
 
 
 def test_mean_busy_matches_regenerative_target(big_run):
@@ -93,7 +98,7 @@ def test_mean_busy_matches_regenerative_target(big_run):
 
 
 def test_mean_cycle_at_confluent_point():
-    s = run_cycles(PLN2, 1.0, 100_000, seed=1)
+    s = run_cycles(PLN2, quantile(PLN2, 1.0), 100_000, seed=1)
     summ = cycle_summary(s)
     assert abs(summ.mean_cycle - 2.0) < 3 * summ.stderr_cycle
 
@@ -124,14 +129,13 @@ def test_busy_idle_independence(big_run):
 def test_tabulated_beta_simulation():
     vb = validate_beta(P11, BetaSpec(knots=((0.0, 0.0), (1.0, 0.2))), 100.0)
     ctx = build_kernel(P11, vb)
-    s = run_cycles(P11, None, 20_000, seed=2,
-                   service_sampler=kernel_service_sampler(ctx))
+    s = run_cycles(P11, kernel_service_sampler(ctx), 20_000, seed=2)
     summ = cycle_summary(s)
     assert abs(summ.mean_busy - math.expm1(1.0)) < 4 * summ.stderr_busy
     assert abs(summ.mean_idle - 1.0) < 4 * summ.stderr_idle
 
 
 def test_cycle_summary_requires_two():
-    s = run_cycles(P11, 0.0, 1, seed=0)
+    s = run_cycles(P11, quantile(P11, 0.0), 1, seed=0)
     with pytest.raises(EmptySample):
         cycle_summary(s)

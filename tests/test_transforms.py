@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from mginf import closed_form as cf
 from mginf.errors import NegativeS, StepMismatch, StepTooCoarse
 from mginf.kernel import build_kernel, riccati_service_cdf
+from mginf.law import ServiceLaw
 from mginf.params import BetaSpec, validate_beta, validate_queue_params
 from mginf.transforms import (
     GridFunction,
@@ -17,7 +20,6 @@ from mginf.transforms import (
     busy_period_laplace_from_service,
     busy_period_laplace_general,
     default_grid,
-    degenerate_series_curves,
     grid_convolve,
     series_truncation_order,
 )
@@ -198,20 +200,21 @@ def test_series_atom_at_zero():
 
 def test_series_busy_cycle_matches_closed_form():
     ctx = ctx_for(P11, 0.0)
-    z = busy_cycle_cdf_series(ctx, GridSpec(step=0.005, t_max=30.0))
+    z = busy_cycle_cdf_series(P11, busy_period_cdf_series(ctx, GridSpec(step=0.005, t_max=30.0)))
     assert np.max(np.abs(z.values - cf.busy_cycle_cdf(P11, 0.0, z.times))) < 1e-3
     assert z.values[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_series_busy_cycle_confluent_point():
     ctx = ctx_for(PLN2, 1.0)
-    z = busy_cycle_cdf_series(ctx, GridSpec(step=0.005, t_max=20.0))
+    z = busy_cycle_cdf_series(PLN2, busy_period_cdf_series(ctx, GridSpec(step=0.005, t_max=20.0)))
     i = int(round(1.0 / 0.005))
     assert z.values[i] == pytest.approx(1 - 2 / math.e, abs=1e-3)
 
 
 def test_degenerate_series_curves():
-    b, z = degenerate_series_curves(P11, GridSpec(step=0.005, t_max=10.0))
+    vb = validate_beta(P11, BetaSpec(constant=-1.0), 10.0)
+    b, z = ServiceLaw(P11, vb, GridSpec(step=0.005, t_max=10.0)).series
     assert np.all(b.values == 1.0)
     assert np.max(np.abs(z.values - (-np.expm1(-z.times)))) < 1e-14
 
@@ -228,7 +231,7 @@ def test_series_first_order_convergence():
 def test_series_cdf_shape():
     ctx = ctx_for(P11, 0.3)
     b = busy_period_cdf_series(ctx, GridSpec(step=0.005, t_max=30.0))
-    z = busy_cycle_cdf_series(ctx, GridSpec(step=0.005, t_max=30.0))
+    z = busy_cycle_cdf_series(P11, b)
     for g in (b, z):
         assert np.all(np.diff(g.values) >= -1e-8)
         assert np.all(g.values >= -1e-8) and np.all(g.values <= 1 + 1e-5)
@@ -242,9 +245,16 @@ def test_series_step_too_coarse():
 
 
 def test_default_grid():
-    g = default_grid(P11)
+    g = default_grid(P11, BetaSpec(constant=0.0))
     assert g.step == pytest.approx(0.005)
     assert g.t_max == pytest.approx(12 * math.expm1(1.0))
+
+
+def test_import_leaves_scipy_signal_unloaded():
+    code = "import sys, mginf; print('scipy.signal' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True).stdout
+    assert out.strip() == "False"
 
 
 # ---- GridFunction plumbing -------------------------------------------------
