@@ -28,7 +28,6 @@ from .closed_form import (
 from .kernel import (
     KernelContext,
     build_kernel,
-    cumulative_beta,
     riccati_service_atom,
     riccati_service_cdf,
 )
@@ -43,7 +42,6 @@ from .transforms import (
     busy_period_laplace_general,
     default_grid,
     grid_convolve,
-    series_truncation_order,
 )
 from .simulate import (
     CycleSamples,

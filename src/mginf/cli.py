@@ -66,7 +66,7 @@ def _build_config(args) -> RunConfig:
         raise MginfError(f"--step must be > 0, got {step}")
     vbeta = validate_beta(params, spec, t_max)
     return RunConfig(
-        law=ServiceLaw(params, vbeta, GridSpec(step=min(grid.step, step), t_max=t_max), args.tol),
+        law=ServiceLaw(params, vbeta, GridSpec(step=min(grid.step, step), t_max=t_max)),
         t_max=t_max,
         step=step,
         cycles=args.cycles,
@@ -154,8 +154,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--cycles", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="output file (default stdout)")
-    p.add_argument("--tol", type=float, default=1e-8,
-                   help="series truncation tolerance")
 
 
 def main(argv=None) -> int:

@@ -65,9 +65,5 @@ class StepTooCoarse(MginfError):
     pass
 
 
-class TruncationBudgetExceeded(MginfError):
-    pass
-
-
 class EmptySample(MginfError):
     pass

@@ -14,21 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergentKernelIntegral, NegativeTime
+from .errors import BetaOutOfRange, DivergentKernelIntegral, NegativeTime
 from .params import QueueParams, ValidatedBeta
 
 # Relative contribution below which the analytic tail of I is considered
 # resolved; the tail itself is exact, this only caps the numeric horizon.
 TAIL_TOL = 1e-12
-
-
-def cumulative_beta(vbeta: ValidatedBeta, t) -> float | np.ndarray:
-    """int_0^t beta(u) du, exact for constant and piecewise-linear beta."""
-    tt = np.asarray(t, dtype=float)
-    if np.any(tt < 0):
-        raise NegativeTime("t must be >= 0")
-    out = vbeta.spec.cumulative(tt)
-    return float(out) if tt.ndim == 0 else np.asarray(out)
 
 
 @dataclass(frozen=True)
@@ -115,7 +106,7 @@ def build_kernel(params: QueueParams, vbeta: ValidatedBeta) -> KernelContext:
         f_end = 1.0
     total = (grid_prefix[-1] if t_knot > 0 else 0.0) + f_end / tail_rate
     horizon = t_knot - math.log(TAIL_TOL) / tail_rate
-    return KernelContext(
+    ctx = KernelContext(
         params=params,
         vbeta=vbeta,
         t_knot=t_knot,
@@ -126,6 +117,17 @@ def build_kernel(params: QueueParams, vbeta: ValidatedBeta) -> KernelContext:
         total_integral=float(total),
         horizon=horizon,
     )
+    # G' = (1 - G)(beta + lambda G), so G is a CDF only while beta + lambda G >= 0.
+    # Past the last knot beta is constant and G only rises, so [0, t_knot] suffices.
+    slope = spec.value(grid_t) + params.lam * riccati_service_cdf(ctx, grid_t)
+    bad = np.nonzero(slope < 0)[0]
+    if bad.size:
+        i = bad[0]
+        raise BetaOutOfRange(
+            f"beta(t) + lambda G(t) is {slope[i]:.6g} < 0 at t={grid_t[i]:.6g}: "
+            "the service CDF G would decrease there"
+        )
+    return ctx
 
 
 def riccati_service_atom(ctx: KernelContext) -> float:

@@ -4,7 +4,7 @@ A constant beta, including the degenerate endpoint beta = -lambda, is
 evaluated in closed form; the closed forms already give the exact laws there
 (G == 1, B == 1, Z = 1 - e^{-lambda t}, quantile 0, atom 1).  A tabulated
 beta goes through one exponential-kernel context.  The busy-period and
-busy-cycle series grids are solved once per law, on first use.
+busy-cycle grids are solved once per law, on first use.
 """
 
 from __future__ import annotations
@@ -35,9 +35,8 @@ class ServiceLaw:
     continuous part.
     """
 
-    def __init__(self, params: QueueParams, vbeta: ValidatedBeta,
-                 grid: GridSpec | None = None, tol: float = 1e-8):
-        self.params, self.vbeta, self.tol = params, vbeta, tol
+    def __init__(self, params: QueueParams, vbeta: ValidatedBeta, grid: GridSpec | None = None):
+        self.params, self.vbeta = params, vbeta
         self.grid = default_grid(params, vbeta.spec) if grid is None else grid
         self.beta = beta = vbeta.spec.constant
         if beta is None:
@@ -67,7 +66,7 @@ class ServiceLaw:
 
     @cached_property
     def series(self) -> tuple[GridFunction, GridFunction]:
-        """(B, Z) on the law's grid by the convolution series, solved once.
+        """(B, Z) on the law's grid by the direct Volterra grid solve, solved once.
 
         Without a kernel (beta = -lambda) the exact laws are sampled instead.
         """
@@ -76,7 +75,7 @@ class ServiceLaw:
             return (GridFunction(self.grid.step, self.busy_cdf(ts), kind="cdf"),
                     GridFunction(self.grid.step, self.cycle_cdf(ts), kind="cdf"))
         # looked up on the module at call time, so a wrapper put there sees every solve
-        b = transforms.busy_period_cdf_series(self.kernel, self.grid, self.tol)
+        b = transforms.busy_period_cdf_series(self.kernel, self.grid)
         return b, transforms.busy_cycle_cdf_series(self.params, b)
 
     def idle_cdf(self, t):

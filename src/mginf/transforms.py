@@ -1,10 +1,12 @@
-"""Laplace transforms and convolution-series inversion of the busy-period law.
+"""Laplace transforms and the grid solution of the busy-period convolution equation.
 
 The busy-period transform has two equivalent routes: a nested-quadrature
 evaluation straight from the service CDF, and the kernel-based rational form.
-The time-domain CDFs are recovered by a truncated Neumann series of
-self-convolutions of the kernel on a uniform grid; the busy-cycle CDF is one
-extra convolution with the exponential idle-period density.
+The time-domain CDF solves a Volterra convolution equation in the kernel; its
+trapezoidal discretisation on a uniform grid is a lower-triangular Toeplitz
+system (plus a rank-one term), solved exactly with an FFT power-series
+reciprocal.  The busy-cycle CDF is one extra convolution with the exponential
+idle-period density.
 """
 
 from __future__ import annotations
@@ -15,17 +17,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import (
-    NegativeS,
-    QuadratureFailure,
-    StepMismatch,
-    StepTooCoarse,
-    TruncationBudgetExceeded,
-)
+from .errors import NegativeS, QuadratureFailure, StepMismatch, StepTooCoarse
 from .kernel import KernelContext, riccati_service_atom
 from .params import BetaSpec, QueueParams
-
-MAX_SERIES_TERMS = 2000
 
 
 @dataclass(frozen=True)
@@ -65,46 +59,52 @@ class GridSpec:
 def default_grid(params: QueueParams, spec: BetaSpec) -> GridSpec:
     """h small vs the arrival, service and beta rates; horizon 12 busy-period means.
 
-    The beta term keeps h * (lambda + max|beta|) within the series' 0.01 limit.
+    The beta term keeps h * (lambda + max|beta|) within the grid solve's 0.01 limit.
     """
     h = min(0.005 / params.lam, params.alpha / 200.0, 0.01 / (params.lam + spec.max_abs))
     t_max = 12.0 * math.expm1(params.rho) / params.lam
     return GridSpec(step=h, t_max=t_max)
 
 
-def grid_convolve(a: GridFunction, b: GridFunction) -> GridFunction:
-    """Trapezoidal discrete convolution with half-weight endpoints.
+def _product(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """First n terms of the linear convolution a * b.
 
-    The FFT length is the power of two at or above 2n - 1, so the circular
-    convolution equals the linear one on the first n points.
+    The FFT length is the power of two at or above the full product length,
+    so the circular convolution equals the linear one.
     """
+    a, b = a[:n], b[:n]
+    size = 1 << (len(a) + len(b) - 2).bit_length()
+    return np.fft.irfft(np.fft.rfft(a, size) * np.fft.rfft(b, size), size)[:n]
+
+
+def _reciprocal(a: np.ndarray) -> np.ndarray:
+    """The power series 1/a to len(a) terms, by Newton steps g <- g (2 - a g).
+
+    Each step doubles the number of correct terms m: 1 - a g vanishes below
+    z^m, so only its terms m..2m-1 are formed and g gains g times them.
+    """
+    n = len(a)
+    g = np.array([1.0 / a[0]])
+    while len(g) < n:
+        m = min(2 * len(g), n)
+        defect = -_product(a, g, m)[len(g):]
+        g = np.concatenate([g, _product(g, defect, m - len(g))])
+    return g
+
+
+def grid_convolve(a: GridFunction, b: GridFunction) -> GridFunction:
+    """Trapezoidal discrete convolution with half-weight endpoints."""
     if abs(a.step - b.step) > 1e-15 * max(a.step, b.step):
         raise StepMismatch(f"steps differ: {a.step} vs {b.step}")
     n = min(len(a.values), len(b.values))
     av, bv = a.values[:n], b.values[:n]
-    size = 1 << (2 * n - 2).bit_length()
-    full = np.fft.irfft(np.fft.rfft(av, size) * np.fft.rfft(bv, size), size)[:n]
+    full = _product(av, bv, n)
     trap = a.step * (full - 0.5 * av[0] * bv - 0.5 * av * bv[0])
     return GridFunction(step=a.step, values=trap, kind="density")
 
 
-def series_truncation_order(params: QueueParams, tol: float) -> int:
-    """Smallest N with q^{N+1}/(1-q) < tol, q = 1 - e^{-rho} (geometric term mass)."""
-    if not (0.0 < tol < 1.0):
-        raise ValueError("tol must be in (0, 1)")
-    q = 1.0 - params.exp_neg_rho
-    n = 0
-    while q ** (n + 1) / (1.0 - q) >= tol:
-        n += 1
-        if n > MAX_SERIES_TERMS:
-            raise TruncationBudgetExceeded(
-                f"more than {MAX_SERIES_TERMS} series terms needed for tol={tol}"
-            )
-    return n
-
-
-def _series_parts(ctx: KernelContext, grid: GridSpec, tol: float):
-    """Grid samples of the kernel, the bracket factor, and the series weight."""
+def _series_parts(ctx: KernelContext, grid: GridSpec):
+    """Grid samples of the kernel f, the bracket factor r, and the weight w."""
     params = ctx.params
     h = grid.step
     rate = params.lam + ctx.vbeta.spec.max_abs
@@ -117,24 +117,25 @@ def _series_parts(ctx: KernelContext, grid: GridSpec, tol: float):
     g0 = riccati_service_atom(ctx)
     bracket = 1.0 - (1.0 - g0) * (f + params.lam * prefix)
     weight = params.lam * (1.0 - g0)
-    n_terms = series_truncation_order(params, tol)
-    return ts, GridFunction(h, f), GridFunction(h, bracket), weight, n_terms
+    return f, bracket, weight
 
 
-def busy_period_cdf_series(ctx: KernelContext, grid: GridSpec, tol: float = 1e-8) -> GridFunction:
-    """B(t) on the grid via the truncated Neumann series of kernel self-convolutions.
+def busy_period_cdf_series(ctx: KernelContext, grid: GridSpec) -> GridFunction:
+    """B(t) on the grid: the exact solution of the trapezoidal Volterra system.
 
-    The n = 0 term is the convolution identity, so the series starts from the
-    bracket factor itself; each further term convolves once more with the
-    kernel and picks up a factor lambda*(1 - G(0)).
+    B = r + w K B, with bracket factor r, weight w = lambda (1 - G(0)) and
+    K x = grid_convolve(x, f) = c * x - h x_0 f / 2, where c = h f except
+    c_0 = h f_0 / 2.  Row 0 gives B_0 = r_0, so
+    B = (r - w h r_0 f / 2) * (delta - w c)^{-1}: one power-series
+    reciprocal and one product.  This is the sum of the Neumann series
+    sum_k (w K)^k r with no term dropped.
     """
-    _, f, bracket, weight, n_terms = _series_parts(ctx, grid, tol)
-    total = bracket.values.copy()
-    cur = bracket
-    for _ in range(n_terms):
-        cur = GridFunction(grid.step, weight * grid_convolve(cur, f).values)
-        total += cur.values
-    return GridFunction(step=grid.step, values=total, kind="cdf")
+    f, r, w = _series_parts(ctx, grid)
+    h = grid.step
+    a = -w * h * f  # delta - w c
+    a[0] = 1.0 - 0.5 * w * h * f[0]
+    b = _product(r - 0.5 * w * h * r[0] * f, _reciprocal(a), len(r))
+    return GridFunction(step=h, values=b, kind="cdf")
 
 
 def busy_cycle_cdf_series(params: QueueParams, b: GridFunction) -> GridFunction:

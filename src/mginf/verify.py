@@ -1,10 +1,11 @@
 """Cross-validation checks tying the four computation routes together.
 
 Each check takes a ServiceLaw and compares two independent routes to the
-same quantity (closed form, kernel evaluation, Laplace transform, convolution
-series, Monte Carlo) at a fixed tolerance.  The series and Monte Carlo
-checks share the law's series grids, so each law's busy-period series is
-solved once.  Used by the CLI `verify` subcommand and the acceptance tests.
+same quantity (closed form, kernel evaluation, Laplace transform, grid
+solution of the convolution equation, Monte Carlo) at a fixed tolerance.
+The series and Monte Carlo checks share the law's (B, Z) grids, so each
+law's busy-period equation is solved once.  Used by the CLI `verify`
+subcommand and the acceptance tests.
 """
 
 from __future__ import annotations
@@ -72,7 +73,8 @@ def check_series_envelope(law: ServiceLaw) -> list[CheckResult]:
     ok = (np.all(b_grid.values[1:] >= env.bp_floor - slack)
           and np.all(z_grid.values[1:] >= env.cycle_floor - slack)
           and np.all(z_grid.values[1:] <= env.cycle_ceiling + slack))
-    return [_result("envelope bounds on series curves", bool(ok), "5000-point grid")]
+    return [_result("envelope bounds on series curves", bool(ok),
+                    f"{b_grid.values.size}-point grid")]
 
 
 def check_transform_consistency(law: ServiceLaw, tol: float = 1e-5) -> list[CheckResult]:

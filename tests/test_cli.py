@@ -192,6 +192,15 @@ def test_verify_tabulated_beta_skips_closed_form(tmp_path, capsys):
     assert report["envelope bounds on series curves"] == "FAIL"
 
 
+def test_verify_envelope_detail_names_the_grid_size(tmp_path, capsys):
+    table = tmp_path / "ramp.csv"
+    table.write_text("t,beta\n0.0,0.0\n1.0,0.2\n")
+    _, out, _ = run(["verify", "--lambda", "1", "--rho", "1", "--beta-file", str(table),
+                     "--t-max", "2", "--step", "0.005", "--cycles", "10"], capsys)
+    line = next(x for x in out.splitlines() if "envelope bounds on series curves" in x)
+    assert line.endswith(": 401-point grid")
+
+
 @pytest.mark.parametrize("beta_args", [["--beta", "0"], ["--beta-file", "ramp"]])
 def test_verify_solves_busy_period_series_once(beta_args, tmp_path, monkeypatch, capsys):
     from mginf.transforms import busy_period_cdf_series as solve
@@ -227,7 +236,7 @@ def test_eval_flat_table_reproduces_closed_form(tmp_path, capsys):
 def test_eval_table_with_large_beta_picks_a_fine_enough_grid(tmp_path, capsys):
     # max |beta| = 1.6 needs h <= 0.01 / 2.6, below the beta-blind default 0.005
     table = tmp_path / "spike.csv"
-    table.write_text("t,beta\n0,-1\n0.2,1.6\n0.4,-1\n1,0\n")
+    table.write_text("t,beta\n0,0\n0.5,0\n0.75,1.6\n1,0\n")
     out = tmp_path / "curves.csv"
     code, _, err = run(["eval", "--lambda", "1", "--rho", "1", "--beta-file", str(table),
                         "--out", str(out)], capsys)
@@ -246,6 +255,7 @@ def test_eval_table_with_large_beta_picks_a_fine_enough_grid(tmp_path, capsys):
     ("t,beta\n0,0\n1,0.1\n1,0.2\n", []),  # knots that do not increase
     ("t,beta\n0,0\n1,0.2\n", ["--seed", "-1"]),
     ("t,beta\n0,0\n1,0.2\n", ["--cycles", "0"]),
+    ("t,beta\n0,-1\n0.2,1.6\n0.4,-1\n1,0\n", []),  # admissible average, G would fall
 ])
 def test_verify_bad_input_exits_invalid(table, extra, tmp_path, capsys):
     path = tmp_path / "beta.csv"

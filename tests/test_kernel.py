@@ -4,13 +4,8 @@ import numpy as np
 import pytest
 
 from mginf import closed_form as cf
-from mginf.errors import DivergentKernelIntegral, NegativeTime
-from mginf.kernel import (
-    build_kernel,
-    cumulative_beta,
-    riccati_service_atom,
-    riccati_service_cdf,
-)
+from mginf.errors import DivergentKernelIntegral
+from mginf.kernel import build_kernel, riccati_service_atom, riccati_service_cdf
 from mginf.params import BetaSpec, validate_beta, validate_queue_params
 from mginf.simulate import kernel_service_sampler
 from mginf.verify import riccati_residual
@@ -27,28 +22,22 @@ def vbeta(p, spec, t_max=50.0):
 
 def test_cumulative_beta_constant():
     vb = vbeta(P11, BetaSpec(constant=0.25))
-    assert cumulative_beta(vb, 4.0) == pytest.approx(1.0, rel=1e-14)
+    assert vb.spec.cumulative(4.0) == pytest.approx(1.0, rel=1e-14)
     vb2 = vbeta(P11, BetaSpec(constant=-1.0))
-    assert cumulative_beta(vb2, 3.0) == pytest.approx(-3.0, rel=1e-14)
+    assert vb2.spec.cumulative(3.0) == pytest.approx(-3.0, rel=1e-14)
 
 
 def test_cumulative_beta_triangle():
     vb = vbeta(PLN2, BetaSpec(knots=((0.0, 0.0), (2.0, 2.0))), t_max=2.0)
-    assert cumulative_beta(vb, 2.0) == pytest.approx(2.0, rel=1e-14)
+    assert vb.spec.cumulative(2.0) == pytest.approx(2.0, rel=1e-14)
 
 
 def test_cumulative_beta_additive():
     vb = vbeta(P11, RAMP)
-    full = cumulative_beta(vb, 3.7)
-    part = cumulative_beta(vb, 1.2)
-    rest = vb.spec.cumulative(3.7) - vb.spec.cumulative(1.2)
+    full = vb.spec.cumulative(3.7)
+    part = vb.spec.cumulative(1.2)
+    rest = 0.2 * (3.7 - 1.2)  # beta is 0.2 beyond its last knot at t = 1
     assert full == pytest.approx(part + rest, rel=1e-14)
-
-
-def test_cumulative_beta_negative_time():
-    vb = vbeta(P11, BetaSpec(constant=0.0))
-    with pytest.raises(NegativeTime):
-        cumulative_beta(vb, -1.0)
 
 
 def test_kernel_integral_constant_zero():

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from mginf import closed_form as cf
 from mginf.errors import NegativeS, StepMismatch, StepTooCoarse
-from mginf.kernel import build_kernel, riccati_service_cdf
+from mginf.kernel import build_kernel, riccati_service_atom, riccati_service_cdf
 from mginf.law import ServiceLaw
 from mginf.params import BetaSpec, validate_beta, validate_queue_params
 from mginf.transforms import (
@@ -21,7 +21,6 @@ from mginf.transforms import (
     busy_period_laplace_general,
     default_grid,
     grid_convolve,
-    series_truncation_order,
 )
 
 P11 = validate_queue_params(1.0, 1.0)
@@ -66,23 +65,6 @@ def test_convolve_commutes():
 def test_convolve_step_mismatch():
     with pytest.raises(StepMismatch):
         grid_convolve(GridFunction(0.1, np.ones(4)), GridFunction(0.2, np.ones(4)))
-
-
-# ---- truncation order ------------------------------------------------------
-
-def test_truncation_orders():
-    # frozen from the geometric bound q^{N+1}/(1-q) < tol, q = 1 - e^{-rho}
-    assert series_truncation_order(P11, 1e-8) == 42
-    assert series_truncation_order(PLN2, 1e-8) == 27
-    assert series_truncation_order(validate_queue_params(1.0, 1e-9), 0.5) == 0
-
-
-def test_truncation_order_bound_holds():
-    for p in (P11, PLN2):
-        q = 1.0 - p.exp_neg_rho
-        n = series_truncation_order(p, 1e-8)
-        assert q ** (n + 1) / (1 - q) < 1e-8
-        assert q ** n / (1 - q) >= 1e-8
 
 
 # ---- Laplace transforms ----------------------------------------------------
@@ -178,7 +160,36 @@ def test_mean_extraction_from_transforms():
     assert mean_z == pytest.approx(math.e, rel=1e-2)
 
 
-# ---- convolution series ----------------------------------------------------
+# ---- grid solve of the busy-period equation ---------------------------------
+
+@pytest.mark.parametrize("spec", [BetaSpec(constant=0.3),
+                                  BetaSpec(knots=((0.0, 0.3), (0.5, -0.2), (1.0, 0.1)))])
+def test_direct_solve_equals_neumann_sum(spec):
+    # B = sum_k (w K)^k r, K x = grid_convolve(x, f), summed until the terms vanish
+    ctx = build_kernel(P11, validate_beta(P11, spec, 100.0))
+    grid = GridSpec(step=0.005, t_max=1.5)
+    b = busy_period_cdf_series(ctx, grid)
+    assert len(b.values) == 301
+    f = GridFunction(grid.step, ctx.kernel(b.times))
+    lam_prefix = P11.lam * ctx.prefix_integral(b.times)
+    atom = riccati_service_atom(ctx)
+    term = GridFunction(grid.step, 1.0 - (1.0 - atom) * (f.values + lam_prefix))
+    total = term.values.copy()
+    for _ in range(200):
+        term = GridFunction(grid.step, P11.lam * (1.0 - atom) * grid_convolve(term, f).values)
+        total += term.values
+    assert np.max(np.abs(term.values)) < 1e-17
+    assert np.max(np.abs(b.values - total)) <= 1e-12
+
+
+def test_direct_solve_in_heavy_traffic():
+    # rho = 5 needs ~2000 Neumann terms; the direct solve has no term budget
+    p = validate_queue_params(1.0, 5.0)
+    spec = BetaSpec(constant=0.0)
+    grid = default_grid(p, spec)
+    b = busy_period_cdf_series(build_kernel(p, validate_beta(p, spec, grid.t_max)), grid)
+    assert np.max(np.abs(b.values - cf.busy_period_cdf(p, 0.0, b.times))) < 1e-3
+
 
 def test_series_matches_closed_form_busy_period():
     ctx = ctx_for(P11, 0.0)
