@@ -30,6 +30,7 @@ from .kernel import (
     build_kernel,
     riccati_service_atom,
     riccati_service_cdf,
+    riccati_service_quantile,
 )
 from .transforms import (
     GridFunction,
@@ -49,7 +50,6 @@ from .simulate import (
     cycle_summary,
     empirical_cdf,
     ks_distance,
-    kernel_service_sampler,
     run_cycles,
 )
 from .law import ServiceLaw

@@ -11,6 +11,7 @@ pass/fail verification reports.  Exit codes: 0 success / all checks pass,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -18,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import closed_form as cf
-from .errors import MginfError, NegativeParameter, NonPositiveParameter
+from .errors import MginfError, NegativeParameter, NonFiniteParameter, NonPositiveParameter
 from .law import ServiceLaw
 from .params import BetaSpec, load_beta_table, validate_beta, validate_queue_params
 from .simulate import empirical_cdf, ks_distance, run_cycles, cycle_summary
@@ -59,9 +60,11 @@ def _build_config(args) -> RunConfig:
         spec = load_beta_table(args.beta_file)
     grid = default_grid(params, spec)
     t_max = args.t_max if args.t_max is not None else grid.t_max
+    step = args.step if args.step is not None else grid.step
+    if not (math.isfinite(t_max) and math.isfinite(step)):
+        raise NonFiniteParameter(f"--t-max and --step must be finite, got {t_max} and {step}")
     if t_max <= 0:
         raise MginfError(f"--t-max must be > 0, got {t_max}")
-    step = args.step if args.step is not None else grid.step
     if step <= 0:
         raise MginfError(f"--step must be > 0, got {step}")
     vbeta = validate_beta(params, spec, t_max)
@@ -94,11 +97,10 @@ def cmd_eval(config: RunConfig) -> int:
     env = cf.envelope_bounds(law.params, ts)
     out = _open_out(config)
     try:
-        out.write("t,G,B,Z,p00,p10,indicator,bp_floor,cycle_floor,cycle_ceiling\n")
-        for i in range(n):
-            row = (ts[i], g[i], b[i], z[i], p00[i], p10[i], ind[i],
-                   env.bp_floor[i], env.cycle_floor[i], env.cycle_ceiling[i])
-            out.write(",".join(_fmt(v) for v in row) + "\n")
+        np.savetxt(out, np.column_stack((ts, g, b, z, p00, p10, ind, env.bp_floor,
+                                         env.cycle_floor, env.cycle_ceiling)),
+                   fmt="%.17g", delimiter=",", comments="",
+                   header="t,G,B,Z,p00,p10,indicator,bp_floor,cycle_floor,cycle_ceiling")
     finally:
         if out is not sys.stdout:
             out.close()
@@ -110,9 +112,8 @@ def cmd_simulate(config: RunConfig) -> int:
     samples = run_cycles(law.params, law.quantile, config.cycles, config.seed)
     out = _open_out(config)
     try:
-        out.write("busy,idle,cycle\n")
-        for i in range(samples.n):
-            out.write(f"{_fmt(samples.busy[i])},{_fmt(samples.idle[i])},{_fmt(samples.cycle[i])}\n")
+        np.savetxt(out, np.column_stack((samples.busy, samples.idle, samples.cycle)),
+                   fmt="%.17g", delimiter=",", comments="", header="busy,idle,cycle")
     finally:
         if out is not sys.stdout:
             out.close()

@@ -75,21 +75,22 @@ def service_atom(params: QueueParams, beta: float) -> float:
     return 1.0 - (1.0 - q0) * (lam + beta) / lam
 
 
-def service_quantile(params: QueueParams, beta: float, u: float) -> float:
-    """Inverse of service_cdf: 0 inside the atom, else the closed-form root."""
+def service_quantile(params: QueueParams, beta: float, u) -> float | np.ndarray:
+    """Inverse of service_cdf, vectorised over u: 0 inside the atom, else the closed-form root.
+
+    At the degenerate endpoint beta = -lambda the atom is 1, so every u maps to 0.
+    """
     _check_beta(params, beta)
-    if not (0.0 <= u < 1.0):
+    uu = np.asarray(u, dtype=float)
+    if not np.all((uu >= 0.0) & (uu < 1.0)):
         raise ProbabilityOutOfRange(f"u must be in [0, 1), got {u}")
     lam, q0 = params.lam, params.exp_neg_rho
     s = lam + beta
-    if s <= 0:
-        return 0.0  # degenerate at the origin
-    if u <= service_atom(params, beta):
-        return 0.0
-    t = (1.0 / s) * math.log(
-        (1.0 - q0) * (s - (1.0 - u) * lam) / ((1.0 - u) * lam * q0)
-    )
-    return max(t, 0.0)
+    t = np.zeros_like(uu)
+    live = uu > service_atom(params, beta)
+    v = (1.0 - uu[live]) * lam
+    t[live] = np.log((1.0 - q0) * (s - v) / (v * q0)) / s
+    return _ret(np.maximum(t, 0.0), uu.ndim == 0)
 
 
 def busy_period_cdf(params: QueueParams, beta: float, t) -> float | np.ndarray:

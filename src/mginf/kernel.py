@@ -1,10 +1,10 @@
-"""General beta(t) evaluation of the Riccati-family service CDF.
+"""General beta(t) evaluation of the Riccati-family service CDF and its inverse.
 
 Everything is driven by the kernel f(t) = exp(-lambda*t - int_0^t beta(u)du).
 Beyond the last beta knot the kernel is exactly exponential, so the total
 integral I = int_0^inf f and all prefix integrals split into a numeric part on
-[0, t_knot] plus an analytic tail; for constant beta the whole computation is
-analytic.
+[0, t_knot] plus an analytic tail, and the service CDF inverts in closed form
+there; for constant beta (t_knot = 0) the whole computation is analytic.
 """
 
 from __future__ import annotations
@@ -14,12 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BetaOutOfRange, DivergentKernelIntegral, NegativeTime
+from .errors import BetaOutOfRange, DivergentKernelIntegral, NegativeTime, ProbabilityOutOfRange
 from .params import QueueParams, ValidatedBeta
-
-# Relative contribution below which the analytic tail of I is considered
-# resolved; the tail itself is exact, this only caps the numeric horizon.
-TAIL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -33,8 +29,8 @@ class KernelContext:
     grid_t: np.ndarray       # uniform grid on [0, t_knot] (empty for constant beta)
     grid_f: np.ndarray
     grid_prefix: np.ndarray  # int_0^{grid_t} f
+    grid_g: np.ndarray       # G(grid_t), nondecreasing: build_kernel checks G' >= 0
     total_integral: float    # I = int_0^inf f
-    horizon: float           # end of the numeric part
 
     def kernel(self, t) -> np.ndarray:
         """f(t), evaluated exactly from the cumulative beta integral."""
@@ -49,7 +45,7 @@ class KernelContext:
         scalar = tt.ndim == 0
         tt = np.atleast_1d(tt)
         out = np.empty_like(tt)
-        inside = tt <= self.t_knot
+        inside = tt < self.t_knot
         if np.any(inside):
             out[inside] = self._prefix_numeric(tt[inside])
         if np.any(~inside):
@@ -64,10 +60,6 @@ class KernelContext:
         return float(self.grid_prefix[-1]) if self.grid_prefix.size else 0.0
 
     def _prefix_numeric(self, t: np.ndarray) -> np.ndarray:
-        if self.grid_t.size == 0:
-            # constant beta: exact
-            r = self.tail_rate
-            return -np.expm1(-r * t) / r
         h = self.grid_t[1] - self.grid_t[0]
         idx = np.clip((t // h).astype(int), 0, len(self.grid_t) - 1)
         t0 = self.grid_t[idx]
@@ -104,8 +96,8 @@ def build_kernel(params: QueueParams, vbeta: ValidatedBeta) -> KernelContext:
         grid_f = np.array([])
         grid_prefix = np.array([])
         f_end = 1.0
-    total = (grid_prefix[-1] if t_knot > 0 else 0.0) + f_end / tail_rate
-    horizon = t_knot - math.log(TAIL_TOL) / tail_rate
+    total = float((grid_prefix[-1] if t_knot > 0 else 0.0) + f_end / tail_rate)
+    grid_g = _service_cdf(params, total, grid_f, grid_prefix)
     ctx = KernelContext(
         params=params,
         vbeta=vbeta,
@@ -114,12 +106,12 @@ def build_kernel(params: QueueParams, vbeta: ValidatedBeta) -> KernelContext:
         grid_t=grid_t,
         grid_f=grid_f,
         grid_prefix=grid_prefix,
-        total_integral=float(total),
-        horizon=horizon,
+        grid_g=grid_g,
+        total_integral=total,
     )
     # G' = (1 - G)(beta + lambda G), so G is a CDF only while beta + lambda G >= 0.
     # Past the last knot beta is constant and G only rises, so [0, t_knot] suffices.
-    slope = spec.value(grid_t) + params.lam * riccati_service_cdf(ctx, grid_t)
+    slope = spec.value(grid_t) + params.lam * grid_g
     bad = np.nonzero(slope < 0)[0]
     if bad.size:
         i = bad[0]
@@ -142,9 +134,49 @@ def riccati_service_cdf(ctx: KernelContext, t) -> float | np.ndarray:
     if np.any(tt < 0):
         raise NegativeTime("t must be >= 0")
     scalar = tt.ndim == 0
-    lam = ctx.params.lam
-    one_m_q0 = 1.0 - ctx.params.exp_neg_rho
-    f = ctx.kernel(tt)
-    prefix = ctx.prefix_integral(tt)
-    g = 1.0 - one_m_q0 * f / (lam * (ctx.total_integral - one_m_q0 * prefix))
+    g = _service_cdf(ctx.params, ctx.total_integral, ctx.kernel(tt), ctx.prefix_integral(tt))
     return float(g) if scalar else g
+
+
+def _service_cdf(params: QueueParams, total: float, f, prefix):
+    """G from kernel values f and their prefix integrals."""
+    one_m_q0 = 1.0 - params.exp_neg_rho
+    return 1.0 - one_m_q0 * f / (params.lam * (total - one_m_q0 * prefix))
+
+
+def riccati_service_quantile(ctx: KernelContext, u) -> float | np.ndarray:
+    """Inverse of riccati_service_cdf, vectorised over u in [0, 1); exactly 0 for u <= G(0).
+
+    Past the last knot f is exponential and G inverts in closed form (at
+    t_knot = 0 this is closed_form.service_quantile).  Below G(t_knot) the
+    certified grid values of G bracket u, linear interpolation starts, and two
+    Newton steps with G' = (1 - G)(beta + lambda G), clipped to the bracket,
+    finish.
+    """
+    uu = np.asarray(u, dtype=float)
+    if not np.all((uu >= 0.0) & (uu < 1.0)):
+        raise ProbabilityOutOfRange(f"u must be in [0, 1), got {u}")
+    lam, q0, r = ctx.params.lam, ctx.params.exp_neg_rho, ctx.tail_rate
+    t = np.zeros_like(uu)
+    g0, g_knot = riccati_service_cdf(ctx, np.array([0.0, ctx.t_knot]))
+    live = uu > g0
+    body = live & (uu < g_knot)  # empty for constant beta, where t_knot = 0
+    tail = live & ~body
+    v = (1.0 - uu[tail]) * lam
+    f_end = ctx.kernel(ctx.t_knot)
+    t[tail] = ctx.t_knot + np.log(
+        (1.0 - q0) * f_end * (r - v) / (v * q0 * ctx.total_integral * r)) / r
+    if np.any(body):
+        ub = uu[body]
+        i = np.searchsorted(ctx.grid_g, ub)
+        lo = ctx.grid_t[np.maximum(i - 1, 0)]
+        hi = ctx.grid_t[np.minimum(i, ctx.grid_t.size - 1)]
+        tb = np.interp(ub, ctx.grid_g, ctx.grid_t)
+        for _ in range(2):
+            g = riccati_service_cdf(ctx, tb)
+            dens = (1.0 - g) * (ctx.vbeta.spec.value(tb) + lam * g)
+            step = np.divide(g - ub, dens, out=np.zeros_like(tb), where=dens > 0)
+            tb = np.clip(tb - step, lo, hi)
+        t[body] = tb
+    t = np.maximum(t, 0.0)
+    return float(t) if uu.ndim == 0 else t

@@ -10,16 +10,14 @@ busy-cycle grids are solved once per law, on first use.
 from __future__ import annotations
 
 from functools import cached_property, partial
-from typing import Callable
 
 import numpy as np
 
 from . import closed_form as cf
 from . import transforms
 from .errors import DegenerateDistribution
-from .kernel import build_kernel, riccati_service_atom, riccati_service_cdf
+from .kernel import build_kernel, riccati_service_atom, riccati_service_cdf, riccati_service_quantile
 from .params import QueueParams, ValidatedBeta
-from .simulate import kernel_service_sampler
 from .transforms import GridFunction, GridSpec, default_grid
 
 
@@ -27,9 +25,11 @@ class ServiceLaw:
     """Service CDF G, its quantile and atom, p00, beta(t), and the laws B and Z.
 
     `cdf`, `p00`, `indicator`, `busy_cdf`, `cycle_cdf` and `idle_cdf` are
-    vectorised over t.  `busy_cdf` and `cycle_cdf` are the closed forms when
-    beta is constant and linear interpolation of the series grids otherwise;
-    with `idle_cdf` they are the reference curves of the Monte Carlo checks.
+    vectorised over t; `quantile`, the inverse of `cdf` (exactly 0 inside the
+    atom), is vectorised over u in [0, 1).  `busy_cdf` and `cycle_cdf` are the
+    closed forms when beta is constant and linear interpolation of the series
+    grids otherwise; with `idle_cdf` they are the reference curves of the
+    Monte Carlo checks.
     `beta` is the constant, or None when no closed form exists; `kernel` is
     None only at the degenerate endpoint, where the service law has no
     continuous part.
@@ -43,6 +43,7 @@ class ServiceLaw:
             self.kernel = build_kernel(params, vbeta)
             self.atom = riccati_service_atom(self.kernel)
             self.cdf = partial(riccati_service_cdf, self.kernel)
+            self.quantile = partial(riccati_service_quantile, self.kernel)
             self.p00 = self._kernel_p00
             self.indicator = vbeta.spec.value
             self.busy_cdf = lambda t: np.interp(t, self.series[0].times, self.series[0].values)
@@ -52,17 +53,11 @@ class ServiceLaw:
             # all mass at the origin (beta = -lambda): no continuous part, no kernel
             self.kernel = build_kernel(params, vbeta) if self.atom < 1.0 else None
             self.cdf = partial(cf.service_cdf, params, beta)
+            self.quantile = partial(cf.service_quantile, params, beta)
             self.p00 = partial(cf.empty_probability, params, beta)
             self.indicator = self._closed_form_indicator
             self.busy_cdf = partial(cf.busy_period_cdf, params, beta)
             self.cycle_cdf = partial(cf.busy_cycle_cdf, params, beta)
-
-    @cached_property
-    def quantile(self) -> Callable[[float], float]:
-        """Inverse service CDF u -> t for u in [0, 1); exactly 0 inside the atom."""
-        if self.beta is None:
-            return kernel_service_sampler(self.kernel)
-        return partial(cf.service_quantile, self.params, self.beta)
 
     @cached_property
     def series(self) -> tuple[GridFunction, GridFunction]:

@@ -3,7 +3,7 @@
 The service-time family is parameterized by a rate function beta(t), either a
 single constant or a piecewise-linear table.  A beta function is admissible when
 its running average (1/t) * int_0^t beta(u) du stays inside [-lambda,
-lambda/(e^rho - 1)] on the whole horizon of interest; every downstream module
+lambda/(e^rho - 1)] on the whole time range of interest; every downstream module
 requires a certified ValidatedBeta.
 """
 

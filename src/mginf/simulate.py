@@ -3,10 +3,9 @@
 With infinitely many servers the system first empties exactly at the maximum
 departure epoch among the customers of the current busy period, so no event
 calendar is needed: track that maximum and stop when the next arrival lands
-beyond it.  Each cycle gets its own counter-based substream, so runs are
-reproducible and order-independent.  Service draws go through a law's
-inverse CDF (`ServiceLaw.quantile`); the tabulated-beta inverse is
-`kernel_service_sampler`.
+beyond it.  All cycles of a run advance in lock-step on one Philox stream per
+seed, so runs are reproducible.  Service draws go through a law's vectorised
+inverse CDF (`ServiceLaw.quantile`).
 """
 
 from __future__ import annotations
@@ -17,42 +16,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import EmptySample
-from .kernel import KernelContext
 from .params import QueueParams
-
-
-def kernel_service_sampler(ctx: KernelContext) -> Callable[[float], float]:
-    """Inverse-transform sampler for tabulated beta.
-
-    A monotone CDF table seeds a tight bracket; each draw is refined by
-    bisection on the true CDF to 1e-10 in probability.
-    """
-    from .kernel import riccati_service_atom, riccati_service_cdf
-
-    atom = riccati_service_atom(ctx)
-    hi = ctx.horizon
-    while riccati_service_cdf(ctx, hi) < 1.0 - 1e-13:
-        hi *= 2.0
-    ts = np.linspace(0.0, hi, 4096)
-    us = np.asarray(riccati_service_cdf(ctx, ts))
-
-    def sampler(u: float) -> float:
-        if u <= atom:
-            return 0.0
-        i = int(np.searchsorted(us, u))
-        lo_t, hi_t = ts[max(i - 1, 0)], ts[min(i, len(ts) - 1)]
-        for _ in range(60):
-            mid = 0.5 * (lo_t + hi_t)
-            v = riccati_service_cdf(ctx, mid)
-            if abs(v - u) < 1e-10:
-                return mid
-            if v < u:
-                lo_t = mid
-            else:
-                hi_t = mid
-        return 0.5 * (lo_t + hi_t)
-
-    return sampler
 
 
 @dataclass(frozen=True)
@@ -66,39 +30,38 @@ class CycleSamples:
 
 def run_cycles(
     params: QueueParams,
-    quantile: Callable[[float], float],
+    quantile: Callable[[np.ndarray], np.ndarray],
     n_cycles: int,
     seed: int,
 ) -> CycleSamples:
-    """Simulate n_cycles independent busy cycles.
+    """Simulate n_cycles independent busy cycles in lock-step.
 
     Service times are drawn by inverse transform through `quantile`, the
-    service law's inverse CDF (`ServiceLaw.quantile`), which returns exactly 0
-    inside the atom G(0).  A cycle starts with an arrival to an empty system;
-    interarrival gaps are Exponential(lambda).  The busy period ends at the
-    running maximum E of the departure epochs once the next arrival exceeds
-    it; the idle period is a fresh Exponential(lambda) draw (memorylessness).
-    Records busy then idle and sums them into the cycle length.
+    service law's inverse CDF (`ServiceLaw.quantile`), vectorised over u and
+    exactly 0 inside the atom G(0).  A cycle starts with an arrival to an empty
+    system; interarrival gaps are Exponential(lambda).  The busy period ends
+    at the running maximum E of the departure epochs once the next arrival
+    reaches it; the idle period is a fresh Exponential(lambda) draw
+    (memorylessness).  Draw order on the one stream `Philox(key=seed)`: the n
+    opening services; then, per round, one gap for each open cycle in cycle
+    order and one service for each cycle still open after its gap; finally
+    the n idle periods.
     """
     if n_cycles < 1:
         raise ValueError("n_cycles must be >= 1")
-    lam = params.lam
-    base = np.random.Philox(key=seed)
+    scale = 1.0 / params.lam
+    rng = np.random.Generator(np.random.Philox(key=seed))
     busy = np.empty(n_cycles)
-    idle = np.empty(n_cycles)
-    for i in range(n_cycles):
-        rng = np.random.Generator(base.jumped(i))
-        e = quantile(rng.random())  # departure epoch of the opening customer
-        a = 0.0
-        while True:
-            a += rng.exponential(1.0 / lam)
-            if a >= e:
-                break
-            depart = a + quantile(rng.random())
-            if depart > e:
-                e = depart
-        busy[i] = e
-        idle[i] = rng.exponential(1.0 / lam)
+    e = quantile(rng.random(n_cycles))  # departure epoch of each opening customer
+    a = np.zeros(n_cycles)              # last arrival epoch of each open cycle
+    open_ = np.arange(n_cycles)
+    while open_.size:
+        a += rng.exponential(scale, open_.size)
+        closed = a >= e
+        busy[open_[closed]] = e[closed]
+        open_, a, e = open_[~closed], a[~closed], e[~closed]
+        e = np.maximum(e, a + quantile(rng.random(open_.size)))
+    idle = rng.exponential(scale, n_cycles)
     return CycleSamples(busy=busy, idle=idle, cycle=busy + idle, seed=seed, n=n_cycles)
 
 

@@ -57,7 +57,7 @@ class GridSpec:
 
 
 def default_grid(params: QueueParams, spec: BetaSpec) -> GridSpec:
-    """h small vs the arrival, service and beta rates; horizon 12 busy-period means.
+    """h small vs the arrival, service and beta rates; t_max 12 busy-period means.
 
     The beta term keeps h * (lambda + max|beta|) within the grid solve's 0.01 limit.
     """

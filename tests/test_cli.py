@@ -256,6 +256,10 @@ def test_eval_table_with_large_beta_picks_a_fine_enough_grid(tmp_path, capsys):
     ("t,beta\n0,0\n1,0.2\n", ["--seed", "-1"]),
     ("t,beta\n0,0\n1,0.2\n", ["--cycles", "0"]),
     ("t,beta\n0,-1\n0.2,1.6\n0.4,-1\n1,0\n", []),  # admissible average, G would fall
+    ("t,beta\n0,0\n1,0.2\n", ["--t-max", "nan"]),
+    ("t,beta\n0,0\n1,0.2\n", ["--t-max", "inf"]),
+    ("t,beta\n0,0\n1,0.2\n", ["--step", "nan"]),
+    ("t,beta\n0,0\n1,0.2\n", ["--step", "inf"]),
 ])
 def test_verify_bad_input_exits_invalid(table, extra, tmp_path, capsys):
     path = tmp_path / "beta.csv"

@@ -5,9 +5,13 @@ import pytest
 
 from mginf import closed_form as cf
 from mginf.errors import DivergentKernelIntegral
-from mginf.kernel import build_kernel, riccati_service_atom, riccati_service_cdf
+from mginf.kernel import (
+    build_kernel,
+    riccati_service_atom,
+    riccati_service_cdf,
+    riccati_service_quantile,
+)
 from mginf.params import BetaSpec, validate_beta, validate_queue_params
-from mginf.simulate import kernel_service_sampler
 from mginf.verify import riccati_residual
 
 P11 = validate_queue_params(1.0, 1.0)
@@ -126,13 +130,21 @@ def test_riccati_residual(spec):
 
 
 def test_quantile_roundtrip_tabulated():
-    ctx = build_kernel(P11, vbeta(P11, RAMP))
-    atom = riccati_service_atom(ctx)
-    quantile = kernel_service_sampler(ctx)
-    assert quantile(atom / 2) == 0.0
-    for u in (atom + 0.01, 0.5, 0.9, 0.99):
-        t = quantile(u)
-        assert riccati_service_cdf(ctx, t) == pytest.approx(u, abs=1e-10)
+    for spec in (RAMP, BetaSpec(knots=((0.0, 0.3), (2.0, -0.2), (5.0, 0.1)))):
+        ctx = build_kernel(P11, vbeta(P11, spec))
+        atom = riccati_service_atom(ctx)
+        g_knot = riccati_service_cdf(ctx, ctx.t_knot)  # u below it inverts on the grid
+        assert riccati_service_quantile(ctx, atom / 2) == 0.0
+        for u in (atom + 0.01, 0.5, 0.9, 0.99, g_knot - 1e-3, g_knot, g_knot + 1e-3):
+            t = riccati_service_quantile(ctx, u)
+            assert riccati_service_cdf(ctx, t) == pytest.approx(u, abs=1e-10)
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.3, 1.0 / math.expm1(1.0)])
+def test_quantile_at_constant_beta_is_the_closed_form(beta):
+    ctx = build_kernel(P11, vbeta(P11, BetaSpec(constant=beta)))
+    u = np.linspace(0.0, 0.999999, 2001)
+    assert np.max(np.abs(riccati_service_quantile(ctx, u) - cf.service_quantile(P11, beta, u))) <= 1e-12
 
 
 def test_cdf_monotone_to_one():

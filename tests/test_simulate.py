@@ -6,16 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from mginf import closed_form as cf
 from mginf.errors import EmptySample
-from mginf.kernel import build_kernel
 from mginf.law import ServiceLaw
 from mginf.params import BetaSpec, validate_beta, validate_queue_params
-from mginf.simulate import (
-    cycle_summary,
-    empirical_cdf,
-    kernel_service_sampler,
-    ks_distance,
-    run_cycles,
-)
+from mginf.simulate import cycle_summary, empirical_cdf, ks_distance, run_cycles
 
 P11 = validate_queue_params(1.0, 1.0)
 PLN2 = validate_queue_params(1.0, math.log(2))
@@ -128,11 +121,29 @@ def test_busy_idle_independence(big_run):
 
 def test_tabulated_beta_simulation():
     vb = validate_beta(P11, BetaSpec(knots=((0.0, 0.0), (1.0, 0.2))), 100.0)
-    ctx = build_kernel(P11, vb)
-    s = run_cycles(P11, kernel_service_sampler(ctx), 20_000, seed=2)
+    s = run_cycles(P11, ServiceLaw(P11, vb).quantile, 20_000, seed=2)
     summ = cycle_summary(s)
     assert abs(summ.mean_busy - math.expm1(1.0)) < 4 * summ.stderr_busy
     assert abs(summ.mean_idle - 1.0) < 4 * summ.stderr_idle
+
+
+@pytest.mark.parametrize("spec", [BetaSpec(constant=0.3),
+                                  BetaSpec(knots=((0.0, 0.3), (2.0, -0.2), (5.0, 0.1)))])
+def test_law_quantile_takes_arrays(spec):
+    q = ServiceLaw(P11, validate_beta(P11, spec, 100.0)).quantile
+    u = np.array([0.0, 0.1, 0.5, 0.9, 0.99, 0.999999])
+    t = q(u)
+    assert t.shape == u.shape
+    assert np.array_equal(t, [q(float(x)) for x in u])
+
+
+def test_heavy_traffic_simulation():
+    p = validate_queue_params(1.0, 5.0)
+    s = run_cycles(p, quantile(p, 0.0), 20_000, seed=3)
+    summ = cycle_summary(s)
+    assert abs(summ.mean_busy - math.expm1(5.0)) < 4 * summ.stderr_busy
+    dkw = math.sqrt(math.log(2 / 1e-6) / (2 * s.n))  # critical value at alpha = 1e-6
+    assert ks_distance(empirical_cdf(s.busy), lambda t: cf.busy_period_cdf(p, 0.0, t)) < dkw
 
 
 def test_cycle_summary_requires_two():
