@@ -78,10 +78,36 @@ def _build_config(args) -> RunConfig:
     )
 
 
+CSV_CHUNK_ROWS = 1 << 16  # rows formatted per write, bounding the string built at once
+
+
 def _open_out(config: RunConfig):
     if config.out is None:
         return sys.stdout
     return open(config.out, "w", newline="\n")
+
+
+def write_csv(out, header: str, columns) -> None:
+    """Header line, then one `%.17g` row per index of the equal-length columns.
+
+    Same bytes as np.savetxt(fmt="%.17g", delimiter=","), but each chunk of
+    rows is formatted by one `%` over a repeated row template.
+    """
+    a = np.column_stack(columns)
+    row = ",".join(["%.17g"] * a.shape[1]) + "\n"
+    out.write(header + "\n")
+    for start in range(0, len(a), CSV_CHUNK_ROWS):
+        block = a[start:start + CSV_CHUNK_ROWS]
+        out.write(row * len(block) % tuple(block.ravel().tolist()))
+
+
+def _write_output(config: RunConfig, header: str, columns) -> None:
+    out = _open_out(config)
+    try:
+        write_csv(out, header, columns)
+    finally:
+        if out is not sys.stdout:
+            out.close()
 
 
 def cmd_eval(config: RunConfig) -> int:
@@ -95,28 +121,15 @@ def cmd_eval(config: RunConfig) -> int:
     ind = law.indicator(ts)
     p10 = p00 * g
     env = cf.envelope_bounds(law.params, ts)
-    out = _open_out(config)
-    try:
-        np.savetxt(out, np.column_stack((ts, g, b, z, p00, p10, ind, env.bp_floor,
-                                         env.cycle_floor, env.cycle_ceiling)),
-                   fmt="%.17g", delimiter=",", comments="",
-                   header="t,G,B,Z,p00,p10,indicator,bp_floor,cycle_floor,cycle_ceiling")
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    _write_output(config, "t,G,B,Z,p00,p10,indicator,bp_floor,cycle_floor,cycle_ceiling",
+                  (ts, g, b, z, p00, p10, ind, env.bp_floor, env.cycle_floor, env.cycle_ceiling))
     return EXIT_OK
 
 
 def cmd_simulate(config: RunConfig) -> int:
     law = config.law
     samples = run_cycles(law.params, law.quantile, config.cycles, config.seed)
-    out = _open_out(config)
-    try:
-        np.savetxt(out, np.column_stack((samples.busy, samples.idle, samples.cycle)),
-                   fmt="%.17g", delimiter=",", comments="", header="busy,idle,cycle")
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    _write_output(config, "busy,idle,cycle", (samples.busy, samples.idle, samples.cycle))
     summ = cycle_summary(samples)
     ks_busy = ks_distance(empirical_cdf(samples.busy), law.busy_cdf)
     ks_cycle = ks_distance(empirical_cdf(samples.cycle), law.cycle_cdf)

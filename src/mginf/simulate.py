@@ -14,6 +14,9 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
+# numpy loads its random module on first attribute access; import it with the
+# package so that the first run_cycles call does not pay for it.
+from numpy.random import Generator, Philox
 
 from .errors import EmptySample
 from .params import QueueParams
@@ -50,7 +53,7 @@ def run_cycles(
     if n_cycles < 1:
         raise ValueError("n_cycles must be >= 1")
     scale = 1.0 / params.lam
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = Generator(Philox(key=seed))
     busy = np.empty(n_cycles)
     e = quantile(rng.random(n_cycles))  # departure epoch of each opening customer
     a = np.zeros(n_cycles)              # last arrival epoch of each open cycle
@@ -96,7 +99,8 @@ def ks_distance(emp: EmpiricalCdf, analytic: Callable[[np.ndarray], np.ndarray])
     Valid for reference CDFs with an atom at 0: sample points at 0 compare the
     empirical mass there against F(0) directly.
     """
-    xs = np.unique(emp.sorted)
+    s = emp.sorted
+    xs = s[np.concatenate(([True], s[1:] != s[:-1]))]  # distinct points, already sorted
     f = np.asarray(analytic(xs), dtype=float)
     after = emp(xs)
     before = emp.left_limit(xs)

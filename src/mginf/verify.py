@@ -21,6 +21,8 @@ from .law import ServiceLaw
 from .simulate import empirical_cdf, ks_distance, run_cycles
 from .transforms import busy_period_laplace_from_service, busy_period_laplace_general
 
+# Transform arguments in units of lambda: the checks evaluate at s = c * lambda,
+# so they probe the same part of each law whatever the time scale.
 TRANSFORM_S_POINTS = (0.1, 0.5, 1.0, 2.0, 5.0)
 
 
@@ -77,12 +79,16 @@ def check_series_envelope(law: ServiceLaw) -> list[CheckResult]:
                     f"{b_grid.values.size}-point grid")]
 
 
+def _transform_points(law: ServiceLaw) -> list[float]:
+    return [c * law.params.lam for c in TRANSFORM_S_POINTS]
+
+
 def check_transform_consistency(law: ServiceLaw, tol: float = 1e-5) -> list[CheckResult]:
     """Kernel-form busy-period transform against nested quadrature of G."""
     if law.kernel is None:
         return [CheckResult("transform consistency", "SKIP", "degenerate service")]
     worst = 0.0
-    for s in TRANSFORM_S_POINTS:
+    for s in _transform_points(law):
         general = busy_period_laplace_general(law.kernel, s).value
         direct = busy_period_laplace_from_service(
             law.params, lambda t: riccati_service_cdf(law.kernel, t), s
@@ -99,7 +105,7 @@ def check_transform_mixture(law: ServiceLaw, tol: float = 1e-5) -> list[CheckRes
     g0 = law.atom
     mu = law.params.exp_neg_rho * (law.params.lam + law.beta)
     worst = max(abs(busy_period_laplace_general(law.kernel, s).value
-                    - (g0 + (1.0 - g0) * mu / (s + mu))) for s in TRANSFORM_S_POINTS)
+                    - (g0 + (1.0 - g0) * mu / (s + mu))) for s in _transform_points(law))
     return [_result("busy period transform: vs analytic exponential mixture",
                     worst < tol, f"max |diff| {worst:.2e}")]
 

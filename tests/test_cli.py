@@ -1,3 +1,4 @@
+import io
 import math
 import sys
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from mginf import closed_form as cf
-from mginf.cli import EXIT_INVALID, EXIT_IO, EXIT_OK, EXIT_VERIFY_FAIL, main
+from mginf.cli import EXIT_INVALID, EXIT_IO, EXIT_OK, EXIT_VERIFY_FAIL, main, write_csv
 from mginf.params import validate_queue_params
 
 P11 = validate_queue_params(1.0, 1.0)
@@ -216,6 +217,53 @@ def test_verify_solves_busy_period_series_once(beta_args, tmp_path, monkeypatch,
     run(["verify", "--lambda", "1", "--rho", "1", *beta_args,
          "--cycles", "200", "--seed", "1"], capsys)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("lam", ["0.01", "1", "100"])
+def test_verify_transform_checks_pass_at_every_time_scale(lam, capsys):
+    _, out, _ = run(["verify", "--lambda", lam, "--rho", "1", "--beta", "0",
+                     "--cycles", "200", "--seed", "1"], capsys)
+    report = parse_report(out)
+    assert report["busy period transform: kernel form vs nested quadrature"] == "PASS"
+    assert report["busy period transform: vs analytic exponential mixture"] == "PASS"
+
+
+# ---- heavy traffic ------------------------------------------------------------
+
+def test_eval_heavy_traffic_rows_are_finite(tmp_path, capsys):
+    out = tmp_path / "curves.csv"
+    code, _, _ = run(["eval", "--lambda", "1", "--rho", "5", "--beta", "0",
+                      "--step", "0.5", "--out", str(out)], capsys)
+    assert code == EXIT_OK
+    rows = np.loadtxt(out, delimiter=",", skiprows=1)
+    assert rows[-1, 0] > 1000  # far past d t = 709.78, where expm1(d t) overflows
+    assert np.all(np.isfinite(rows))
+
+
+def test_verify_heavy_traffic_has_no_nan_detail(capsys):
+    _, out, _ = run(["verify", "--lambda", "1", "--rho", "5", "--beta", "0",
+                     "--cycles", "2000", "--seed", "1"], capsys)
+    assert "nan" not in out
+    report = parse_report(out)
+    assert report["busy cycle: series vs closed form"] == "PASS"
+    assert report["busy cycle mean = analytic target"] == "PASS"
+
+
+def test_verify_heavy_traffic_degenerate_endpoint_ends_cleanly(capsys):
+    code, out, err = run(["verify", "--lambda", "1", "--rho", "5", "--beta", "-1",
+                          "--cycles", "2000", "--seed", "1"], capsys)
+    assert code in (EXIT_OK, EXIT_VERIFY_FAIL)
+    assert "nan" not in out and err == ""
+
+
+# ---- CSV output ----------------------------------------------------------------
+
+def test_write_csv_matches_savetxt():
+    a = np.array([[-0.0, 5e-324, 1e300], [np.nan, 0.1, -np.inf], [1.0, -2.5e-17, 3.0]])
+    ours, ref = io.StringIO(), io.StringIO()
+    write_csv(ours, "a,b,c", a.T)
+    np.savetxt(ref, a, fmt="%.17g", delimiter=",", comments="", header="a,b,c")
+    assert ours.getvalue() == ref.getvalue()
 
 
 # ---- tabulated beta through the service law --------------------------------

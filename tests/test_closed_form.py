@@ -272,6 +272,17 @@ def test_mean_identities(p, which):
     )
 
 
+@pytest.mark.parametrize("lam", [0.01, 1.0, 100.0])
+@pytest.mark.parametrize("rho", [0.1, math.log(2), 1.0, 3.0, 5.0, 8.0])
+def test_survival_mean_matches_targets_across_scales(lam, rho):
+    p = validate_queue_params(lam, rho)
+    for beta in np.linspace(-lam, lam / math.expm1(rho), 9)[1:-1]:
+        for curve, target in ((cf.service_curve(p, beta), rho / lam),
+                              (cf.busy_period_curve(p, beta), math.expm1(rho) / lam),
+                              (cf.busy_cycle_curve(p, beta), math.exp(rho) / lam)):
+            assert curve.mean == pytest.approx(target, rel=1e-9)
+
+
 def test_degenerate_means():
     assert cf.service_curve(P11, -1.0).mean == 0.0
     assert cf.busy_period_curve(P11, -1.0).mean == 0.0
@@ -279,6 +290,19 @@ def test_degenerate_means():
 
 
 # ---- CDF shape properties ---------------------------------------------------
+
+@pytest.mark.parametrize("rho", [5.0, 10.0])
+def test_busy_cycle_finite_far_into_the_tail(rho):
+    # d = lambda - e^{-rho}(lambda+beta) > 0 here, and d t reaches 1e4 >> 709.78
+    p = validate_queue_params(1.0, rho)
+    ts = np.linspace(0.0, 1e4, 2001)
+    for beta in (0.0, -0.5, p.lam / math.expm1(rho)):
+        z = cf.busy_cycle_cdf(p, beta, ts)
+        assert np.all(np.isfinite(z))
+        assert np.all(np.diff(z) >= -1e-15)
+        mu, x = p.exp_neg_rho * (1 + beta), (1 - p.exp_neg_rho) * (1 + beta)
+        assert z[-1] == pytest.approx(1 - x / (1 - mu) * math.exp(-mu * 1e4), abs=1e-12)
+
 
 @pytest.mark.parametrize("p,beta", [(P11, 0.0), (P11, -0.7), (PLN2, 1.0), (P21, 2.0)])
 def test_cdfs_monotone_and_bounded(p, beta):

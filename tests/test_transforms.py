@@ -268,6 +268,16 @@ def test_import_leaves_scipy_signal_unloaded():
     assert out.strip() == "False"
 
 
+def test_verify_run_never_loads_scipy():
+    code = ("import sys, mginf, mginf.cli; "
+            "mginf.cli.main(['verify', '--lambda', '1', '--rho', '1', '--beta', '0', "
+            "'--cycles', '2000']); "
+            "print('LOADED', sorted(m for m in sys.modules if m.startswith('scipy')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True).stdout
+    assert out.splitlines()[-1] == "LOADED []"
+
+
 # ---- GridFunction plumbing -------------------------------------------------
 
 def test_grid_function_interpolation():
