@@ -2,8 +2,8 @@
 """Run the full cross-validation battery over the standard parameter matrix.
 
 Sweeps (lambda, rho) in {(1, 1), (1, ln 2), (2, 0.5)} crossed with four beta
-values spanning the admissible range, printing one PASS/FAIL/SKIP line per
-check per point.  The exponential floor envelopes are expected to FAIL for
+values spanning the admissible range, both endpoints included, printing one
+PASS/FAIL line per check per point.  The exponential floor envelopes are expected to FAIL for
 interior beta values; see the README.  The 0.01 KS tolerance is calibrated
 for the default 10^5 cycles; smaller --cycles will show spurious KS failures.
 

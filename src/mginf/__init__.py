@@ -28,7 +28,6 @@ from .closed_form import (
 from .kernel import (
     KernelContext,
     build_kernel,
-    riccati_service_atom,
     riccati_service_cdf,
     riccati_service_quantile,
 )

@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import NegativeS, QuadratureFailure, StepMismatch, StepTooCoarse
-from .kernel import KernelContext, riccati_service_atom
+from .kernel import KernelContext
 from .params import BetaSpec, QueueParams
 
 
@@ -113,17 +113,17 @@ def _series_parts(ctx: KernelContext, grid: GridSpec):
     n = int(round(grid.t_max / h)) + 1
     ts = np.arange(n) * h
     f = ctx.kernel(ts)
-    prefix = ctx.prefix_integral(ts)
-    g0 = riccati_service_atom(ctx)
-    bracket = 1.0 - (1.0 - g0) * (f + params.lam * prefix)
-    weight = params.lam * (1.0 - g0)
+    one_m_q0 = 1.0 - params.exp_neg_rho
+    bracket = 1.0 - one_m_q0 * (ctx.inv_total * f / params.lam + ctx.prefix_mass(ts))
+    weight = one_m_q0 * ctx.inv_total
     return f, bracket, weight
 
 
 def busy_period_cdf_series(ctx: KernelContext, grid: GridSpec) -> GridFunction:
     """B(t) on the grid: the exact solution of the trapezoidal Volterra system.
 
-    B = r + w K B, with bracket factor r, weight w = lambda (1 - G(0)) and
+    B = r + w K B, with bracket factor r = 1 - (1 - e^{-rho})(phi/lambda + Phi),
+    weight w = (1 - e^{-rho})/I and
     K x = grid_convolve(x, f) = c * x - h x_0 f / 2, where c = h f except
     c_0 = h f_0 / 2.  Row 0 gives B_0 = r_0, so
     B = (r - w h r_0 f / 2) * (delta - w c)^{-1}: one power-series
@@ -188,10 +188,10 @@ def busy_period_laplace_from_service(
 
 
 def kernel_laplace(ctx: KernelContext, s: float) -> float:
-    """L f(s) = int_0^inf e^{-s t} f(t) dt, numeric on [0, t_knot] + exact tail."""
-    if s < 0:
-        raise NegativeS(f"s must be >= 0, got {s}")
-    tail = ctx.kernel(ctx.t_knot) * math.exp(-s * ctx.t_knot) / (s + ctx.tail_rate)
+    """L phi(s) = int_0^inf e^{-s t} phi(t) dt for s > 0, numeric on [0, t_knot] + exact tail."""
+    if s <= 0:
+        raise NegativeS(f"s must be > 0, got {s}")
+    tail = ctx.tail_rate * ctx.tail_mass * math.exp(-s * ctx.t_knot) / (s + ctx.tail_rate)
     if ctx.t_knot == 0:
         return float(tail)
     ts = ctx.grid_t
@@ -200,19 +200,23 @@ def kernel_laplace(ctx: KernelContext, s: float) -> float:
     mid = ts[:-1] + 0.5 * h
     vals_mid = np.exp(-s * mid) * ctx.kernel(mid)
     numeric = (h / 6.0 * (vals[:-1] + 4.0 * vals_mid + vals[1:])).sum()
-    return float(numeric + tail)
+    return float(ctx.inv_total * numeric + tail)
 
 
 def busy_period_laplace_general(ctx: KernelContext, s: float) -> LaplacePoint:
-    """Busy-period transform from the kernel: rational in L f(s) and G(0)."""
+    """Busy-period transform from the kernel: rational in L phi(s).
+
+    With (1 - G(0)) L f = (1 - e^{-rho}) L phi / lambda this is
+    (1 - (s + lambda)(1 - e^{-rho}) L phi / lambda) / (1 - (1 - e^{-rho}) L phi);
+    at s = 0 it is the normalization value 1.
+    """
     if s < 0:
         raise NegativeS(f"s must be >= 0, got {s}")
+    if s == 0:
+        return LaplacePoint(0.0, 1.0)
     lam = ctx.params.lam
-    g0 = riccati_service_atom(ctx)
-    lf = kernel_laplace(ctx, s)
-    num = 1.0 - (s + lam) * (1.0 - g0) * lf
-    den = 1.0 - lam * (1.0 - g0) * lf
-    return LaplacePoint(s, num / den)
+    x = (1.0 - ctx.params.exp_neg_rho) * kernel_laplace(ctx, s)
+    return LaplacePoint(s, (1.0 - (s + lam) * x / lam) / (1.0 - x))
 
 
 def busy_cycle_laplace(params: QueueParams, bp: LaplacePoint) -> LaplacePoint:

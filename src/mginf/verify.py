@@ -3,6 +3,9 @@
 Each check takes a ServiceLaw and compares two independent routes to the
 same quantity (closed form, kernel evaluation, Laplace transform, grid
 solution of the convolution equation, Monte Carlo) at a fixed tolerance.
+Every law has a kernel context, the degenerate endpoint beta = -lambda
+included, so every check runs there too; time grids are in units of the
+law's own mean busy cycle e^rho/lambda.
 The series and Monte Carlo checks share the law's (B, Z) grids, so each
 law's busy-period equation is solved once.  Used by the CLI `verify`
 subcommand and the acceptance tests.
@@ -41,18 +44,28 @@ def _result(name: str, ok: bool, detail: str) -> CheckResult:
     return CheckResult(name, "PASS" if ok else "FAIL", detail)
 
 
+def _cycle_mean(params) -> float:
+    """e^rho/lambda, the mean busy cycle: the time unit of the checks' grids."""
+    return math.exp(params.rho) / params.lam
+
+
 def riccati_residual(ctx: KernelContext, n_points: int = 100, t_max: float | None = None) -> float:
-    """Max defect of the service-CDF ODE dG/dt = -lam*G^2 - (beta-lam)*G + beta."""
+    """Max defect of the service-CDF ODE dG/dt = -lam*G^2 - (beta-lam)*G + beta, in units of lam.
+
+    The default horizon t_knot + 5 e^rho/lam and the difference step 1e-5/lam
+    are on the law's own time scale, so the residual does not change when
+    (lam, beta, t) -> (c lam, c beta, t/c).
+    """
     lam = ctx.params.lam
     if t_max is None:
-        t_max = ctx.t_knot + 5.0 / ctx.tail_rate
+        t_max = ctx.t_knot + 5.0 * _cycle_mean(ctx.params)
     ts = np.linspace(t_max / n_points, t_max, n_points)
-    eps = 1e-5
+    eps = 1e-5 / lam
     dg = (riccati_service_cdf(ctx, ts + eps) - riccati_service_cdf(ctx, ts - eps)) / (2 * eps)
     g = riccati_service_cdf(ctx, ts)
     b = ctx.vbeta.spec.value(ts)
     rhs = -lam * g**2 - (b - lam) * g + b
-    return float(np.max(np.abs(dg - rhs)))
+    return float(np.max(np.abs(dg - rhs))) / lam
 
 
 def check_series_vs_closed_form(law: ServiceLaw, tol_sup: float = 1e-3) -> list[CheckResult]:
@@ -85,14 +98,10 @@ def _transform_points(law: ServiceLaw) -> list[float]:
 
 def check_transform_consistency(law: ServiceLaw, tol: float = 1e-5) -> list[CheckResult]:
     """Kernel-form busy-period transform against nested quadrature of G."""
-    if law.kernel is None:
-        return [CheckResult("transform consistency", "SKIP", "degenerate service")]
     worst = 0.0
     for s in _transform_points(law):
         general = busy_period_laplace_general(law.kernel, s).value
-        direct = busy_period_laplace_from_service(
-            law.params, lambda t: riccati_service_cdf(law.kernel, t), s
-        ).value
+        direct = busy_period_laplace_from_service(law.params, law.cdf, s).value
         worst = max(worst, abs(general - direct))
     return [_result("busy period transform: kernel form vs nested quadrature",
                     worst < tol, f"max |diff| {worst:.2e}")]
@@ -100,8 +109,6 @@ def check_transform_consistency(law: ServiceLaw, tol: float = 1e-5) -> list[Chec
 
 def check_transform_mixture(law: ServiceLaw, tol: float = 1e-5) -> list[CheckResult]:
     """Kernel-form busy-period transform against the closed form's atom plus exponential."""
-    if law.kernel is None:
-        return []  # reported with the transform consistency SKIP
     g0 = law.atom
     mu = law.params.exp_neg_rho * (law.params.lam + law.beta)
     worst = max(abs(busy_period_laplace_general(law.kernel, s).value
@@ -111,32 +118,35 @@ def check_transform_mixture(law: ServiceLaw, tol: float = 1e-5) -> list[CheckRes
 
 
 def check_mean_identities(law: ServiceLaw, rel_tol: float = 1e-6) -> list[CheckResult]:
-    """Quadrature means of G, B, Z against rho/lam, (e^rho-1)/lam, e^rho/lam."""
-    if law.kernel is None:
-        return [CheckResult("mean identities", "SKIP",
-                            "degenerate endpoint: means collapse to 0, 0, 1/lambda")]
+    """Quadrature means of G, B, Z against rho'/lam, (e^rho' - 1)/lam, e^rho'/lam (Takacs, 1962).
+
+    rho' = -ln lim p00(t) is rho when the kernel integral I is finite and 0
+    at the degenerate endpoint, where 1/I = 0 (p00(inf) itself is 0 * inf there).
+    """
     params, beta = law.params, law.beta
+    rho_eff = params.rho if law.kernel.inv_total > 0 else 0.0
     targets = {
-        "service mean": (cf.service_curve(params, beta), params.rho / params.lam),
-        "busy period mean": (cf.busy_period_curve(params, beta), math.expm1(params.rho) / params.lam),
-        "busy cycle mean": (cf.busy_cycle_curve(params, beta), math.exp(params.rho) / params.lam),
+        "service mean": (cf.service_curve(params, beta), rho_eff / params.lam),
+        "busy period mean": (cf.busy_period_curve(params, beta), math.expm1(rho_eff) / params.lam),
+        "busy cycle mean": (cf.busy_cycle_curve(params, beta), math.exp(rho_eff) / params.lam),
     }
     out = []
     for name, (curve, target) in targets.items():
-        rel = abs(curve.mean - target) / target
-        out.append(_result(f"{name} = analytic target", rel < rel_tol, f"rel err {rel:.2e}"))
+        err = abs(curve.mean - target)
+        out.append(_result(f"{name} = analytic target", err <= rel_tol * target,
+                           f"|{curve.mean:.10g} - {target:.10g}| = {err:.2e}"))
     return out
 
 
 def check_bound_ordering(law: ServiceLaw, n_points: int = 5000,
                          slack: float = 1e-9) -> list[CheckResult]:
-    """B and Z against envelope_bounds on t = 0.01, 0.02, ..., 0.01 n_points.
+    """B and Z against envelope_bounds on t_k = 12 (e^rho/lambda) k/n_points, k = 1..n_points.
 
     The two floor checks FAIL for every interior beta by design: the floors
     are the laws at the upper endpoint, which interior laws of equal mean
     must cross.  They PASS at both endpoints; the ceiling check always passes.
     """
-    ts = 0.01 * np.arange(1, n_points + 1)
+    ts = 12.0 * _cycle_mean(law.params) * np.arange(1, n_points + 1) / n_points
     env = cf.envelope_bounds(law.params, ts)
     b = law.busy_cdf(ts)
     z = law.cycle_cdf(ts)
@@ -151,8 +161,6 @@ def check_bound_ordering(law: ServiceLaw, n_points: int = 5000,
 
 
 def check_riccati_residual(law: ServiceLaw, tol: float = 1e-3) -> list[CheckResult]:
-    if law.kernel is None:
-        return [CheckResult("Riccati residual", "SKIP", "degenerate service")]
     res = riccati_residual(law.kernel)
     return [_result("service CDF solves the Riccati ODE", res < tol, f"max residual {res:.2e}")]
 
@@ -186,9 +194,9 @@ def check_monte_carlo(law: ServiceLaw, n_cycles: int, seed: int,
 def verify_point(law: ServiceLaw, n_cycles: int, seed: int) -> list[CheckResult]:
     """Run the full cross-validation battery for one service law.
 
-    The closed-form checks run when beta is constant; for tabulated beta they
-    are reported as SKIP and the series curves are checked against the
-    envelopes instead.
+    The closed-form checks run when beta is constant, the degenerate endpoint
+    included; for tabulated beta they are reported as SKIP and the series
+    curves are checked against the envelopes instead.
     """
     if law.beta is None:
         no_closed_form = "no closed form for tabulated beta"

@@ -181,7 +181,7 @@ def tight_floors(p, ts):
 
 
 def test_criterion_7_bound_ordering():
-    ts = 0.01 * np.arange(1, 5001)  # the grid check_bound_ordering uses
+    ts = 0.01 * np.arange(1, 5001)  # t <= 50: past the 12 busy-cycle means check_bound_ordering spans
     worst = {"B - tight floor": math.inf, "Z - tight floor": math.inf,
              "ceiling - Z": math.inf}
     bad = []

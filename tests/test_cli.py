@@ -256,6 +256,32 @@ def test_verify_heavy_traffic_degenerate_endpoint_ends_cleanly(capsys):
     assert "nan" not in out and err == ""
 
 
+@pytest.mark.parametrize("rho", ["1", "5"])
+def test_verify_degenerate_endpoint_runs_every_check(rho, capsys):
+    # beta = -lambda is an ordinary kernel law: every check runs and passes
+    code, out, err = run(["verify", "--lambda", "1", "--rho", rho, "--beta", "-1",
+                          "--cycles", "20000", "--seed", "1"], capsys)
+    report = parse_report(out)
+    assert code == EXIT_OK, out
+    assert set(report.values()) == {"PASS"} and len(report) == 16
+    assert err == ""
+
+
+@pytest.mark.parametrize("rho", ["1", "3", "5"])
+@pytest.mark.parametrize("ratio", [0.0, -1.0])
+def test_verify_is_invariant_under_time_scaling(rho, ratio, capsys):
+    # (lambda, beta, t) -> (c lambda, c beta, t/c) at fixed rho leaves the model
+    # unchanged, so verify must print the same checks with the same statuses;
+    # at beta = 0 that includes the paper-floor FAILs, which need t far past 50 at c = 0.01
+    lines = {}
+    for c in (0.01, 1.0, 100.0):
+        _, out, _ = run(["verify", "--lambda", repr(c), "--rho", rho, "--beta", repr(ratio * c),
+                         "--cycles", "2000", "--seed", "1"], capsys)
+        lines[c] = [line.partition(": ")[0] for line in out.splitlines()]
+    assert lines[0.01] == lines[1.0] == lines[100.0]
+    assert len(lines[1.0]) == 16
+
+
 # ---- CSV output ----------------------------------------------------------------
 
 def test_write_csv_matches_savetxt():
@@ -295,6 +321,23 @@ def test_eval_table_with_large_beta_picks_a_fine_enough_grid(tmp_path, capsys):
     assert np.all((b >= 0.0) & (b <= 1.0))
 
 
+def test_table_ending_at_degenerate_endpoint_is_the_degenerate_law(tmp_path, capsys):
+    # lambda + beta(inf) = 0: the kernel integral diverges, so G == B == p00 == 1
+    table = tmp_path / "deg.csv"
+    table.write_text("t,beta\n0,0\n1,-1\n")
+    out = tmp_path / "curves.csv"
+    code, _, err = run(["eval", "--lambda", "1", "--rho", "1", "--beta-file", str(table),
+                        "--t-max", "5", "--step", "0.05", "--out", str(out)], capsys)
+    assert code == EXIT_OK, err
+    rows = np.loadtxt(out, delimiter=",", skiprows=1)
+    assert np.all(rows[:, 1] == 1.0) and np.all(rows[:, 4] == 1.0)
+    assert np.max(np.abs(rows[:, 2] - 1.0)) <= 1e-15
+    code, report, _ = run(["verify", "--lambda", "1", "--rho", "1", "--beta-file", str(table),
+                           "--cycles", "20000", "--seed", "1"], capsys)
+    assert code == EXIT_OK, report
+    assert parse_report(report)["zero-busy fraction matches atom"] == "PASS"
+
+
 # ---- bad input ends in exit 2, never a traceback ---------------------------
 
 @pytest.mark.parametrize("table,extra", [
@@ -308,6 +351,7 @@ def test_eval_table_with_large_beta_picks_a_fine_enough_grid(tmp_path, capsys):
     ("t,beta\n0,0\n1,0.2\n", ["--t-max", "inf"]),
     ("t,beta\n0,0\n1,0.2\n", ["--step", "nan"]),
     ("t,beta\n0,0\n1,0.2\n", ["--step", "inf"]),
+    ("t,beta\n0,0\n1,-1.5\n", ["--t-max", "1"]),  # admissible on [0, 1], lambda + beta(inf) < 0
 ])
 def test_verify_bad_input_exits_invalid(table, extra, tmp_path, capsys):
     path = tmp_path / "beta.csv"

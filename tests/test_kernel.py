@@ -7,10 +7,10 @@ from mginf import closed_form as cf
 from mginf.errors import DivergentKernelIntegral
 from mginf.kernel import (
     build_kernel,
-    riccati_service_atom,
     riccati_service_cdf,
     riccati_service_quantile,
 )
+from mginf.law import ServiceLaw
 from mginf.params import BetaSpec, validate_beta, validate_queue_params
 from mginf.verify import riccati_residual
 
@@ -46,17 +46,31 @@ def test_cumulative_beta_additive():
 
 def test_kernel_integral_constant_zero():
     ctx = build_kernel(P11, vbeta(P11, BetaSpec(constant=0.0)))
-    assert ctx.total_integral == pytest.approx(1.0, rel=1e-14)
+    assert 1.0 / ctx.inv_total == pytest.approx(1.0, rel=1e-14)
 
 
 def test_kernel_integral_constant_one():
     ctx = build_kernel(PLN2, vbeta(PLN2, BetaSpec(constant=1.0)))
-    assert ctx.total_integral == pytest.approx(0.5, rel=1e-14)
+    assert 1.0 / ctx.inv_total == pytest.approx(0.5, rel=1e-14)
 
 
-def test_kernel_divergent_at_degenerate_endpoint():
+@pytest.mark.parametrize("spec", [BetaSpec(constant=-1.0),
+                                  BetaSpec(knots=((0.0, 0.0), (1.0, -1.0)))])
+def test_kernel_at_degenerate_endpoint_is_the_unit_atom(spec):
+    # lambda + beta(inf) = 0: the kernel integral diverges, 1/I = 0, and G == 1
+    law = ServiceLaw(P11, vbeta(P11, spec))
+    assert law.kernel.inv_total == 0.0
+    assert law.atom == 1.0
+    ts = np.linspace(0.0, 50.0, 1001)
+    assert np.all(law.cdf(ts) == 1.0)
+    assert np.all(law.quantile(np.linspace(0.0, 0.999999, 101)) == 0.0)
+    assert np.all(law.p00(ts) == 1.0)
+
+
+def test_kernel_divergent_below_degenerate_endpoint():
+    # admissible on [0, 1] but lambda + beta(inf) = -0.5 < 0: f grows without bound
     with pytest.raises(DivergentKernelIntegral):
-        build_kernel(P11, vbeta(P11, BetaSpec(constant=-1.0)))
+        build_kernel(P11, vbeta(P11, BetaSpec(knots=((0.0, 0.0), (1.0, -1.5))), t_max=1.0))
 
 
 def test_kernel_integral_ramp_against_quadrature():
@@ -66,7 +80,7 @@ def test_kernel_integral_ramp_against_quadrature():
     body, _ = quad(lambda t: math.exp(-t - float(vb.spec.cumulative(t))), 0.0, 1.0,
                    epsabs=1e-14, epsrel=1e-13)
     tail = math.exp(-1.0 - 0.1) / 1.2  # exponential beyond the last knot
-    assert ctx.total_integral == pytest.approx(body + tail, rel=1e-10)
+    assert 1.0 / ctx.inv_total == pytest.approx(body + tail, rel=1e-10)
 
 
 def test_atom_identity():
@@ -75,19 +89,18 @@ def test_atom_identity():
                     (PLN2, BetaSpec(constant=1.0)),
                     (P11, BetaSpec(knots=((0.0, 0.3), (2.0, -0.2), (5.0, 0.1))))]:
         ctx = build_kernel(p, vbeta(p, spec))
-        g0 = riccati_service_atom(ctx)
-        lhs = p.lam * (1.0 - g0) * ctx.total_integral
+        lhs = p.lam * (1.0 - ctx.atom) / ctx.inv_total
         assert lhs == pytest.approx(1.0 - p.exp_neg_rho, rel=1e-8)
 
 
 def test_atom_values():
     ctx = build_kernel(P11, vbeta(P11, BetaSpec(constant=0.0)))
-    assert riccati_service_atom(ctx) == pytest.approx(math.exp(-1), rel=1e-12)
+    assert ctx.atom == pytest.approx(math.exp(-1), rel=1e-12)
     ctx2 = build_kernel(PLN2, vbeta(PLN2, BetaSpec(constant=1.0)))
-    assert riccati_service_atom(ctx2) == pytest.approx(0.0, abs=1e-12)
+    assert ctx2.atom == pytest.approx(0.0, abs=1e-12)
     hi = 1.0 / math.expm1(1.0)
     ctx3 = build_kernel(P11, vbeta(P11, BetaSpec(constant=hi)))
-    assert riccati_service_atom(ctx3) == pytest.approx(
+    assert ctx3.atom == pytest.approx(
         cf.service_atom(P11, hi), abs=1e-12
     )
 
@@ -95,7 +108,7 @@ def test_atom_values():
 def test_cdf_matches_atom_at_zero():
     ctx = build_kernel(P11, vbeta(P11, RAMP))
     assert riccati_service_cdf(ctx, 0.0) == pytest.approx(
-        riccati_service_atom(ctx), abs=1e-10
+        ctx.atom, abs=1e-10
     )
 
 
@@ -117,7 +130,7 @@ def test_tabulated_mean_is_rho_over_lambda():
                     (P11, BetaSpec(knots=((0.0, 0.3), (2.0, -0.2), (5.0, 0.1)))),
                     (PLN2, BetaSpec(knots=((0.0, -0.5), (3.0, 0.5))))]:
         ctx = build_kernel(p, vbeta(p, spec))
-        curve = cf.DistributionCurve(riccati_service_atom(ctx),
+        curve = cf.DistributionCurve(ctx.atom,
                                      lambda t: riccati_service_cdf(ctx, t), ctx.tail_rate)
         assert curve.mean == pytest.approx(p.rho / p.lam, rel=1e-5)
 
@@ -129,10 +142,19 @@ def test_riccati_residual(spec):
     assert riccati_residual(ctx, n_points=100) < 1e-3
 
 
+@pytest.mark.parametrize("c", [1e-2, 1e3, 1e5])
+def test_riccati_residual_is_scale_free(c):
+    # (lambda, beta, t) -> (c lambda, c beta, t/c) at fixed rho is the same law
+    p = validate_queue_params(c, 1.0)
+    ctx = build_kernel(p, vbeta(p, BetaSpec(constant=0.2 * c), t_max=50.0 / c))
+    base = build_kernel(P11, vbeta(P11, BetaSpec(constant=0.2)))
+    assert riccati_residual(ctx) == pytest.approx(riccati_residual(base), abs=1e-9)
+
+
 def test_quantile_roundtrip_tabulated():
     for spec in (RAMP, BetaSpec(knots=((0.0, 0.3), (2.0, -0.2), (5.0, 0.1)))):
         ctx = build_kernel(P11, vbeta(P11, spec))
-        atom = riccati_service_atom(ctx)
+        atom = ctx.atom
         g_knot = riccati_service_cdf(ctx, ctx.t_knot)  # u below it inverts on the grid
         assert riccati_service_quantile(ctx, atom / 2) == 0.0
         for u in (atom + 0.01, 0.5, 0.9, 0.99, g_knot - 1e-3, g_knot, g_knot + 1e-3):
@@ -140,11 +162,11 @@ def test_quantile_roundtrip_tabulated():
             assert riccati_service_cdf(ctx, t) == pytest.approx(u, abs=1e-10)
 
 
-@pytest.mark.parametrize("beta", [0.0, 0.3, 1.0 / math.expm1(1.0)])
+@pytest.mark.parametrize("beta", [0.0, 0.3, 1.0 / math.expm1(1.0), -1.0])
 def test_quantile_at_constant_beta_is_the_closed_form(beta):
     ctx = build_kernel(P11, vbeta(P11, BetaSpec(constant=beta)))
     u = np.linspace(0.0, 0.999999, 2001)
-    assert np.max(np.abs(riccati_service_quantile(ctx, u) - cf.service_quantile(P11, beta, u))) <= 1e-12
+    assert np.array_equal(riccati_service_quantile(ctx, u), cf.service_quantile(P11, beta, u))
 
 
 def test_cdf_monotone_to_one():

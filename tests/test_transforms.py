@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from mginf import closed_form as cf
 from mginf.errors import NegativeS, StepMismatch, StepTooCoarse
-from mginf.kernel import build_kernel, riccati_service_atom, riccati_service_cdf
+from mginf.kernel import build_kernel, riccati_service_cdf
 from mginf.law import ServiceLaw
 from mginf.params import BetaSpec, validate_beta, validate_queue_params
 from mginf.transforms import (
@@ -171,12 +171,12 @@ def test_direct_solve_equals_neumann_sum(spec):
     b = busy_period_cdf_series(ctx, grid)
     assert len(b.values) == 301
     f = GridFunction(grid.step, ctx.kernel(b.times))
-    lam_prefix = P11.lam * ctx.prefix_integral(b.times)
-    atom = riccati_service_atom(ctx)
-    term = GridFunction(grid.step, 1.0 - (1.0 - atom) * (f.values + lam_prefix))
+    one_m_q0 = 1.0 - P11.exp_neg_rho
+    phi = ctx.inv_total * f.values
+    term = GridFunction(grid.step, 1.0 - one_m_q0 * (phi / P11.lam + ctx.prefix_mass(b.times)))
     total = term.values.copy()
     for _ in range(200):
-        term = GridFunction(grid.step, P11.lam * (1.0 - atom) * grid_convolve(term, f).values)
+        term = GridFunction(grid.step, one_m_q0 * ctx.inv_total * grid_convolve(term, f).values)
         total += term.values
     assert np.max(np.abs(term.values)) < 1e-17
     assert np.max(np.abs(b.values - total)) <= 1e-12
@@ -224,10 +224,18 @@ def test_series_busy_cycle_confluent_point():
 
 
 def test_degenerate_series_curves():
+    # beta = -lambda goes through the grid solve like every other law: the
+    # weight (1 - e^{-rho})/I is 0, so B is the bracket 1, and Z is the
+    # trapezoidal convolution of 1 with the Exp(lambda) density
     vb = validate_beta(P11, BetaSpec(constant=-1.0), 10.0)
-    b, z = ServiceLaw(P11, vb, GridSpec(step=0.005, t_max=10.0)).series
-    assert np.all(b.values == 1.0)
-    assert np.max(np.abs(z.values - (-np.expm1(-z.times)))) < 1e-14
+    sup = {}
+    for h in (0.005, 0.0025, 0.00125):
+        b, z = ServiceLaw(P11, vb, GridSpec(step=h, t_max=10.0)).series
+        if h == 0.005:  # longer FFTs round more: 1.3e-15 at h = 0.00125
+            assert np.max(np.abs(b.values - 1.0)) <= 1e-15
+        sup[h] = np.max(np.abs(z.values - (-np.expm1(-z.times))))
+    assert sup[0.005] < 3e-6
+    assert sup[0.005] / sup[0.0025] >= 3.9 and sup[0.0025] / sup[0.00125] >= 3.9
 
 
 def test_series_first_order_convergence():
@@ -237,6 +245,19 @@ def test_series_first_order_convergence():
         b = busy_period_cdf_series(ctx, GridSpec(step=h, t_max=20.0))
         sup[h] = np.max(np.abs(b.values - cf.busy_period_cdf(P11, 0.0, b.times)))
     assert sup[0.005] <= 0.5 * sup[0.01] * 1.05
+
+
+@pytest.mark.parametrize("rho", [0.5, 1.0, 3.0])
+def test_series_second_order_convergence(rho):
+    # the trapezoidal solve is second order for constant beta, atom included
+    p = validate_queue_params(1.0, rho)
+    ctx = ctx_for(p, 0.0)
+    t_max = 12.0 * math.expm1(rho)
+    sup = {}
+    for h in (0.01, 0.005):
+        b = busy_period_cdf_series(ctx, GridSpec(step=h, t_max=t_max))
+        sup[h] = np.max(np.abs(b.values - cf.busy_period_cdf(p, 0.0, b.times)))
+    assert sup[0.01] / sup[0.005] >= 3.9
 
 
 def test_series_cdf_shape():
