@@ -35,7 +35,7 @@ def main() -> int:
         lo, hi = beta_bounds(params)
         for beta in (lo, 0.0, 0.5 * hi, hi):
             print(f"== lambda={params.lam} rho={params.rho:.6f} beta={beta:+.6f} ==")
-            vbeta = validate_beta(params, BetaSpec(constant=beta), 100.0)
+            vbeta = validate_beta(params, BetaSpec(constant=beta))
             for r in verify_point(ServiceLaw(params, vbeta), args.cycles, args.seed):
                 print(f"  {r.status:<4} {r.name}: {r.detail}")
                 n_fail += r.status == "FAIL"

@@ -25,12 +25,6 @@ from .closed_form import (
     service_curve,
     service_quantile,
 )
-from .kernel import (
-    KernelContext,
-    build_kernel,
-    riccati_service_cdf,
-    riccati_service_quantile,
-)
 from .transforms import (
     GridFunction,
     GridSpec,

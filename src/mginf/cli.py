@@ -67,7 +67,7 @@ def _build_config(args) -> RunConfig:
         raise MginfError(f"--t-max must be > 0, got {t_max}")
     if step <= 0:
         raise MginfError(f"--step must be > 0, got {step}")
-    vbeta = validate_beta(params, spec, t_max)
+    vbeta = validate_beta(params, spec)
     return RunConfig(
         law=ServiceLaw(params, vbeta, GridSpec(step=min(grid.step, step), t_max=t_max)),
         t_max=t_max,

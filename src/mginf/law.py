@@ -1,23 +1,40 @@
-"""One service law per (lambda, rho, beta): the only place that picks a route.
+"""One service law per (lambda, rho, beta): the kernel and the only route choice.
 
-Every admissible beta, constant, tabulated or the degenerate endpoint
-beta = -lambda, goes through one normalised kernel context: G, its atom and
-quantile, and p00 all come from it.  Only the busy-period and busy-cycle laws
+Everything is driven by the kernel f(t) = exp(-lambda*t - int_0^t beta(u)du),
+normalised by its integral I = int_0^inf f: with phi = f/I and the prefix
+mass Phi = int_0^t f / I,
+
+    G = 1 - (1 - e^{-rho}) phi / (lambda (1 - (1 - e^{-rho}) Phi)).
+
+Beyond the last beta knot the kernel is exactly exponential with rate
+r = lambda + beta(inf), so Phi splits into a numeric part on [0, t_knot] plus
+an analytic tail, and G inverts in closed form there; for constant beta
+(t_knot = 0) the whole computation is analytic.  Every admissible beta,
+constant, tabulated or the degenerate endpoint beta = -lambda, is one law: at
+r = 0 the integral diverges, 1/I is exactly 0, so phi == Phi == 0 and G == 1,
+the limit of the formula above.  Only the busy-period and busy-cycle laws
 choose: the closed forms when beta is constant, the series grids otherwise.
 The grids are solved once per law, on first use.
 """
 
 from __future__ import annotations
 
-from functools import cached_property, partial
+import math
+from functools import cached_property
 
 import numpy as np
 
 from . import closed_form as cf
 from . import transforms
-from .kernel import build_kernel, riccati_service_cdf, riccati_service_quantile
+from .errors import BetaOutOfRange, DivergentKernelIntegral, NegativeTime, ProbabilityOutOfRange
 from .params import QueueParams, ValidatedBeta
 from .transforms import GridFunction, GridSpec, default_grid
+
+
+def _service_cdf(params: QueueParams, phi, mass):
+    """G from normalised kernel values phi and their prefix masses Phi."""
+    one_m_q0 = 1.0 - params.exp_neg_rho
+    return 1.0 - one_m_q0 * phi / (params.lam * (1.0 - one_m_q0 * mass))
 
 
 class ServiceLaw:
@@ -25,42 +42,157 @@ class ServiceLaw:
 
     `cdf`, `p00`, `indicator`, `busy_cdf`, `cycle_cdf` and `idle_cdf` are
     vectorised over t; `quantile`, the inverse of `cdf` (exactly 0 inside the
-    atom), is vectorised over u in [0, 1).  `cdf`, `quantile`, `atom` and
-    `p00` read the kernel context `kernel` for every beta; at the degenerate
-    endpoint it gives G == 1, atom 1, quantile 0 and p00 == 1.  `indicator`
-    is beta(t) itself.  `busy_cdf` and `cycle_cdf` are the closed forms when
-    beta is constant and linear interpolation of the series grids otherwise;
-    with `idle_cdf` they are the reference curves of the Monte Carlo checks.
+    atom), is vectorised over u in [0, 1).  At the degenerate endpoint the law
+    gives G == 1, atom 1, quantile 0 and p00 == 1.  `indicator` is beta(t)
+    itself.  `busy_cdf` and `cycle_cdf` are the closed forms when beta is
+    constant and linear interpolation of the series grids otherwise; with
+    `idle_cdf` they are the reference curves of the Monte Carlo checks.
     `beta` is the constant, or None when no closed form exists.
+
+    The constructor integrates the kernel once on [0, t_knot], with a step of
+    at most 1e-3/(lambda + max|beta|), the kernel's own rate, and caches 1/I,
+    the tail constant m, G(0) and G(t_knot).  With body = int_0^{t_knot} f and
+    f_end = f(t_knot), r I = r body + f_end, so 1/I = r/(r body + f_end) and
+    m = f_end/(r body + f_end) are finite for every r >= 0; only r < 0, where
+    f grows, is rejected.
     """
 
     def __init__(self, params: QueueParams, vbeta: ValidatedBeta, grid: GridSpec | None = None):
-        self.params, self.vbeta = params, vbeta
-        self.grid = default_grid(params, vbeta.spec) if grid is None else grid
-        self.beta = beta = vbeta.spec.constant
-        self.kernel = build_kernel(params, vbeta)
-        self.atom = self.kernel.atom
-        self.cdf = partial(riccati_service_cdf, self.kernel)
-        self.quantile = partial(riccati_service_quantile, self.kernel)
-        self.indicator = vbeta.spec.value
-        if beta is None:
-            self.busy_cdf = lambda t: np.interp(t, self.series[0].times, self.series[0].values)
-            self.cycle_cdf = lambda t: np.interp(t, self.series[1].times, self.series[1].values)
-        else:
-            self.busy_cdf = partial(cf.busy_period_cdf, params, beta)
-            self.cycle_cdf = partial(cf.busy_cycle_cdf, params, beta)
+        spec = vbeta.spec
+        self.params, self.spec = params, spec
+        self.grid = default_grid(params, spec) if grid is None else grid
+        self.beta = spec.constant
+        self.indicator = spec.value
+        self.tail_rate = tail_rate = params.lam + spec.tail_rate()  # r
+        self.t_knot = t_knot = spec.last_knot  # the kernel is exponential beyond it
+        if tail_rate < 0:
+            raise DivergentKernelIntegral(
+                f"kernel tail rate lambda + beta(inf) must be >= 0 (got {tail_rate})"
+            )
+        # uniform grid on [0, t_knot] (empty for constant beta) and int_0^{grid_t} f
+        self.grid_t = self.grid_f = self.grid_prefix = np.array([])
+        body, f_end = 0.0, 1.0
+        if t_knot > 0:
+            n = max(math.ceil(1e3 * t_knot * (params.lam + spec.max_abs)), 100)
+            self.grid_t = ts = np.linspace(0.0, t_knot, n + 1)
+            h = ts[1] - ts[0]
+            self.grid_f = self.kernel(ts)
+            cells = h / 6.0 * (self.grid_f[:-1] + 4.0 * self.kernel(ts[:-1] + 0.5 * h)
+                               + self.grid_f[1:])
+            self.grid_prefix = np.concatenate([[0.0], np.cumsum(cells)])
+            body, f_end = float(self.grid_prefix[-1]), float(self.grid_f[-1])
+        r_total = tail_rate * body + f_end  # r I
+        self.inv_total = inv_total = tail_rate / r_total  # 1/I; exactly 0 when r = 0
+        self.mass_knot = inv_total * body  # Phi(t_knot)
+        self.tail_mass = f_end / r_total  # Phi(t) = 1 - m e^{-r (t - t_knot)} past t_knot
+        self.grid_g = _service_cdf(params, inv_total * self.grid_f, inv_total * self.grid_prefix)
+        self.atom = float(_service_cdf(params, inv_total, 0.0))  # f(0) = 1, Phi(0) = 0
+        self.g_knot = float(_service_cdf(params, inv_total * f_end, self.mass_knot))
+        # G' = (1 - G)(beta + lambda G), so G is a CDF only while beta + lambda G >= 0.
+        # Past the last knot beta is constant and G only rises, so [0, t_knot] suffices.
+        slope = spec.value(self.grid_t) + params.lam * self.grid_g
+        bad = np.nonzero(slope < 0)[0]
+        if bad.size:
+            i = bad[0]
+            raise BetaOutOfRange(
+                f"beta(t) + lambda G(t) is {slope[i]:.6g} < 0 at t={self.grid_t[i]:.6g}: "
+                "the service CDF G would decrease there"
+            )
 
-    @cached_property
-    def series(self) -> tuple[GridFunction, GridFunction]:
-        """(B, Z) on the law's grid by the direct Volterra grid solve, solved once."""
-        # looked up on the module at call time, so a wrapper put there sees every solve
-        b = transforms.busy_period_cdf_series(self.kernel, self.grid)
-        return b, transforms.busy_cycle_cdf_series(self.params, b)
+    def kernel(self, t) -> np.ndarray:
+        """f(t), evaluated exactly from the cumulative beta integral."""
+        tt = np.asarray(t, dtype=float)
+        return np.exp(-self.params.lam * tt - self.spec.cumulative(tt))
+
+    def prefix_mass(self, t) -> float | np.ndarray:
+        """Phi(t) = int_0^t f / I; the tail part m (1 - e^{-r (t - t_knot)}) is finite at r = 0."""
+        tt = np.asarray(t, dtype=float)
+        if np.any(tt < 0):
+            raise NegativeTime("t must be >= 0")
+        scalar = tt.ndim == 0
+        tt = np.atleast_1d(tt)
+        out = np.empty_like(tt)
+        inside = tt < self.t_knot
+        if np.any(inside):
+            out[inside] = self.inv_total * self._prefix_numeric(tt[inside])
+        if np.any(~inside):
+            decay = -np.expm1(-self.tail_rate * (tt[~inside] - self.t_knot))
+            out[~inside] = self.mass_knot + self.tail_mass * decay
+        return float(out[0]) if scalar else out
+
+    def _prefix_numeric(self, t: np.ndarray) -> np.ndarray:
+        h = self.grid_t[1] - self.grid_t[0]
+        idx = np.clip((t // h).astype(int), 0, len(self.grid_t) - 1)
+        t0 = self.grid_t[idx]
+        # Simpson over the residual [t0, t]; f evaluated exactly at 3 points
+        dt = t - t0
+        fm = self.kernel(t0 + 0.5 * dt)
+        ft = self.kernel(t)
+        return self.grid_prefix[idx] + dt / 6.0 * (self.grid_f[idx] + 4.0 * fm + ft)
+
+    def cdf(self, t) -> float | np.ndarray:
+        """G(t) = 1 - (1 - e^{-rho}) phi(t) / (lambda (1 - (1 - e^{-rho}) Phi(t)))."""
+        tt = np.asarray(t, dtype=float)
+        if np.any(tt < 0):
+            raise NegativeTime("t must be >= 0")
+        g = _service_cdf(self.params, self.inv_total * self.kernel(tt), self.prefix_mass(tt))
+        return float(g) if tt.ndim == 0 else g
+
+    def quantile(self, u) -> float | np.ndarray:
+        """Inverse of `cdf`, vectorised over u in [0, 1); exactly 0 for u <= G(0).
+
+        Past the last knot 1 - Phi = m e^{-r (t - t_knot)} and phi = r m e^{-r (t - t_knot)},
+        so G inverts in closed form (at t_knot = 0, where m = 1, this is
+        closed_form.service_quantile bit for bit).  Below G(t_knot) the certified
+        grid values of G bracket u, linear interpolation starts, and two Newton
+        steps with G' = (1 - G)(beta + lambda G), clipped to the bracket, finish.
+        """
+        uu = np.asarray(u, dtype=float)
+        if not np.all((uu >= 0.0) & (uu < 1.0)):
+            raise ProbabilityOutOfRange(f"u must be in [0, 1), got {u}")
+        lam, q0, r = self.params.lam, self.params.exp_neg_rho, self.tail_rate
+        t = np.zeros_like(uu)
+        live = uu > self.atom  # empty at the degenerate endpoint, where G(0) = 1
+        body = live & (uu < self.g_knot)  # empty for constant beta, where t_knot = 0
+        tail = live & ~body
+        v = (1.0 - uu[tail]) * lam
+        t[tail] = self.t_knot + np.log((1.0 - q0) * self.tail_mass * (r - v) / (v * q0)) / r
+        if np.any(body):
+            ub = uu[body]
+            i = np.searchsorted(self.grid_g, ub)
+            lo = self.grid_t[np.maximum(i - 1, 0)]
+            hi = self.grid_t[np.minimum(i, self.grid_t.size - 1)]
+            tb = np.interp(ub, self.grid_g, self.grid_t)
+            for _ in range(2):
+                g = self.cdf(tb)
+                dens = (1.0 - g) * (self.indicator(tb) + lam * g)
+                step = np.divide(g - ub, dens, out=np.zeros_like(tb), where=dens > 0)
+                tb = np.clip(tb - step, lo, hi)
+            t[body] = tb
+        t = np.maximum(t, 0.0)
+        return float(t) if uu.ndim == 0 else t
+
+    def p00(self, t):
+        """p00(t) = 1 - (1 - e^{-rho}) Phi(t), Phi the kernel's prefix mass."""
+        return 1.0 - (1.0 - self.params.exp_neg_rho) * self.prefix_mass(t)
 
     def idle_cdf(self, t):
         """1 - e^{-lambda t}: the idle period is Exponential(lambda) for every beta."""
         return -np.expm1(-self.params.lam * np.asarray(t, dtype=float))
 
-    def p00(self, t):
-        """p00(t) = 1 - (1 - e^{-rho}) Phi(t), Phi the kernel's prefix mass."""
-        return 1.0 - (1.0 - self.params.exp_neg_rho) * self.kernel.prefix_mass(t)
+    @cached_property
+    def series(self) -> tuple[GridFunction, GridFunction]:
+        """(B, Z) on the law's grid by the direct Volterra grid solve, solved once."""
+        # looked up on the module at call time, so a wrapper put there sees every solve
+        b = transforms.busy_period_cdf_series(self, self.grid)
+        return b, transforms.busy_cycle_cdf_series(self.params, b)
+
+    def busy_cdf(self, t):
+        if self.beta is None:
+            return np.interp(t, self.series[0].times, self.series[0].values)
+        return cf.busy_period_cdf(self.params, self.beta, t)
+
+    def cycle_cdf(self, t):
+        if self.beta is None:
+            return np.interp(t, self.series[1].times, self.series[1].values)
+        return cf.busy_cycle_cdf(self.params, self.beta, t)

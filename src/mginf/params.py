@@ -3,14 +3,15 @@
 The service-time family is parameterized by a rate function beta(t), either a
 single constant or a piecewise-linear table.  A beta function is admissible when
 its running average (1/t) * int_0^t beta(u) du stays inside [-lambda,
-lambda/(e^rho - 1)] on the whole time range of interest; every downstream module
-requires a certified ValidatedBeta.
+lambda/(e^rho - 1)] for every t > 0; every downstream module requires a
+certified ValidatedBeta.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -24,8 +25,6 @@ from .errors import (
     NonPositiveParameter,
     NonPositiveTime,
 )
-
-VALIDATION_GRID_POINTS = 10_000
 
 
 @dataclass(frozen=True)
@@ -74,14 +73,13 @@ class BetaSpec:
         knots = self.knots if self.knots is not None else ((0.0, self.constant),)
         ts = np.array([k[0] for k in knots], dtype=float)
         vs = np.array([k[1] for k in knots], dtype=float)
-        prefix = np.concatenate([[0.0], np.cumsum(0.5 * (vs[1:] + vs[:-1]) * np.diff(ts))])
+        with np.errstate(over="ignore", invalid="ignore"):
+            prefix = np.concatenate([[0.0], np.cumsum(0.5 * (vs[1:] + vs[:-1]) * np.diff(ts))])
+        if not np.all(np.isfinite(prefix)):
+            raise NonFiniteParameter("the integral of the beta table overflows")
         object.__setattr__(self, "_ts", ts)
         object.__setattr__(self, "_vs", vs)
         object.__setattr__(self, "_prefix", prefix)
-
-    @property
-    def is_constant(self) -> bool:
-        return self.constant is not None
 
     @property
     def last_knot(self) -> float:
@@ -116,11 +114,10 @@ class BetaSpec:
 
 @dataclass(frozen=True)
 class ValidatedBeta:
-    """A BetaSpec certified admissible for params up to t_max_checked."""
+    """A BetaSpec certified admissible for params on the whole half-line t > 0."""
 
     spec: BetaSpec
     params: QueueParams
-    t_max_checked: float
 
 
 def validate_queue_params(lam: float, rho: float) -> QueueParams:
@@ -130,6 +127,9 @@ def validate_queue_params(lam: float, rho: float) -> QueueParams:
             raise NonFiniteParameter(f"{name} must be finite, got {v}")
         if v <= 0:
             raise NonPositiveParameter(f"{name} must be > 0, got {v}")
+    if rho > math.log(sys.float_info.max):
+        raise NonFiniteParameter(f"rho must be <= {math.log(sys.float_info.max):.6f} "
+                                 f"so that e^rho is finite, got {rho}")
     return QueueParams(lam=float(lam), rho=float(rho))
 
 
@@ -138,34 +138,32 @@ def beta_bounds(params: QueueParams) -> tuple[float, float]:
     return -params.lam, params.lam / math.expm1(params.rho)
 
 
-def validate_beta(params: QueueParams, spec: BetaSpec, t_max: float) -> ValidatedBeta:
-    """Certify that the running average of beta stays within beta_bounds up to t_max.
+def validate_beta(params: QueueParams, spec: BetaSpec) -> ValidatedBeta:
+    """Certify that the running average C(t)/t, C = int_0^t beta, is in beta_bounds for all t > 0.
 
-    Constant beta is checked directly against the closed brackets.  Tabulated
-    beta is checked on a fixed grid of 10^4 points; the cumulative integral is
-    exact trapezoidal, so piecewise-linear tables are verified exactly at the
-    grid points.
+    beta is piecewise linear, so C(t)/t takes its extremes among its limits
+    beta(0) and beta(inf), its values at the knots, and inside a segment where
+    t beta(t) = C(t): with slope s_k != 0 that is t_k + u,
+    u = -t_k + sqrt(t_k^2 - 2 (t_k beta_k - C(t_k))/s_k) in (0, t_{k+1} - t_k).
+    The check is exact; a constant is the one-knot table.
     """
-    if t_max <= 0:
-        raise NonPositiveTime(f"t_max must be > 0, got {t_max}")
     lo, hi = beta_bounds(params)
-    if spec.is_constant:
-        b = spec.constant
-        if not (lo <= b <= hi):
-            raise BetaOutOfRange(
-                f"constant beta {b} outside [{lo}, {hi:.6f}]"
-            )
-        return ValidatedBeta(spec=spec, params=params, t_max_checked=float(t_max))
-    ts = np.linspace(0.0, t_max, VALIDATION_GRID_POINTS + 1)[1:]
-    avg = spec.cumulative(ts) / ts
+    ts, vs, cs = spec._ts, spec._vs, spec._prefix
+    t0, seg = ts[:-1], np.diff(ts)
+    with np.errstate(all="ignore"):  # no root where s_k = 0 or the root is complex
+        u = np.sqrt(t0**2 - 2.0 * (t0 * vs[:-1] - cs[:-1]) * seg / np.diff(vs)) - t0
+    roots = (t0 + u)[(u > 0) & (u < seg)]
+    inner = np.concatenate([ts[1:], roots])
+    where = np.concatenate([[0.0], inner, [math.inf]])
+    avg = np.concatenate([vs[:1], spec.cumulative(inner) / inner, vs[-1:]])
     bad = np.nonzero((avg < lo) | (avg > hi))[0]
     if bad.size:
         i = bad[0]
         raise BetaOutOfRange(
-            f"running average of beta at t={ts[i]:.6g} is {avg[i]:.6g}, "
+            f"running average of beta at t={where[i]:.6g} is {avg[i]:.6g}, "
             f"outside [{lo}, {hi:.6f}]"
         )
-    return ValidatedBeta(spec=spec, params=params, t_max_checked=float(t_max))
+    return ValidatedBeta(spec=spec, params=params)
 
 
 def running_average_beta(vbeta: ValidatedBeta, t: float) -> float:
@@ -178,20 +176,22 @@ def running_average_beta(vbeta: ValidatedBeta, t: float) -> float:
 def load_beta_table(path: str | Path) -> BetaSpec:
     """Read a two-column CSV `t,beta` with a header row into a tabulated BetaSpec."""
     knots = []
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise EmptyTable(f"{path}: empty file")
-        for row in reader:
-            if not row:
-                continue
-            try:
-                knots.append((float(row[0]), float(row[1])))
-            except (ValueError, IndexError):
-                raise InvalidTable(
-                    f"{path}, line {reader.line_num}: expected two numbers `t,beta`, got {row}"
-                ) from None
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise EmptyTable(f"{path}: empty file")
+            for row in reader:
+                if not row:
+                    continue
+                try:
+                    knots.append((float(row[0]), float(row[1])))
+                except (ValueError, IndexError):
+                    raise InvalidTable(f"{path}, line {reader.line_num}: "
+                                       f"expected two numbers `t,beta`, got {row}") from None
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise InvalidTable(f"{path}: not UTF-8 CSV text ({exc})") from None
     if not knots:
         raise EmptyTable(f"{path}: no data rows")
     return BetaSpec(knots=tuple(knots))

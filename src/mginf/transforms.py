@@ -13,13 +13,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
 from .errors import NegativeS, QuadratureFailure, StepMismatch, StepTooCoarse
-from .kernel import KernelContext
 from .params import BetaSpec, QueueParams
+
+if TYPE_CHECKING:  # law imports this module
+    from .law import ServiceLaw
 
 
 @dataclass(frozen=True)
@@ -103,23 +105,23 @@ def grid_convolve(a: GridFunction, b: GridFunction) -> GridFunction:
     return GridFunction(step=a.step, values=trap, kind="density")
 
 
-def _series_parts(ctx: KernelContext, grid: GridSpec):
+def _series_parts(law: ServiceLaw, grid: GridSpec):
     """Grid samples of the kernel f, the bracket factor r, and the weight w."""
-    params = ctx.params
+    params = law.params
     h = grid.step
-    rate = params.lam + ctx.vbeta.spec.max_abs
+    rate = params.lam + law.spec.max_abs
     if h * rate > 0.01 * (1 + 1e-9):
         raise StepTooCoarse(f"step {h} too coarse for rates up to {rate}")
     n = int(round(grid.t_max / h)) + 1
     ts = np.arange(n) * h
-    f = ctx.kernel(ts)
+    f = law.kernel(ts)
     one_m_q0 = 1.0 - params.exp_neg_rho
-    bracket = 1.0 - one_m_q0 * (ctx.inv_total * f / params.lam + ctx.prefix_mass(ts))
-    weight = one_m_q0 * ctx.inv_total
+    bracket = 1.0 - one_m_q0 * (law.inv_total * f / params.lam + law.prefix_mass(ts))
+    weight = one_m_q0 * law.inv_total
     return f, bracket, weight
 
 
-def busy_period_cdf_series(ctx: KernelContext, grid: GridSpec) -> GridFunction:
+def busy_period_cdf_series(law: ServiceLaw, grid: GridSpec) -> GridFunction:
     """B(t) on the grid: the exact solution of the trapezoidal Volterra system.
 
     B = r + w K B, with bracket factor r = 1 - (1 - e^{-rho})(phi/lambda + Phi),
@@ -130,7 +132,7 @@ def busy_period_cdf_series(ctx: KernelContext, grid: GridSpec) -> GridFunction:
     reciprocal and one product.  This is the sum of the Neumann series
     sum_k (w K)^k r with no term dropped.
     """
-    f, r, w = _series_parts(ctx, grid)
+    f, r, w = _series_parts(law, grid)
     h = grid.step
     a = -w * h * f  # delta - w c
     a[0] = 1.0 - 0.5 * w * h * f[0]
@@ -187,23 +189,23 @@ def busy_period_laplace_from_service(
     return LaplacePoint(s, 1.0 + (s - 1.0 / j) / params.lam)
 
 
-def kernel_laplace(ctx: KernelContext, s: float) -> float:
+def kernel_laplace(law: ServiceLaw, s: float) -> float:
     """L phi(s) = int_0^inf e^{-s t} phi(t) dt for s > 0, numeric on [0, t_knot] + exact tail."""
     if s <= 0:
         raise NegativeS(f"s must be > 0, got {s}")
-    tail = ctx.tail_rate * ctx.tail_mass * math.exp(-s * ctx.t_knot) / (s + ctx.tail_rate)
-    if ctx.t_knot == 0:
+    tail = law.tail_rate * law.tail_mass * math.exp(-s * law.t_knot) / (s + law.tail_rate)
+    if law.t_knot == 0:
         return float(tail)
-    ts = ctx.grid_t
+    ts = law.grid_t
     h = ts[1] - ts[0]
-    vals = np.exp(-s * ts) * ctx.grid_f
+    vals = np.exp(-s * ts) * law.grid_f
     mid = ts[:-1] + 0.5 * h
-    vals_mid = np.exp(-s * mid) * ctx.kernel(mid)
+    vals_mid = np.exp(-s * mid) * law.kernel(mid)
     numeric = (h / 6.0 * (vals[:-1] + 4.0 * vals_mid + vals[1:])).sum()
-    return float(ctx.inv_total * numeric + tail)
+    return float(law.inv_total * numeric + tail)
 
 
-def busy_period_laplace_general(ctx: KernelContext, s: float) -> LaplacePoint:
+def busy_period_laplace_general(law: ServiceLaw, s: float) -> LaplacePoint:
     """Busy-period transform from the kernel: rational in L phi(s).
 
     With (1 - G(0)) L f = (1 - e^{-rho}) L phi / lambda this is
@@ -214,8 +216,8 @@ def busy_period_laplace_general(ctx: KernelContext, s: float) -> LaplacePoint:
         raise NegativeS(f"s must be >= 0, got {s}")
     if s == 0:
         return LaplacePoint(0.0, 1.0)
-    lam = ctx.params.lam
-    x = (1.0 - ctx.params.exp_neg_rho) * kernel_laplace(ctx, s)
+    lam = law.params.lam
+    x = (1.0 - law.params.exp_neg_rho) * kernel_laplace(law, s)
     return LaplacePoint(s, (1.0 - (s + lam) * x / lam) / (1.0 - x))
 
 

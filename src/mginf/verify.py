@@ -3,8 +3,8 @@
 Each check takes a ServiceLaw and compares two independent routes to the
 same quantity (closed form, kernel evaluation, Laplace transform, grid
 solution of the convolution equation, Monte Carlo) at a fixed tolerance.
-Every law has a kernel context, the degenerate endpoint beta = -lambda
-included, so every check runs there too; time grids are in units of the
+Every law, the degenerate endpoint beta = -lambda included, has a kernel,
+so every check runs there too; time grids are in units of the
 law's own mean busy cycle e^rho/lambda.
 The series and Monte Carlo checks share the law's (B, Z) grids, so each
 law's busy-period equation is solved once.  Used by the CLI `verify`
@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import closed_form as cf
-from .kernel import KernelContext, riccati_service_cdf
 from .law import ServiceLaw
 from .simulate import empirical_cdf, ks_distance, run_cycles
 from .transforms import busy_period_laplace_from_service, busy_period_laplace_general
@@ -49,21 +48,21 @@ def _cycle_mean(params) -> float:
     return math.exp(params.rho) / params.lam
 
 
-def riccati_residual(ctx: KernelContext, n_points: int = 100, t_max: float | None = None) -> float:
+def riccati_residual(law: ServiceLaw, n_points: int = 100, t_max: float | None = None) -> float:
     """Max defect of the service-CDF ODE dG/dt = -lam*G^2 - (beta-lam)*G + beta, in units of lam.
 
     The default horizon t_knot + 5 e^rho/lam and the difference step 1e-5/lam
     are on the law's own time scale, so the residual does not change when
     (lam, beta, t) -> (c lam, c beta, t/c).
     """
-    lam = ctx.params.lam
+    lam = law.params.lam
     if t_max is None:
-        t_max = ctx.t_knot + 5.0 * _cycle_mean(ctx.params)
+        t_max = law.t_knot + 5.0 * _cycle_mean(law.params)
     ts = np.linspace(t_max / n_points, t_max, n_points)
     eps = 1e-5 / lam
-    dg = (riccati_service_cdf(ctx, ts + eps) - riccati_service_cdf(ctx, ts - eps)) / (2 * eps)
-    g = riccati_service_cdf(ctx, ts)
-    b = ctx.vbeta.spec.value(ts)
+    dg = (law.cdf(ts + eps) - law.cdf(ts - eps)) / (2 * eps)
+    g = law.cdf(ts)
+    b = law.indicator(ts)
     rhs = -lam * g**2 - (b - lam) * g + b
     return float(np.max(np.abs(dg - rhs))) / lam
 
@@ -100,7 +99,7 @@ def check_transform_consistency(law: ServiceLaw, tol: float = 1e-5) -> list[Chec
     """Kernel-form busy-period transform against nested quadrature of G."""
     worst = 0.0
     for s in _transform_points(law):
-        general = busy_period_laplace_general(law.kernel, s).value
+        general = busy_period_laplace_general(law, s).value
         direct = busy_period_laplace_from_service(law.params, law.cdf, s).value
         worst = max(worst, abs(general - direct))
     return [_result("busy period transform: kernel form vs nested quadrature",
@@ -111,7 +110,7 @@ def check_transform_mixture(law: ServiceLaw, tol: float = 1e-5) -> list[CheckRes
     """Kernel-form busy-period transform against the closed form's atom plus exponential."""
     g0 = law.atom
     mu = law.params.exp_neg_rho * (law.params.lam + law.beta)
-    worst = max(abs(busy_period_laplace_general(law.kernel, s).value
+    worst = max(abs(busy_period_laplace_general(law, s).value
                     - (g0 + (1.0 - g0) * mu / (s + mu))) for s in _transform_points(law))
     return [_result("busy period transform: vs analytic exponential mixture",
                     worst < tol, f"max |diff| {worst:.2e}")]
@@ -124,7 +123,7 @@ def check_mean_identities(law: ServiceLaw, rel_tol: float = 1e-6) -> list[CheckR
     at the degenerate endpoint, where 1/I = 0 (p00(inf) itself is 0 * inf there).
     """
     params, beta = law.params, law.beta
-    rho_eff = params.rho if law.kernel.inv_total > 0 else 0.0
+    rho_eff = params.rho if law.inv_total > 0 else 0.0
     targets = {
         "service mean": (cf.service_curve(params, beta), rho_eff / params.lam),
         "busy period mean": (cf.busy_period_curve(params, beta), math.expm1(rho_eff) / params.lam),
@@ -161,7 +160,7 @@ def check_bound_ordering(law: ServiceLaw, n_points: int = 5000,
 
 
 def check_riccati_residual(law: ServiceLaw, tol: float = 1e-3) -> list[CheckResult]:
-    res = riccati_residual(law.kernel)
+    res = riccati_residual(law)
     return [_result("service CDF solves the Riccati ODE", res < tol, f"max residual {res:.2e}")]
 
 

@@ -22,7 +22,6 @@ from scipy.integrate import quad_vec
 
 from mginf import closed_form as cf
 from mginf.cli import main
-from mginf.kernel import build_kernel
 from mginf.law import ServiceLaw
 from mginf.params import BetaSpec, beta_bounds, validate_beta, validate_queue_params
 from mginf.transforms import (
@@ -56,8 +55,8 @@ def report(num, ok, detail):
     assert ok, f"criterion {num}: {detail}"
 
 
-def vb(p, beta, t_max=100.0):
-    return validate_beta(p, BetaSpec(constant=beta), t_max)
+def vb(p, beta):
+    return validate_beta(p, BetaSpec(constant=beta))
 
 
 def test_criterion_1_series_equals_closed_form():
@@ -125,11 +124,11 @@ def test_criterion_5_transform_consistency():
     for p, beta in matrix():
         if p.lam + beta <= 0:
             continue
-        ctx = build_kernel(p, vb(p, beta))
+        law = ServiceLaw(p, vb(p, beta))
         g0 = cf.service_atom(p, beta)
         mu = p.exp_neg_rho * (p.lam + beta)
         for s in (0.1, 0.5, 1.0, 2.0, 5.0):
-            general = busy_period_laplace_general(ctx, s).value
+            general = busy_period_laplace_general(law, s).value
             direct = busy_period_laplace_from_service(
                 p, lambda t: cf.service_cdf(p, beta, t), s
             ).value
@@ -143,10 +142,10 @@ def test_criterion_6_riccati_residual():
     worst = 0.0
     for p in PARAM_POINTS:
         _, hi = beta_bounds(p)
-        worst = max(worst, riccati_residual(build_kernel(p, vb(p, 0.5 * hi))))
+        worst = max(worst, riccati_residual(ServiceLaw(p, vb(p, 0.5 * hi))))
     p11 = PARAM_POINTS[0]
     worst = max(worst, riccati_residual(
-        build_kernel(p11, validate_beta(p11, RAMP, 100.0))
+        ServiceLaw(p11, validate_beta(p11, RAMP))
     ))
     report(6, worst < 1e-3, f"max ODE residual = {worst:.2e} < 1e-3")
 

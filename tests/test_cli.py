@@ -351,7 +351,11 @@ def test_table_ending_at_degenerate_endpoint_is_the_degenerate_law(tmp_path, cap
     ("t,beta\n0,0\n1,0.2\n", ["--t-max", "inf"]),
     ("t,beta\n0,0\n1,0.2\n", ["--step", "nan"]),
     ("t,beta\n0,0\n1,0.2\n", ["--step", "inf"]),
-    ("t,beta\n0,0\n1,-1.5\n", ["--t-max", "1"]),  # admissible on [0, 1], lambda + beta(inf) < 0
+    ("t,beta\n0,0\n1,-1.5\n", ["--t-max", "1"]),  # beta(inf) < -lambda: the kernel would grow
+    ("t,beta\n0,0\n1,0.2\n", ["--rho", "709.8"]),  # e^rho overflows
+    # running average 1.3 > 0.581977 at t = 2: rejected whatever the output horizon
+    ("t,beta\n0,0\n1,0.1\n2,5\n", ["--t-max", "1"]),
+    ("t,beta\n0,0\n1,0.1\n2,5\n", ["--t-max", "5"]),
 ])
 def test_verify_bad_input_exits_invalid(table, extra, tmp_path, capsys):
     path = tmp_path / "beta.csv"
@@ -360,3 +364,11 @@ def test_verify_bad_input_exits_invalid(table, extra, tmp_path, capsys):
                         "--beta-file", str(path), *extra], capsys)
     assert code == EXIT_INVALID
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_non_utf8_table_exits_invalid(tmp_path, capsys):
+    path = tmp_path / "beta.csv"
+    path.write_bytes(b"t,beta\n0,\xff\xfe\n")
+    code, _, err = run(["eval", "--lambda", "1", "--rho", "1", "--beta-file", str(path)], capsys)
+    assert code == EXIT_INVALID
+    assert err.startswith("error: ") and "UTF-8" in err

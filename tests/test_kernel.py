@@ -4,14 +4,9 @@ import numpy as np
 import pytest
 
 from mginf import closed_form as cf
-from mginf.errors import DivergentKernelIntegral
-from mginf.kernel import (
-    build_kernel,
-    riccati_service_cdf,
-    riccati_service_quantile,
-)
+from mginf.errors import BetaOutOfRange, DivergentKernelIntegral
 from mginf.law import ServiceLaw
-from mginf.params import BetaSpec, validate_beta, validate_queue_params
+from mginf.params import BetaSpec, ValidatedBeta, validate_beta, validate_queue_params
 from mginf.verify import riccati_residual
 
 P11 = validate_queue_params(1.0, 1.0)
@@ -20,24 +15,20 @@ PLN2 = validate_queue_params(1.0, math.log(2))
 RAMP = BetaSpec(knots=((0.0, 0.0), (1.0, 0.2)))
 
 
-def vbeta(p, spec, t_max=50.0):
-    return validate_beta(p, spec, t_max)
-
-
 def test_cumulative_beta_constant():
-    vb = vbeta(P11, BetaSpec(constant=0.25))
+    vb = validate_beta(P11, BetaSpec(constant=0.25))
     assert vb.spec.cumulative(4.0) == pytest.approx(1.0, rel=1e-14)
-    vb2 = vbeta(P11, BetaSpec(constant=-1.0))
+    vb2 = validate_beta(P11, BetaSpec(constant=-1.0))
     assert vb2.spec.cumulative(3.0) == pytest.approx(-3.0, rel=1e-14)
 
 
 def test_cumulative_beta_triangle():
-    vb = vbeta(PLN2, BetaSpec(knots=((0.0, 0.0), (2.0, 2.0))), t_max=2.0)
-    assert vb.spec.cumulative(2.0) == pytest.approx(2.0, rel=1e-14)
+    spec = BetaSpec(knots=((0.0, 0.0), (2.0, 2.0)))
+    assert spec.cumulative(2.0) == pytest.approx(2.0, rel=1e-14)
 
 
 def test_cumulative_beta_additive():
-    vb = vbeta(P11, RAMP)
+    vb = validate_beta(P11, RAMP)
     full = vb.spec.cumulative(3.7)
     part = vb.spec.cumulative(1.2)
     rest = 0.2 * (3.7 - 1.2)  # beta is 0.2 beyond its last knot at t = 1
@@ -45,21 +36,21 @@ def test_cumulative_beta_additive():
 
 
 def test_kernel_integral_constant_zero():
-    ctx = build_kernel(P11, vbeta(P11, BetaSpec(constant=0.0)))
-    assert 1.0 / ctx.inv_total == pytest.approx(1.0, rel=1e-14)
+    law = ServiceLaw(P11, validate_beta(P11, BetaSpec(constant=0.0)))
+    assert 1.0 / law.inv_total == pytest.approx(1.0, rel=1e-14)
 
 
 def test_kernel_integral_constant_one():
-    ctx = build_kernel(PLN2, vbeta(PLN2, BetaSpec(constant=1.0)))
-    assert 1.0 / ctx.inv_total == pytest.approx(0.5, rel=1e-14)
+    law = ServiceLaw(PLN2, validate_beta(PLN2, BetaSpec(constant=1.0)))
+    assert 1.0 / law.inv_total == pytest.approx(0.5, rel=1e-14)
 
 
 @pytest.mark.parametrize("spec", [BetaSpec(constant=-1.0),
                                   BetaSpec(knots=((0.0, 0.0), (1.0, -1.0)))])
 def test_kernel_at_degenerate_endpoint_is_the_unit_atom(spec):
     # lambda + beta(inf) = 0: the kernel integral diverges, 1/I = 0, and G == 1
-    law = ServiceLaw(P11, vbeta(P11, spec))
-    assert law.kernel.inv_total == 0.0
+    law = ServiceLaw(P11, validate_beta(P11, spec))
+    assert law.inv_total == 0.0
     assert law.atom == 1.0
     ts = np.linspace(0.0, 50.0, 1001)
     assert np.all(law.cdf(ts) == 1.0)
@@ -68,19 +59,24 @@ def test_kernel_at_degenerate_endpoint_is_the_unit_atom(spec):
 
 
 def test_kernel_divergent_below_degenerate_endpoint():
-    # admissible on [0, 1] but lambda + beta(inf) = -0.5 < 0: f grows without bound
+    # lambda + beta(inf) = -0.5 < 0: f grows without bound.  The running average
+    # tends to beta(inf) = -1.5 < -lambda, so validation rejects the table, and
+    # the law refuses it even when it is passed in uncertified.
+    spec = BetaSpec(knots=((0.0, 0.0), (1.0, -1.5)))
+    with pytest.raises(BetaOutOfRange):
+        validate_beta(P11, spec)
     with pytest.raises(DivergentKernelIntegral):
-        build_kernel(P11, vbeta(P11, BetaSpec(knots=((0.0, 0.0), (1.0, -1.5))), t_max=1.0))
+        ServiceLaw(P11, ValidatedBeta(spec=spec, params=P11))
 
 
 def test_kernel_integral_ramp_against_quadrature():
     from scipy.integrate import quad
-    vb = vbeta(P11, RAMP)
-    ctx = build_kernel(P11, vb)
+    vb = validate_beta(P11, RAMP)
+    law = ServiceLaw(P11, vb)
     body, _ = quad(lambda t: math.exp(-t - float(vb.spec.cumulative(t))), 0.0, 1.0,
                    epsabs=1e-14, epsrel=1e-13)
     tail = math.exp(-1.0 - 0.1) / 1.2  # exponential beyond the last knot
-    assert 1.0 / ctx.inv_total == pytest.approx(body + tail, rel=1e-10)
+    assert 1.0 / law.inv_total == pytest.approx(body + tail, rel=1e-10)
 
 
 def test_atom_identity():
@@ -88,28 +84,26 @@ def test_atom_identity():
     for p, spec in [(P11, BetaSpec(constant=0.0)), (P11, RAMP),
                     (PLN2, BetaSpec(constant=1.0)),
                     (P11, BetaSpec(knots=((0.0, 0.3), (2.0, -0.2), (5.0, 0.1))))]:
-        ctx = build_kernel(p, vbeta(p, spec))
-        lhs = p.lam * (1.0 - ctx.atom) / ctx.inv_total
+        law = ServiceLaw(p, validate_beta(p, spec))
+        lhs = p.lam * (1.0 - law.atom) / law.inv_total
         assert lhs == pytest.approx(1.0 - p.exp_neg_rho, rel=1e-8)
 
 
 def test_atom_values():
-    ctx = build_kernel(P11, vbeta(P11, BetaSpec(constant=0.0)))
-    assert ctx.atom == pytest.approx(math.exp(-1), rel=1e-12)
-    ctx2 = build_kernel(PLN2, vbeta(PLN2, BetaSpec(constant=1.0)))
-    assert ctx2.atom == pytest.approx(0.0, abs=1e-12)
+    law = ServiceLaw(P11, validate_beta(P11, BetaSpec(constant=0.0)))
+    assert law.atom == pytest.approx(math.exp(-1), rel=1e-12)
+    law2 = ServiceLaw(PLN2, validate_beta(PLN2, BetaSpec(constant=1.0)))
+    assert law2.atom == pytest.approx(0.0, abs=1e-12)
     hi = 1.0 / math.expm1(1.0)
-    ctx3 = build_kernel(P11, vbeta(P11, BetaSpec(constant=hi)))
-    assert ctx3.atom == pytest.approx(
+    law3 = ServiceLaw(P11, validate_beta(P11, BetaSpec(constant=hi)))
+    assert law3.atom == pytest.approx(
         cf.service_atom(P11, hi), abs=1e-12
     )
 
 
 def test_cdf_matches_atom_at_zero():
-    ctx = build_kernel(P11, vbeta(P11, RAMP))
-    assert riccati_service_cdf(ctx, 0.0) == pytest.approx(
-        ctx.atom, abs=1e-10
-    )
+    law = ServiceLaw(P11, validate_beta(P11, RAMP))
+    assert law.cdf(0.0) == pytest.approx(law.atom, abs=1e-10)
 
 
 @pytest.mark.parametrize("p,beta", [
@@ -118,9 +112,9 @@ def test_cdf_matches_atom_at_zero():
     (validate_queue_params(2.0, 0.5), 1.0),
 ])
 def test_constant_beta_equivalence(p, beta):
-    ctx = build_kernel(p, vbeta(p, BetaSpec(constant=beta)))
+    law = ServiceLaw(p, validate_beta(p, BetaSpec(constant=beta)))
     ts = np.linspace(0.0, 20.0, 100)
-    general = riccati_service_cdf(ctx, ts)
+    general = law.cdf(ts)
     closed = cf.service_cdf(p, beta, ts)
     assert np.max(np.abs(general - closed)) < 1e-8
 
@@ -129,49 +123,58 @@ def test_tabulated_mean_is_rho_over_lambda():
     for p, spec in [(P11, RAMP),
                     (P11, BetaSpec(knots=((0.0, 0.3), (2.0, -0.2), (5.0, 0.1)))),
                     (PLN2, BetaSpec(knots=((0.0, -0.5), (3.0, 0.5))))]:
-        ctx = build_kernel(p, vbeta(p, spec))
-        curve = cf.DistributionCurve(ctx.atom,
-                                     lambda t: riccati_service_cdf(ctx, t), ctx.tail_rate)
+        law = ServiceLaw(p, validate_beta(p, spec))
+        curve = cf.DistributionCurve(law.atom, law.cdf, law.tail_rate)
         assert curve.mean == pytest.approx(p.rho / p.lam, rel=1e-5)
 
 
 @pytest.mark.parametrize("spec", [BetaSpec(constant=0.2), RAMP,
                                   BetaSpec(knots=((0.0, 0.3), (2.0, -0.2), (5.0, 0.1)))])
 def test_riccati_residual(spec):
-    ctx = build_kernel(P11, vbeta(P11, spec))
-    assert riccati_residual(ctx, n_points=100) < 1e-3
+    law = ServiceLaw(P11, validate_beta(P11, spec))
+    assert riccati_residual(law, n_points=100) < 1e-3
 
 
 @pytest.mark.parametrize("c", [1e-2, 1e3, 1e5])
 def test_riccati_residual_is_scale_free(c):
     # (lambda, beta, t) -> (c lambda, c beta, t/c) at fixed rho is the same law
     p = validate_queue_params(c, 1.0)
-    ctx = build_kernel(p, vbeta(p, BetaSpec(constant=0.2 * c), t_max=50.0 / c))
-    base = build_kernel(P11, vbeta(P11, BetaSpec(constant=0.2)))
-    assert riccati_residual(ctx) == pytest.approx(riccati_residual(base), abs=1e-9)
+    law = ServiceLaw(p, validate_beta(p, BetaSpec(constant=0.2 * c)))
+    base = ServiceLaw(P11, validate_beta(P11, BetaSpec(constant=0.2)))
+    assert riccati_residual(law) == pytest.approx(riccati_residual(base), abs=1e-9)
 
 
 def test_quantile_roundtrip_tabulated():
     for spec in (RAMP, BetaSpec(knots=((0.0, 0.3), (2.0, -0.2), (5.0, 0.1)))):
-        ctx = build_kernel(P11, vbeta(P11, spec))
-        atom = ctx.atom
-        g_knot = riccati_service_cdf(ctx, ctx.t_knot)  # u below it inverts on the grid
-        assert riccati_service_quantile(ctx, atom / 2) == 0.0
+        law = ServiceLaw(P11, validate_beta(P11, spec))
+        atom = law.atom
+        g_knot = law.cdf(law.t_knot)  # u below it inverts on the grid
+        assert law.quantile(atom / 2) == 0.0
         for u in (atom + 0.01, 0.5, 0.9, 0.99, g_knot - 1e-3, g_knot, g_knot + 1e-3):
-            t = riccati_service_quantile(ctx, u)
-            assert riccati_service_cdf(ctx, t) == pytest.approx(u, abs=1e-10)
+            t = law.quantile(u)
+            assert law.cdf(t) == pytest.approx(u, abs=1e-10)
 
 
 @pytest.mark.parametrize("beta", [0.0, 0.3, 1.0 / math.expm1(1.0), -1.0])
 def test_quantile_at_constant_beta_is_the_closed_form(beta):
-    ctx = build_kernel(P11, vbeta(P11, BetaSpec(constant=beta)))
+    law = ServiceLaw(P11, validate_beta(P11, BetaSpec(constant=beta)))
     u = np.linspace(0.0, 0.999999, 2001)
-    assert np.array_equal(riccati_service_quantile(ctx, u), cf.service_quantile(P11, beta, u))
+    assert np.array_equal(law.quantile(u), cf.service_quantile(P11, beta, u))
 
 
 def test_cdf_monotone_to_one():
-    ctx = build_kernel(P11, vbeta(P11, RAMP))
+    law = ServiceLaw(P11, validate_beta(P11, RAMP))
     ts = np.linspace(0.0, 40.0, 1500)
-    vals = riccati_service_cdf(ctx, ts)
+    vals = law.cdf(ts)
     assert np.all(np.diff(vals) >= -1e-12)
     assert vals[-1] == pytest.approx(1.0, abs=1e-10)
+
+
+def test_kernel_grid_step_follows_the_kernel_rate():
+    # the kernel f decays at rate lambda + beta, whatever rho is: at rho = 1e-4
+    # the grid on [0, 1] has 1200 cells, not 1/(1e-3 rho) = 10^7
+    p = validate_queue_params(1.0, 1e-4)
+    law = ServiceLaw(p, validate_beta(p, RAMP))
+    assert law.grid_t.size <= 2000
+    u = np.linspace(law.atom, law.g_knot, 101)[1:-1]
+    assert np.max(np.abs(law.cdf(law.quantile(u)) - u)) <= 1e-15

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from mginf.errors import (
     BetaOutOfRange,
     EmptyTable,
+    MginfError,
     NonFiniteParameter,
     NonPositiveParameter,
     NonPositiveTime,
@@ -68,16 +69,17 @@ def test_beta_bounds_ordering(lam, rho):
 
 def test_validate_constant_beta():
     p = validate_queue_params(1.0, 1.0)
-    vb = validate_beta(p, BetaSpec(constant=0.0), 50.0)
-    assert vb.t_max_checked == 50.0
+    spec = BetaSpec(constant=0.0)
+    vb = validate_beta(p, spec)
+    assert vb.spec is spec and vb.params is p
     with pytest.raises(BetaOutOfRange):
-        validate_beta(p, BetaSpec(constant=0.6), 50.0)
+        validate_beta(p, BetaSpec(constant=0.6))
 
 
 def test_endpoints_admitted():
     p = validate_queue_params(1.0, math.log(2))
-    validate_beta(p, BetaSpec(constant=-1.0), 50.0)
-    validate_beta(p, BetaSpec(constant=1.0), 50.0)
+    validate_beta(p, BetaSpec(constant=-1.0))
+    validate_beta(p, BetaSpec(constant=1.0))
 
 
 @given(st.floats(min_value=-2.0, max_value=2.0))
@@ -85,17 +87,17 @@ def test_constant_admitted_iff_within_bounds(b):
     p = validate_queue_params(1.0, 1.0)
     lo, hi = beta_bounds(p)
     if lo <= b <= hi:
-        validate_beta(p, BetaSpec(constant=b), 10.0)
+        validate_beta(p, BetaSpec(constant=b))
     else:
         with pytest.raises(BetaOutOfRange):
-            validate_beta(p, BetaSpec(constant=b), 10.0)
+            validate_beta(p, BetaSpec(constant=b))
 
 
 def test_validate_tabulated_running_average():
     p = validate_queue_params(1.0, 1.0)
     # ramp 0 -> 0.2 stays well within (-1, 0.582)
     spec = BetaSpec(knots=((0.0, 0.0), (1.0, 0.2)))
-    vb = validate_beta(p, spec, 50.0)
+    vb = validate_beta(p, spec)
     assert running_average_beta(vb, 3.0) == pytest.approx((0.1 + 0.2 * 2) / 3, rel=1e-12)
 
 
@@ -103,39 +105,36 @@ def test_validate_tabulated_violation_reported():
     p = validate_queue_params(1.0, 1.0)
     spec = BetaSpec(knots=((0.0, 0.7), (1.0, 0.7)))
     with pytest.raises(BetaOutOfRange):
-        validate_beta(p, spec, 10.0)
+        validate_beta(p, spec)
 
 
 def test_running_average_constant():
     p = validate_queue_params(1.0, 1.0)
-    vb = validate_beta(p, BetaSpec(constant=0.3), 50.0)
+    vb = validate_beta(p, BetaSpec(constant=0.3))
     assert running_average_beta(vb, 7.0) == pytest.approx(0.3, rel=1e-14)
 
 
 def test_running_average_linear():
     p = validate_queue_params(1.0, math.log(2))
-    # beta(u) = u on [0, 2]: admissible since avg(t) = t/2 <= 1 up to 2
-    vb = validate_beta(p, BetaSpec(knots=((0.0, 0.0), (2.0, 2.0))), 2.0)
-    assert running_average_beta(vb, 2.0) == pytest.approx(1.0, rel=1e-12)
+    # beta(u) = u on [0, 2], then 2: avg(t) = t/2 reaches the bound 1 at t = 2
+    # and tends to beta(inf) = 2 > 1, so the table is not admissible
+    spec = BetaSpec(knots=((0.0, 0.0), (2.0, 2.0)))
+    assert spec.cumulative(2.0) / 2.0 == pytest.approx(1.0, rel=1e-12)
+    with pytest.raises(BetaOutOfRange, match="at t=inf is 2"):
+        validate_beta(p, spec)
 
 
 def test_running_average_constant_extension():
     p = validate_queue_params(2.0, 0.5)
-    vb = validate_beta(p, BetaSpec(knots=((0.0, 1.0), (1.0, 1.0))), 10.0)
+    vb = validate_beta(p, BetaSpec(knots=((0.0, 1.0), (1.0, 1.0))))
     assert running_average_beta(vb, 3.0) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_running_average_rejects_nonpositive_time():
     p = validate_queue_params(1.0, 1.0)
-    vb = validate_beta(p, BetaSpec(constant=0.0), 10.0)
+    vb = validate_beta(p, BetaSpec(constant=0.0))
     with pytest.raises(NonPositiveTime):
         running_average_beta(vb, 0.0)
-
-
-def test_t_max_must_be_positive():
-    p = validate_queue_params(1.0, 1.0)
-    with pytest.raises(NonPositiveTime):
-        validate_beta(p, BetaSpec(constant=0.0), 0.0)
 
 
 def test_beta_spec_shape_errors():
@@ -165,3 +164,51 @@ def test_load_beta_table(tmp_path):
     empty.write_text("t,beta\n")
     with pytest.raises(EmptyTable):
         load_beta_table(empty)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.binary(max_size=64))
+def test_load_beta_table_takes_any_bytes(tmp_path_factory, data):
+    f = tmp_path_factory.getbasetemp() / "any_bytes.csv"
+    f.write_bytes(data)
+    try:
+        assert isinstance(load_beta_table(f), BetaSpec)
+    except MginfError:
+        pass
+
+
+def test_interior_extremum_of_the_running_average_is_certified():
+    # beta rises to 2 at t = 1 and falls to -2 at t = 2: C(t)/t peaks inside
+    # the second segment, where t beta(t) = C(t) = 1 + 2u - 2u^2 (u = t - 1): at t = sqrt(1.5)
+    spec = BetaSpec(knots=((0.0, 0.0), (1.0, 2.0), (2.0, -2.0)))
+    t = math.sqrt(1.5)
+    peak = spec.cumulative(t) / t
+    dense = np.linspace(1.0, 2.0, 100_001)
+    assert peak == pytest.approx(np.max(spec.cumulative(dense) / dense), abs=1e-9)
+    knots_and_limits = [0.0, 1.0, 0.5, -2.0]  # beta(0), C(1)/1, C(2)/2, beta(inf)
+    assert peak > max(knots_and_limits) + 0.1
+    lam = 4.0
+    validate_beta(validate_queue_params(lam, math.log1p(lam / peak)), spec)  # hi = peak
+    with pytest.raises(BetaOutOfRange, match=f"at t={t:.6g}"):
+        validate_beta(validate_queue_params(lam, math.log1p(lam / (peak - 0.05))), spec)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(-1.2, 0.8),
+       st.lists(st.tuples(st.floats(0.05, 3.0), st.floats(-1.5, 1.5)), min_size=1, max_size=5))
+def test_certificate_agrees_with_dense_sampling(b0, steps):
+    # the exact certificate against C(t)/t sampled on (0, 2 t_last] plus its two limits
+    ts = np.cumsum([0.0] + [dt for dt, _ in steps])
+    vs = [b0] + [v for _, v in steps]
+    spec = BetaSpec(knots=tuple(zip(ts.tolist(), vs)))
+    grid = np.linspace(0.0, 2.0 * ts[-1], 50_001)[1:]
+    avg = np.concatenate([[vs[0]], spec.cumulative(grid) / grid, [vs[-1]]])
+    p = validate_queue_params(1.0, 1.0)
+    lo, hi = beta_bounds(p)
+    try:
+        validate_beta(p, spec)
+    except BetaOutOfRange:
+        # |d/dt C(t)/t| <= 60 here, so the samples come within 0.02 of the extremes
+        assert avg.min() < lo + 0.05 or avg.max() > hi - 0.05
+    else:
+        assert avg.min() >= lo - 1e-12 and avg.max() <= hi + 1e-12

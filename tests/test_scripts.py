@@ -1,0 +1,30 @@
+"""Smoke tests: the scripts under scripts/ run end to end without a traceback."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(name, *args):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)}
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_cross_validate_runs():
+    # exit 1 is expected: the paper's floor checks FAIL at interior beta
+    proc = run_script("cross_validate.py", "--cycles", "2000")
+    assert proc.returncode in (0, 1), proc.stderr
+    assert "Traceback" not in proc.stdout + proc.stderr
+    assert "failing checks" in proc.stdout
+
+
+def test_sweep_constant_beta_writes_one_csv_per_beta(tmp_path):
+    proc = run_script("sweep_constant_beta.py", "--n-beta", "3", "--out-dir", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stdout + proc.stderr
+    assert len(list(tmp_path.glob("curves_beta_*.csv"))) == 3

@@ -16,7 +16,7 @@ PLN2 = validate_queue_params(1.0, math.log(2))
 
 def quantile(p, beta):
     """Inverse service CDF of the constant-beta law."""
-    return ServiceLaw(p, validate_beta(p, BetaSpec(constant=beta), 100.0)).quantile
+    return ServiceLaw(p, validate_beta(p, BetaSpec(constant=beta))).quantile
 
 
 def test_sample_service_examples():
@@ -120,7 +120,7 @@ def test_busy_idle_independence(big_run):
 
 
 def test_tabulated_beta_simulation():
-    vb = validate_beta(P11, BetaSpec(knots=((0.0, 0.0), (1.0, 0.2))), 100.0)
+    vb = validate_beta(P11, BetaSpec(knots=((0.0, 0.0), (1.0, 0.2))))
     s = run_cycles(P11, ServiceLaw(P11, vb).quantile, 20_000, seed=2)
     summ = cycle_summary(s)
     assert abs(summ.mean_busy - math.expm1(1.0)) < 4 * summ.stderr_busy
@@ -130,7 +130,7 @@ def test_tabulated_beta_simulation():
 @pytest.mark.parametrize("spec", [BetaSpec(constant=0.3),
                                   BetaSpec(knots=((0.0, 0.3), (2.0, -0.2), (5.0, 0.1)))])
 def test_law_quantile_takes_arrays(spec):
-    q = ServiceLaw(P11, validate_beta(P11, spec, 100.0)).quantile
+    q = ServiceLaw(P11, validate_beta(P11, spec)).quantile
     u = np.array([0.0, 0.1, 0.5, 0.9, 0.99, 0.999999])
     t = q(u)
     assert t.shape == u.shape

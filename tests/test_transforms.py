@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from mginf import closed_form as cf
 from mginf.errors import NegativeS, StepMismatch, StepTooCoarse
-from mginf.kernel import build_kernel, riccati_service_cdf
 from mginf.law import ServiceLaw
 from mginf.params import BetaSpec, validate_beta, validate_queue_params
 from mginf.transforms import (
@@ -27,8 +26,8 @@ P11 = validate_queue_params(1.0, 1.0)
 PLN2 = validate_queue_params(1.0, math.log(2))
 
 
-def ctx_for(p, beta):
-    return build_kernel(p, validate_beta(p, BetaSpec(constant=beta), 100.0))
+def law_for(p, beta):
+    return ServiceLaw(p, validate_beta(p, BetaSpec(constant=beta)))
 
 
 # ---- grid convolution ------------------------------------------------------
@@ -90,23 +89,23 @@ def test_laplace_from_service_s0_normalization():
 
 
 def test_laplace_general_frozen_values():
-    assert busy_period_laplace_general(ctx_for(P11, 0.0), 1.0).value == pytest.approx(
+    assert busy_period_laplace_general(law_for(P11, 0.0), 1.0).value == pytest.approx(
         0.5378828427399902, abs=1e-12
     )
-    assert busy_period_laplace_general(ctx_for(PLN2, 1.0), 1.0).value == pytest.approx(
+    assert busy_period_laplace_general(law_for(PLN2, 1.0), 1.0).value == pytest.approx(
         0.5, abs=1e-12
     )
 
 
 def test_laplace_general_s0_normalization():
-    assert busy_period_laplace_general(ctx_for(P11, 0.3), 0.0).value == pytest.approx(
+    assert busy_period_laplace_general(law_for(P11, 0.3), 0.0).value == pytest.approx(
         1.0, abs=1e-12
     )
 
 
 def test_laplace_rejects_negative_s():
     with pytest.raises(NegativeS):
-        busy_period_laplace_general(ctx_for(P11, 0.0), -1.0)
+        busy_period_laplace_general(law_for(P11, 0.0), -1.0)
     with pytest.raises(NegativeS):
         busy_period_laplace_from_service(P11, lambda t: cf.service_cdf(P11, 0.0, t), -0.5)
 
@@ -120,42 +119,40 @@ def test_busy_cycle_laplace():
     # for beta = 0 the busy cycle is exponential with rate e^{-1}: at s = mu
     # the transform is exactly 1/2
     mu = math.exp(-1)
-    bp = busy_period_laplace_general(ctx_for(P11, 0.0), mu)
+    bp = busy_period_laplace_general(law_for(P11, 0.0), mu)
     assert busy_cycle_laplace(P11, bp).value == pytest.approx(0.5, abs=1e-10)
 
 
 def test_transform_routes_agree():
     for p, beta in [(P11, 0.0), (PLN2, 1.0), (P11, -0.5)]:
-        ctx = ctx_for(p, beta)
+        law = law_for(p, beta)
         for s in (0.1, 0.5, 1.0, 2.0, 5.0):
-            general = busy_period_laplace_general(ctx, s).value
-            direct = busy_period_laplace_from_service(
-                p, lambda t: riccati_service_cdf(ctx, t), s
-            ).value
+            general = busy_period_laplace_general(law, s).value
+            direct = busy_period_laplace_from_service(p, law.cdf, s).value
             assert general == pytest.approx(direct, abs=1e-5)
 
 
 def test_series_transform_consistency():
     # Laplace transform of the series-built B agrees with the kernel-form transform
-    ctx = ctx_for(P11, 0.0)
+    law = law_for(P11, 0.0)
     grid = GridSpec(step=0.005, t_max=30.0)
-    b = busy_period_cdf_series(ctx, grid)
+    b = busy_period_cdf_series(law, grid)
     ts = b.times
     for s in (0.5, 1.0, 2.0):
         # Stieltjes transform via integration by parts: s * int e^{-st} B dt + tail
         numeric = s * np.trapezoid(np.exp(-s * ts) * b.values, ts) + math.exp(-s * ts[-1])
         assert numeric == pytest.approx(
-            busy_period_laplace_general(ctx, s).value, abs=1e-3
+            busy_period_laplace_general(law, s).value, abs=1e-3
         )
 
 
 def test_mean_extraction_from_transforms():
-    ctx = ctx_for(P11, 0.2)
+    law = law_for(P11, 0.2)
     h = 1e-4
-    bbar = lambda s: busy_period_laplace_general(ctx, s).value
+    bbar = lambda s: busy_period_laplace_general(law, s).value
     mean_b = -(bbar(2 * h) - bbar(h)) / h  # one-sided at s = 0+
     assert mean_b == pytest.approx(math.expm1(1.0), rel=1e-2)
-    zbar = lambda s: busy_cycle_laplace(P11, busy_period_laplace_general(ctx, s)).value
+    zbar = lambda s: busy_cycle_laplace(P11, busy_period_laplace_general(law, s)).value
     mean_z = -(zbar(2 * h) - zbar(h)) / h
     assert mean_z == pytest.approx(math.e, rel=1e-2)
 
@@ -166,17 +163,17 @@ def test_mean_extraction_from_transforms():
                                   BetaSpec(knots=((0.0, 0.3), (0.5, -0.2), (1.0, 0.1)))])
 def test_direct_solve_equals_neumann_sum(spec):
     # B = sum_k (w K)^k r, K x = grid_convolve(x, f), summed until the terms vanish
-    ctx = build_kernel(P11, validate_beta(P11, spec, 100.0))
+    law = ServiceLaw(P11, validate_beta(P11, spec))
     grid = GridSpec(step=0.005, t_max=1.5)
-    b = busy_period_cdf_series(ctx, grid)
+    b = busy_period_cdf_series(law, grid)
     assert len(b.values) == 301
-    f = GridFunction(grid.step, ctx.kernel(b.times))
+    f = GridFunction(grid.step, law.kernel(b.times))
     one_m_q0 = 1.0 - P11.exp_neg_rho
-    phi = ctx.inv_total * f.values
-    term = GridFunction(grid.step, 1.0 - one_m_q0 * (phi / P11.lam + ctx.prefix_mass(b.times)))
+    phi = law.inv_total * f.values
+    term = GridFunction(grid.step, 1.0 - one_m_q0 * (phi / P11.lam + law.prefix_mass(b.times)))
     total = term.values.copy()
     for _ in range(200):
-        term = GridFunction(grid.step, one_m_q0 * ctx.inv_total * grid_convolve(term, f).values)
+        term = GridFunction(grid.step, one_m_q0 * law.inv_total * grid_convolve(term, f).values)
         total += term.values
     assert np.max(np.abs(term.values)) < 1e-17
     assert np.max(np.abs(b.values - total)) <= 1e-12
@@ -187,38 +184,38 @@ def test_direct_solve_in_heavy_traffic():
     p = validate_queue_params(1.0, 5.0)
     spec = BetaSpec(constant=0.0)
     grid = default_grid(p, spec)
-    b = busy_period_cdf_series(build_kernel(p, validate_beta(p, spec, grid.t_max)), grid)
+    b = busy_period_cdf_series(ServiceLaw(p, validate_beta(p, spec)), grid)
     assert np.max(np.abs(b.values - cf.busy_period_cdf(p, 0.0, b.times))) < 1e-3
 
 
 def test_series_matches_closed_form_busy_period():
-    ctx = ctx_for(P11, 0.0)
-    b = busy_period_cdf_series(ctx, GridSpec(step=0.005, t_max=30.0))
+    law = law_for(P11, 0.0)
+    b = busy_period_cdf_series(law, GridSpec(step=0.005, t_max=30.0))
     assert np.max(np.abs(b.values - cf.busy_period_cdf(P11, 0.0, b.times))) < 1e-3
 
 
 def test_series_purely_exponential_endpoint():
-    ctx = ctx_for(PLN2, 1.0)
-    b = busy_period_cdf_series(ctx, GridSpec(step=0.005, t_max=20.0))
+    law = law_for(PLN2, 1.0)
+    b = busy_period_cdf_series(law, GridSpec(step=0.005, t_max=20.0))
     assert np.max(np.abs(b.values - (-np.expm1(-b.times)))) < 1e-3
 
 
 def test_series_atom_at_zero():
-    ctx = ctx_for(P11, 0.0)
-    b = busy_period_cdf_series(ctx, GridSpec(step=0.005, t_max=10.0))
+    law = law_for(P11, 0.0)
+    b = busy_period_cdf_series(law, GridSpec(step=0.005, t_max=10.0))
     assert b.values[0] == pytest.approx(math.exp(-1), abs=0.005)
 
 
 def test_series_busy_cycle_matches_closed_form():
-    ctx = ctx_for(P11, 0.0)
-    z = busy_cycle_cdf_series(P11, busy_period_cdf_series(ctx, GridSpec(step=0.005, t_max=30.0)))
+    law = law_for(P11, 0.0)
+    z = busy_cycle_cdf_series(P11, busy_period_cdf_series(law, GridSpec(step=0.005, t_max=30.0)))
     assert np.max(np.abs(z.values - cf.busy_cycle_cdf(P11, 0.0, z.times))) < 1e-3
     assert z.values[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_series_busy_cycle_confluent_point():
-    ctx = ctx_for(PLN2, 1.0)
-    z = busy_cycle_cdf_series(PLN2, busy_period_cdf_series(ctx, GridSpec(step=0.005, t_max=20.0)))
+    law = law_for(PLN2, 1.0)
+    z = busy_cycle_cdf_series(PLN2, busy_period_cdf_series(law, GridSpec(step=0.005, t_max=20.0)))
     i = int(round(1.0 / 0.005))
     assert z.values[i] == pytest.approx(1 - 2 / math.e, abs=1e-3)
 
@@ -227,7 +224,7 @@ def test_degenerate_series_curves():
     # beta = -lambda goes through the grid solve like every other law: the
     # weight (1 - e^{-rho})/I is 0, so B is the bracket 1, and Z is the
     # trapezoidal convolution of 1 with the Exp(lambda) density
-    vb = validate_beta(P11, BetaSpec(constant=-1.0), 10.0)
+    vb = validate_beta(P11, BetaSpec(constant=-1.0))
     sup = {}
     for h in (0.005, 0.0025, 0.00125):
         b, z = ServiceLaw(P11, vb, GridSpec(step=h, t_max=10.0)).series
@@ -239,10 +236,10 @@ def test_degenerate_series_curves():
 
 
 def test_series_first_order_convergence():
-    ctx = ctx_for(P11, 0.0)
+    law = law_for(P11, 0.0)
     sup = {}
     for h in (0.01, 0.005):
-        b = busy_period_cdf_series(ctx, GridSpec(step=h, t_max=20.0))
+        b = busy_period_cdf_series(law, GridSpec(step=h, t_max=20.0))
         sup[h] = np.max(np.abs(b.values - cf.busy_period_cdf(P11, 0.0, b.times)))
     assert sup[0.005] <= 0.5 * sup[0.01] * 1.05
 
@@ -251,18 +248,18 @@ def test_series_first_order_convergence():
 def test_series_second_order_convergence(rho):
     # the trapezoidal solve is second order for constant beta, atom included
     p = validate_queue_params(1.0, rho)
-    ctx = ctx_for(p, 0.0)
+    law = law_for(p, 0.0)
     t_max = 12.0 * math.expm1(rho)
     sup = {}
     for h in (0.01, 0.005):
-        b = busy_period_cdf_series(ctx, GridSpec(step=h, t_max=t_max))
+        b = busy_period_cdf_series(law, GridSpec(step=h, t_max=t_max))
         sup[h] = np.max(np.abs(b.values - cf.busy_period_cdf(p, 0.0, b.times)))
     assert sup[0.01] / sup[0.005] >= 3.9
 
 
 def test_series_cdf_shape():
-    ctx = ctx_for(P11, 0.3)
-    b = busy_period_cdf_series(ctx, GridSpec(step=0.005, t_max=30.0))
+    law = law_for(P11, 0.3)
+    b = busy_period_cdf_series(law, GridSpec(step=0.005, t_max=30.0))
     z = busy_cycle_cdf_series(P11, b)
     for g in (b, z):
         assert np.all(np.diff(g.values) >= -1e-8)
@@ -271,9 +268,9 @@ def test_series_cdf_shape():
 
 
 def test_series_step_too_coarse():
-    ctx = ctx_for(P11, 0.0)
+    law = law_for(P11, 0.0)
     with pytest.raises(StepTooCoarse):
-        busy_period_cdf_series(ctx, GridSpec(step=0.05, t_max=5.0))
+        busy_period_cdf_series(law, GridSpec(step=0.05, t_max=5.0))
 
 
 def test_default_grid():
