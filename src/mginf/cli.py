@@ -6,6 +6,11 @@ reads its curves, quantile and series from that law.  Emits plot-ready CSV
 (17 significant digits, '.' decimal separator, LF line endings) and
 pass/fail verification reports.  Exit codes: 0 success / all checks pass,
 1 verification failure, 2 invalid input, 3 I/O failure.
+
+The CSV bytes are those of np.savetxt(fmt="%.17g", delimiter=","), but
+formatted in numpy: a value with decimal exponent in [-6, 16] gets its 17
+digits from an exact scaled product (Dekker's two-product), and only nan,
+inf and values outside that window go through Python's `%`.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from .errors import MginfError, NegativeParameter, NonFiniteParameter, NonPositi
 from .law import ServiceLaw
 from .params import BetaSpec, load_beta_table, validate_beta, validate_queue_params
 from .simulate import empirical_cdf, ks_distance, run_cycles, cycle_summary
-from .transforms import GridSpec, default_grid
+from .transforms import GridSpec, default_grid, grid_points
 from .verify import verify_point
 
 EXIT_OK = 0
@@ -78,7 +83,152 @@ def _build_config(args) -> RunConfig:
     )
 
 
-CSV_CHUNK_ROWS = 1 << 16  # rows formatted per write, bounding the string built at once
+# ---- exact %.17g CSV fields ---------------------------------------------------
+#
+# A value with decimal exponent X = floor(log10|x|) in [-6, 16] prints under
+# %.17g as the 17 digits of N = round_half_even(|x| 10^(16 - X)), which lies in
+# [10^16, 10^17).  10^q is exact in binary64 for q <= 22, so |x| 10^q = hi + lo
+# exactly by Dekker's two-product, and hi >= 10^16 > 2^53 is an even integer,
+# so N = hi + rint(lo) exactly, ties to even included.
+
+_LOW_X, _HIGH_X = -6, 16
+_POW10 = 10.0 ** np.arange(23)
+_SPLIT = 134217729.0  # 2^27 + 1: Veltkamp's split into two 26-bit halves
+_POW10_HI = _POW10 * _SPLIT - (_POW10 * _SPLIT - _POW10)
+_POW10_LO = _POW10 - _POW10_HI
+
+# Every field is a selection of the columns of one row template: the sign,
+# "0." and up to three zeros (-4 <= X < 0), the 17 digits, "." and digits
+# 2..17 again (where the fraction starts depends on X), the exponent "e-0X"
+# (X < -4) and the separator.  A %-formatted field overwrites columns [0, L).
+_TEMPLATE = np.frombuffer(b"-0.000" + b"0" * 17 + b"." + b"0" * 16 + b"e-00,", np.uint8)
+_DIGITS, _FRACTION, _EXP_DIGIT, _SEP = 6, 24, 43, 44
+_EXPONENTS = _HIGH_X - _LOW_X + 1
+_TEXT = 2 * _EXPONENTS * 17  # first mask row of the %-formatted fields
+
+
+def _field_masks() -> np.ndarray:
+    """Template columns of each field kind, one row per kind.
+
+    Row (sign * 23 + X + 6) * 17 + nd - 1 for a sign bit, exponent X and nd
+    significant digits, then row _TEXT + L - 1 for a %-formatted field of L
+    characters.
+    """
+    cols = np.arange(_TEMPLATE.size)
+    neg, x, nd = (a.reshape(-1, 1) for a in np.meshgrid(
+        [0, 1], np.arange(_LOW_X, _HIGH_X + 1), np.arange(1, 18), indexing="ij"))
+    sci = x < -4
+    lead = np.where(x >= 0, x + 1, np.where(sci, 1, nd))  # digits before the point
+    mask = (cols == 0) & (neg == 1)
+    mask |= (x < 0) & ~sci & (cols >= 1) & (cols < 2 - x)  # "0." and -X - 1 zeros
+    mask |= (cols >= _DIGITS) & (cols < _DIGITS + lead)
+    mask |= (nd > lead) & ((cols == _FRACTION - 1)
+                           | ((cols >= _FRACTION - 1 + lead) & (cols < _FRACTION - 1 + nd)))
+    mask |= sci & (cols >= _EXP_DIGIT - 3) & (cols <= _EXP_DIGIT)
+    text = cols < np.arange(1, 25).reshape(-1, 1)  # %.17g fields have at most 24 characters
+    return np.concatenate([mask, text]) | (cols == _SEP)
+
+
+_FIELD_MASKS = _field_masks()
+
+
+def _times_pow10(x: np.ndarray, q: np.ndarray):
+    """x 10^q as the unevaluated sum hi + lo, exactly (Dekker's two-product)."""
+    hi = x * _POW10[q]
+    c = x * _SPLIT
+    x_hi = c - (c - x)
+    x_lo = x - x_hi
+    p_hi, p_lo = _POW10_HI[q], _POW10_LO[q]
+    return hi, ((x_hi * p_hi - hi) + x_hi * p_lo + x_lo * p_hi) + x_lo * p_lo
+
+
+def _bytes16(a: np.ndarray, col: int) -> np.ndarray:
+    """Columns col..col+15 of each row of a 2-D uint8 array as one 16-byte item.
+
+    Copying through these views moves each row's 16 bytes at once, several
+    times faster than the 2-D slice assignment.
+    """
+    return np.ndarray((a.shape[0],), "V16", a, col, (a.strides[0],))
+
+
+def _decimal(v: np.ndarray):
+    """(N, X, exact): the 17-digit significand and decimal exponent of each value.
+
+    exact is False for zeros, nan, inf and values outside the window; their
+    N and X are 0.
+    """
+    x = np.abs(v)
+    exact = (x >= 1e-6) & (x < 1e17)  # the window, up to the exponent check; False for nan
+    x = np.where(exact, x, 1.0)
+    k = np.clip(np.floor(np.log10(x)).astype(np.int64), _LOW_X, _HIGH_X)
+    hi, lo = _times_pow10(x, 16 - k)
+    while True:  # log10 may miss X by one near a power of ten: step k until N has 17 digits
+        below = (hi < 1e16) | ((hi == 1e16) & (lo < 0))
+        above = (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
+        step = above.astype(np.int64) - below
+        redo = np.flatnonzero(exact & (step != 0))
+        if redo.size == 0:
+            break
+        k[redo] += step[redo]
+        inside = (k[redo] >= _LOW_X) & (k[redo] <= _HIGH_X)
+        exact[redo[~inside]] = False
+        redo = redo[inside]
+        hi[redo], lo[redo] = _times_pow10(x[redo], 16 - k[redo])
+    # N < 10^17: no double lies within half a unit of the 17th digit below a power
+    # of ten, so rounding never carries (the tests print the neighbours of 10^k)
+    n = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    n[~exact] = 0
+    k[~exact] = 0
+    return n, k, exact
+
+
+def _digits(n: np.ndarray):
+    """The 17 decimal digits of each N as ASCII, one row per position, and the
+    count of significant digits (at least 1) once trailing zeros are stripped."""
+    digits = np.empty((17, n.size), np.uint8)
+    nd = np.full(n.size, 17)
+    trailing = np.ones(n.size, bool)
+    rest = (n % 10**8).astype(np.uint32)
+    for j in range(16, -1, -1):
+        if j == 8:
+            rest = (n // 10**8).astype(np.uint32)
+        q = rest // 10
+        digits[j] = rest - q * 10
+        rest = q
+        trailing &= digits[j] == 0
+        nd -= trailing
+    digits += ord("0")
+    return digits, np.maximum(nd, 1)
+
+
+def _format_block(v: np.ndarray, ncols: int) -> str:
+    """`%.17g` of each value of v, rows of ncols values, each ended by a comma or a newline."""
+    n, k, exact = _decimal(v)
+    out = np.empty((v.size // ncols, ncols, _TEMPLATE.size), np.uint8)
+    out[...] = _TEMPLATE
+    out[:, -1, _SEP] = ord("\n")
+    out = out.reshape(v.size, -1)
+    digits, nd = _digits(n)  # zeros print as the digit 0
+    out[:, _DIGITS:_DIGITS + 17] = digits.T
+    _bytes16(out, _FRACTION)[...] = _bytes16(out, _DIGITS + 1)
+    out[:, _EXP_DIGIT] = ord("0") - k
+    kind = (np.signbit(v) * _EXPONENTS + k - _LOW_X) * 17 + nd - 1
+
+    text = np.flatnonzero(~exact & (v != 0))  # nan, inf and values outside the window
+    if text.size:
+        s = np.frombuffer(("%.17g\n" * text.size % tuple(v[text].tolist())).encode(), np.uint8)
+        ends = np.flatnonzero(s == ord("\n"))
+        lens = np.diff(ends, prepend=-1) - 1
+        # byte b of field i lands in column b of its row; its "\n" is masked out
+        out.ravel()[np.repeat(text * out.shape[1] - (ends - lens), lens + 1)
+                    + np.arange(s.size)] = s
+        kind[text] = _TEXT + lens - 1
+    return str(out[np.take(_FIELD_MASKS, kind, axis=0)], "ascii")
+
+
+# Values formatted at once: few enough that the work arrays (under 200 bytes
+# per value) stay in cache and add under 2 MB to peak memory.
+CSV_BLOCK_VALUES = 1 << 13
 
 
 def _open_out(config: RunConfig):
@@ -90,15 +240,17 @@ def _open_out(config: RunConfig):
 def write_csv(out, header: str, columns) -> None:
     """Header line, then one `%.17g` row per index of the equal-length columns.
 
-    Same bytes as np.savetxt(fmt="%.17g", delimiter=","), but each chunk of
-    rows is formatted by one `%` over a repeated row template.
+    Same bytes as np.savetxt(fmt="%.17g", delimiter=","): values with decimal
+    exponent in [-6, 16], and zeros, are formatted exactly in numpy, blocks
+    of CSV_BLOCK_VALUES at a time; nan, inf and the few values outside that
+    window go through Python's `%` and are spliced into the same block.
     """
-    a = np.column_stack(columns)
-    row = ",".join(["%.17g"] * a.shape[1]) + "\n"
+    columns = [np.asarray(c, dtype=float) for c in columns]
+    rows = max(1, CSV_BLOCK_VALUES // len(columns))
     out.write(header + "\n")
-    for start in range(0, len(a), CSV_CHUNK_ROWS):
-        block = a[start:start + CSV_CHUNK_ROWS]
-        out.write(row * len(block) % tuple(block.ravel().tolist()))
+    for start in range(0, len(columns[0]), rows):
+        block = np.column_stack([c[start:start + rows] for c in columns])
+        out.write(_format_block(block.ravel(), len(columns)))
 
 
 def _write_output(config: RunConfig, header: str, columns) -> None:
@@ -112,8 +264,7 @@ def _write_output(config: RunConfig, header: str, columns) -> None:
 
 def cmd_eval(config: RunConfig) -> int:
     law = config.law
-    n = int(round(config.t_max / config.step)) + 1
-    ts = np.arange(n) * config.step
+    ts = np.arange(grid_points(config.t_max, config.step)) * config.step
     g = law.cdf(ts)
     b = law.busy_cdf(ts)
     z = law.cycle_cdf(ts)

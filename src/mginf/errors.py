@@ -65,5 +65,9 @@ class StepTooCoarse(MginfError):
     pass
 
 
+class GridTooLarge(MginfError):
+    """A time grid of more than MAX_GRID_POINTS points."""
+
+
 class EmptySample(MginfError):
     pass

@@ -26,9 +26,11 @@ import numpy as np
 
 from . import closed_form as cf
 from . import transforms
-from .errors import BetaOutOfRange, DivergentKernelIntegral, NegativeTime, ProbabilityOutOfRange
+from .errors import (
+    BetaOutOfRange, DivergentKernelIntegral, GridTooLarge, NegativeTime, ProbabilityOutOfRange,
+)
 from .params import QueueParams, ValidatedBeta
-from .transforms import GridFunction, GridSpec, default_grid
+from .transforms import MAX_GRID_POINTS, GridFunction, GridSpec, default_grid
 
 
 def _service_cdf(params: QueueParams, phi, mass):
@@ -73,7 +75,11 @@ class ServiceLaw:
         self.grid_t = self.grid_f = self.grid_prefix = np.array([])
         body, f_end = 0.0, 1.0
         if t_knot > 0:
-            n = max(math.ceil(1e3 * t_knot * (params.lam + spec.max_abs)), 100)
+            cells = 1e3 * t_knot * (params.lam + spec.max_abs)
+            if cells > MAX_GRID_POINTS - 1:
+                raise GridTooLarge(f"kernel grid on [0, {t_knot:g}] needs {cells:.3g} cells, "
+                                   f"more than {MAX_GRID_POINTS} points")
+            n = max(math.ceil(cells), 100)
             self.grid_t = ts = np.linspace(0.0, t_knot, n + 1)
             h = ts[1] - ts[0]
             self.grid_f = self.kernel(ts)

@@ -99,11 +99,12 @@ def ks_distance(emp: EmpiricalCdf, analytic: Callable[[np.ndarray], np.ndarray])
     Valid for reference CDFs with an atom at 0: sample points at 0 compare the
     empirical mass there against F(0) directly.
     """
-    s = emp.sorted
-    xs = s[np.concatenate(([True], s[1:] != s[:-1]))]  # distinct points, already sorted
+    s, n = emp.sorted, emp.n
+    starts = np.flatnonzero(np.concatenate(([True], s[1:] != s[:-1])))  # first of each run
+    xs = s[starts]  # distinct points, already sorted
     f = np.asarray(analytic(xs), dtype=float)
-    after = emp(xs)
-    before = emp.left_limit(xs)
+    before = starts / n  # Fhat(x-): the sample points below x
+    after = np.append(starts[1:], n) / n  # Fhat(x): up to the next distinct point
     if isinstance(analytic, EmpiricalCdf):
         # step reference: compare matching one-sided limits
         f_before = analytic.left_limit(xs)

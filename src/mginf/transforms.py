@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
-from .errors import NegativeS, QuadratureFailure, StepMismatch, StepTooCoarse
+from .errors import GridTooLarge, NegativeS, QuadratureFailure, StepMismatch, StepTooCoarse
 from .params import BetaSpec, QueueParams
 
 if TYPE_CHECKING:  # law imports this module
@@ -56,6 +56,23 @@ class LaplacePoint(NamedTuple):
 class GridSpec:
     step: float
     t_max: float
+
+
+# Largest time grid built: about 2 GB for the series solve at ~125 bytes per point.
+MAX_GRID_POINTS = 2**24
+
+
+def grid_points(t_max: float, step: float) -> int:
+    """round(t_max/step) + 1, the points of the grid 0, step, ..., t_max.
+
+    Raises GridTooLarge beyond MAX_GRID_POINTS (an even number, so the
+    comparison below matches round-half-even exactly).
+    """
+    steps = t_max / step
+    if not steps < MAX_GRID_POINTS - 0.5:
+        raise GridTooLarge(f"grid of {steps + 1:.3g} points (t_max {t_max:g}, step {step:g}) "
+                           f"exceeds {MAX_GRID_POINTS}")
+    return int(round(steps)) + 1
 
 
 def default_grid(params: QueueParams, spec: BetaSpec) -> GridSpec:
@@ -112,8 +129,7 @@ def _series_parts(law: ServiceLaw, grid: GridSpec):
     rate = params.lam + law.spec.max_abs
     if h * rate > 0.01 * (1 + 1e-9):
         raise StepTooCoarse(f"step {h} too coarse for rates up to {rate}")
-    n = int(round(grid.t_max / h)) + 1
-    ts = np.arange(n) * h
+    ts = np.arange(grid_points(grid.t_max, h)) * h
     f = law.kernel(ts)
     one_m_q0 = 1.0 - params.exp_neg_rho
     bracket = 1.0 - one_m_q0 * (law.inv_total * f / params.lam + law.prefix_mass(ts))

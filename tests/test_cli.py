@@ -4,10 +4,13 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from mginf import closed_form as cf
 from mginf.cli import EXIT_INVALID, EXIT_IO, EXIT_OK, EXIT_VERIFY_FAIL, main, write_csv
 from mginf.params import validate_queue_params
+from mginf.transforms import MAX_GRID_POINTS
 
 P11 = validate_queue_params(1.0, 1.0)
 
@@ -292,6 +295,61 @@ def test_write_csv_matches_savetxt():
     assert ours.getvalue() == ref.getvalue()
 
 
+def savetxt_text(a: np.ndarray, header: str) -> str:
+    ref = io.StringIO()
+    np.savetxt(ref, a, fmt="%.17g", delimiter=",", comments="", header=header)
+    return ref.getvalue()
+
+
+def write_csv_text(a: np.ndarray, header: str) -> str:
+    ours = io.StringIO()
+    write_csv(ours, header, a.T)
+    return ours.getvalue()
+
+
+@given(hnp.arrays(np.float64, st.tuples(st.integers(1, 30), st.integers(1, 10)),
+                  elements=st.floats() | st.floats(-1e18, 1e18)))
+@settings(max_examples=300, deadline=None)
+def test_write_csv_matches_savetxt_on_any_doubles(a):
+    # both signs, +-0, subnormals, nan, +-inf and values inside and outside the exact window
+    assert write_csv_text(a, "h") == savetxt_text(a, "h")
+
+
+def test_write_csv_exact_at_powers_of_ten_ties_and_random_exponents():
+    rng = np.random.default_rng(2024)
+    powers = 10.0 ** np.arange(-8, 18)
+    near = np.concatenate([np.nextafter(powers, np.inf), powers, np.nextafter(powers, -np.inf)])
+    odd = rng.integers(1, 2**53, 20_000) | 1
+    dyadic = odd / 2.0 ** rng.integers(1, 80, odd.size)  # about 2% are 18-digit ties
+    u = rng.random(20_000) * 10.0 ** rng.integers(-8, 18, 20_000)
+    places = rng.integers(0, 20, u.size).tolist()
+    decimals = np.array([round(x, d) for x, d in zip(u.tolist(), places)])
+    sign = rng.choice([-1.0, 1.0], 1_000_000)
+    spread = sign * rng.random(sign.size) * 10.0 ** rng.uniform(-9, 19, sign.size)
+    for values, ncols in ((np.concatenate([near, -near]), 1), (dyadic, 4), (decimals, 5),
+                          (spread, 8)):
+        a = values.reshape(-1, ncols)
+        assert write_csv_text(a, "h") == savetxt_text(a, "h")
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--lambda", "1", "--rho", "3", "--beta", "0", "--t-max", "20"],
+    ["simulate", "--lambda", "1", "--rho", "1", "--beta-file", "ramp", "--cycles", "5000"],
+])
+def test_cli_csv_bytes_match_savetxt_of_their_values(argv, tmp_path, capsys):
+    # %.17g round-trips, so reading the file back and re-printing it with
+    # np.savetxt is an independent route to the same bytes
+    table = tmp_path / "ramp.csv"
+    table.write_text("t,beta\n0,0\n1,0.2\n")
+    out = tmp_path / "out.csv"
+    argv = [str(table) if arg == "ramp" else arg for arg in argv]
+    code, _, err = run([*argv, "--out", str(out)], capsys)
+    assert code == EXIT_OK, err
+    text = out.read_text()
+    header = text.partition("\n")[0]
+    assert text == savetxt_text(np.loadtxt(out, delimiter=",", skiprows=1), header)
+
+
 # ---- tabulated beta through the service law --------------------------------
 
 def test_eval_flat_table_reproduces_closed_form(tmp_path, capsys):
@@ -356,6 +414,11 @@ def test_table_ending_at_degenerate_endpoint_is_the_degenerate_law(tmp_path, cap
     # running average 1.3 > 0.581977 at t = 2: rejected whatever the output horizon
     ("t,beta\n0,0\n1,0.1\n2,5\n", ["--t-max", "1"]),
     ("t,beta\n0,0\n1,0.1\n2,5\n", ["--t-max", "5"]),
+    # grids beyond MAX_GRID_POINTS: the series grid three ways, then the kernel grid
+    ("t,beta\n0,0\n1,0.2\n", ["--rho", "50"]),
+    ("t,beta\n0,0\n1,0.2\n", ["--t-max", "1e12"]),
+    ("t,beta\n0,0\n1,0.2\n", ["--t-max", "1e7", "--step", "1"]),
+    ("t,beta\n0,-1\n1e300,0\n", []),
 ])
 def test_verify_bad_input_exits_invalid(table, extra, tmp_path, capsys):
     path = tmp_path / "beta.csv"
@@ -364,6 +427,28 @@ def test_verify_bad_input_exits_invalid(table, extra, tmp_path, capsys):
                         "--beta-file", str(path), *extra], capsys)
     assert code == EXIT_INVALID
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--rho", "50", "--beta", "0"],                     # 1.2e25 rows
+    ["--rho", "1", "--beta", "0", "--t-max", "1e12"],   # 2e14 rows
+    ["--rho", "1", "--beta-file", "far"],               # kernel grid of 2e303 cells
+])
+def test_eval_oversized_grid_exits_invalid(argv, tmp_path, capsys):
+    table = tmp_path / "far.csv"
+    table.write_text("t,beta\n0,-1\n1e300,0\n")
+    argv = [str(table) if arg == "far" else arg for arg in argv]
+    code, _, err = run(["eval", "--lambda", "1", *argv], capsys)
+    assert code == EXIT_INVALID
+    assert err.startswith("error: ") and str(MAX_GRID_POINTS) in err
+
+
+def test_constant_beta_simulate_builds_no_time_grid(tmp_path, capsys):
+    # the horizon sizes eval's rows and the series grid only; neither runs here
+    code, _, err = run(["simulate", "--lambda", "1", "--rho", "1", "--beta", "0",
+                        "--t-max", "1e12", "--cycles", "100", "--out", str(tmp_path / "s.csv")],
+                       capsys)
+    assert code == EXIT_OK, err
 
 
 def test_non_utf8_table_exits_invalid(tmp_path, capsys):

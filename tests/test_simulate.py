@@ -55,6 +55,35 @@ def test_ks_distance_examples():
     )
 
 
+def ks_searchsorted(emp, analytic) -> float:
+    """The KS statistic with Fhat(x) and Fhat(x-) from two searchsorted passes."""
+    xs = np.unique(emp.sorted)
+    f = np.asarray(analytic(xs), dtype=float)
+    after, before = emp(xs), emp.left_limit(xs)
+    gap = np.maximum(np.abs(after - f), np.abs(before - f))
+    gap[xs == 0.0] = np.abs(after - f)[xs == 0.0]
+    return float(np.max(gap))
+
+
+def atom_cdf(t):
+    return 1.0 - 0.7 * np.exp(-np.asarray(t, dtype=float))  # atom 0.3 at 0
+
+
+@given(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, 3.0]) | st.floats(0.0, 10.0),
+                min_size=1, max_size=200))
+@settings(max_examples=100, deadline=None)
+def test_ks_distance_matches_searchsorted_form(xs):
+    emp = empirical_cdf(xs)
+    assert ks_distance(emp, atom_cdf) == ks_searchsorted(emp, atom_cdf)
+
+
+def test_ks_distance_matches_searchsorted_form_with_ties_and_atom():
+    rng = np.random.default_rng(5)
+    sample = np.where(rng.random(50_000) < 0.3, 0.0, np.round(rng.exponential(1.0, 50_000), 3))
+    emp = empirical_cdf(sample)
+    assert ks_distance(emp, atom_cdf) == ks_searchsorted(emp, atom_cdf)
+
+
 def test_run_cycles_determinism():
     a = run_cycles(P11, quantile(P11, 0.0), 500, seed=9)
     b = run_cycles(P11, quantile(P11, 0.0), 500, seed=9)
