@@ -56,7 +56,9 @@ class ServiceLaw:
     the tail constant m, G(0) and G(t_knot).  With body = int_0^{t_knot} f and
     f_end = f(t_knot), r I = r body + f_end, so 1/I = r/(r body + f_end) and
     m = f_end/(r body + f_end) are finite for every r >= 0; only r < 0, where
-    f grows, is rejected.
+    f grows, is rejected.  Without a closed form the series grid is sized here
+    too, so a grid beyond MAX_GRID_POINTS raises GridTooLarge before any
+    caller simulates or writes output.
     """
 
     def __init__(self, params: QueueParams, vbeta: ValidatedBeta, grid: GridSpec | None = None):
@@ -65,6 +67,8 @@ class ServiceLaw:
         self.grid = default_grid(params, spec) if grid is None else grid
         self.beta = spec.constant
         self.indicator = spec.value
+        if self.beta is None:  # B and Z are series grids: reject one too large before any draw
+            transforms.grid_points(self.grid.t_max, self.grid.step)
         self.tail_rate = tail_rate = params.lam + spec.tail_rate()  # r
         self.t_knot = t_knot = spec.last_knot  # the kernel is exponential beyond it
         if tail_rate < 0:

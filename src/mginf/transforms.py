@@ -4,9 +4,12 @@ The busy-period transform has two equivalent routes: a nested-quadrature
 evaluation straight from the service CDF, and the kernel-based rational form.
 The time-domain CDF solves a Volterra convolution equation in the kernel; its
 trapezoidal discretisation on a uniform grid is a lower-triangular Toeplitz
-system (plus a rank-one term), solved exactly with an FFT power-series
-reciprocal.  The busy-cycle CDF is one extra convolution with the exponential
-idle-period density.
+system (plus a rank-one term), solved exactly with a power-series reciprocal:
+Newton steps whose two products share one cyclic FFT of about the new length
+(middle product), then one product.  Every FFT length is the smallest 5-smooth
+number 2^a 3^b 5^c that holds the product.  The busy-cycle CDF is B convolved
+with the exponential idle-period density; that convolution is a first-order
+recurrence, evaluated in O(n) with no FFT.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ class GridFunction:
 
     step: float
     values: np.ndarray
-    kind: str = "density"  # "density" or "cdf"
 
     def __post_init__(self):
         if self.step <= 0:
@@ -58,7 +60,8 @@ class GridSpec:
     t_max: float
 
 
-# Largest time grid built: about 2 GB for the series solve at ~125 bytes per point.
+# Largest time grid built: about 1.7 GB for the series solve at ~100 bytes per point
+# (748 MB peak RSS measured at rho = 8, 7.15M points).
 MAX_GRID_POINTS = 2**24
 
 
@@ -85,29 +88,48 @@ def default_grid(params: QueueParams, spec: BetaSpec) -> GridSpec:
     return GridSpec(step=h, t_max=t_max)
 
 
+def _fft_size(n: int) -> int:
+    """The smallest 5-smooth number 2^a 3^b 5^c >= n, a length pocketfft transforms natively."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def _product(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     """First n terms of the linear convolution a * b.
 
-    The FFT length is the power of two at or above the full product length,
-    so the circular convolution equals the linear one.
+    The FFT length is the smallest 5-smooth number at or above the full
+    product length, so the cyclic convolution equals the linear one.
     """
     a, b = a[:n], b[:n]
-    size = 1 << (len(a) + len(b) - 2).bit_length()
+    size = _fft_size(len(a) + len(b) - 1)
     return np.fft.irfft(np.fft.rfft(a, size) * np.fft.rfft(b, size), size)[:n]
 
 
 def _reciprocal(a: np.ndarray) -> np.ndarray:
     """The power series 1/a to len(a) terms, by Newton steps g <- g (2 - a g).
 
-    Each step doubles the number of correct terms m: 1 - a g vanishes below
-    z^m, so only its terms m..2m-1 are formed and g gains g times them.
+    A step from k correct terms to m = min(2k, n) uses one cyclic length
+    N = _fft_size(m) >= m and the transform of g for both of its products
+    (the middle product).  The cyclic a[:m] g of length N wraps only onto
+    terms below m + k - 1 - N < k, so its terms k..m-1, the defect, are exact;
+    the correction g times the defect has m - 1 < N terms and does not wrap.
+    That is five FFTs of length about m per step.
     """
     n = len(a)
     g = np.array([1.0 / a[0]])
-    while len(g) < n:
-        m = min(2 * len(g), n)
-        defect = -_product(a, g, m)[len(g):]
-        g = np.concatenate([g, _product(g, defect, m - len(g))])
+    while (k := len(g)) < n:
+        m = min(2 * k, n)
+        size = _fft_size(m)
+        g_hat = np.fft.rfft(g, size)
+        defect = -np.fft.irfft(np.fft.rfft(a[:m], size) * g_hat, size)[k:m]
+        g = np.concatenate([g, np.fft.irfft(np.fft.rfft(defect, size) * g_hat, size)[:m - k]])
     return g
 
 
@@ -119,7 +141,7 @@ def grid_convolve(a: GridFunction, b: GridFunction) -> GridFunction:
     av, bv = a.values[:n], b.values[:n]
     full = _product(av, bv, n)
     trap = a.step * (full - 0.5 * av[0] * bv - 0.5 * av * bv[0])
-    return GridFunction(step=a.step, values=trap, kind="density")
+    return GridFunction(step=a.step, values=trap)
 
 
 def _series_parts(law: ServiceLaw, grid: GridSpec):
@@ -153,15 +175,39 @@ def busy_period_cdf_series(law: ServiceLaw, grid: GridSpec) -> GridFunction:
     a = -w * h * f  # delta - w c
     a[0] = 1.0 - 0.5 * w * h * f[0]
     b = _product(r - 0.5 * w * h * r[0] * f, _reciprocal(a), len(r))
-    return GridFunction(step=h, values=b, kind="cdf")
+    return GridFunction(step=h, values=b)
 
 
 def busy_cycle_cdf_series(params: QueueParams, b: GridFunction) -> GridFunction:
-    """Z(t) = (idle-period exponential density) * B(t) on the grid of B."""
-    lam = params.lam
-    idle = GridFunction(b.step, lam * np.exp(-lam * b.times))
-    z = grid_convolve(idle, GridFunction(b.step, b.values))
-    return GridFunction(step=b.step, values=z.values, kind="cdf")
+    """Z(t) = (idle-period exponential density) * B(t) on the grid of B.
+
+    This is the trapezoid grid_convolve forms, Z = x (S - B/2 - B_0 e^{-lambda t}/2)
+    with x = lambda h, q = e^{-x} and S_k = sum_{j<=k} q^{k-j} B_j, evaluated
+    in O(n) with no FFT.  Summing by parts over the increments D_j = B_j - B_{j-1}
+    (D_0 = B_0) gives S = (B - q T)/(1 - q), where T_k = sum_{j<=k} q^{k-j} D_j
+    obeys T_k = q T_{k-1} + D_k.  T is of the size of B'/lambda, where S is of
+    the size of B/x, so T carries far less rounding (4e-16 against 1.5e-14 at
+    rho = 3).  T is a cumulative sum of e^{x j} D_j inside blocks of
+    floor(200/x) points, so no factor exceeds e^200, scaled back by e^{-x j}
+    and carried across blocks.
+    """
+    x = params.lam * b.step
+    q = math.exp(-x)
+    bv = b.values
+    d = np.diff(bv, prepend=0.0)
+    n = len(bv)
+    width = max(int(200.0 / x), 1)
+    grow = np.exp(x * np.arange(min(width, n)))
+    t = np.empty(n)
+    carry = 0.0  # T just before the block
+    for start in range(0, n, width):
+        block = d[start:start + width]
+        e = grow[:len(block)]
+        t[start:start + len(block)] = (np.cumsum(block * e) + q * carry) / e
+        carry = t[start + len(block) - 1]
+    idle = np.exp(-params.lam * b.times)
+    z = x / -math.expm1(-x) * (bv - q * t) - 0.5 * x * (bv + bv[0] * idle)
+    return GridFunction(step=b.step, values=z)
 
 
 def busy_period_laplace_from_service(

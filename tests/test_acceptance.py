@@ -1,12 +1,14 @@
 """Acceptance gate: one test and one printed PASS/FAIL line per criterion.
 
 The test matrix is (lam, rho) in {(1, 1), (1, ln 2), (2, 0.5)} crossed with
-beta in {-lam, 0, hi/2, hi} where hi = lam/(e^rho - 1).  Criterion 7 asserts
-the orderings that hold: Z below the idle-period ceiling 1 - e^{-lam t} for
-every beta, B above its exact infimum over constant beta, and Z above that
-infimum convolved with the Exp(lam) idle period.  It also asserts that
-check_bound_ordering passes its paper floors (B and Z at beta = hi) only at the
-two endpoints and fails them for interior beta, as it must: every
+beta in {-lam, 0, hi/2, hi} where hi = lam/(e^rho - 1); criteria 1 and 4
+also run it at the heavy-traffic points (1, 3) and (1, 5), at the same gates.
+Criterion 7 asserts the orderings that hold: Z below the idle-period ceiling
+1 - e^{-lam t} for every beta, B above its exact infimum over constant beta,
+and Z above that infimum convolved with the Exp(lam) idle period.  It also
+asserts that check_bound_ordering passes its paper floors (B and Z at
+beta = hi) only at the two endpoints and fails them for interior beta, as it
+must: every
 non-degenerate beta gives the same mean busy period and cycle, and a CDF that
 lies below another everywhere with the same mean is that CDF.  `mginf verify`
 therefore still prints FAIL for the two floor checks and exits 1 at interior
@@ -40,11 +42,16 @@ PARAM_POINTS = [
     validate_queue_params(2.0, 0.5),
 ]
 
+HEAVY_POINTS = [
+    validate_queue_params(1.0, 3.0),
+    validate_queue_params(1.0, 5.0),
+]
+
 RAMP = BetaSpec(knots=((0.0, 0.0), (1.0, 0.2)))
 
 
-def matrix():
-    for p in PARAM_POINTS:
+def matrix(points=PARAM_POINTS):
+    for p in points:
         lo, hi = beta_bounds(p)
         for beta in (lo, 0.0, 0.5 * hi, hi):
             yield p, beta
@@ -61,7 +68,7 @@ def vb(p, beta):
 
 def test_criterion_1_series_equals_closed_form():
     worst = 0.0
-    for p, beta in matrix():
+    for p, beta in matrix(PARAM_POINTS + HEAVY_POINTS):
         b, z = ServiceLaw(p, vb(p, beta)).series
         ts = b.times
         worst = max(
@@ -102,7 +109,7 @@ def test_criterion_3_confluent_limit():
 
 def test_criterion_4_mean_identities():
     worst = 0.0
-    for p, beta in matrix():
+    for p, beta in matrix(PARAM_POINTS + HEAVY_POINTS):
         if p.lam + beta <= 0:
             continue
         pairs = (
@@ -112,7 +119,7 @@ def test_criterion_4_mean_identities():
         )
         worst = max(worst, *(abs(m - t) / t for m, t in pairs))
     # degenerate endpoint checked against its own collapsed means
-    for p in PARAM_POINTS:
+    for p in PARAM_POINTS + HEAVY_POINTS:
         z = cf.busy_cycle_curve(p, -p.lam)
         worst = max(worst, abs(z.mean - 1.0 / p.lam) * p.lam)
     report(4, worst < 1e-6,

@@ -421,12 +421,16 @@ def test_table_ending_at_degenerate_endpoint_is_the_degenerate_law(tmp_path, cap
     ("t,beta\n0,-1\n1e300,0\n", []),
 ])
 def test_verify_bad_input_exits_invalid(table, extra, tmp_path, capsys):
+    # simulate too, and before it draws a cycle or writes a line of --out
     path = tmp_path / "beta.csv"
     path.write_text(table)
-    code, _, err = run(["verify", "--lambda", "1", "--rho", "1",
-                        "--beta-file", str(path), *extra], capsys)
-    assert code == EXIT_INVALID
-    assert err.startswith("error: ") and "Traceback" not in err
+    out = tmp_path / "out.csv"
+    for command in ("verify", "simulate"):
+        code, _, err = run([command, "--lambda", "1", "--rho", "1", "--beta-file", str(path),
+                            "--cycles", "100", "--out", str(out), *extra], capsys)
+        assert code == EXIT_INVALID
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [

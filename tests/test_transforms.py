@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from mginf import closed_form as cf
 from mginf.errors import NegativeS, StepMismatch, StepTooCoarse
@@ -20,9 +21,13 @@ from mginf.transforms import (
     busy_period_laplace_general,
     default_grid,
     grid_convolve,
+    _fft_size,
+    _product,
+    _reciprocal,
 )
 
 P11 = validate_queue_params(1.0, 1.0)
+RAMP = BetaSpec(knots=((0.0, 0.0), (1.0, 0.2)))
 PLN2 = validate_queue_params(1.0, math.log(2))
 
 
@@ -64,6 +69,76 @@ def test_convolve_commutes():
 def test_convolve_step_mismatch():
     with pytest.raises(StepMismatch):
         grid_convolve(GridFunction(0.1, np.ones(4)), GridFunction(0.2, np.ones(4)))
+
+
+# ---- solve kernels: FFT lengths, products, reciprocal, busy-cycle recurrence --
+
+def smooth_numbers(limit):
+    """Every 2^a 3^b 5^c <= limit, sorted."""
+    return sorted(2**a * 3**b * 5**c for a in range(limit.bit_length()) for b in range(12)
+                  for c in range(9) if 2**a * 3**b * 5**c <= limit)
+
+
+def test_fft_size_is_the_smallest_5_smooth_length():
+    smooth = smooth_numbers(6000)
+    for n in range(1, 5001):
+        assert _fft_size(n) == smooth[np.searchsorted(smooth, n)], n
+
+
+def reciprocal_lengths():
+    """1..39, every 5-smooth length up to 1100 and its neighbours, and 1100."""
+    return sorted(set(range(1, 40)) | {1100} | {m + d for m in smooth_numbers(1100)
+                                                for d in (-1, 0, 1) if m + d >= 1})
+
+
+def test_reciprocal_inverts_the_series():
+    # a = a0 (1 - u) with |u|_1 = 0.9, as in the grid solve, so 1/a stays bounded
+    rng = np.random.default_rng(7)
+    for n in reciprocal_lengths():
+        u = rng.uniform(-1.0, 1.0, n - 1)
+        if n > 1:
+            u *= 0.9 / np.abs(u).sum()
+        a = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0) * np.concatenate([[1.0], -u])
+        g = _reciprocal(a)
+        assert len(g) == n
+        one = np.zeros(n)
+        one[0] = 1.0
+        assert np.max(np.abs(_product(a, g, n) - one)) <= 1e-13, n
+        if n <= 300:
+            toeplitz = np.tril(a[np.subtract.outer(np.arange(n), np.arange(n)) % n])
+            dense = np.linalg.solve(toeplitz, one)
+            assert np.max(np.abs(g - dense)) <= 1e-13 * max(1.0, np.max(np.abs(dense))), n
+
+
+@given(hnp.arrays(np.float64, st.integers(1, 300), elements=st.floats(-1e3, 1e3)),
+       hnp.arrays(np.float64, st.integers(1, 300), elements=st.floats(-1e3, 1e3)),
+       st.floats(0.0, 1.0))
+@settings(max_examples=100, deadline=None)
+def test_product_matches_np_convolve(a, b, frac):
+    n = max(1, int(frac * (len(a) + len(b) - 1)))
+    got = _product(a, b, n)
+    want = np.convolve(a[:n], b[:n])[:n]
+    assert len(got) == len(want)
+    scale = math.sqrt(len(a) * len(b)) * np.max(np.abs(a)) * np.max(np.abs(b))
+    assert np.max(np.abs(got - want)) <= 1e-13 * scale + 1e-300  # 1e-300: underflow
+
+
+def test_busy_cycle_recurrence_equals_grid_convolve():
+    p3 = validate_queue_params(1.0, 3.0)
+    ts = np.arange(14001) * 0.05
+    cases = [
+        (p3, law_for(p3, 0.0).series[0]),
+        (P11, ServiceLaw(P11, validate_beta(P11, RAMP)).series[0]),
+        # h lambda = 0.05: blocks of 4000 points, three and a half of them
+        (p3, GridFunction(0.05, cf.busy_period_cdf(p3, 0.0, ts))),
+        # h lambda = 250 > 200: blocks of one point
+        (P11, GridFunction(250.0, np.linspace(0.4, 1.0, 7))),
+    ]
+    for p, b in cases:
+        idle = GridFunction(b.step, p.lam * np.exp(-p.lam * b.times))
+        want = grid_convolve(idle, b).values
+        z = busy_cycle_cdf_series(p, b)
+        assert np.max(np.abs(z.values - want)) <= 1e-13 * max(1.0, np.max(np.abs(want))), b.step
 
 
 # ---- Laplace transforms ----------------------------------------------------
