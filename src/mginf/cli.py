@@ -24,7 +24,9 @@ from pathlib import Path
 import numpy as np
 
 from . import closed_form as cf
-from .errors import MginfError, NegativeParameter, NonFiniteParameter, NonPositiveParameter
+from .errors import (
+    EmptySample, MginfError, NegativeParameter, NonFiniteParameter, NonPositiveParameter,
+)
 from .law import ServiceLaw
 from .params import BetaSpec, load_beta_table, validate_beta, validate_queue_params
 from .simulate import empirical_cdf, ks_distance, run_cycles, cycle_summary
@@ -231,12 +233,6 @@ def _format_block(v: np.ndarray, ncols: int) -> str:
 CSV_BLOCK_VALUES = 1 << 13
 
 
-def _open_out(config: RunConfig):
-    if config.out is None:
-        return sys.stdout
-    return open(config.out, "w", newline="\n")
-
-
 def write_csv(out, header: str, columns) -> None:
     """Header line, then one `%.17g` row per index of the equal-length columns.
 
@@ -254,12 +250,10 @@ def write_csv(out, header: str, columns) -> None:
 
 
 def _write_output(config: RunConfig, header: str, columns) -> None:
-    out = _open_out(config)
-    try:
+    if config.out is None:
+        return write_csv(sys.stdout, header, columns)
+    with open(config.out, "w", newline="\n") as out:
         write_csv(out, header, columns)
-    finally:
-        if out is not sys.stdout:
-            out.close()
 
 
 def cmd_eval(config: RunConfig) -> int:
@@ -278,6 +272,8 @@ def cmd_eval(config: RunConfig) -> int:
 
 
 def cmd_simulate(config: RunConfig) -> int:
+    if config.cycles < 2:  # the summary's standard errors need two; reject before any output
+        raise EmptySample(f"simulate needs --cycles >= 2, got {config.cycles}")
     law = config.law
     samples = run_cycles(law.params, law.quantile, config.cycles, config.seed)
     _write_output(config, "busy,idle,cycle", (samples.busy, samples.idle, samples.cycle))

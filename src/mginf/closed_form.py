@@ -70,22 +70,22 @@ def _check_time(t) -> np.ndarray:
     return t
 
 
-def _ret(x: np.ndarray, scalar: bool):
-    return float(x) if scalar else x
+def _ret(x: np.ndarray, like: np.ndarray):
+    """x as a float when the argument it was computed from is a scalar."""
+    return float(x) if like.ndim == 0 else x
 
 
 def service_cdf(params: QueueParams, beta: float, t) -> float | np.ndarray:
     """G(t) for constant beta; G == 1 at the degenerate endpoint beta = -lambda."""
     _check_beta(params, beta)
     tt = _check_time(t)
-    scalar = tt.ndim == 0
     lam, q0 = params.lam, params.exp_neg_rho
     s = lam + beta
     if s <= 0:
-        return _ret(np.ones_like(tt), scalar)
+        return _ret(np.ones_like(tt), tt)
     e = np.exp(-s * tt)
     g = 1.0 - (1.0 - q0) * s * e / (lam * q0 + lam * (1.0 - q0) * e)
-    return _ret(g, scalar)
+    return _ret(g, tt)
 
 
 def service_atom(params: QueueParams, beta: float) -> float:
@@ -110,18 +110,17 @@ def service_quantile(params: QueueParams, beta: float, u) -> float | np.ndarray:
     live = uu > service_atom(params, beta)
     v = (1.0 - uu[live]) * lam
     t[live] = np.log((1.0 - q0) * (s - v) / (v * q0)) / s
-    return _ret(np.maximum(t, 0.0), uu.ndim == 0)
+    return _ret(np.maximum(t, 0.0), uu)
 
 
 def busy_period_cdf(params: QueueParams, beta: float, t) -> float | np.ndarray:
     """B(t): atom of size G(0) plus an exponential of rate e^{-rho}(lambda+beta)."""
     _check_beta(params, beta)
     tt = _check_time(t)
-    scalar = tt.ndim == 0
     lam, q0 = params.lam, params.exp_neg_rho
     s = lam + beta
     b = 1.0 - (s / lam) * (1.0 - q0) * np.exp(-q0 * s * tt)
-    return _ret(b, scalar)
+    return _ret(b, tt)
 
 
 def busy_cycle_cdf(params: QueueParams, beta: float, t) -> float | np.ndarray:
@@ -136,7 +135,6 @@ def busy_cycle_cdf(params: QueueParams, beta: float, t) -> float | np.ndarray:
     """
     _check_beta(params, beta)
     tt = _check_time(t)
-    scalar = tt.ndim == 0
     lam, q0 = params.lam, params.exp_neg_rho
     s = lam + beta
     x = (1.0 - q0) * s
@@ -147,18 +145,17 @@ def busy_cycle_cdf(params: QueueParams, beta: float, t) -> float | np.ndarray:
         z = 1.0 - np.exp(-lam * tt) + x * np.exp(-q0 * s * tt) * np.expm1(-d * tt) / d
     else:
         z = 1.0 - np.exp(-lam * tt) * (1.0 + x * np.expm1(d * tt) / d)
-    return _ret(z, scalar)
+    return _ret(z, tt)
 
 
 def empty_probability(params: QueueParams, beta: float, t) -> float | np.ndarray:
     """p00(t) = e^{-lambda int_0^t [1-G]}; closed form e^{-rho} + (1-e^{-rho})e^{-(lambda+beta)t}."""
     _check_beta(params, beta)
     tt = _check_time(t)
-    scalar = tt.ndim == 0
     q0 = params.exp_neg_rho
     s = params.lam + beta
     p = q0 + (1.0 - q0) * np.exp(-s * tt)
-    return _ret(p, scalar)
+    return _ret(p, tt)
 
 
 def busy_start_empty_probability(params: QueueParams, beta: float, t) -> float | np.ndarray:
@@ -178,14 +175,13 @@ def monotony_indicator(params: QueueParams, beta: float, t) -> float | np.ndarra
     if beta <= -params.lam:
         raise DegenerateDistribution("no density at beta = -lambda")
     tt = _check_time(t)
-    scalar = tt.ndim == 0
     lam, q0 = params.lam, params.exp_neg_rho
     s = lam + beta
     e = np.exp(-s * tt)
     d = lam * (q0 + (1.0 - q0) * e)
     hazard = s * lam * q0 / d
     g = 1.0 - (1.0 - q0) * s * e / d
-    return _ret(hazard - lam * g, scalar)
+    return _ret(hazard - lam * g, tt)
 
 
 class EnvelopeBounds(NamedTuple):
@@ -204,15 +200,12 @@ def envelope_bounds(params: QueueParams, t) -> EnvelopeBounds:
     exponential idle-period CDF, bounds Z for every beta.
     """
     tt = _check_time(t)
-    scalar = tt.ndim == 0
     lam = params.lam
     hi = lam / math.expm1(params.rho)
     bp_floor = -np.expm1(-hi * tt)
     cycle_ceiling = -np.expm1(-lam * tt)
     cycle_floor = busy_cycle_cdf(params, hi, tt)
-    return EnvelopeBounds(
-        _ret(bp_floor, scalar), _ret(cycle_floor, scalar), _ret(cycle_ceiling, scalar)
-    )
+    return EnvelopeBounds(_ret(bp_floor, tt), _ret(cycle_floor, tt), _ret(cycle_ceiling, tt))
 
 
 @dataclass(frozen=True)
@@ -238,28 +231,17 @@ def _survival_mean(cdf: Callable, tail_rate: float) -> float:
 
 
 def service_curve(params: QueueParams, beta: float) -> DistributionCurve:
-    s = params.lam + beta
-    return DistributionCurve(
-        atom_at_zero=service_atom(params, beta),
-        cdf=lambda t: service_cdf(params, beta, t),
-        tail_rate=s,
-    )
+    return DistributionCurve(service_atom(params, beta), lambda t: service_cdf(params, beta, t),
+                             params.lam + beta)
 
 
 def busy_period_curve(params: QueueParams, beta: float) -> DistributionCurve:
-    s = params.lam + beta
-    return DistributionCurve(
-        atom_at_zero=service_atom(params, beta),
-        cdf=lambda t: busy_period_cdf(params, beta, t),
-        tail_rate=params.exp_neg_rho * s,
-    )
+    return DistributionCurve(service_atom(params, beta),
+                             lambda t: busy_period_cdf(params, beta, t),
+                             params.exp_neg_rho * (params.lam + beta))
 
 
 def busy_cycle_curve(params: QueueParams, beta: float) -> DistributionCurve:
     s = params.lam + beta
     slow = min(params.lam, params.exp_neg_rho * s) if s > 0 else params.lam
-    return DistributionCurve(
-        atom_at_zero=0.0,
-        cdf=lambda t: busy_cycle_cdf(params, beta, t),
-        tail_rate=slow,
-    )
+    return DistributionCurve(0.0, lambda t: busy_cycle_cdf(params, beta, t), slow)

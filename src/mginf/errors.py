@@ -69,5 +69,9 @@ class GridTooLarge(MginfError):
     """A time grid of more than MAX_GRID_POINTS points."""
 
 
+class SimulationTooLarge(MginfError):
+    """A Monte Carlo run whose expected work exceeds MAX_CUSTOMERS."""
+
+
 class EmptySample(MginfError):
     pass

@@ -7,9 +7,9 @@ mass Phi = int_0^t f / I,
     G = 1 - (1 - e^{-rho}) phi / (lambda (1 - (1 - e^{-rho}) Phi)).
 
 Beyond the last beta knot the kernel is exactly exponential with rate
-r = lambda + beta(inf), so Phi splits into a numeric part on [0, t_knot] plus
-an analytic tail, and G inverts in closed form there; for constant beta
-(t_knot = 0) the whole computation is analytic.  Every admissible beta,
+r = lambda + beta(inf), so f, Phi and G are closed form there, with no beta
+integral, and G inverts in closed form; only [0, t_knot] is numeric, and for
+constant beta (t_knot = 0) nothing is.  Every admissible beta,
 constant, tabulated or the degenerate endpoint beta = -lambda, is one law: at
 r = 0 the integral diverges, 1/I is exactly 0, so phi == Phi == 0 and G == 1,
 the limit of the formula above.  Only the busy-period and busy-cycle laws
@@ -27,16 +27,26 @@ import numpy as np
 from . import closed_form as cf
 from . import transforms
 from .errors import (
-    BetaOutOfRange, DivergentKernelIntegral, GridTooLarge, NegativeTime, ProbabilityOutOfRange,
+    BetaOutOfRange, DivergentKernelIntegral, GridTooLarge, NegativeTime, NonFiniteParameter,
+    ProbabilityOutOfRange,
 )
 from .params import QueueParams, ValidatedBeta
 from .transforms import MAX_GRID_POINTS, GridFunction, GridSpec, default_grid
 
 
 def _service_cdf(params: QueueParams, phi, mass):
-    """G from normalised kernel values phi and their prefix masses Phi."""
+    """G from normalised kernel values phi and their prefix masses Phi; p00 must not round to 0."""
     one_m_q0 = 1.0 - params.exp_neg_rho
-    return 1.0 - one_m_q0 * phi / (params.lam * (1.0 - one_m_q0 * mass))
+    p00 = 1.0 - one_m_q0 * mass  # >= e^-rho, but it cancels to 0 once e^-rho < 2^-54
+    if np.any(p00 <= 0.0):
+        raise NonFiniteParameter(f"p00 = 1 - (1 - e^-rho) Phi(t) rounds to 0 at rho = "
+                                 f"{params.rho:g}: G cannot be evaluated this far out")
+    return 1.0 - one_m_q0 * phi / (params.lam * p00)
+
+
+def _like(t, values: np.ndarray):
+    """values, computed on np.atleast_1d(t), as a float when t is a scalar."""
+    return float(values[0]) if np.ndim(t) == 0 else values
 
 
 class ServiceLaw:
@@ -53,12 +63,13 @@ class ServiceLaw:
 
     The constructor integrates the kernel once on [0, t_knot], with a step of
     at most 1e-3/(lambda + max|beta|), the kernel's own rate, and caches 1/I,
-    the tail constant m, G(0) and G(t_knot).  With body = int_0^{t_knot} f and
-    f_end = f(t_knot), r I = r body + f_end, so 1/I = r/(r body + f_end) and
-    m = f_end/(r body + f_end) are finite for every r >= 0; only r < 0, where
-    f grows, is rejected.  Without a closed form the series grid is sized here
-    too, so a grid beyond MAX_GRID_POINTS raises GridTooLarge before any
-    caller simulates or writes output.
+    f(t_knot), Phi(t_knot), the tail constant m, G(0) and G(t_knot): past
+    t_knot, G, f and Phi are closed form in them, not only the quantile.
+    With body = int_0^{t_knot} f and f_end = f(t_knot), r I = r body + f_end,
+    so 1/I = r/(r body + f_end) and m = f_end/(r body + f_end) are finite for
+    every r >= 0; only r < 0, where f grows, is rejected.  Without a closed
+    form the series grid is sized here too, so a grid beyond MAX_GRID_POINTS
+    raises GridTooLarge before any caller simulates or writes output.
     """
 
     def __init__(self, params: QueueParams, vbeta: ValidatedBeta, grid: GridSpec | None = None):
@@ -86,11 +97,12 @@ class ServiceLaw:
             n = max(math.ceil(cells), 100)
             self.grid_t = ts = np.linspace(0.0, t_knot, n + 1)
             h = ts[1] - ts[0]
-            self.grid_f = self.kernel(ts)
-            cells = h / 6.0 * (self.grid_f[:-1] + 4.0 * self.kernel(ts[:-1] + 0.5 * h)
+            self.grid_f = self._integrand(ts)
+            cells = h / 6.0 * (self.grid_f[:-1] + 4.0 * self._integrand(ts[:-1] + 0.5 * h)
                                + self.grid_f[1:])
             self.grid_prefix = np.concatenate([[0.0], np.cumsum(cells)])
             body, f_end = float(self.grid_prefix[-1]), float(self.grid_f[-1])
+        self.f_knot = f_end
         r_total = tail_rate * body + f_end  # r I
         self.inv_total = inv_total = tail_rate / r_total  # 1/I; exactly 0 when r = 0
         self.mass_knot = inv_total * body  # Phi(t_knot)
@@ -109,44 +121,50 @@ class ServiceLaw:
                 "the service CDF G would decrease there"
             )
 
-    def kernel(self, t) -> np.ndarray:
-        """f(t), evaluated exactly from the cumulative beta integral."""
+    def _integrand(self, t: np.ndarray) -> np.ndarray:
+        """f(t) = exp(-lambda t - int_0^t beta), exact for every t >= 0."""
+        return np.exp(-self.params.lam * t - self.spec.cumulative(t))
+
+    def _kernel_mass(self, t, mass: bool = True):
+        """f and, if mass, Phi on np.atleast_1d(t) >= 0: what cdf, kernel and prefix_mass read.
+
+        Past t_knot both are closed form in x = -r (t - t_knot): f = f(t_knot) e^x and
+        Phi = Phi(t_knot) + m (1 - e^x), finite at r = 0, with no call to `cumulative`.
+        Before t_knot f is the exact integrand, evaluated once per point, and Phi is
+        the certified grid prefix plus a Simpson residual that reuses it.
+        """
         tt = np.asarray(t, dtype=float)
-        return np.exp(-self.params.lam * tt - self.spec.cumulative(tt))
+        if np.any(tt < 0):
+            raise NegativeTime("t must be >= 0")
+        t = np.atleast_1d(tt)
+        x = -self.tail_rate * np.maximum(t - self.t_knot, 0.0)  # 0 before t_knot, replaced below
+        f = self.f_knot * np.exp(x)
+        phi_mass = self.mass_knot + self.tail_mass * -np.expm1(x) if mass else None
+        body = t < self.t_knot  # none for constant beta
+        if body.any():
+            tb = t[body]
+            f[body] = fb = self._integrand(tb)
+            if mass:  # the grid prefix plus Simpson over [t0, t]
+                idx = np.clip((tb // self.grid_t[1]).astype(int), 0, len(self.grid_t) - 1)
+                t0 = self.grid_t[idx]
+                dt = tb - t0
+                fm = self._integrand(t0 + 0.5 * dt)
+                cell = dt / 6.0 * (self.grid_f[idx] + 4.0 * fm + fb)
+                phi_mass[body] = self.inv_total * (self.grid_prefix[idx] + cell)
+        return f, phi_mass
+
+    def kernel(self, t) -> float | np.ndarray:
+        """f(t) = exp(-lambda t - int_0^t beta(u) du); f(t_knot) e^{-r (t - t_knot)} past t_knot."""
+        return _like(t, self._kernel_mass(t, mass=False)[0])
 
     def prefix_mass(self, t) -> float | np.ndarray:
         """Phi(t) = int_0^t f / I; the tail part m (1 - e^{-r (t - t_knot)}) is finite at r = 0."""
-        tt = np.asarray(t, dtype=float)
-        if np.any(tt < 0):
-            raise NegativeTime("t must be >= 0")
-        scalar = tt.ndim == 0
-        tt = np.atleast_1d(tt)
-        out = np.empty_like(tt)
-        inside = tt < self.t_knot
-        if np.any(inside):
-            out[inside] = self.inv_total * self._prefix_numeric(tt[inside])
-        if np.any(~inside):
-            decay = -np.expm1(-self.tail_rate * (tt[~inside] - self.t_knot))
-            out[~inside] = self.mass_knot + self.tail_mass * decay
-        return float(out[0]) if scalar else out
-
-    def _prefix_numeric(self, t: np.ndarray) -> np.ndarray:
-        h = self.grid_t[1] - self.grid_t[0]
-        idx = np.clip((t // h).astype(int), 0, len(self.grid_t) - 1)
-        t0 = self.grid_t[idx]
-        # Simpson over the residual [t0, t]; f evaluated exactly at 3 points
-        dt = t - t0
-        fm = self.kernel(t0 + 0.5 * dt)
-        ft = self.kernel(t)
-        return self.grid_prefix[idx] + dt / 6.0 * (self.grid_f[idx] + 4.0 * fm + ft)
+        return _like(t, self._kernel_mass(t)[1])
 
     def cdf(self, t) -> float | np.ndarray:
         """G(t) = 1 - (1 - e^{-rho}) phi(t) / (lambda (1 - (1 - e^{-rho}) Phi(t)))."""
-        tt = np.asarray(t, dtype=float)
-        if np.any(tt < 0):
-            raise NegativeTime("t must be >= 0")
-        g = _service_cdf(self.params, self.inv_total * self.kernel(tt), self.prefix_mass(tt))
-        return float(g) if tt.ndim == 0 else g
+        f, mass = self._kernel_mass(t)
+        return _like(t, _service_cdf(self.params, self.inv_total * f, mass))
 
     def quantile(self, u) -> float | np.ndarray:
         """Inverse of `cdf`, vectorised over u in [0, 1); exactly 0 for u <= G(0).

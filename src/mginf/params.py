@@ -56,6 +56,7 @@ class BetaSpec:
     _ts: np.ndarray = field(init=False, repr=False, compare=False)
     _vs: np.ndarray = field(init=False, repr=False, compare=False)
     _prefix: np.ndarray = field(init=False, repr=False, compare=False)  # int_0^{t_k} beta
+    _slope: np.ndarray = field(init=False, repr=False, compare=False)  # per segment; 0 past the end
 
     def __post_init__(self):
         if (self.constant is None) == (self.knots is None):
@@ -68,18 +69,20 @@ class BetaSpec:
                 raise InvalidTable("first knot must be at t = 0")
             if any(b <= a for a, b in zip(ts, ts[1:])):
                 raise InvalidTable("knot abscissae must be strictly increasing")
-            if not all(math.isfinite(t) and math.isfinite(v) for t, v in self.knots):
-                raise NonFiniteParameter("non-finite knot in beta table")
         knots = self.knots if self.knots is not None else ((0.0, self.constant),)
         ts = np.array([k[0] for k in knots], dtype=float)
         vs = np.array([k[1] for k in knots], dtype=float)
+        if not np.all(np.isfinite(ts) & np.isfinite(vs)):
+            raise NonFiniteParameter("beta values and knots must be finite")
         with np.errstate(over="ignore", invalid="ignore"):
             prefix = np.concatenate([[0.0], np.cumsum(0.5 * (vs[1:] + vs[:-1]) * np.diff(ts))])
+            slope = np.append(np.diff(vs) / np.diff(ts), 0.0)
         if not np.all(np.isfinite(prefix)):
             raise NonFiniteParameter("the integral of the beta table overflows")
         object.__setattr__(self, "_ts", ts)
         object.__setattr__(self, "_vs", vs)
         object.__setattr__(self, "_prefix", prefix)
+        object.__setattr__(self, "_slope", slope)
 
     @property
     def last_knot(self) -> float:
@@ -100,15 +103,16 @@ class BetaSpec:
         return float(self._vs[-1])
 
     def cumulative(self, t):
-        """int_0^t beta(u) du, exact for the piecewise-linear table; vectorized."""
+        """int_0^t beta(u) du for t >= 0, exact for the piecewise-linear table; vectorized.
+
+        One search finds each t's segment; beta(t) there is the segment's slope
+        times the offset plus its left knot, the same arithmetic as np.interp.
+        """
         t = np.asarray(t, dtype=float)
-        ts, vs = self._ts, self._vs
-        idx = np.clip(np.searchsorted(ts, t, side="right") - 1, 0, len(ts) - 1)
-        dt = t - ts[idx]
-        bl = vs[idx]
-        # interpolated beta at t (constant beyond the last knot)
-        bt = np.interp(t, ts, vs)
-        out = self._prefix[idx] + 0.5 * (bl + bt) * dt
+        idx = np.maximum(np.searchsorted(self._ts, t, side="right") - 1, 0)
+        dt = t - self._ts[idx]
+        bl = self._vs[idx]
+        out = self._prefix[idx] + 0.5 * (bl + (self._slope[idx] * dt + bl)) * dt
         return out if out.shape else float(out)
 
 

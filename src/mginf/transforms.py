@@ -207,6 +207,7 @@ def busy_cycle_cdf_series(params: QueueParams, b: GridFunction) -> GridFunction:
         carry = t[start + len(block) - 1]
     idle = np.exp(-params.lam * b.times)
     z = x / -math.expm1(-x) * (bv - q * t) - 0.5 * x * (bv + bv[0] * idle)
+    z[0] = 0.0  # exact: the idle period is positive almost surely (rounding left ~1e-17)
     return GridFunction(step=b.step, values=z)
 
 

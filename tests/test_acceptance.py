@@ -269,3 +269,13 @@ def test_criterion_10_determinism(tmp_path, capsys):
     ok = files[0] == files[1] and summaries[0] == summaries[1] and reports[0] == reports[1]
     with capsys.disabled():
         report(10, ok, "repeated simulate and verify runs are byte-identical")
+
+
+def test_busy_cycle_series_is_a_probability():
+    # Z(0) = 0 exactly (the idle period is positive almost surely), and Z >= 0 on every grid
+    laws = [ServiceLaw(p, vb(p, beta)) for p, beta in matrix(PARAM_POINTS + HEAVY_POINTS)]
+    laws += [ServiceLaw(p, validate_beta(p, RAMP)) for p in PARAM_POINTS]
+    for law in laws:
+        z = law.series[1].values
+        assert z[0] == 0.0
+        assert np.min(z) >= 0.0

@@ -148,6 +148,31 @@ def test_simulate_rejects_zero_cycles(capsys):
     assert code == EXIT_INVALID
 
 
+def test_simulate_one_cycle_exits_invalid_before_writing(tmp_path, capsys):
+    # one cycle has no standard error: rejected before a draw, so no partial --out
+    out = tmp_path / "s.csv"
+    code, _, err = run(["simulate", "--lambda", "1", "--rho", "1", "--beta", "0",
+                        "--cycles", "1", "--out", str(out)], capsys)
+    assert code == EXIT_INVALID
+    assert err.startswith("error: ") and "--cycles >= 2" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,extra,reason", [
+    # about e^40 = 2.4e17 customers per cycle: rejected before any draw
+    ("simulate", [], "customers"),
+    # a small series grid passes; then e^-40 < 2^-54 cancels p00 far out in G's tail
+    ("verify", ["--t-max", "1", "--step", "0.1"], "p00"),
+])
+def test_rho_40_exits_invalid_never_hangs(command, extra, reason, tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    code, _, err = run([command, "--lambda", "1", "--rho", "40", "--beta", "0",
+                        "--cycles", "2", "--out", str(out), *extra], capsys)
+    assert code == EXIT_INVALID
+    assert err.startswith("error: ") and reason in err
+    assert not out.exists()
+
+
 # ---- verify ----------------------------------------------------------------
 
 FLOOR_CHECKS = ("busy period above exponential floor", "busy cycle above floor")
@@ -461,3 +486,54 @@ def test_non_utf8_table_exits_invalid(tmp_path, capsys):
     code, _, err = run(["eval", "--lambda", "1", "--rho", "1", "--beta-file", str(path)], capsys)
     assert code == EXIT_INVALID
     assert err.startswith("error: ") and "UTF-8" in err
+
+
+# ---- any input: an exit code, never a traceback ----------------------------
+
+BAD_FLOATS = st.sampled_from([0.0, -1.0, math.nan, math.inf, -math.inf])
+
+
+def mostly(good, bad=BAD_FLOATS):
+    return st.integers(0, 7).flatmap(lambda k: bad if k == 0 else good)
+
+
+@st.composite
+def cli_argv(draw, work):
+    """Mostly valid runs on grids of at most about 50k points with at most 20 cycles.
+
+    Values follow "=", so argparse reads "-inf" as a value, not as an option.
+    """
+    lam = draw(mostly(st.floats(0.5, 2.0)))
+    rho = draw(mostly(st.floats(0.2, 3.0), BAD_FLOATS | st.sampled_from([40.0, 709.8, 1e6])))
+    argv = [draw(st.sampled_from(["eval", "simulate", "verify"])), f"--lambda={lam!r}",
+            f"--rho={rho!r}", f"--cycles={draw(st.integers(-1, 20))}",
+            f"--seed={draw(st.integers(-1, 2**64))}", f"--out={work / 'out.csv'}"]
+    lo, hi = -1.0, 1.0  # beta in units of the admissible range, a little beyond it too
+    if 0 < lam < math.inf and 0 < rho < 700:
+        lo, hi = -lam, lam / math.expm1(rho)
+    beta = mostly(st.floats(-0.2, 1.2).map(lambda u: lo + u * (hi - lo))).map(repr)
+    source = draw(st.sampled_from(["beta", "beta", "table", "table", "text", "both", "none"]))
+    if source in ("beta", "both"):
+        argv.append(f"--beta={draw(beta)}")
+    if source in ("table", "text", "both"):
+        rows, t = [f"0,{draw(beta)}"], 0.0
+        for dt in draw(st.lists(st.floats(0.05, 2.0), max_size=3)):
+            t += dt
+            rows.append(f"{t!r},{draw(beta)}")
+        text = "t,beta\n" + "\n".join(rows) + "\n"
+        if source == "text":
+            text = draw(st.text("0123456789.,-e\nnab", max_size=30))
+        (work / "beta.csv").write_text(text)
+        argv.append(f"--beta-file={work / 'beta.csv'}")
+    for flag, good in (("--t-max", st.floats(0.1, 20.0)), ("--step", st.floats(0.002, 0.5))):
+        value = draw(st.none() | mostly(good))
+        if value is not None:
+            argv.append(f"{flag}={value!r}")
+    return argv
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_main_ends_in_an_exit_code(tmp_path_factory, data):
+    argv = data.draw(cli_argv(tmp_path_factory.mktemp("fuzz")))
+    assert main(argv) in (EXIT_OK, EXIT_VERIFY_FAIL, EXIT_INVALID, EXIT_IO)

@@ -109,14 +109,15 @@ def test_cdf_matches_atom_at_zero():
 @pytest.mark.parametrize("p,beta", [
     (P11, 0.0), (P11, -0.5), (P11, 0.5819767068693265),
     (PLN2, 1.0), (PLN2, -0.3),
-    (validate_queue_params(2.0, 0.5), 1.0),
+    (validate_queue_params(2.0, 0.5), 1.0), (P11, -1.0),
 ])
 def test_constant_beta_equivalence(p, beta):
     law = ServiceLaw(p, validate_beta(p, BetaSpec(constant=beta)))
-    ts = np.linspace(0.0, 20.0, 100)
+    ts = np.linspace(0.0, 40.0, 4001)
     general = law.cdf(ts)
     closed = cf.service_cdf(p, beta, ts)
-    assert np.max(np.abs(general - closed)) < 1e-8
+    assert np.max(np.abs(general - closed)) <= 1e-15
+    assert law.cdf(1.5) == pytest.approx(float(cf.service_cdf(p, beta, 1.5)), abs=1e-15)
 
 
 def test_tabulated_mean_is_rho_over_lambda():
@@ -178,3 +179,41 @@ def test_kernel_grid_step_follows_the_kernel_rate():
     assert law.grid_t.size <= 2000
     u = np.linspace(law.atom, law.g_knot, 101)[1:-1]
     assert np.max(np.abs(law.cdf(law.quantile(u)) - u)) <= 1e-15
+
+
+THREE_KNOTS = BetaSpec(knots=((0.0, 0.3), (2.0, -0.2), (5.0, 0.1)))
+
+
+def integral_route(law, ts):
+    """f = exp(-lambda t - int beta) and Phi = Phi(t_knot) + fine Simpson of f past t_knot."""
+    f = np.exp(-law.params.lam * ts - law.spec.cumulative(ts))
+    n = 2**16  # Simpson cells on [t_knot, t]: error (r h)^4/180, under 1e-16 here
+    mass = []
+    for t in ts:
+        u = np.linspace(law.t_knot, t, 2 * n + 1)
+        fu = np.exp(-law.params.lam * u - law.spec.cumulative(u))
+        h = (t - law.t_knot) / (2 * n)
+        simpson = h / 3.0 * (fu[0] + fu[-1] + 4.0 * fu[1:-1:2].sum() + 2.0 * fu[2:-1:2].sum())
+        mass.append(law.mass_knot + law.inv_total * simpson)
+    return f, np.array(mass)
+
+
+@pytest.mark.parametrize("spec", [RAMP, THREE_KNOTS])
+def test_tail_closed_form_matches_integral_route(spec):
+    law = ServiceLaw(P11, validate_beta(P11, spec))
+    ts = law.t_knot + np.array([1e-3, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0])
+    f, mass = integral_route(law, ts)
+    assert np.allclose(law.kernel(ts), f, rtol=2e-15, atol=0)
+    assert np.allclose(law.prefix_mass(ts), mass, rtol=2e-15, atol=0)
+    g = 1.0 - (1.0 - P11.exp_neg_rho) * law.inv_total * f / (1.0 - (1.0 - P11.exp_neg_rho) * mass)
+    assert np.allclose(law.cdf(ts), g, rtol=2e-15, atol=0)
+
+
+@pytest.mark.parametrize("spec", [RAMP, THREE_KNOTS])
+def test_kernel_mass_and_cdf_are_continuous_at_the_last_knot(spec):
+    law = ServiceLaw(P11, validate_beta(P11, spec))
+    around = np.array([np.nextafter(law.t_knot, 0.0), law.t_knot, np.nextafter(law.t_knot, 9.0)])
+    for fn in (law.kernel, law.prefix_mass, law.cdf, law.p00):
+        vals = fn(around)
+        assert np.max(np.abs(np.diff(vals))) <= 2e-15 * np.max(np.abs(vals))
+    assert law.cdf(law.t_knot) == law.g_knot

@@ -212,3 +212,26 @@ def test_certificate_agrees_with_dense_sampling(b0, steps):
         assert avg.min() < lo + 0.05 or avg.max() > hi - 0.05
     else:
         assert avg.min() >= lo - 1e-12 and avg.max() <= hi + 1e-12
+
+
+def cumulative_by_interp(spec: BetaSpec, t):
+    """int_0^t beta with beta(t) read by np.interp, as BetaSpec.cumulative did with two searches."""
+    ts, vs = spec._ts, spec._vs
+    idx = np.clip(np.searchsorted(ts, t, side="right") - 1, 0, len(ts) - 1)
+    bl = vs[idx]
+    return spec._prefix[idx] + 0.5 * (bl + np.interp(t, ts, vs)) * (t - ts[idx])
+
+
+@given(st.lists(st.tuples(st.floats(1e-6, 10.0), st.floats(-50.0, 50.0)), max_size=8),
+       st.floats(-50.0, 50.0),
+       st.lists(st.floats(0.0, 100.0), min_size=1, max_size=20))
+@settings(max_examples=200, deadline=None)
+def test_cumulative_equals_the_interp_form(steps, b0, ts):
+    knots = [(0.0, b0)]
+    for dt, b in steps:
+        knots.append((knots[-1][0] + dt, b))
+    spec = BetaSpec(knots=tuple(knots))
+    t = np.array(ts + [k[0] for k in knots])  # the knots themselves too
+    # equal as floats: only the sign of a zero may differ (0.0 * dt + -0.0 is +0.0)
+    assert np.array_equal(spec.cumulative(t), cumulative_by_interp(spec, t))
+    assert spec.cumulative(t[0]) == cumulative_by_interp(spec, t[0])
