@@ -7,13 +7,14 @@ mass Phi = int_0^t f / I,
     G = 1 - (1 - e^{-rho}) phi / (lambda (1 - (1 - e^{-rho}) Phi)).
 
 Beyond the last beta knot the kernel is exactly exponential with rate
-r = lambda + beta(inf), so f, Phi and G are closed form there, with no beta
-integral, and G inverts in closed form; only [0, t_knot] is numeric, and for
-constant beta (t_knot = 0) nothing is.  Every admissible beta,
-constant, tabulated or the degenerate endpoint beta = -lambda, is one law: at
-r = 0 the integral diverges, 1/I is exactly 0, so phi == Phi == 0 and G == 1,
-the limit of the formula above.  Only the busy-period and busy-cycle laws
-choose: the closed forms when beta is constant, the series grids otherwise.
+r = lambda + beta(inf), so f, Phi, p00 = 1 - (1 - e^{-rho}) Phi and G are
+closed form there, with no beta integral, and G inverts in closed form;
+only [0, t_knot] is numeric, and for constant beta (t_knot = 0) nothing is.
+Every admissible beta, constant, tabulated or the degenerate endpoint
+beta = -lambda, is one law: at r = 0 the integral diverges, 1/I is exactly 0,
+so phi == Phi == 0 and G == 1, the limit of the formula above.  Only the
+busy-period and busy-cycle laws choose: the closed forms when beta is
+constant, the series grids otherwise.
 The grids are solved once per law, on first use.
 """
 
@@ -34,14 +35,12 @@ from .params import QueueParams, ValidatedBeta
 from .transforms import MAX_GRID_POINTS, GridFunction, GridSpec, default_grid
 
 
-def _service_cdf(params: QueueParams, phi, mass):
-    """G from normalised kernel values phi and their prefix masses Phi; p00 must not round to 0."""
-    one_m_q0 = 1.0 - params.exp_neg_rho
-    p00 = 1.0 - one_m_q0 * mass  # >= e^-rho, but it cancels to 0 once e^-rho < 2^-54
+def _service_cdf(params: QueueParams, phi, p00):
+    """G from normalised kernel values phi and p00 = 1 - (1 - e^{-rho}) Phi, which must not be 0."""
     if np.any(p00 <= 0.0):
         raise NonFiniteParameter(f"p00 = 1 - (1 - e^-rho) Phi(t) rounds to 0 at rho = "
                                  f"{params.rho:g}: G cannot be evaluated this far out")
-    return 1.0 - one_m_q0 * phi / (params.lam * p00)
+    return 1.0 - (1.0 - params.exp_neg_rho) * phi / (params.lam * p00)
 
 
 def _like(t, values: np.ndarray):
@@ -107,9 +106,13 @@ class ServiceLaw:
         self.inv_total = inv_total = tail_rate / r_total  # 1/I; exactly 0 when r = 0
         self.mass_knot = inv_total * body  # Phi(t_knot)
         self.tail_mass = f_end / r_total  # Phi(t) = 1 - m e^{-r (t - t_knot)} past t_knot
-        self.grid_g = _service_cdf(params, inv_total * self.grid_f, inv_total * self.grid_prefix)
-        self.atom = float(_service_cdf(params, inv_total, 0.0))  # f(0) = 1, Phi(0) = 0
-        self.g_knot = float(_service_cdf(params, inv_total * f_end, self.mass_knot))
+        q0 = params.exp_neg_rho
+        self.grid_g = _service_cdf(params, inv_total * self.grid_f,
+                                   1.0 - (1.0 - q0) * (inv_total * self.grid_prefix))
+        self.atom = float(_service_cdf(params, inv_total, 1.0))  # f(0) = 1, p00(0) = 1
+        # with the tail form of p00, as cdf evaluates it from t_knot on
+        p00_knot = q0 + (1.0 - q0) * self.tail_mass
+        self.g_knot = float(_service_cdf(params, inv_total * f_end, p00_knot))
         # G' = (1 - G)(beta + lambda G), so G is a CDF only while beta + lambda G >= 0.
         # Past the last knot beta is constant and G only rises, so [0, t_knot] suffices.
         slope = spec.value(self.grid_t) + params.lam * self.grid_g
@@ -126,32 +129,53 @@ class ServiceLaw:
         return np.exp(-self.params.lam * t - self.spec.cumulative(t))
 
     def _kernel_mass(self, t, mass: bool = True):
-        """f and, if mass, Phi on np.atleast_1d(t) >= 0: what cdf, kernel and prefix_mass read.
+        """f, e^x and, if mass, Phi on np.atleast_1d(t) >= 0: what cdf, kernel and prefix_mass read.
 
-        Past t_knot both are closed form in x = -r (t - t_knot): f = f(t_knot) e^x and
+        Past t_knot all are closed form in x = -r (t - t_knot): f = f(t_knot) e^x and
         Phi = Phi(t_knot) + m (1 - e^x), finite at r = 0, with no call to `cumulative`.
-        Before t_knot f is the exact integrand, evaluated once per point, and Phi is
-        the certified grid prefix plus a Simpson residual that reuses it.
+        Before t_knot x = 0, f is the exact integrand, evaluated once per point, and Phi
+        is `_body_mass`.
         """
         tt = np.asarray(t, dtype=float)
         if np.any(tt < 0):
             raise NegativeTime("t must be >= 0")
         t = np.atleast_1d(tt)
-        x = -self.tail_rate * np.maximum(t - self.t_knot, 0.0)  # 0 before t_knot, replaced below
-        f = self.f_knot * np.exp(x)
+        x = -self.tail_rate * np.maximum(t - self.t_knot, 0.0)  # 0 before t_knot
+        ex = np.exp(x)
+        f = self.f_knot * ex
         phi_mass = self.mass_knot + self.tail_mass * -np.expm1(x) if mass else None
         body = t < self.t_knot  # none for constant beta
         if body.any():
             tb = t[body]
             f[body] = fb = self._integrand(tb)
-            if mass:  # the grid prefix plus Simpson over [t0, t]
-                idx = np.clip((tb // self.grid_t[1]).astype(int), 0, len(self.grid_t) - 1)
-                t0 = self.grid_t[idx]
-                dt = tb - t0
-                fm = self._integrand(t0 + 0.5 * dt)
-                cell = dt / 6.0 * (self.grid_f[idx] + 4.0 * fm + fb)
-                phi_mass[body] = self.inv_total * (self.grid_prefix[idx] + cell)
-        return f, phi_mass
+            if mass:
+                phi_mass[body] = self._body_mass(tb, fb)
+        return f, ex, phi_mass
+
+    def _body_mass(self, tb: np.ndarray, fb: np.ndarray) -> np.ndarray:
+        """Phi at tb < t_knot, where f = fb: the certified grid prefix plus Simpson over [t0, tb]."""
+        idx = np.clip((tb // self.grid_t[1]).astype(int), 0, len(self.grid_t) - 1)
+        t0 = self.grid_t[idx]
+        dt = tb - t0
+        fm = self._integrand(t0 + 0.5 * dt)
+        cell = dt / 6.0 * (self.grid_f[idx] + 4.0 * fm + fb)
+        return self.inv_total * (self.grid_prefix[idx] + cell)
+
+    def _kernel_p00(self, t):
+        """f and p00 = 1 - (1 - e^{-rho}) Phi on np.atleast_1d(t) >= 0.
+
+        Past t_knot p00 = e^{-rho} + (1 - e^{-rho}) m e^x, two positive terms, where
+        1 - (1 - e^{-rho}) Phi would cancel down to its own rounding error as e^{-rho}
+        shrinks (G is off by 1.9e-4 at rho = 30 that way).
+        """
+        f, ex, _ = self._kernel_mass(t, mass=False)
+        q0 = self.params.exp_neg_rho
+        p00 = q0 + (1.0 - q0) * self.tail_mass * ex
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        body = t < self.t_knot
+        if body.any():
+            p00[body] = 1.0 - (1.0 - q0) * self._body_mass(t[body], f[body])
+        return f, p00
 
     def kernel(self, t) -> float | np.ndarray:
         """f(t) = exp(-lambda t - int_0^t beta(u) du); f(t_knot) e^{-r (t - t_knot)} past t_knot."""
@@ -159,12 +183,12 @@ class ServiceLaw:
 
     def prefix_mass(self, t) -> float | np.ndarray:
         """Phi(t) = int_0^t f / I; the tail part m (1 - e^{-r (t - t_knot)}) is finite at r = 0."""
-        return _like(t, self._kernel_mass(t)[1])
+        return _like(t, self._kernel_mass(t)[2])
 
     def cdf(self, t) -> float | np.ndarray:
-        """G(t) = 1 - (1 - e^{-rho}) phi(t) / (lambda (1 - (1 - e^{-rho}) Phi(t)))."""
-        f, mass = self._kernel_mass(t)
-        return _like(t, _service_cdf(self.params, self.inv_total * f, mass))
+        """G(t) = 1 - (1 - e^{-rho}) phi(t) / (lambda p00(t))."""
+        f, p00 = self._kernel_p00(t)
+        return _like(t, _service_cdf(self.params, self.inv_total * f, p00))
 
     def quantile(self, u) -> float | np.ndarray:
         """Inverse of `cdf`, vectorised over u in [0, 1); exactly 0 for u <= G(0).
@@ -201,8 +225,8 @@ class ServiceLaw:
         return float(t) if uu.ndim == 0 else t
 
     def p00(self, t):
-        """p00(t) = 1 - (1 - e^{-rho}) Phi(t), Phi the kernel's prefix mass."""
-        return 1.0 - (1.0 - self.params.exp_neg_rho) * self.prefix_mass(t)
+        """p00(t) = 1 - (1 - e^{-rho}) Phi(t), Phi the kernel's prefix mass; see `_kernel_p00`."""
+        return _like(t, self._kernel_p00(t)[1])
 
     def idle_cdf(self, t):
         """1 - e^{-lambda t}: the idle period is Exponential(lambda) for every beta."""

@@ -4,12 +4,20 @@ The busy-period transform has two equivalent routes: a nested-quadrature
 evaluation straight from the service CDF, and the kernel-based rational form.
 The time-domain CDF solves a Volterra convolution equation in the kernel; its
 trapezoidal discretisation on a uniform grid is a lower-triangular Toeplitz
-system (plus a rank-one term), solved exactly with a power-series reciprocal:
-Newton steps whose two products share one cyclic FFT of about the new length
-(middle product), then one product.  Every FFT length is the smallest 5-smooth
-number 2^a 3^b 5^c that holds the product.  The busy-cycle CDF is B convolved
-with the exponential idle-period density; that convolution is a first-order
-recurrence, evaluated in O(n) with no FFT.
+system (plus a rank-one term).  Past the last beta knot the kernel is exactly
+exponential, so the system's coefficients are geometric from lag J on (J the
+grid points before the knot): a_d = a_J q^(d-J).  The system is solved
+exactly in blocks of M >= 4J points (block by block with the history carried
+forward, as for Volterra convolution equations in general: Hairer, Lubich &
+Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985).  Each block uses one
+power-series reciprocal of a[:M]; the J points before it enter by a middle
+product (one vector update when J = 1), and all older points by one scalar
+carried from block to block.  A grid of at most 2M points is a single block.
+The reciprocal takes Newton steps whose two products share one cyclic FFT of
+about the new length (middle product).  Every FFT length is the smallest
+5-smooth number 2^a 3^b 5^c that holds the product.  The busy-cycle CDF is B
+convolved with the exponential idle-period density; that convolution is a
+first-order recurrence, evaluated in O(n) with no FFT.
 """
 
 from __future__ import annotations
@@ -60,9 +68,13 @@ class GridSpec:
     t_max: float
 
 
-# Largest time grid built: about 1.7 GB for the series solve at ~100 bytes per point
-# (748 MB peak RSS measured at rho = 8, 7.15M points).
+# Largest time grid built: about 0.75 GB for the series solve at ~45 bytes per point
+# (316 MB peak RSS measured at rho = 8, 7.15M points).
 MAX_GRID_POINTS = 2**24
+
+# Points per block of the busy-period solve (at least 4 J, J the points before
+# the last knot); a grid of at most two blocks is solved in one piece.
+SERIES_BLOCK = 4096
 
 
 def grid_points(t_max: float, step: float) -> int:
@@ -145,18 +157,54 @@ def grid_convolve(a: GridFunction, b: GridFunction) -> GridFunction:
 
 
 def _series_parts(law: ServiceLaw, grid: GridSpec):
-    """Grid samples of the kernel f, the bracket factor r, and the weight w."""
+    """Grid samples of the kernel f, the bracket factor r, the weight w and the lead J.
+
+    J = max(1, number of grid points before t_knot): f is exponential from t_J on.
+    """
     params = law.params
     h = grid.step
     rate = params.lam + law.spec.max_abs
     if h * rate > 0.01 * (1 + 1e-9):
         raise StepTooCoarse(f"step {h} too coarse for rates up to {rate}")
     ts = np.arange(grid_points(grid.t_max, h)) * h
-    f = law.kernel(ts)
+    lead = max(1, int(np.searchsorted(ts, law.t_knot)))
+    f, _, mass = law._kernel_mass(ts)  # one kernel pass for f and Phi
     one_m_q0 = 1.0 - params.exp_neg_rho
-    bracket = 1.0 - one_m_q0 * (law.inv_total * f / params.lam + law.prefix_mass(ts))
+    bracket = 1.0 - one_m_q0 * (law.inv_total * f / params.lam + mass)
     weight = one_m_q0 * law.inv_total
-    return f, bracket, weight
+    return f, bracket, weight, lead
+
+
+def _block_solve(a: np.ndarray, rhs: np.ndarray, lead: int, q: float, m: int) -> np.ndarray:
+    """The lower-triangular Toeplitz system a * B = rhs in blocks of m >= J = lead points.
+
+    Needs a_d = a_J q^(d-J) for every d >= J; the recurrence is in
+    `busy_period_cdf_series`.  The J points before a block enter by one middle
+    product with a[1:m+J], or for J = 1 by one vector update.
+    """
+    n = len(rhs)
+    size = _fft_size(2 * m - 1)
+    g_hat = np.fft.rfft(_reciprocal(a[:m]), size)
+    near_size = _fft_size(m + lead - 1)
+    near_hat = np.fft.rfft(a[1:m + lead], near_size)
+    steps = q ** np.arange(m + 1)  # q^0 .. q^m
+    b = np.empty(n)
+    carry = 0.0  # S for the block starting at s
+    for s in range(0, n, m):
+        e = min(s + m, n)
+        y = rhs[s:e].copy()
+        if s:
+            if lead == 1:  # constant beta: one point, one vector update
+                y -= a[1:1 + e - s] * b[s - 1]
+            else:
+                y -= np.fft.irfft(np.fft.rfft(b[s - lead:s], near_size) * near_hat,
+                                  near_size)[lead - 1:lead - 1 + e - s]
+            y -= a[lead] * carry * steps[1:e - s + 1]
+        b[s:e] = np.fft.irfft(np.fft.rfft(y, size) * g_hat, size)[:e - s]
+        # S moves on by m: its window gains B_j for j in [s - J, e - J)
+        lo = max(s - lead, 0)
+        carry = steps[m] * carry + (b[lo:e - lead] * steps[e - lead - lo - 1::-1]).sum()
+    return b
 
 
 def busy_period_cdf_series(law: ServiceLaw, grid: GridSpec) -> GridFunction:
@@ -165,16 +213,35 @@ def busy_period_cdf_series(law: ServiceLaw, grid: GridSpec) -> GridFunction:
     B = r + w K B, with bracket factor r = 1 - (1 - e^{-rho})(phi/lambda + Phi),
     weight w = (1 - e^{-rho})/I and
     K x = grid_convolve(x, f) = c * x - h x_0 f / 2, where c = h f except
-    c_0 = h f_0 / 2.  Row 0 gives B_0 = r_0, so
-    B = (r - w h r_0 f / 2) * (delta - w c)^{-1}: one power-series
-    reciprocal and one product.  This is the sum of the Neumann series
+    c_0 = h f_0 / 2.  Row 0 gives B_0 = r_0, so a * B = rhs with
+    a = delta - w c and rhs = r - w h r_0 f / 2: the sum of the Neumann series
     sum_k (w K)^k r with no term dropped.
+
+    Past the last knot f is exponential, so a_d = a_J q^(d-J) exactly for
+    every d >= J, with q = e^{-r h}, r the kernel's tail rate and
+    J = max(1, grid points with t < t_knot).  A grid of at most 2M points,
+    M = max(SERIES_BLOCK, 4J), is one block: B = rhs * (1/a), one power-series
+    reciprocal and one product.  A longer grid is solved in blocks [s, s+M):
+    for k in the block,
+
+        sum_{j=s}^{k} a_{k-j} B_j = rhs_k - sum_{j=s-J}^{s-1} a_{k-j} B_j
+                                    - a_J q^(k-s+1) S_s,
+
+    an M x M system solved with the one reciprocal of a[:M], where the scalar
+    S_s = sum_{j <= s-J-1} q^(s-J-1-j) B_j holds every older point and moves
+    on once a block: S_{s+M} = q^M S_s + sum_{j=s-J}^{s+M-J-1} q^(s+M-J-1-j) B_j.
     """
-    f, r, w = _series_parts(law, grid)
+    f, r, w, lead = _series_parts(law, grid)
     h = grid.step
+    n = len(r)
     a = -w * h * f  # delta - w c
     a[0] = 1.0 - 0.5 * w * h * f[0]
-    b = _product(r - 0.5 * w * h * r[0] * f, _reciprocal(a), len(r))
+    rhs = r - 0.5 * w * h * r[0] * f
+    m = max(SERIES_BLOCK, 4 * lead)
+    if n <= 2 * m:
+        b = _product(rhs, _reciprocal(a), n)
+    else:
+        b = _block_solve(a, rhs, lead, math.exp(-law.tail_rate * h), m)
     return GridFunction(step=h, values=b)
 
 

@@ -161,8 +161,9 @@ def test_simulate_one_cycle_exits_invalid_before_writing(tmp_path, capsys):
 @pytest.mark.parametrize("command,extra,reason", [
     # about e^40 = 2.4e17 customers per cycle: rejected before any draw
     ("simulate", [], "customers"),
-    # a small series grid passes; then e^-40 < 2^-54 cancels p00 far out in G's tail
-    ("verify", ["--t-max", "1", "--step", "0.1"], "p00"),
+    # every check before the Monte Carlo one evaluates G far out in its tail
+    # (p00 there is e^-40 + (1 - e^-40) e^-t, no cancellation); then the same guard
+    ("verify", ["--t-max", "1", "--step", "0.1"], "customers"),
 ])
 def test_rho_40_exits_invalid_never_hangs(command, extra, reason, tmp_path, capsys):
     out = tmp_path / "s.csv"
@@ -170,6 +171,22 @@ def test_rho_40_exits_invalid_never_hangs(command, extra, reason, tmp_path, caps
                         "--cycles", "2", "--out", str(out), *extra], capsys)
     assert code == EXIT_INVALID
     assert err.startswith("error: ") and reason in err
+    assert not out.exists()
+
+
+def test_rho_40_p00_cancelling_before_the_last_knot_exits_invalid(tmp_path, capsys):
+    # before the last knot p00 = 1 - (1 - e^-rho) Phi, and 1 - e^-40 == 1.0.  The law forms G on
+    # its kernel grid of [0, 40] before it certifies beta, and there Phi plateaus at 1/I times
+    # I = int_0^40 f (rate 1), so p00 = 1 - fl(fl(1/I) I), exactly 0 for every I within 1e-12
+    # of 1: the last bits of exp and of the Simpson sum cannot turn this into another error
+    table = tmp_path / "flat.csv"
+    table.write_text("t,beta\n0,0\n40,0\n")
+    out = tmp_path / "s.csv"
+    code, _, err = run(["verify", "--lambda", "1", "--rho", "40", "--beta-file", str(table),
+                        "--cycles", "2", "--t-max", "1", "--step", "0.001", "--out", str(out)],
+                       capsys)
+    assert code == EXIT_INVALID
+    assert err.startswith("error: ") and "p00" in err
     assert not out.exists()
 
 

@@ -272,6 +272,15 @@ def test_mean_identities(p, which):
     )
 
 
+def test_gauss_legendre_rule_matches_leggauss():
+    import numpy.polynomial  # the reference only; mginf computes the rule by Golub-Welsch
+
+    x, w = cf._gauss_legendre(cf.GAUSS_NODES)
+    x_ref, w_ref = numpy.polynomial.legendre.leggauss(cf.GAUSS_NODES)
+    assert np.max(np.abs(x - x_ref)) <= 1e-14
+    assert np.max(np.abs(w - w_ref)) <= 1e-14
+
+
 @pytest.mark.parametrize("lam", [0.01, 1.0, 100.0])
 @pytest.mark.parametrize("rho", [0.1, math.log(2), 1.0, 3.0, 5.0, 8.0])
 def test_survival_mean_matches_targets_across_scales(lam, rho):

@@ -7,6 +7,7 @@ from mginf import closed_form as cf
 from mginf.errors import BetaOutOfRange, DivergentKernelIntegral
 from mginf.law import ServiceLaw
 from mginf.params import BetaSpec, ValidatedBeta, validate_beta, validate_queue_params
+from mginf.transforms import GridSpec
 from mginf.verify import riccati_residual
 
 P11 = validate_queue_params(1.0, 1.0)
@@ -217,3 +218,22 @@ def test_kernel_mass_and_cdf_are_continuous_at_the_last_knot(spec):
         vals = fn(around)
         assert np.max(np.abs(np.diff(vals))) <= 2e-15 * np.max(np.abs(vals))
     assert law.cdf(law.t_knot) == law.g_knot
+
+
+FLAT = BetaSpec(knots=((0.0, -0.5), (1.0, -0.5)))
+
+
+@pytest.mark.parametrize("rho,beta,spec", [
+    *((rho, 0.0, BetaSpec(constant=0.0)) for rho in (10.0, 20.0, 30.0, 36.0)),
+    # a flat table, whose tail starts at t = 1 (at rho = 36 it fails certification by rounding)
+    *((rho, -0.5, FLAT) for rho in (10.0, 20.0, 30.0)),
+])
+def test_cdf_and_p00_do_not_cancel_in_heavy_traffic(rho, beta, spec):
+    # past the last knot p00 = e^-rho + (1 - e^-rho) m e^{-r (t - t_knot)}, two positive
+    # terms; 1 - (1 - e^-rho) Phi put G off by 0.08 at rho = 36
+    p = validate_queue_params(1.0, rho)
+    law = ServiceLaw(p, validate_beta(p, spec), GridSpec(step=0.005, t_max=1.0))  # B, Z unused
+    ts = np.linspace(0.0, 80.0, 8001)
+    assert np.max(np.abs(law.cdf(ts) - cf.service_cdf(p, beta, ts))) <= 1e-13
+    want = cf.empty_probability(p, beta, ts)
+    assert np.max(np.abs(law.p00(ts) / want - 1.0)) <= 1e-13

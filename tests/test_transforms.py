@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,12 +9,14 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from mginf import closed_form as cf
+from mginf import transforms
 from mginf.errors import NegativeS, StepMismatch, StepTooCoarse
 from mginf.law import ServiceLaw
 from mginf.params import BetaSpec, validate_beta, validate_queue_params
 from mginf.transforms import (
     GridFunction,
     GridSpec,
+    SERIES_BLOCK,
     busy_cycle_cdf_series,
     busy_cycle_laplace,
     busy_period_cdf_series,
@@ -340,6 +343,92 @@ def test_series_cdf_shape():
         assert np.all(np.diff(g.values) >= -1e-8)
         assert np.all(g.values >= -1e-8) and np.all(g.values <= 1 + 1e-5)
         assert g.values[-1] > 1 - 1e-4
+
+
+# ---- the block solve past the last knot -------------------------------------
+
+def one_block(law, grid, monkeypatch):
+    """B by the one-block solve (one reciprocal and one product) on any grid."""
+    with monkeypatch.context() as m:
+        m.setattr(transforms, "SERIES_BLOCK", 2**30)
+        return busy_period_cdf_series(law, grid).values
+
+
+def blocked(law, grid):
+    """B and the block length M = max(SERIES_BLOCK, 4 J) the solve uses on this grid."""
+    lead = transforms._series_parts(law, grid)[3]
+    return busy_period_cdf_series(law, grid).values, max(SERIES_BLOCK, 4 * lead)
+
+
+def table_law(rho, knots, grid=None):
+    p = validate_queue_params(1.0, rho)
+    return ServiceLaw(p, validate_beta(p, BetaSpec(knots=knots)), grid)
+
+
+# (law, grid, tolerance): J = 1 (one vector update), J = 10, J = 2000 and J = 6000
+# (middle product; the last a body longer than one SERIES_BLOCK)
+BLOCK_CASES = {
+    "rho 3": (lambda: law_for(validate_queue_params(1.0, 3.0), 0.0), None, 1e-13),
+    "rho 5": (lambda: law_for(validate_queue_params(1.0, 5.0), 0.0), None, 1e-12),
+    "rho 3, beta -0.5": (lambda: law_for(validate_queue_params(1.0, 3.0), -0.5), None, 1e-13),
+    "short table": (lambda: table_law(2.0, ((0.0, 0.0), (0.05, 0.1))), None, 1e-13),
+    "ramp, h = 5e-4": (lambda: ServiceLaw(P11, validate_beta(P11, RAMP)),
+                       GridSpec(step=5e-4, t_max=40.0), 1e-13),
+    "long body": (lambda: table_law(1.0, ((0.0, 0.0), (6.0, 0.1), (12.0, 0.2))),
+                  GridSpec(step=2e-3, t_max=120.0), 1e-13),
+}
+
+
+@pytest.mark.parametrize("case", BLOCK_CASES)
+def test_block_solve_equals_one_block_solve(case, monkeypatch):
+    make, grid, tol = BLOCK_CASES[case]
+    law = make()
+    grid = grid or law.grid
+    b, m = blocked(law, grid)
+    assert len(b) > 2 * m + m // 2, case  # at least three blocks
+    assert np.max(np.abs(b - one_block(law, grid, monkeypatch))) <= tol, case
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+def test_block_solve_at_two_blocks_and_one_point_more(extra, monkeypatch):
+    # 2M points are one block; 2M + 1 are blocks of M, M and 1
+    law = law_for(P11, 0.0)
+    h = 0.005
+    grid = GridSpec(step=h, t_max=(2 * SERIES_BLOCK - 1 + extra) * h)
+    b, m = blocked(law, grid)
+    assert len(b) == 2 * m + extra
+    assert np.max(np.abs(b - one_block(law, grid, monkeypatch))) <= 1e-13
+    assert np.max(np.abs(b - cf.busy_period_cdf(P11, 0.0, np.arange(len(b)) * h))) < 1e-3
+
+
+def test_block_solve_is_causal_across_the_last_knot():
+    # a grid that ends before t_knot is one block; B on it is the head of B on a long grid
+    law = table_law(1.0, ((0.0, 0.0), (30.0, 0.2)))
+    short = busy_period_cdf_series(law, GridSpec(step=5e-3, t_max=20.0)).values
+    b, m = blocked(law, GridSpec(step=5e-3, t_max=400.0))
+    assert len(b) > 2 * m and len(short) == 4001
+    assert np.max(np.abs(b[:len(short)] - short)) <= 1e-13
+
+
+def test_block_solve_at_the_degenerate_endpoint_is_exactly_one():
+    # lambda + beta(inf) = 0: w = 0, so a = delta and B is the bracket 1 in every block
+    law = ServiceLaw(P11, validate_beta(P11, BetaSpec(knots=((0.0, 0.0), (1.0, -1.0)))))
+    b, m = blocked(law, GridSpec(step=0.005, t_max=100.0))
+    assert len(b) > 2 * m
+    assert np.max(np.abs(b - 1.0)) <= 1e-15
+
+
+def test_block_solve_memory_per_grid_point():
+    p = validate_queue_params(1.0, 5.0)
+    law = law_for(p, 0.0)
+    tracemalloc.start()
+    try:
+        n = len(busy_period_cdf_series(law, law.grid).values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert n == 353793
+    assert peak <= 60 * n  # 72 bytes a point with one reciprocal over the whole grid
 
 
 def test_series_step_too_coarse():
