@@ -4,8 +4,8 @@
 Sweeps (lambda, rho) in {(1, 1), (1, ln 2), (2, 0.5)} crossed with four beta
 values spanning the admissible range, both endpoints included, printing one
 PASS/FAIL line per check per point.  The exponential floor envelopes are expected to FAIL for
-interior beta values; see the README.  The 0.01 KS tolerance is calibrated
-for the default 10^5 cycles; smaller --cycles will show spurious KS failures.
+interior beta values; see the README.  The KS gates are the DKW critical values
+for --cycles at a false-alarm rate of 1e-6 each (`mginf.verify.KS_ALPHA`).
 
 Example:
     python3 scripts/cross_validate.py --cycles 100000 --seed 1

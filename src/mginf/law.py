@@ -35,6 +35,11 @@ from .params import QueueParams, ValidatedBeta
 from .transforms import MAX_GRID_POINTS, GridFunction, GridSpec, default_grid
 
 
+# Rounding slack of the certificate beta + lambda G >= 0, in ulps of lambda: at
+# rho = 36 a flat table equal to an admissible constant reaches -3 ulps.
+CERT_ULPS = 8
+
+
 def _service_cdf(params: QueueParams, phi, p00):
     """G from normalised kernel values phi and p00 = 1 - (1 - e^{-rho}) Phi, which must not be 0."""
     if np.any(p00 <= 0.0):
@@ -115,12 +120,15 @@ class ServiceLaw:
         self.g_knot = float(_service_cdf(params, inv_total * f_end, p00_knot))
         # G' = (1 - G)(beta + lambda G), so G is a CDF only while beta + lambda G >= 0.
         # Past the last knot beta is constant and G only rises, so [0, t_knot] suffices.
+        # G is formed to a few ulps of 1 and |beta| <= lambda, so the floor allows
+        # CERT_ULPS ulps of lambda for rounding.
         slope = spec.value(self.grid_t) + params.lam * self.grid_g
-        bad = np.nonzero(slope < 0)[0]
+        floor = -CERT_ULPS * np.spacing(params.lam)
+        bad = np.nonzero(slope < floor)[0]
         if bad.size:
             i = bad[0]
             raise BetaOutOfRange(
-                f"beta(t) + lambda G(t) is {slope[i]:.6g} < 0 at t={self.grid_t[i]:.6g}: "
+                f"beta(t) + lambda G(t) is {slope[i]:.6g} < {floor:.3g} at t={self.grid_t[i]:.6g}: "
                 "the service CDF G would decrease there"
             )
 

@@ -2,10 +2,13 @@
 
 With infinitely many servers the system first empties exactly at the maximum
 departure epoch among the customers of the current busy period, so no event
-calendar is needed: track that maximum and stop when the next arrival lands
-beyond it.  All cycles of a run advance in lock-step on one Philox stream per
-seed, so runs are reproducible.  Service draws go through a law's vectorised
-inverse CDF (`ServiceLaw.quantile`).
+calendar is needed: on one stream of customers, customer i opens a new busy
+cycle iff its arrival T_i is at or past the running maximum of the earlier
+departures (the regenerative method; Asmussen & Glynn, Stochastic
+Simulation, 2007, IV.4).  `run_cycles` reads every cycle of a chunk of
+customers off one cumulative sum and one running maximum, on one Philox
+stream per seed, so runs are reproducible.  Service draws go through a law's
+vectorised inverse CDF (`ServiceLaw.quantile`).
 """
 
 from __future__ import annotations
@@ -23,12 +26,16 @@ from .errors import EmptySample, SimulationTooLarge
 from .params import QueueParams
 
 
-# Largest expected work of a run, in customers: about 100 s at the 80-220 ns
-# per customer measured on 2-core x86-64 with 2e3-1e5 cycles at rho 1-8.  A
-# round of the lock-step loop costs 16-40 us however few cycles are open, as
-# much as ROUND_CUSTOMERS customers, and a cycle takes about e^rho rounds.
+# Largest expected work of a run, in customers: about 30 s at the 50-60 ns per
+# customer measured on 2-core x86-64 at rho 5-8 (Philox exponential and
+# uniform 25 ns, the quantile 11-19 ns, cumsum and running max 11 ns).  A run
+# draws about e^rho customers a cycle, rounded up to whole chunks of CHUNK.
 MAX_CUSTOMERS = 5e8
-ROUND_CUSTOMERS = 256
+# Customers per chunk: longer chunks spread the fixed numpy cost of each chunk
+# (the quantile alone costs about 30 us a call, an eighth of a 4096-customer
+# chunk at rho 5), shorter ones draw less past the last cycle (1000 cycles at
+# rho 1 need about 2700 customers).
+CHUNK = 8192
 
 
 @dataclass(frozen=True)
@@ -46,38 +53,53 @@ def run_cycles(
     n_cycles: int,
     seed: int,
 ) -> CycleSamples:
-    """Simulate n_cycles independent busy cycles in lock-step.
+    """Simulate the first n_cycles busy cycles of one stream of customers.
 
-    Service times are drawn by inverse transform through `quantile`, the
-    service law's inverse CDF (`ServiceLaw.quantile`), vectorised over u and
-    exactly 0 inside the atom G(0).  A cycle starts with an arrival to an empty
-    system; interarrival gaps are Exponential(lambda).  The busy period ends
-    at the running maximum E of the departure epochs once the next arrival
-    reaches it; the idle period is a fresh Exponential(lambda) draw
-    (memorylessness).  Draw order on the one stream `Philox(key=seed)`: the n
-    opening services; then, per round, one gap for each open cycle in cycle
-    order and one service for each cycle still open after its gap; finally
-    the n idle periods.
+    Customers arrive at T_i, the cumulative sum of Exponential(lambda) gaps,
+    and leave at D_i = T_i + S_i, with S_i drawn by inverse transform through
+    `quantile`, the service law's inverse CDF (`ServiceLaw.quantile`),
+    vectorised over u and exactly 0 inside the atom G(0).  Customer i opens a
+    busy cycle iff T_i >= M_{i-1} = max_{j<i} D_j; a cycle opened by customer
+    s and closed by the next opener s' has busy period M_{s'-1} - T_s and idle
+    period T_{s'} - M_{s'-1}, Exponential(lambda) by memorylessness.  The time
+    before the first arrival is not a cycle.
+
+    Draw order on the one stream `Philox(key=seed)`, per chunk of CHUNK
+    customers: CHUNK gaps, then CHUNK uniforms.  Each chunk's clock starts at
+    the previous chunk's last arrival, and only the latest departure and the
+    open cycle's start are carried, re-based to it, so a sample's rounding
+    error stays a few ulps of CHUNK/lambda per customer of its cycle however
+    long the run.
     """
     if n_cycles < 1:
         raise ValueError("n_cycles must be >= 1")
-    work = (n_cycles + ROUND_CUSTOMERS) * math.exp(params.rho)  # a cycle has e^rho customers
+    work = n_cycles * math.exp(params.rho) + CHUNK  # a cycle has e^rho customers
     if work > MAX_CUSTOMERS:
         raise SimulationTooLarge(f"{n_cycles} cycles at rho = {params.rho:g} would draw about "
-                                 f"{work:.3g} customers' worth, more than {MAX_CUSTOMERS:.3g}")
+                                 f"{work:.3g} customers, more than {MAX_CUSTOMERS:.3g}")
     scale = 1.0 / params.lam
     rng = Generator(Philox(key=seed))
     busy = np.empty(n_cycles)
-    e = quantile(rng.random(n_cycles))  # departure epoch of each opening customer
-    a = np.zeros(n_cycles)              # last arrival epoch of each open cycle
-    open_ = np.arange(n_cycles)
-    while open_.size:
-        a += rng.exponential(scale, open_.size)
-        closed = a >= e
-        busy[open_[closed]] = e[closed]
-        open_, a, e = open_[~closed], a[~closed], e[~closed]
-        e = np.maximum(e, a + quantile(rng.random(open_.size)))
-    idle = rng.exponential(scale, n_cycles)
+    idle = np.empty(n_cycles)
+    m = np.empty(CHUNK + 1)  # M_{i-1} for each customer of the chunk, then M at its end
+    m[-1] = 0.0              # the system is empty at time 0
+    opened = math.nan        # start of the open cycle: none before the first arrival
+    done = -1                # cycles closed; the first opener closes the time before it
+    while done < n_cycles:
+        t = np.cumsum(rng.exponential(scale, CHUNK))
+        m[0] = m[-1]
+        np.add(t, quantile(rng.random(CHUNK)), out=m[1:])
+        np.maximum.accumulate(m, out=m)
+        starts = np.flatnonzero(t >= m[:-1])
+        if starts.size:
+            ends, new = m[starts], t[starts]
+            lo, hi = max(done, 0), min(done + starts.size, n_cycles)
+            busy[lo:hi] = (ends - np.concatenate(([opened], new[:-1])))[lo - done:hi - done]
+            idle[lo:hi] = (new - ends)[lo - done:hi - done]
+            done += starts.size
+            opened = new[-1]
+        opened -= t[-1]
+        m[-1] -= t[-1]
     return CycleSamples(busy=busy, idle=idle, cycle=busy + idle, seed=seed, n=n_cycles)
 
 

@@ -27,6 +27,10 @@ from .transforms import busy_period_laplace_from_service, busy_period_laplace_ge
 # so they probe the same part of each law whatever the time scale.
 TRANSFORM_S_POINTS = (0.1, 0.5, 1.0, 2.0, 5.0)
 
+# False-alarm rate of each Monte Carlo KS check: the gate is the DKW critical
+# value sqrt(ln(2/KS_ALPHA) / (2 n)), since P(KS > x) <= 2 exp(-2 n x^2).
+KS_ALPHA = 1e-6
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -164,12 +168,13 @@ def check_riccati_residual(law: ServiceLaw, tol: float = 1e-3) -> list[CheckResu
     return [_result("service CDF solves the Riccati ODE", res < tol, f"max residual {res:.2e}")]
 
 
-def check_monte_carlo(law: ServiceLaw, n_cycles: int, seed: int,
-                      ks_tol: float = 0.01) -> list[CheckResult]:
+def check_monte_carlo(law: ServiceLaw, n_cycles: int, seed: int) -> list[CheckResult]:
+    """KS of busy, cycle and idle samples at the DKW gate for KS_ALPHA, plus two 3-stderr gates."""
     samples = run_cycles(law.params, law.quantile, n_cycles, seed)
     ks_busy = ks_distance(empirical_cdf(samples.busy), law.busy_cdf)
     ks_cycle = ks_distance(empirical_cdf(samples.cycle), law.cycle_cdf)
     ks_idle = ks_distance(empirical_cdf(samples.idle), law.idle_cdf)
+    ks_tol = math.sqrt(math.log(2.0 / KS_ALPHA) / (2.0 * n_cycles))
     atom = law.atom
     zero_frac = float(np.mean(samples.busy == 0.0))
     tol_atom = 3.0 * math.sqrt(max(atom * (1.0 - atom), 1e-12) / n_cycles)
@@ -179,9 +184,9 @@ def check_monte_carlo(law: ServiceLaw, n_cycles: int, seed: int,
         corr = float(np.corrcoef(samples.busy, samples.idle)[0, 1])
     corr_tol = 3.0 / math.sqrt(n_cycles)
     return [
-        _result("KS(busy period)", ks_busy < ks_tol, f"{ks_busy:.4f} < {ks_tol}"),
-        _result("KS(busy cycle)", ks_cycle < ks_tol, f"{ks_cycle:.4f} < {ks_tol}"),
-        _result("KS(idle period)", ks_idle < ks_tol, f"{ks_idle:.4f} < {ks_tol}"),
+        _result("KS(busy period)", ks_busy < ks_tol, f"{ks_busy:.4f} < {ks_tol:.4f}"),
+        _result("KS(busy cycle)", ks_cycle < ks_tol, f"{ks_cycle:.4f} < {ks_tol:.4f}"),
+        _result("KS(idle period)", ks_idle < ks_tol, f"{ks_idle:.4f} < {ks_tol:.4f}"),
         _result("zero-busy fraction matches atom",
                 abs(zero_frac - atom) <= tol_atom,
                 f"|{zero_frac:.5f} - {atom:.5f}| <= {tol_atom:.5f}"),

@@ -225,8 +225,8 @@ FLAT = BetaSpec(knots=((0.0, -0.5), (1.0, -0.5)))
 
 @pytest.mark.parametrize("rho,beta,spec", [
     *((rho, 0.0, BetaSpec(constant=0.0)) for rho in (10.0, 20.0, 30.0, 36.0)),
-    # a flat table, whose tail starts at t = 1 (at rho = 36 it fails certification by rounding)
-    *((rho, -0.5, FLAT) for rho in (10.0, 20.0, 30.0)),
+    # a flat table, whose tail starts at t = 1
+    *((rho, -0.5, FLAT) for rho in (10.0, 20.0, 30.0, 36.0)),
 ])
 def test_cdf_and_p00_do_not_cancel_in_heavy_traffic(rho, beta, spec):
     # past the last knot p00 = e^-rho + (1 - e^-rho) m e^{-r (t - t_knot)}, two positive
@@ -237,3 +237,21 @@ def test_cdf_and_p00_do_not_cancel_in_heavy_traffic(rho, beta, spec):
     assert np.max(np.abs(law.cdf(ts) - cf.service_cdf(p, beta, ts))) <= 1e-13
     want = cf.empty_probability(p, beta, ts)
     assert np.max(np.abs(law.p00(ts) / want - 1.0)) <= 1e-13
+
+
+@pytest.mark.parametrize("spec", [BetaSpec(knots=((0.0, 0.0), (1.0, 0.0))), FLAT])
+def test_flat_table_at_rho_36_is_certified_like_its_constant(spec):
+    # beta + lambda G rounds to -3 ulps of lambda at t = 0 for beta = 0, within the slack
+    p = validate_queue_params(1.0, 36.0)
+    ServiceLaw(p, validate_beta(p, spec), GridSpec(step=0.005, t_max=1.0))
+
+
+def test_table_below_the_certificate_floor_by_1e_9_is_rejected():
+    # beta rises from -d to 0 on [0, 1], so to first order in d the kernel integral is
+    # I = 1 + d/e and, at rho = 36, beta(0) + lambda G(0) = -d + 1 - 1/I = -(1 - 1/e) d
+    d = 1.6e-9
+    spec = BetaSpec(knots=((0.0, -d), (1.0, 0.0)))
+    p = validate_queue_params(1.0, 36.0)
+    assert -1.02e-9 < -(1.0 - math.exp(-1.0)) * d < -1e-9
+    with pytest.raises(BetaOutOfRange, match="at t=0:"):
+        ServiceLaw(p, validate_beta(p, spec), GridSpec(step=0.005, t_max=1.0))

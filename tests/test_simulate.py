@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy.random import Generator, Philox
 
-from mginf import closed_form as cf
+from mginf import closed_form as cf, simulate
 from mginf.errors import EmptySample
 from mginf.law import ServiceLaw
 from mginf.params import BetaSpec, validate_beta, validate_queue_params
@@ -104,6 +106,7 @@ def test_run_cycles_structure():
 def test_degenerate_service_all_zero_busy():
     s = run_cycles(P11, quantile(P11, -1.0), 10_000, seed=42)
     assert np.all(s.busy == 0.0)
+    assert np.all(s.idle > 0.0)
     assert s.cycle.mean() == pytest.approx(1.0, abs=0.03)
 
 
@@ -173,6 +176,75 @@ def test_heavy_traffic_simulation():
     assert abs(summ.mean_busy - math.expm1(5.0)) < 4 * summ.stderr_busy
     dkw = math.sqrt(math.log(2 / 1e-6) / (2 * s.n))  # critical value at alpha = 1e-6
     assert ks_distance(empirical_cdf(s.busy), lambda t: cf.busy_period_cdf(p, 0.0, t)) < dkw
+
+
+def event_loop_cycles(params, quantile, n_cycles, seed):
+    """busy, idle of the first n_cycles cycles by a plain event loop over the documented draws.
+
+    Per chunk of simulate.CHUNK customers: that many Exponential(lambda) gaps,
+    then that many uniforms for the services.  The clock restarts at each
+    cycle's first arrival; e is the latest departure of the open cycle.
+    """
+    rng = Generator(Philox(key=seed))
+    busy, idle = [], []
+    t = e = None  # no cycle before the first arrival
+    while len(busy) < n_cycles:
+        gaps = rng.exponential(1.0 / params.lam, simulate.CHUNK)
+        services = quantile(rng.random(simulate.CHUNK))
+        for gap, service in zip(gaps.tolist(), services.tolist()):
+            if t is not None:
+                t += gap
+                if t < e:
+                    e = max(e, t + service)
+                    continue
+                busy.append(e)
+                idle.append(t - e)
+            t, e = 0.0, service
+    return np.array(busy[:n_cycles]), np.array(idle[:n_cycles])
+
+
+STREAM_LAWS = [(lam, rho, spec) for lam, rho in ((1.0, 0.5), (10.0, 3.0))
+               for spec in (BetaSpec(constant=0.3), BetaSpec(knots=((0.0, 0.0), (1.0, 0.2))))]
+
+
+def _stream_matches_event_loop(lam, rho, spec, n_cycles):
+    p = validate_queue_params(lam, rho)
+    q = ServiceLaw(p, validate_beta(p, spec)).quantile
+    s = run_cycles(p, q, n_cycles, seed=6)
+    busy, idle = event_loop_cycles(p, q, n_cycles, seed=6)
+    assert np.max(np.abs(s.busy - busy)) <= 1e-10 / lam
+    assert np.max(np.abs(s.idle - idle)) <= 1e-10 / lam
+
+
+@pytest.mark.parametrize("lam,rho,spec", STREAM_LAWS)
+def test_stream_matches_an_event_loop_on_the_same_draws(lam, rho, spec):
+    _stream_matches_event_loop(lam, rho, spec, 1000)  # several chunks at rho = 3
+
+
+@pytest.mark.parametrize("lam,rho,spec", STREAM_LAWS)
+def test_stream_matches_an_event_loop_across_chunks(monkeypatch, lam, rho, spec):
+    monkeypatch.setattr(simulate, "CHUNK", 7)  # at rho = 3 a cycle spans about three chunks
+    _stream_matches_event_loop(lam, rho, spec, 300)
+
+
+def test_mean_busy_at_rho_8():
+    p = validate_queue_params(1.0, 8.0)
+    summ = cycle_summary(run_cycles(p, quantile(p, 0.0), 300, seed=8))
+    assert abs(summ.mean_busy - math.expm1(8.0)) < 4 * summ.stderr_busy
+
+
+def test_run_cycles_memory_is_the_output_plus_one_chunk():
+    p = validate_queue_params(1.0, 5.0)
+    q = quantile(p, 0.0)
+    n = 20_000
+    run_cycles(p, q, 10, seed=0)  # first-call allocations of numpy's random module
+    tracemalloc.start()
+    try:
+        run_cycles(p, q, n, seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40 * n + 64 * simulate.CHUNK
 
 
 def test_cycle_summary_requires_two():
