@@ -123,6 +123,7 @@ class ServiceLaw:
         # G is formed to a few ulps of 1 and |beta| <= lambda, so the floor allows
         # CERT_ULPS ulps of lambda for rounding.
         slope = spec.value(self.grid_t) + params.lam * self.grid_g
+        self.grid_dg = (1.0 - self.grid_g) * slope  # G' on the grid, for the quantile
         floor = -CERT_ULPS * np.spacing(params.lam)
         bad = np.nonzero(slope < floor)[0]
         if bad.size:
@@ -202,35 +203,59 @@ class ServiceLaw:
         """Inverse of `cdf`, vectorised over u in [0, 1); exactly 0 for u <= G(0).
 
         Past the last knot 1 - Phi = m e^{-r (t - t_knot)} and phi = r m e^{-r (t - t_knot)},
-        so G inverts in closed form (at t_knot = 0, where m = 1, this is
-        closed_form.service_quantile bit for bit).  Below G(t_knot) the certified
-        grid values of G bracket u, linear interpolation starts, and two Newton
-        steps with G' = (1 - G)(beta + lambda G), clipped to the bracket, finish.
+        so G inverts in closed form.  That one expression runs over every u, with
+        no gather or scatter, and u <= G(0) (where its logarithm may be of a
+        non-positive number) is set to 0 after it; at t_knot = 0, where m = 1, it is
+        closed_form.service_quantile bit for bit.  Below G(t_knot) the certified
+        grid values of G bracket u: the cubic Hermite interpolant of G on the
+        bracketing cell, with G' = (1 - G)(beta + lambda G) at its ends, is
+        inverted by two Newton steps from the chord, and one Newton step on the
+        exact G, clipped to the cell, finishes.
         """
         uu = np.asarray(u, dtype=float)
         if not np.all((uu >= 0.0) & (uu < 1.0)):
             raise ProbabilityOutOfRange(f"u must be in [0, 1), got {u}")
         lam, q0, r = self.params.lam, self.params.exp_neg_rho, self.tail_rate
-        t = np.zeros_like(uu)
-        live = uu > self.atom  # empty at the degenerate endpoint, where G(0) = 1
-        body = live & (uu < self.g_knot)  # empty for constant beta, where t_knot = 0
-        tail = live & ~body
-        v = (1.0 - uu[tail]) * lam
-        t[tail] = self.t_knot + np.log((1.0 - q0) * self.tail_mass * (r - v) / (v * q0)) / r
-        if np.any(body):
-            ub = uu[body]
-            i = np.searchsorted(self.grid_g, ub)
-            lo = self.grid_t[np.maximum(i - 1, 0)]
-            hi = self.grid_t[np.minimum(i, self.grid_t.size - 1)]
-            tb = np.interp(ub, self.grid_g, self.grid_t)
-            for _ in range(2):
-                g = self.cdf(tb)
-                dens = (1.0 - g) * (self.indicator(tb) + lam * g)
-                step = np.divide(g - ub, dens, out=np.zeros_like(tb), where=dens > 0)
-                tb = np.clip(tb - step, lo, hi)
-            t[body] = tb
-        t = np.maximum(t, 0.0)
-        return float(t) if uu.ndim == 0 else t
+        u1 = np.atleast_1d(uu)
+        with np.errstate(all="ignore"):  # inside the atom, and everywhere at r = 0
+            v = np.subtract(1.0, u1)
+            v *= lam
+            t = np.subtract(r, v)
+            t *= (1.0 - q0) * self.tail_mass
+            v *= q0
+            t /= v
+            np.log(t, out=t)
+            t /= r
+            t += self.t_knot
+            np.maximum(t, 0.0, out=t)
+            t = np.where(u1 > self.atom, t, 0.0)
+        if self.t_knot > 0:  # tables: u below G(t_knot) inverts on the kernel grid
+            body = (u1 > self.atom) & (u1 < self.g_knot)
+            if np.any(body):
+                t[body] = self._body_quantile(u1[body])
+        return _like(u, t)
+
+    def _body_quantile(self, ub: np.ndarray) -> np.ndarray:
+        """G^{-1}(ub) for G(0) < ub < G(t_knot): invert a Hermite cubic, then a Newton step on G."""
+        i = np.clip(np.searchsorted(self.grid_g, ub) - 1, 0, self.grid_t.size - 2)
+        lo, hi = self.grid_t[i], self.grid_t[i + 1]  # the cell bracketing ub
+        h = self.grid_t[1]
+        g0 = self.grid_g[i]
+        dg = self.grid_g[i + 1] - g0
+        d0, d1 = h * self.grid_dg[i], h * self.grid_dg[i + 1]
+        # G(lo + s h) - g0 = s (d0 + s (c2 + s c3)) on s in [0, 1]
+        c2, c3 = 3.0 * dg - 2.0 * d0 - d1, d0 + d1 - 2.0 * dg
+        y = ub - g0
+        s = np.divide(y, dg, out=np.zeros_like(y), where=dg > 0)  # the chord
+        for _ in range(2):
+            slope = d0 + s * (2.0 * c2 + 3.0 * c3 * s)
+            miss = s * (d0 + s * (c2 + s * c3)) - y
+            s = np.clip(s - np.divide(miss, slope, out=np.zeros_like(s), where=slope > 0), 0.0, 1.0)
+        tb = lo + s * h
+        g = self.cdf(tb)
+        dens = (1.0 - g) * (self.indicator(tb) + self.params.lam * g)
+        step = np.divide(g - ub, dens, out=np.zeros_like(tb), where=dens > 0)
+        return np.clip(tb - step, lo, hi)
 
     def p00(self, t):
         """p00(t) = 1 - (1 - e^{-rho}) Phi(t), Phi the kernel's prefix mass; see `_kernel_p00`."""

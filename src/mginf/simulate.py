@@ -6,7 +6,7 @@ calendar is needed: on one stream of customers, customer i opens a new busy
 cycle iff its arrival T_i is at or past the running maximum of the earlier
 departures (the regenerative method; Asmussen & Glynn, Stochastic
 Simulation, 2007, IV.4).  `run_cycles` reads every cycle of a chunk of
-customers off one cumulative sum and one running maximum, on one Philox
+customers off one cumulative sum and one running maximum, on one SFC64
 stream per seed, so runs are reproducible.  Service draws go through a law's
 vectorised inverse CDF (`ServiceLaw.quantile`).
 """
@@ -20,21 +20,21 @@ from typing import Callable, NamedTuple
 import numpy as np
 # numpy loads its random module on first attribute access; import it with the
 # package so that the first run_cycles call does not pay for it.
-from numpy.random import Generator, Philox
+from numpy.random import SFC64, Generator
 
 from .errors import EmptySample, SimulationTooLarge
 from .params import QueueParams
 
 
-# Largest expected work of a run, in customers: about 30 s at the 50-60 ns per
-# customer measured on 2-core x86-64 at rho 5-8 (Philox exponential and
-# uniform 25 ns, the quantile 11-19 ns, cumsum and running max 11 ns).  A run
-# draws about e^rho customers a cycle, rounded up to whole chunks of CHUNK.
+# Largest expected work of a run, in customers: about 20 s at the 30-40 ns per
+# customer measured on 2-core x86-64 at rho 3-5 (SFC64 exponential and uniform
+# 10 ns, the closed-form quantile 10 ns, cumsum and running max 10 ns, the
+# cycle scan the rest).  A run draws about e^rho customers a cycle, rounded up
+# to whole chunks of CHUNK.
 MAX_CUSTOMERS = 5e8
 # Customers per chunk: longer chunks spread the fixed numpy cost of each chunk
-# (the quantile alone costs about 30 us a call, an eighth of a 4096-customer
-# chunk at rho 5), shorter ones draw less past the last cycle (1000 cycles at
-# rho 1 need about 2700 customers).
+# (some 25 numpy calls), shorter ones draw less past the last cycle (1000
+# cycles at rho 1 need about 2700 customers).
 CHUNK = 8192
 
 
@@ -64,12 +64,12 @@ def run_cycles(
     period T_{s'} - M_{s'-1}, Exponential(lambda) by memorylessness.  The time
     before the first arrival is not a cycle.
 
-    Draw order on the one stream `Philox(key=seed)`, per chunk of CHUNK
-    customers: CHUNK gaps, then CHUNK uniforms.  Each chunk's clock starts at
-    the previous chunk's last arrival, and only the latest departure and the
-    open cycle's start are carried, re-based to it, so a sample's rounding
-    error stays a few ulps of CHUNK/lambda per customer of its cycle however
-    long the run.
+    Draw order on the one stream `Generator(SFC64(seed))`, per chunk of CHUNK
+    customers: CHUNK standard exponentials, scaled by 1/lambda into the gaps,
+    then CHUNK uniforms.  Each chunk's clock starts at the previous chunk's
+    last arrival, and only the latest departure and the open cycle's start are
+    carried, re-based to it, so a sample's rounding error stays a few ulps of
+    CHUNK/lambda per customer of its cycle however long the run.
     """
     if n_cycles < 1:
         raise ValueError("n_cycles must be >= 1")
@@ -78,17 +78,20 @@ def run_cycles(
         raise SimulationTooLarge(f"{n_cycles} cycles at rho = {params.rho:g} would draw about "
                                  f"{work:.3g} customers, more than {MAX_CUSTOMERS:.3g}")
     scale = 1.0 / params.lam
-    rng = Generator(Philox(key=seed))
+    rng = Generator(SFC64(seed))
     busy = np.empty(n_cycles)
     idle = np.empty(n_cycles)
+    draws, t = np.empty(CHUNK), np.empty(CHUNK)  # reused by every chunk
     m = np.empty(CHUNK + 1)  # M_{i-1} for each customer of the chunk, then M at its end
     m[-1] = 0.0              # the system is empty at time 0
     opened = math.nan        # start of the open cycle: none before the first arrival
     done = -1                # cycles closed; the first opener closes the time before it
     while done < n_cycles:
-        t = np.cumsum(rng.exponential(scale, CHUNK))
+        rng.standard_exponential(out=draws)
+        draws *= scale
+        np.cumsum(draws, out=t)
         m[0] = m[-1]
-        np.add(t, quantile(rng.random(CHUNK)), out=m[1:])
+        np.add(t, quantile(rng.random(out=draws)), out=m[1:])
         np.maximum.accumulate(m, out=m)
         starts = np.flatnonzero(t >= m[:-1])
         if starts.size:
@@ -135,6 +138,8 @@ def ks_distance(emp: EmpiricalCdf, analytic: Callable[[np.ndarray], np.ndarray])
     empirical mass there against F(0) directly.  Against a continuous reference
     the sorted point i (1-based) bounds both limits of its run of ties, so
     max(|i/n - F|, F - (i-1)/n) over all points is the run-start statistic.
+    As F - i/n <= F - (i-1)/n, that is the larger of max(i/n - F) and
+    max(F - (i-1)/n), two reductions over one reused buffer.
     """
     s, n = emp.sorted, emp.n
     if isinstance(analytic, EmpiricalCdf):
@@ -145,12 +150,16 @@ def ks_distance(emp: EmpiricalCdf, analytic: Callable[[np.ndarray], np.ndarray])
         return float(np.max(np.maximum(np.abs(after - analytic(xs)),
                                        np.abs(starts / n - analytic.left_limit(xs)))))
     f = np.asarray(analytic(s), dtype=float)
-    steps = np.arange(n + 1) / n  # Fhat just below and at each sorted point
-    gap = np.maximum(np.abs(steps[1:] - f), f - steps[:-1])
+    steps = np.arange(n + 1, dtype=float)
+    steps /= n  # Fhat just below and at each sorted point
     lo, hi = np.searchsorted(s, 0.0, "left"), np.searchsorted(s, 0.0, "right")
     # the reference jumps at its atom at 0, so only Fhat(0) against F(0) applies there
-    gap[lo:hi] = np.abs(steps[hi] - f[lo:hi])
-    return float(np.max(gap))
+    gap = np.subtract(steps[1:], f)
+    np.subtract(steps[hi], f[lo:hi], out=gap[lo:hi])
+    above = gap.max()
+    np.subtract(f, steps[:-1], out=gap)
+    np.subtract(f[lo:hi], steps[hi], out=gap[lo:hi])
+    return float(np.maximum(above, gap.max()))
 
 
 class CycleSummary(NamedTuple):

@@ -516,14 +516,14 @@ def mostly(good, bad=BAD_FLOATS):
 
 @st.composite
 def cli_argv(draw, work):
-    """Mostly valid runs on grids of at most about 50k points with at most 2000 cycles.
+    """Mostly valid runs on grids of at most about 50k points with at most 5000 cycles.
 
     Values follow "=", so argparse reads "-inf" as a value, not as an option.
     """
     lam = draw(mostly(st.floats(0.5, 2.0)))
     rho = draw(mostly(st.floats(0.2, 3.0), BAD_FLOATS | st.sampled_from([40.0, 709.8, 1e6])))
     argv = [draw(st.sampled_from(["eval", "simulate", "verify"])), f"--lambda={lam!r}",
-            f"--rho={rho!r}", f"--cycles={draw(st.integers(-1, 2000))}",
+            f"--rho={rho!r}", f"--cycles={draw(st.integers(-1, 5000))}",
             f"--seed={draw(st.integers(-1, 2**64))}", f"--out={work / 'out.csv'}"]
     lo, hi = -1.0, 1.0  # beta in units of the admissible range, a little beyond it too
     if 0 < lam < math.inf and 0 < rho < 700:

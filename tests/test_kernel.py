@@ -185,6 +185,17 @@ def test_kernel_grid_step_follows_the_kernel_rate():
 THREE_KNOTS = BetaSpec(knots=((0.0, 0.3), (2.0, -0.2), (5.0, 0.1)))
 
 
+@pytest.mark.parametrize("rho", [0.5, 1.0])
+@pytest.mark.parametrize("spec", [RAMP, THREE_KNOTS])
+def test_body_quantile_round_trips_to_rounding(rho, spec):
+    # the Hermite start leaves the one exact Newton step an error it squares away;
+    # a cruder start (the tangent at the cell's left end) fails the bound on all four
+    p = validate_queue_params(1.0, rho)
+    law = ServiceLaw(p, validate_beta(p, spec))
+    u = np.linspace(law.atom, law.g_knot, 20001)[1:-1]
+    assert np.max(np.abs(law.cdf(law.quantile(u)) - u)) <= 1e-15
+
+
 def integral_route(law, ts):
     """f = exp(-lambda t - int beta) and Phi = Phi(t_knot) + fine Simpson of f past t_knot."""
     f = np.exp(-law.params.lam * ts - law.spec.cumulative(ts))

@@ -1,10 +1,11 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
-from numpy.random import Generator, Philox
+from hypothesis import example, given, settings, strategies as st
+from numpy.random import SFC64, Generator
 
 from mginf import closed_form as cf, simulate
 from mginf.errors import EmptySample
@@ -77,6 +78,27 @@ def atom_cdf(t):
 def test_ks_distance_matches_searchsorted_form(xs):
     emp = empirical_cdf(xs)
     assert ks_distance(emp, atom_cdf) == ks_searchsorted(emp, atom_cdf)
+
+
+def ks_gap_array(emp, analytic) -> float:
+    """The KS statistic from the full array of per-point gaps, as ks_distance once formed it."""
+    s, n = emp.sorted, emp.n
+    f = np.asarray(analytic(s), dtype=float)
+    steps = np.arange(n + 1) / n
+    gap = np.maximum(np.abs(steps[1:] - f), f - steps[:-1])
+    lo, hi = np.searchsorted(s, 0.0, "left"), np.searchsorted(s, 0.0, "right")
+    gap[lo:hi] = np.abs(steps[hi] - f[lo:hi])
+    return float(np.max(gap))
+
+
+@given(st.lists(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 10.0), min_size=1, max_size=200))
+@example([0.0])
+@example([2.0])
+@example([0.0] * 7 + [1.0, 1.0, 3.0])
+@settings(max_examples=100, deadline=None)
+def test_ks_distance_is_bit_identical_to_the_gap_array(xs):
+    emp = empirical_cdf(xs)
+    assert ks_distance(emp, atom_cdf) == ks_gap_array(emp, atom_cdf)
 
 
 def test_ks_distance_matches_searchsorted_form_with_ties_and_atom():
@@ -159,7 +181,8 @@ def test_tabulated_beta_simulation():
     assert abs(summ.mean_idle - 1.0) < 4 * summ.stderr_idle
 
 
-@pytest.mark.parametrize("spec", [BetaSpec(constant=0.3),
+@pytest.mark.parametrize("spec", [BetaSpec(constant=0.3), BetaSpec(constant=0.0),
+                                  BetaSpec(constant=-1.0),
                                   BetaSpec(knots=((0.0, 0.3), (2.0, -0.2), (5.0, 0.1)))])
 def test_law_quantile_takes_arrays(spec):
     q = ServiceLaw(P11, validate_beta(P11, spec)).quantile
@@ -167,6 +190,27 @@ def test_law_quantile_takes_arrays(spec):
     t = q(u)
     assert t.shape == u.shape
     assert np.array_equal(t, [q(float(x)) for x in u])
+
+
+@pytest.mark.parametrize("rho,beta", [(1.0, 0.0), (1.0, 0.3), (1.0, -0.5), (5.0, 0.0)])
+def test_closed_form_quantile_is_zero_up_to_the_atom(rho, beta):
+    p = validate_queue_params(1.0, rho)
+    law = ServiceLaw(p, validate_beta(p, BetaSpec(constant=beta)))
+    below, above = np.nextafter(law.atom, 0.0), np.nextafter(law.atom, 1.0)
+    assert law.quantile(law.atom) == 0.0 and law.quantile(below) == 0.0
+    assert np.array_equal(law.quantile(np.array([below, law.atom])), [0.0, 0.0])
+    t = law.quantile(above)
+    assert math.isfinite(t) and t >= 0.0
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.3, -0.5, -1.0])
+def test_quantile_raises_no_numpy_warning(beta):
+    # inside the atom the closed form takes logarithms of numbers <= 0, and at
+    # beta = -lambda it divides by r = 0; none of that may surface
+    u = np.linspace(0.0, 0.999999, 1001)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.all(np.isfinite(quantile(P11, beta)(u)))
 
 
 def test_heavy_traffic_simulation():
@@ -181,15 +225,16 @@ def test_heavy_traffic_simulation():
 def event_loop_cycles(params, quantile, n_cycles, seed):
     """busy, idle of the first n_cycles cycles by a plain event loop over the documented draws.
 
-    Per chunk of simulate.CHUNK customers: that many Exponential(lambda) gaps,
-    then that many uniforms for the services.  The clock restarts at each
-    cycle's first arrival; e is the latest departure of the open cycle.
+    Per chunk of simulate.CHUNK customers: that many standard exponentials,
+    scaled by 1/lambda into the gaps, then that many uniforms for the services.
+    The clock restarts at each cycle's first arrival; e is the latest departure
+    of the open cycle.
     """
-    rng = Generator(Philox(key=seed))
+    rng = Generator(SFC64(seed))
     busy, idle = [], []
     t = e = None  # no cycle before the first arrival
     while len(busy) < n_cycles:
-        gaps = rng.exponential(1.0 / params.lam, simulate.CHUNK)
+        gaps = rng.standard_exponential(simulate.CHUNK) * (1.0 / params.lam)
         services = quantile(rng.random(simulate.CHUNK))
         for gap, service in zip(gaps.tolist(), services.tolist()):
             if t is not None:
