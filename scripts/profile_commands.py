@@ -1,0 +1,99 @@
+#!/usr/bin/env python3
+"""Wall time and minor page faults of each command call at one benchmark point.
+
+Calls `mginf.cli.main` in-process for `eval`, `simulate`, `eval`, `verify`,
+the order of bench/child.py, at the --workload's point of bench/run.py
+(lambda = 1; eval on 12 mean busy periods at step 0.005).  As in the
+benchmark child, each `eval` entry repeats until its calls have taken
+EVAL_SECONDS, and each `--out` CSV is read back and hashed after its
+call.  Both matter to the page-fault count: glibc raises its mmap threshold
+to the size of the largest block freed so far (up to 32 MB), so after the
+CSV's bytes are freed the arrays of later calls come from the heap instead
+of fresh mappings.  One round runs first as a warm-up, so first-call costs
+(numpy's lazily imported modules, the heap's first growth) are not counted.
+Then each call of --rounds rounds prints one JSON line: the round, the
+command, its exit code, wall time, `ru_minflt` delta (minor page faults:
+pages the process touched for the first time, or got back from the kernel
+afresh after freeing them) and the sha256 of its CSV.  Command stdout is
+discarded; CSVs go to a temporary directory.
+
+Example:
+    PYTHONPATH=src python3 scripts/profile_commands.py --workload table-ramp --seed 5 --rounds 3
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import math
+import resource
+import tempfile
+import time
+from pathlib import Path
+
+from mginf.cli import main as mginf_main
+
+EVAL_SECONDS = 0.25  # bench/run.py's EVAL_MIN_S
+
+# rho, --beta or the table's (t, beta) rows, cycles: the points of bench/run.py
+WORKLOADS = {
+    "mc-constant": (1.0, 0.0, 100_000),
+    "table-ramp": (1.0, ((0.0, 0.0), (1.0, 0.2)), 1000),
+    "heavy-series": (3.0, 0.0, 20_000),
+}
+
+
+def command_argvs(workload: str, seed: int, work: Path) -> list[tuple[str, list[str]]]:
+    rho, beta, cycles = WORKLOADS[workload]
+    common = ["--lambda", "1.0", "--rho", repr(rho)]
+    if isinstance(beta, float):
+        common += ["--beta", repr(beta)]
+    else:
+        table = work / "beta.csv"
+        table.write_text("t,beta\n" + "".join(f"{t!r},{b!r}\n" for t, b in beta))
+        common += ["--beta-file", str(table)]
+    mc = ["--cycles", str(cycles), "--seed", str(seed)]
+    ev = ["eval", *common, "--t-max", repr(12.0 * math.expm1(rho)), "--step", "0.005",
+          "--out", str(work / "eval.csv")]
+    sim = ["simulate", *common, *mc, "--out", str(work / "simulate.csv")]
+    return [("eval", ev), ("simulate", sim), ("eval", ev), ("verify", ["verify", *common, *mc])]
+
+
+def timed_call(argv: list[str]) -> dict:
+    """Exit code, wall seconds, minor faults and CSV digest of one in-process call."""
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = mginf_main(argv)
+    wall = time.perf_counter() - start
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+    digest = None
+    if "--out" in argv:
+        digest = hashlib.sha256(Path(argv[argv.index("--out") + 1]).read_bytes()).hexdigest()
+    return {"exit": code, "wall_s": round(wall, 6), "minflt": faults, "out_sha256": digest}
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
+    ap.add_argument("--seed", type=int, default=5)
+    ap.add_argument("--rounds", type=int, default=3)
+    args = ap.parse_args()
+    with tempfile.TemporaryDirectory() as tmp:
+        calls = command_argvs(args.workload, args.seed, Path(tmp))
+        for rnd in range(-1, args.rounds):  # round -1 is the warm-up
+            for name, argv in calls:
+                spent = 0.0
+                while True:
+                    result = timed_call(argv)
+                    spent += result["wall_s"]
+                    if rnd >= 0:
+                        print(json.dumps({"round": rnd, "command": name, **result}))
+                    if name != "eval" or spent >= EVAL_SECONDS:
+                        break
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -76,9 +76,9 @@ def _check_beta(params: QueueParams, beta: float) -> None:
         raise BetaOutOfRange(f"beta {beta} outside [{lo}, {hi:.6f}]")
 
 
-def _check_time(t) -> np.ndarray:
+def check_time(t) -> np.ndarray:
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
+    if np.fmin.reduce(t, axis=None, initial=0.0) < 0:  # fmin skips NaN, which passes
         raise NegativeTime("t must be >= 0")
     return t
 
@@ -91,7 +91,7 @@ def _ret(x: np.ndarray, like: np.ndarray):
 def service_cdf(params: QueueParams, beta: float, t) -> float | np.ndarray:
     """G(t) for constant beta; G == 1 at the degenerate endpoint beta = -lambda."""
     _check_beta(params, beta)
-    tt = _check_time(t)
+    tt = check_time(t)
     lam, q0 = params.lam, params.exp_neg_rho
     s = lam + beta
     if s <= 0:
@@ -129,11 +129,13 @@ def service_quantile(params: QueueParams, beta: float, u) -> float | np.ndarray:
 def busy_period_cdf(params: QueueParams, beta: float, t) -> float | np.ndarray:
     """B(t): atom of size G(0) plus an exponential of rate e^{-rho}(lambda+beta)."""
     _check_beta(params, beta)
-    tt = _check_time(t)
+    tt = check_time(t)
     lam, q0 = params.lam, params.exp_neg_rho
     s = lam + beta
-    b = 1.0 - (s / lam) * (1.0 - q0) * np.exp(-q0 * s * tt)
-    return _ret(b, tt)
+    b = np.multiply(tt, -q0 * s, out=np.empty_like(tt))
+    np.exp(b, out=b)
+    b *= (s / lam) * (1.0 - q0)
+    return _ret(np.subtract(1.0, b, out=b), tt)
 
 
 def busy_cycle_cdf(params: QueueParams, beta: float, t) -> float | np.ndarray:
@@ -144,27 +146,39 @@ def busy_cycle_cdf(params: QueueParams, beta: float, t) -> float | np.ndarray:
     which reproduces the documented limit 1 - (1 + x t)e^{-lambda t}.  For
     d > 0 the same expression is written as
     1 - e^{-lambda t} + x e^{-e^{-rho}(lambda+beta) t} expm1(-d t)/d, so that
-    only decaying exponentials are evaluated.
+    only decaying exponentials are evaluated, each branch in two arrays of t's size.
     """
     _check_beta(params, beta)
-    tt = _check_time(t)
+    tt = check_time(t)
     lam, q0 = params.lam, params.exp_neg_rho
     s = lam + beta
     x = (1.0 - q0) * s
     d = lam - q0 * s
-    if abs(d) < CONFLUENCE_EPS_REL * lam:
-        z = 1.0 - (1.0 + x * tt) * np.exp(-lam * tt)
-    elif d > 0:
-        z = 1.0 - np.exp(-lam * tt) + x * np.exp(-q0 * s * tt) * np.expm1(-d * tt) / d
-    else:
-        z = 1.0 - np.exp(-lam * tt) * (1.0 + x * np.expm1(d * tt) / d)
-    return _ret(z, tt)
+    z, e = np.empty_like(tt), np.empty_like(tt)
+    if abs(d) < CONFLUENCE_EPS_REL * lam:  # 1 - (1 + x t) e^{-lambda t}
+        np.multiply(tt, x, out=z)
+        z += 1.0
+        z *= np.exp(np.multiply(tt, -lam, out=e), out=e)
+    elif d > 0:  # (1 - e^{-lambda t}) + x e^{-e^{-rho} s t} expm1(-d t) / d
+        np.exp(np.multiply(tt, -q0 * s, out=z), out=z)
+        z *= x
+        z *= np.expm1(np.multiply(tt, -d, out=e), out=e)
+        z /= d
+        np.exp(np.multiply(tt, -lam, out=e), out=e)
+        return _ret(np.add(np.subtract(1.0, e, out=e), z, out=z), tt)
+    else:  # 1 - e^{-lambda t} (1 + x expm1(d t) / d)
+        np.expm1(np.multiply(tt, d, out=z), out=z)
+        z *= x
+        z /= d
+        z += 1.0
+        z *= np.exp(np.multiply(tt, -lam, out=e), out=e)
+    return _ret(np.subtract(1.0, z, out=z), tt)
 
 
 def empty_probability(params: QueueParams, beta: float, t) -> float | np.ndarray:
     """p00(t) = e^{-lambda int_0^t [1-G]}; closed form e^{-rho} + (1-e^{-rho})e^{-(lambda+beta)t}."""
     _check_beta(params, beta)
-    tt = _check_time(t)
+    tt = check_time(t)
     q0 = params.exp_neg_rho
     s = params.lam + beta
     p = q0 + (1.0 - q0) * np.exp(-s * tt)
@@ -187,7 +201,7 @@ def monotony_indicator(params: QueueParams, beta: float, t) -> float | np.ndarra
     _check_beta(params, beta)
     if beta <= -params.lam:
         raise DegenerateDistribution("no density at beta = -lambda")
-    tt = _check_time(t)
+    tt = check_time(t)
     lam, q0 = params.lam, params.exp_neg_rho
     s = lam + beta
     e = np.exp(-s * tt)
@@ -212,7 +226,7 @@ def envelope_bounds(params: QueueParams, t) -> EnvelopeBounds:
     has the same means, so its B and Z cross them.  Only cycle_ceiling, the
     exponential idle-period CDF, bounds Z for every beta.
     """
-    tt = _check_time(t)
+    tt = check_time(t)
     lam = params.lam
     hi = lam / math.expm1(params.rho)
     bp_floor = -np.expm1(-hi * tt)

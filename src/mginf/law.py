@@ -27,10 +27,8 @@ import numpy as np
 
 from . import closed_form as cf
 from . import transforms
-from .errors import (
-    BetaOutOfRange, DivergentKernelIntegral, GridTooLarge, NegativeTime, NonFiniteParameter,
-    ProbabilityOutOfRange,
-)
+from .errors import (BetaOutOfRange, DivergentKernelIntegral, GridTooLarge, NonFiniteParameter,
+                     ProbabilityOutOfRange)
 from .params import QueueParams, ValidatedBeta
 from .transforms import MAX_GRID_POINTS, GridFunction, GridSpec, default_grid
 
@@ -38,14 +36,6 @@ from .transforms import MAX_GRID_POINTS, GridFunction, GridSpec, default_grid
 # Rounding slack of the certificate beta + lambda G >= 0, in ulps of lambda: at
 # rho = 36 a flat table equal to an admissible constant reaches -3 ulps.
 CERT_ULPS = 8
-
-
-def _service_cdf(params: QueueParams, phi, p00):
-    """G from normalised kernel values phi and p00 = 1 - (1 - e^{-rho}) Phi, which must not be 0."""
-    if np.any(p00 <= 0.0):
-        raise NonFiniteParameter(f"p00 = 1 - (1 - e^-rho) Phi(t) rounds to 0 at rho = "
-                                 f"{params.rho:g}: G cannot be evaluated this far out")
-    return 1.0 - (1.0 - params.exp_neg_rho) * phi / (params.lam * p00)
 
 
 def _like(t, values: np.ndarray):
@@ -112,12 +102,10 @@ class ServiceLaw:
         self.mass_knot = inv_total * body  # Phi(t_knot)
         self.tail_mass = f_end / r_total  # Phi(t) = 1 - m e^{-r (t - t_knot)} past t_knot
         q0 = params.exp_neg_rho
-        self.grid_g = _service_cdf(params, inv_total * self.grid_f,
-                                   1.0 - (1.0 - q0) * (inv_total * self.grid_prefix))
-        self.atom = float(_service_cdf(params, inv_total, 1.0))  # f(0) = 1, p00(0) = 1
-        # with the tail form of p00, as cdf evaluates it from t_knot on
-        p00_knot = q0 + (1.0 - q0) * self.tail_mass
-        self.g_knot = float(_service_cdf(params, inv_total * f_end, p00_knot))
+        self.grid_g = self._service_cdf(self.grid_f.copy(),
+                                        1.0 - (1.0 - q0) * (inv_total * self.grid_prefix))
+        self.atom = float(self._service_cdf(np.ones(1), np.ones(1))[0])  # f(0) = 1, p00(0) = 1
+        self.g_knot = self.cdf(t_knot)  # with the tail form of p00, as everywhere from t_knot on
         # G' = (1 - G)(beta + lambda G), so G is a CDF only while beta + lambda G >= 0.
         # Past the last knot beta is constant and G only rises, so [0, t_knot] suffices.
         # G is formed to a few ulps of 1 and |beta| <= lambda, so the floor allows
@@ -137,67 +125,77 @@ class ServiceLaw:
         """f(t) = exp(-lambda t - int_0^t beta), exact for every t >= 0."""
         return np.exp(-self.params.lam * t - self.spec.cumulative(t))
 
-    def _kernel_mass(self, t, mass: bool = True):
-        """f, e^x and, if mass, Phi on np.atleast_1d(t) >= 0: what cdf, kernel and prefix_mass read.
+    def _kernel(self, t, mass: bool = False):
+        """f and p00 = 1 - (1 - e^{-rho}) Phi, or Phi itself if mass, on np.atleast_1d(t) >= 0.
 
-        Past t_knot all are closed form in x = -r (t - t_knot): f = f(t_knot) e^x and
-        Phi = Phi(t_knot) + m (1 - e^x), finite at r = 0, with no call to `cumulative`.
-        Before t_knot x = 0, f is the exact integrand, evaluated once per point, and Phi
-        is `_body_mass`.
+        The two results are the only float arrays of len(t) formed: e^x is
+        taken in place in the one that becomes f.  Past t_knot both are closed form in
+        x = -r (t - t_knot), with no call to `cumulative`: f = f(t_knot) e^x,
+        Phi = Phi(t_knot) + m (1 - e^x), finite at r = 0, and
+        p00 = e^{-rho} + (1 - e^{-rho}) m e^x, two positive terms where
+        1 - (1 - e^{-rho}) Phi would cancel down to its own rounding error as
+        e^{-rho} shrinks (G is off by 1.9e-4 at rho = 30 that way).  Points
+        before t_knot are overwritten from `_body`.
         """
-        tt = np.asarray(t, dtype=float)
-        if np.any(tt < 0):
-            raise NegativeTime("t must be >= 0")
-        t = np.atleast_1d(tt)
-        x = -self.tail_rate * np.maximum(t - self.t_knot, 0.0)  # 0 before t_knot
-        ex = np.exp(x)
-        f = self.f_knot * ex
-        phi_mass = self.mass_knot + self.tail_mass * -np.expm1(x) if mass else None
-        body = t < self.t_knot  # none for constant beta
-        if body.any():
-            tb = t[body]
-            f[body] = fb = self._integrand(tb)
-            if mass:
-                phi_mass[body] = self._body_mass(tb, fb)
-        return f, ex, phi_mass
+        t = np.atleast_1d(cf.check_time(t))
+        f = np.subtract(t, self.t_knot)
+        np.maximum(f, 0.0, out=f)
+        f *= -self.tail_rate  # x, 0 before t_knot
+        if mass:  # Phi(t_knot) - m expm1(x)
+            second = np.expm1(f)
+            second *= self.tail_mass
+            np.subtract(self.mass_knot, second, out=second)
+        np.exp(f, out=f)
+        if not mass:  # e^{-rho} + (1 - e^{-rho}) m e^x
+            second = np.multiply(f, (1.0 - self.params.exp_neg_rho) * self.tail_mass)
+            second += self.params.exp_neg_rho
+        f *= self.f_knot
+        if self.t_knot > 0:
+            body = t < self.t_knot
+            if body.any():
+                f[body], second[body] = self._body(t[body], mass)
+        return f, second
 
-    def _body_mass(self, tb: np.ndarray, fb: np.ndarray) -> np.ndarray:
-        """Phi at tb < t_knot, where f = fb: the certified grid prefix plus Simpson over [t0, tb]."""
+    def _body(self, tb: np.ndarray, mass: bool = False):
+        """f and p00 (Phi if mass) at tb <= t_knot, in fresh arrays.
+
+        f is the exact integrand; Phi is the certified grid prefix plus Simpson
+        over [t0, tb], t0 the grid point at or below tb.
+        """
+        fb = self._integrand(tb)
         idx = np.clip((tb // self.grid_t[1]).astype(int), 0, len(self.grid_t) - 1)
         t0 = self.grid_t[idx]
         dt = tb - t0
         fm = self._integrand(t0 + 0.5 * dt)
         cell = dt / 6.0 * (self.grid_f[idx] + 4.0 * fm + fb)
-        return self.inv_total * (self.grid_prefix[idx] + cell)
+        phi = self.inv_total * (self.grid_prefix[idx] + cell)
+        return fb, phi if mass else 1.0 - (1.0 - self.params.exp_neg_rho) * phi
 
-    def _kernel_p00(self, t):
-        """f and p00 = 1 - (1 - e^{-rho}) Phi on np.atleast_1d(t) >= 0.
+    def _service_cdf(self, f: np.ndarray, p00: np.ndarray) -> np.ndarray:
+        """G = 1 - (1 - e^{-rho}) phi / (lambda p00), phi = f/I, formed in f; p00 is overwritten.
 
-        Past t_knot p00 = e^{-rho} + (1 - e^{-rho}) m e^x, two positive terms, where
-        1 - (1 - e^{-rho}) Phi would cancel down to its own rounding error as e^{-rho}
-        shrinks (G is off by 1.9e-4 at rho = 30 that way).
+        p00 must not round to 0; NaN passes through.
         """
-        f, ex, _ = self._kernel_mass(t, mass=False)
-        q0 = self.params.exp_neg_rho
-        p00 = q0 + (1.0 - q0) * self.tail_mass * ex
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        body = t < self.t_knot
-        if body.any():
-            p00[body] = 1.0 - (1.0 - q0) * self._body_mass(t[body], f[body])
-        return f, p00
+        if np.fmin.reduce(p00, initial=np.inf) <= 0.0:
+            raise NonFiniteParameter(f"p00 = 1 - (1 - e^-rho) Phi(t) rounds to 0 at rho = "
+                                     f"{self.params.rho:g}: G cannot be evaluated this far out")
+        f *= self.inv_total
+        f *= 1.0 - self.params.exp_neg_rho
+        p00 *= self.params.lam
+        f /= p00
+        return np.subtract(1.0, f, out=f)
 
     def kernel(self, t) -> float | np.ndarray:
         """f(t) = exp(-lambda t - int_0^t beta(u) du); f(t_knot) e^{-r (t - t_knot)} past t_knot."""
-        return _like(t, self._kernel_mass(t, mass=False)[0])
+        return _like(t, self._kernel(t)[0])
 
     def prefix_mass(self, t) -> float | np.ndarray:
         """Phi(t) = int_0^t f / I; the tail part m (1 - e^{-r (t - t_knot)}) is finite at r = 0."""
-        return _like(t, self._kernel_mass(t)[2])
+        return _like(t, self._kernel(t, mass=True)[1])
 
     def cdf(self, t) -> float | np.ndarray:
         """G(t) = 1 - (1 - e^{-rho}) phi(t) / (lambda p00(t))."""
-        f, p00 = self._kernel_p00(t)
-        return _like(t, _service_cdf(self.params, self.inv_total * f, p00))
+        return _like(t, self._service_cdf(*self._kernel(t)))
 
     def quantile(self, u) -> float | np.ndarray:
         """Inverse of `cdf`, vectorised over u in [0, 1); exactly 0 for u <= G(0).
@@ -252,14 +250,14 @@ class ServiceLaw:
             miss = s * (d0 + s * (c2 + s * c3)) - y
             s = np.clip(s - np.divide(miss, slope, out=np.zeros_like(s), where=slope > 0), 0.0, 1.0)
         tb = lo + s * h
-        g = self.cdf(tb)
+        g = self._service_cdf(*self._body(tb))  # tb <= t_knot: the body branch of `cdf`
         dens = (1.0 - g) * (self.indicator(tb) + self.params.lam * g)
         step = np.divide(g - ub, dens, out=np.zeros_like(tb), where=dens > 0)
         return np.clip(tb - step, lo, hi)
 
     def p00(self, t):
-        """p00(t) = 1 - (1 - e^{-rho}) Phi(t), Phi the kernel's prefix mass; see `_kernel_p00`."""
-        return _like(t, self._kernel_p00(t)[1])
+        """p00(t) = 1 - (1 - e^{-rho}) Phi(t), Phi the kernel's prefix mass; see `_kernel`."""
+        return _like(t, self._kernel(t)[1])
 
     def idle_cdf(self, t):
         """1 - e^{-lambda t}: the idle period is Exponential(lambda) for every beta."""

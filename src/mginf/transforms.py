@@ -168,7 +168,7 @@ def _series_parts(law: ServiceLaw, grid: GridSpec):
         raise StepTooCoarse(f"step {h} too coarse for rates up to {rate}")
     ts = np.arange(grid_points(grid.t_max, h)) * h
     lead = max(1, int(np.searchsorted(ts, law.t_knot)))
-    f, _, mass = law._kernel_mass(ts)  # one kernel pass for f and Phi
+    f, mass = law._kernel(ts, mass=True)  # one kernel pass for f and Phi
     one_m_q0 = 1.0 - params.exp_neg_rho
     bracket = 1.0 - one_m_q0 * (law.inv_total * f / params.lam + mass)
     weight = one_m_q0 * law.inv_total
@@ -289,7 +289,8 @@ def busy_period_laplace_from_service(
     J = int_0^inf exp(-s*t - lambda int_0^t [1 - G(v)] dv) dt; the inner
     integral saturates at rho, so the integrand tail is e^{-rho} e^{-s t} and
     is added in closed form.  At s = 0 the outer integral diverges and the
-    normalization value 1 is returned.
+    normalization value 1 is returned.  It writes into one array of the nodes'
+    size and one of half that, never into the one `service_cdf` returns.
     """
     if s < 0:
         raise NegativeS(f"s must be >= 0, got {s}")
@@ -299,14 +300,20 @@ def busy_period_laplace_from_service(
     m = 20000
     h = t_star / (2 * m)
     ts = np.arange(2 * m + 1) * h
-    y = params.lam * (1.0 - np.asarray(service_cdf(ts), dtype=float))
+    y = np.subtract(1.0, np.asarray(service_cdf(ts), dtype=float))
+    y *= params.lam
     if not np.all(np.isfinite(y)):
         raise QuadratureFailure("service CDF returned non-finite values")
-    # composite Simpson prefix of the inner integral at the even nodes
-    cells = h / 3.0 * (y[:-2:2] + 4.0 * y[1::2] + y[2::2])
-    inner = np.concatenate([[0.0], np.cumsum(cells)])
-    t_even = ts[::2]
-    integrand = np.exp(-s * t_even - inner)
+    # composite Simpson prefix of the inner integral at the even nodes, after a 0
+    inner = np.zeros(m + 1)
+    cells = inner[1:]
+    np.add(y[:-2:2], np.multiply(y[1::2], 4.0, out=cells), out=cells)
+    cells += y[2::2]
+    cells *= h / 3.0
+    np.cumsum(cells, out=cells)
+    integrand = np.multiply(ts[::2], -s, out=y[:m + 1])
+    integrand -= inner
+    np.exp(integrand, out=integrand)
     # Simpson again over the even nodes
     h2 = 2.0 * h
     j = h2 / 3.0 * (

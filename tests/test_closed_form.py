@@ -158,6 +158,51 @@ def test_busy_cycle_continuous_through_confluence():
     assert at_star == pytest.approx(near, abs=1e-8)
 
 
+def reference_busy_cdfs(p, beta, t):
+    """B and Z by the closed-form expressions, each written out whole: the in-place reference."""
+    tt = np.asarray(t, dtype=float)
+    lam, q0 = p.lam, p.exp_neg_rho
+    s = lam + beta
+    b = 1.0 - (s / lam) * (1.0 - q0) * np.exp(-q0 * s * tt)
+    x, d = (1.0 - q0) * s, lam - q0 * s
+    if abs(d) < cf.CONFLUENCE_EPS_REL * lam:
+        z = 1.0 - (1.0 + x * tt) * np.exp(-lam * tt)
+    elif d > 0:
+        z = 1.0 - np.exp(-lam * tt) + x * np.exp(-q0 * s * tt) * np.expm1(-d * tt) / d
+    else:
+        z = 1.0 - np.exp(-lam * tt) * (1.0 + x * np.expm1(d * tt) / d)
+    return b, z
+
+
+P05 = validate_queue_params(1.0, 0.5)
+
+
+@pytest.mark.parametrize("p,beta,branch", [
+    (P11, 0.0, "d > 0"), (P11, -1.0, "d > 0"), (P11, 0.3, "d > 0"), (P21, -1.0, "d > 0"),
+    (PLN2, LN2_HI, "confluent"), (PLN2, 0.0, "d > 0"),
+    (P05, math.expm1(0.5), "confluent"), (P05, math.expm1(0.5) + 1e-5, "d < 0"),
+    (P21, 3.083, "d < 0"),
+])
+def test_busy_cdfs_are_bit_identical_to_their_expressions(p, beta, branch):
+    d = p.lam - p.exp_neg_rho * (p.lam + beta)
+    assert branch == ("confluent" if abs(d) < cf.CONFLUENCE_EPS_REL * p.lam
+                      else "d > 0" if d > 0 else "d < 0")
+    ts = np.concatenate([[0.0, 5e-324, 1e-9], np.linspace(0.0, 60.0, 2001), [1e3, 1e300]])
+    want_b, want_z = reference_busy_cdfs(p, beta, ts)
+    assert np.array_equal(cf.busy_period_cdf(p, beta, ts), want_b)
+    assert np.array_equal(cf.busy_cycle_cdf(p, beta, ts), want_z)
+    for i in (0, 2, 500, -1):  # floats and 0-d arrays give floats
+        for t in (float(ts[i]), np.array(ts[i])):
+            b, z = cf.busy_period_cdf(p, beta, t), cf.busy_cycle_cdf(p, beta, t)
+            assert type(b) is float and type(z) is float
+            assert (b, z) == (want_b[i], want_z[i])
+    got = cf.busy_cycle_cdf(p, beta, [np.nan, 1.0])  # NaN passes, negative t does not
+    assert math.isnan(got[0]) and got[1] == cf.busy_cycle_cdf(p, beta, 1.0)
+    for fn in (cf.busy_period_cdf, cf.busy_cycle_cdf):
+        with pytest.raises(NegativeTime):
+            fn(p, beta, [np.nan, -1.0])
+
+
 # ---- transient probabilities -----------------------------------------------
 
 def test_empty_probability_at_zero_and_infinity():

@@ -1,0 +1,60 @@
+"""Golden digests: the bytes `eval`, `simulate` and `verify` write at the benchmark's three points.
+
+The points are those of bench/run.py (lambda = 1; rho, beta and cycle count
+per workload; eval on 12 mean busy periods at step 0.005), with seed 5.  A
+digest changes only when some output byte does: a change that claims to keep
+the arithmetic must leave all nine unchanged.
+"""
+
+import hashlib
+import math
+
+import pytest
+
+from mginf.cli import main
+
+SEED = 5
+
+# workload: (rho, --beta or the ramp table's rows, cycles,
+#            sha256 of the eval CSV, the simulate CSV and the verify stdout)
+POINTS = {
+    "mc-constant": (1.0, 0.0, 100_000, (
+        "a722e1015b86ab57ce0a10b3518be52c24630e6bd49dcc70b2fa394d86bb7bc0",
+        "82e474036513c90d4765dc99ad887728fab8ff7cbf93065a44b386e31deee0a5",
+        "b328c7aa637d62fa67f92629a5e89750f12f84b95db31d1d8d61b7c04ca5de9b")),
+    "table-ramp": (1.0, ((0.0, 0.0), (1.0, 0.2)), 1000, (
+        "23324afdca139a02ef7053aa7b0c9e32975bf10716a25d5a2d676d130f69866d",
+        "396d6053e09f4aeb9f3f9a5236f584ccfc1b50d3d2d7a0c5140448dff3f6c763",
+        "a447f94f48a7af209ef9790f1fd517ba7f277c6e510540e3af8fbe2bc2a6de8a")),
+    "heavy-series": (3.0, 0.0, 20_000, (
+        "c9b5d4dccbcb14cee7768c35bb0cb67c4550699d679534281405e562cd469eb4",
+        "c095b3aa07d0bf0dc47cc501d03832976fee27b128710fcb6c74433f3a77e1b4",
+        "1aca7f946afb560be520c4236d52bb7aee846dac5e512ec31c4f033f4ef2905e")),
+}
+
+
+def command_digests(tmp_path, capsys, rho, beta, cycles):
+    """sha256 of the eval CSV, the simulate CSV and the verify stdout at one point."""
+    common = ["--lambda", "1.0", "--rho", repr(rho)]
+    if isinstance(beta, float):
+        common += ["--beta", repr(beta)]
+    else:
+        table = tmp_path / "beta.csv"
+        table.write_text("t,beta\n" + "".join(f"{t!r},{b!r}\n" for t, b in beta))
+        common += ["--beta-file", str(table)]
+    mc = ["--cycles", str(cycles), "--seed", str(SEED)]
+    t_max = 12.0 * math.expm1(rho)
+    assert main(["eval", *common, "--t-max", repr(t_max), "--step", "0.005",
+                 "--out", str(tmp_path / "eval.csv")]) == 0
+    assert main(["simulate", *common, *mc, "--out", str(tmp_path / "simulate.csv")]) == 0
+    capsys.readouterr()
+    main(["verify", *common, *mc])  # exit 1: the paper's floor checks FAIL at interior beta
+    verify_out = capsys.readouterr().out.encode()
+    return tuple(hashlib.sha256(data).hexdigest() for data in (
+        (tmp_path / "eval.csv").read_bytes(), (tmp_path / "simulate.csv").read_bytes(), verify_out))
+
+
+@pytest.mark.parametrize("workload", sorted(POINTS))
+def test_command_output_bytes_are_unchanged(tmp_path, capsys, workload):
+    rho, beta, cycles, want = POINTS[workload]
+    assert command_digests(tmp_path, capsys, rho, beta, cycles) == want

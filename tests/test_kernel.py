@@ -1,12 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from mginf import closed_form as cf
-from mginf.errors import BetaOutOfRange, DivergentKernelIntegral
+from mginf.errors import BetaOutOfRange, DivergentKernelIntegral, NegativeTime, NonFiniteParameter
 from mginf.law import ServiceLaw
-from mginf.params import BetaSpec, ValidatedBeta, validate_beta, validate_queue_params
+from mginf.params import BetaSpec, ValidatedBeta, beta_bounds, validate_beta, validate_queue_params
 from mginf.transforms import GridSpec
 from mginf.verify import riccati_residual
 
@@ -266,3 +267,106 @@ def test_table_below_the_certificate_floor_by_1e_9_is_rejected():
     assert -1.02e-9 < -(1.0 - math.exp(-1.0)) * d < -1e-9
     with pytest.raises(BetaOutOfRange, match="at t=0:"):
         ServiceLaw(p, validate_beta(p, spec), GridSpec(step=0.005, t_max=1.0))
+
+
+def reference_kernel(law, t):
+    """f, Phi, p00 and G on np.atleast_1d(t), each formula written out whole as one expression.
+
+    The reference for the in-place evaluator: the same operations in the same
+    order, from the law's cached constants and kernel grid.
+    """
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    lam, q0 = law.params.lam, law.params.exp_neg_rho
+    x = -law.tail_rate * np.maximum(t - law.t_knot, 0.0)
+    ex = np.exp(x)
+    f = law.f_knot * ex
+    mass = law.mass_knot + law.tail_mass * -np.expm1(x)
+    p00 = q0 + (1.0 - q0) * law.tail_mass * ex
+    body = t < law.t_knot
+    if body.any():
+        tb = t[body]
+        f[body] = fb = np.exp(-lam * tb - law.spec.cumulative(tb))
+        idx = np.clip((tb // law.grid_t[1]).astype(int), 0, len(law.grid_t) - 1)
+        t0 = law.grid_t[idx]
+        dt = tb - t0
+        tm = t0 + 0.5 * dt
+        fm = np.exp(-lam * tm - law.spec.cumulative(tm))
+        cell = dt / 6.0 * (law.grid_f[idx] + 4.0 * fm + fb)
+        mass[body] = law.inv_total * (law.grid_prefix[idx] + cell)
+        p00[body] = 1.0 - (1.0 - q0) * mass[body]
+    g = 1.0 - (1.0 - q0) * (law.inv_total * f) / (lam * p00)
+    return {"kernel": f, "prefix_mass": mass, "p00": p00, "cdf": g}
+
+
+EVALUATOR_SPECS = {
+    "beta=-lambda": BetaSpec(constant=beta_bounds(P11)[0]),
+    "beta=0": BetaSpec(constant=0.0),
+    "beta=0.3": BetaSpec(constant=0.3),
+    "beta=upper": BetaSpec(constant=beta_bounds(P11)[1]),
+    "ramp": RAMP,
+    "three knots": THREE_KNOTS,
+}
+
+
+@pytest.mark.parametrize("name", sorted(EVALUATOR_SPECS))
+def test_evaluator_is_bit_identical_to_its_formulas(name):
+    law = ServiceLaw(P11, validate_beta(P11, EVALUATOR_SPECS[name]))
+    knot = law.t_knot
+    ts = np.concatenate([np.linspace(0.0, knot + 3.0, 401), [np.nextafter(knot, 0.0), knot,
+                         np.nextafter(knot, 9.0), knot + 1e-9, knot + 40.0, 1e3]])
+    want = reference_kernel(law, ts)
+    for fn, values in want.items():
+        got = getattr(law, fn)(ts)
+        assert got.shape == ts.shape and np.array_equal(got, values), fn
+        for i in (0, 100, 401, 403, -1):  # float and 0-d inputs give floats
+            for t in (float(ts[i]), np.array(ts[i])):
+                v = getattr(law, fn)(t)
+                assert type(v) is float and v == values[i], (fn, t)
+
+
+@pytest.mark.parametrize("spec", [BetaSpec(constant=0.0), RAMP])
+def test_evaluator_rejects_negative_time_and_passes_nan(spec):
+    law = ServiceLaw(P11, validate_beta(P11, spec))
+    for fn in (law.kernel, law.prefix_mass, law.p00, law.cdf):
+        for t in (-1e-300, [0.5, -1.0], [np.nan, -1.0], np.array([[0.5], [-2.0]])):
+            with pytest.raises(NegativeTime):
+                fn(t)
+        assert math.isnan(fn(np.nan))
+        got = fn([np.nan, 0.5, -0.0])
+        assert math.isnan(got[0]) and np.array_equal(got[1:], [fn(0.5), fn(0.0)])
+
+
+def test_service_cdf_rejects_p00_at_or_below_zero_but_not_nan():
+    law = ServiceLaw(P11, validate_beta(P11, RAMP))
+    for p00 in ([0.5, 0.0], [np.nan, -0.0], [1.0, -1e-300]):
+        with pytest.raises(NonFiniteParameter, match="p00"):
+            law._service_cdf(np.ones(2), np.array(p00))
+    g = law._service_cdf(np.ones(2), np.array([np.nan, 1.0]))
+    assert math.isnan(g[0]) and g[1] == law.atom
+
+
+@pytest.mark.parametrize("spec", [RAMP, THREE_KNOTS])
+def test_body_branch_is_the_cdf_before_the_last_knot(spec):
+    # the table quantile's Newton step reads G from the body branch alone
+    law = ServiceLaw(P11, validate_beta(P11, spec))
+    tb = np.linspace(0.0, np.nextafter(law.t_knot, 0.0), 4001)
+    assert np.array_equal(law._service_cdf(*law._body(tb)), law.cdf(tb))
+
+
+@pytest.mark.parametrize("spec", [BetaSpec(constant=0.0), RAMP])
+def test_cdf_and_p00_hold_at_most_three_arrays_of_their_points(spec):
+    # e^x is formed in the array that becomes f, and G in it too; p00 is the second
+    # array.  Points before the last knot (1/30 of these on the ramp) carry the
+    # body's own temporaries.
+    law = ServiceLaw(P11, validate_beta(P11, spec))
+    n = 100_000
+    ts = np.linspace(0.0, 30.0, n)
+    for fn in (law.cdf, law.p00):
+        fn(ts)
+        tracemalloc.start()
+        try:
+            fn(ts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 8 * n

@@ -1,5 +1,6 @@
 """Smoke tests: the scripts under scripts/ run end to end without a traceback."""
 
+import json
 import os
 import subprocess
 import sys
@@ -28,3 +29,17 @@ def test_sweep_constant_beta_writes_one_csv_per_beta(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stdout + proc.stderr
     assert len(list(tmp_path.glob("curves_beta_*.csv"))) == 3
+
+
+def test_profile_commands_prints_one_json_line_per_call():
+    proc = run_script("profile_commands.py", "--workload", "table-ramp", "--rounds", "1")
+    assert proc.returncode == 0, proc.stderr
+    calls = [json.loads(line) for line in proc.stdout.splitlines()]
+    names = [c["command"] for c in calls]  # each eval entry repeats for a quarter second
+    assert [n for i, n in enumerate(names) if names[i - 1:i] != [n]] == [
+        "eval", "simulate", "eval", "verify"]
+    for c in calls:
+        assert c["round"] == 0 and c["wall_s"] > 0 and c["minflt"] >= 0
+        # verify exits 1: the paper's floor envelope FAILs for the ramp's series curves
+        assert c["exit"] == {"eval": 0, "simulate": 0, "verify": 1}[c["command"]]
+        assert (c["out_sha256"] is None) == (c["command"] == "verify")

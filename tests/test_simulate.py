@@ -292,6 +292,24 @@ def test_run_cycles_memory_is_the_output_plus_one_chunk():
     assert peak <= 40 * n + 64 * simulate.CHUNK
 
 
+@pytest.mark.parametrize("rho", [1.0, 3.0])
+def test_ks_against_the_closed_form_cycle_law_holds_three_arrays(rho):
+    # Z is formed in two arrays of the sample's size; then the KS buffers are Z,
+    # the steps i/n and one gap buffer
+    p = validate_queue_params(1.0, rho)
+    law = ServiceLaw(p, validate_beta(p, BetaSpec(constant=0.0)))
+    n = 100_000
+    emp = empirical_cdf(run_cycles(p, law.quantile, n, seed=5).cycle)
+    ks_distance(emp, law.cycle_cdf)
+    tracemalloc.start()
+    try:
+        ks_distance(emp, law.cycle_cdf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 8 * n + 4096  # plus the scalars' bookkeeping
+
+
 def test_cycle_summary_requires_two():
     s = run_cycles(P11, quantile(P11, 0.0), 1, seed=0)
     with pytest.raises(EmptySample):

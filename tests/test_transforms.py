@@ -166,6 +166,59 @@ def test_laplace_from_service_s0_normalization():
     assert lp.value == 1.0
 
 
+def reference_laplace_from_service(params, service_cdf, s):
+    """The nested quadrature with every array formed whole: the in-place route's reference."""
+    t_star = 34.0 / s + 40.0 * params.alpha
+    m = 20000
+    h = t_star / (2 * m)
+    ts = np.arange(2 * m + 1) * h
+    y = params.lam * (1.0 - np.asarray(service_cdf(ts), dtype=float))
+    cells = h / 3.0 * (y[:-2:2] + 4.0 * y[1::2] + y[2::2])
+    inner = np.concatenate([[0.0], np.cumsum(cells)])
+    integrand = np.exp(-s * ts[::2] - inner)
+    j = 2.0 * h / 3.0 * (integrand[0] + integrand[-1]
+                         + 4.0 * integrand[1:-1:2].sum() + 2.0 * integrand[2:-1:2].sum())
+    j += integrand[-1] / s
+    return 1.0 + (s - 1.0 / j) / params.lam
+
+
+@pytest.mark.parametrize("law", [law_for(P11, 0.0), law_for(PLN2, 1.0),
+                                 ServiceLaw(P11, validate_beta(P11, RAMP))],
+                         ids=["beta=0", "ln2 upper", "ramp"])
+def test_laplace_from_service_is_bit_identical_and_leaves_the_cdf_values_alone(law):
+    returned = []
+
+    def owned_cdf(t):  # hands out an array its caller keeps using
+        g = law.cdf(t)
+        returned.append((g, g.copy()))
+        return g
+
+    for s in (0.1, 1.0, 5.0):
+        got = busy_period_laplace_from_service(law.params, owned_cdf, s).value
+        assert got == reference_laplace_from_service(law.params, law.cdf, s)
+    assert len(returned) == 3
+    for g, before in returned:
+        assert np.array_equal(g, before)
+
+
+@pytest.mark.parametrize("law", [law_for(P11, 0.0), ServiceLaw(P11, validate_beta(P11, RAMP))],
+                         ids=["beta=0", "ramp"])
+def test_laplace_from_service_holds_at_most_four_and_a_half_arrays_of_its_nodes(law):
+    # the nodes, the service CDF's two arrays while it runs, then lambda (1 - G) and the
+    # half-size prefix; the integrand reuses lambda (1 - G).  The ramp's points before
+    # its knot carry the body's own temporaries
+    nodes = 40001
+    for s in (0.1, 1.0, 5.0):
+        busy_period_laplace_from_service(law.params, law.cdf, s)
+        tracemalloc.start()
+        try:
+            busy_period_laplace_from_service(law.params, law.cdf, s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5 * 8 * nodes, s
+
+
 def test_laplace_general_frozen_values():
     assert busy_period_laplace_general(law_for(P11, 0.0), 1.0).value == pytest.approx(
         0.5378828427399902, abs=1e-12
