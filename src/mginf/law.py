@@ -7,7 +7,7 @@ mass Phi = int_0^t f / I,
     G = 1 - (1 - e^{-rho}) phi / (lambda (1 - (1 - e^{-rho}) Phi)).
 
 Beyond the last beta knot the kernel is exactly exponential with rate
-r = lambda + beta(inf), so f, Phi, p00 = 1 - (1 - e^{-rho}) Phi and G are
+r = lambda + beta(inf), so f, p00 = 1 - (1 - e^{-rho}) Phi and G are
 closed form there, with no beta integral, and G inverts in closed form;
 only [0, t_knot] is numeric, and for constant beta (t_knot = 0) nothing is.
 Every admissible beta, constant, tabulated or the degenerate endpoint
@@ -57,8 +57,8 @@ class ServiceLaw:
 
     The constructor integrates the kernel once on [0, t_knot], with a step of
     at most 1e-3/(lambda + max|beta|), the kernel's own rate, and caches 1/I,
-    f(t_knot), Phi(t_knot), the tail constant m, G(0) and G(t_knot): past
-    t_knot, G, f and Phi are closed form in them, not only the quantile.
+    f(t_knot), the tail constant m, G(0) and G(t_knot): past t_knot, G, f and
+    p00 are closed form in them, not only the quantile.
     With body = int_0^{t_knot} f and f_end = f(t_knot), r I = r body + f_end,
     so 1/I = r/(r body + f_end) and m = f_end/(r body + f_end) are finite for
     every r >= 0; only r < 0, where f grows, is rejected.  Without a closed
@@ -99,7 +99,6 @@ class ServiceLaw:
         self.f_knot = f_end
         r_total = tail_rate * body + f_end  # r I
         self.inv_total = inv_total = tail_rate / r_total  # 1/I; exactly 0 when r = 0
-        self.mass_knot = inv_total * body  # Phi(t_knot)
         self.tail_mass = f_end / r_total  # Phi(t) = 1 - m e^{-r (t - t_knot)} past t_knot
         q0 = params.exp_neg_rho
         self.grid_g = self._service_cdf(self.grid_f.copy(),
@@ -125,13 +124,12 @@ class ServiceLaw:
         """f(t) = exp(-lambda t - int_0^t beta), exact for every t >= 0."""
         return np.exp(-self.params.lam * t - self.spec.cumulative(t))
 
-    def _kernel(self, t, mass: bool = False):
-        """f and p00 = 1 - (1 - e^{-rho}) Phi, or Phi itself if mass, on np.atleast_1d(t) >= 0.
+    def _kernel(self, t):
+        """f and p00 = 1 - (1 - e^{-rho}) Phi on np.atleast_1d(t) >= 0.
 
         The two results are the only float arrays of len(t) formed: e^x is
         taken in place in the one that becomes f.  Past t_knot both are closed form in
-        x = -r (t - t_knot), with no call to `cumulative`: f = f(t_knot) e^x,
-        Phi = Phi(t_knot) + m (1 - e^x), finite at r = 0, and
+        x = -r (t - t_knot), with no call to `cumulative`: f = f(t_knot) e^x and
         p00 = e^{-rho} + (1 - e^{-rho}) m e^x, two positive terms where
         1 - (1 - e^{-rho}) Phi would cancel down to its own rounding error as
         e^{-rho} shrinks (G is off by 1.9e-4 at rho = 30 that way).  Points
@@ -141,23 +139,18 @@ class ServiceLaw:
         f = np.subtract(t, self.t_knot)
         np.maximum(f, 0.0, out=f)
         f *= -self.tail_rate  # x, 0 before t_knot
-        if mass:  # Phi(t_knot) - m expm1(x)
-            second = np.expm1(f)
-            second *= self.tail_mass
-            np.subtract(self.mass_knot, second, out=second)
         np.exp(f, out=f)
-        if not mass:  # e^{-rho} + (1 - e^{-rho}) m e^x
-            second = np.multiply(f, (1.0 - self.params.exp_neg_rho) * self.tail_mass)
-            second += self.params.exp_neg_rho
+        p00 = np.multiply(f, (1.0 - self.params.exp_neg_rho) * self.tail_mass)
+        p00 += self.params.exp_neg_rho
         f *= self.f_knot
         if self.t_knot > 0:
             body = t < self.t_knot
             if body.any():
-                f[body], second[body] = self._body(t[body], mass)
-        return f, second
+                f[body], p00[body] = self._body(t[body])
+        return f, p00
 
-    def _body(self, tb: np.ndarray, mass: bool = False):
-        """f and p00 (Phi if mass) at tb <= t_knot, in fresh arrays.
+    def _body(self, tb: np.ndarray):
+        """f and p00 at tb <= t_knot, in fresh arrays.
 
         f is the exact integrand; Phi is the certified grid prefix plus Simpson
         over [t0, tb], t0 the grid point at or below tb.
@@ -169,7 +162,7 @@ class ServiceLaw:
         fm = self._integrand(t0 + 0.5 * dt)
         cell = dt / 6.0 * (self.grid_f[idx] + 4.0 * fm + fb)
         phi = self.inv_total * (self.grid_prefix[idx] + cell)
-        return fb, phi if mass else 1.0 - (1.0 - self.params.exp_neg_rho) * phi
+        return fb, 1.0 - (1.0 - self.params.exp_neg_rho) * phi
 
     def _service_cdf(self, f: np.ndarray, p00: np.ndarray) -> np.ndarray:
         """G = 1 - (1 - e^{-rho}) phi / (lambda p00), phi = f/I, formed in f; p00 is overwritten.
@@ -189,10 +182,6 @@ class ServiceLaw:
         """f(t) = exp(-lambda t - int_0^t beta(u) du); f(t_knot) e^{-r (t - t_knot)} past t_knot."""
         return _like(t, self._kernel(t)[0])
 
-    def prefix_mass(self, t) -> float | np.ndarray:
-        """Phi(t) = int_0^t f / I; the tail part m (1 - e^{-r (t - t_knot)}) is finite at r = 0."""
-        return _like(t, self._kernel(t, mass=True)[1])
-
     def cdf(self, t) -> float | np.ndarray:
         """G(t) = 1 - (1 - e^{-rho}) phi(t) / (lambda p00(t))."""
         return _like(t, self._service_cdf(*self._kernel(t)))
@@ -205,8 +194,8 @@ class ServiceLaw:
         no gather or scatter, and u <= G(0) (where its logarithm may be of a
         non-positive number) is set to 0 after it; at t_knot = 0, where m = 1, it is
         closed_form.service_quantile bit for bit.  Below G(t_knot) the certified
-        grid values of G bracket u: the cubic Hermite interpolant of G on the
-        bracketing cell, with G' = (1 - G)(beta + lambda G) at its ends, is
+        grid values of G enclose u: the cubic Hermite interpolant of G on the
+        enclosing cell, with G' = (1 - G)(beta + lambda G) at its ends, is
         inverted by two Newton steps from the chord, and one Newton step on the
         exact G, clipped to the cell, finishes.
         """
@@ -236,7 +225,7 @@ class ServiceLaw:
     def _body_quantile(self, ub: np.ndarray) -> np.ndarray:
         """G^{-1}(ub) for G(0) < ub < G(t_knot): invert a Hermite cubic, then a Newton step on G."""
         i = np.clip(np.searchsorted(self.grid_g, ub) - 1, 0, self.grid_t.size - 2)
-        lo, hi = self.grid_t[i], self.grid_t[i + 1]  # the cell bracketing ub
+        lo, hi = self.grid_t[i], self.grid_t[i + 1]  # the cell enclosing ub
         h = self.grid_t[1]
         g0 = self.grid_g[i]
         dg = self.grid_g[i + 1] - g0
@@ -265,7 +254,7 @@ class ServiceLaw:
 
     @cached_property
     def series(self) -> tuple[GridFunction, GridFunction]:
-        """(B, Z) on the law's grid by the direct Volterra grid solve, solved once."""
+        """(B, Z) on the law's grid by the direct grid solve of the renewal equation, solved once."""
         # looked up on the module at call time, so a wrapper put there sees every solve
         b = transforms.busy_period_cdf_series(self, self.grid)
         return b, transforms.busy_cycle_cdf_series(self.params, b)

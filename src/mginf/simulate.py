@@ -121,11 +121,6 @@ class EmpiricalCdf:
         out = np.searchsorted(self.sorted, tt, side="right") / self.n
         return float(out) if tt.ndim == 0 else out
 
-    def left_limit(self, t) -> float | np.ndarray:
-        tt = np.asarray(t, dtype=float)
-        out = np.searchsorted(self.sorted, tt, side="left") / self.n
-        return float(out) if tt.ndim == 0 else out
-
 
 def empirical_cdf(samples) -> EmpiricalCdf:
     return EmpiricalCdf(samples)
@@ -142,13 +137,6 @@ def ks_distance(emp: EmpiricalCdf, analytic: Callable[[np.ndarray], np.ndarray])
     max(F - (i-1)/n), two reductions over one reused buffer.
     """
     s, n = emp.sorted, emp.n
-    if isinstance(analytic, EmpiricalCdf):
-        # step reference: compare matching one-sided limits at each distinct point
-        starts = np.flatnonzero(np.concatenate(([True], s[1:] != s[:-1])))  # first of each run
-        xs = s[starts]
-        after = np.append(starts[1:], n) / n  # Fhat(x): up to the next distinct point
-        return float(np.max(np.maximum(np.abs(after - analytic(xs)),
-                                       np.abs(starts / n - analytic.left_limit(xs)))))
     f = np.asarray(analytic(s), dtype=float)
     steps = np.arange(n + 1, dtype=float)
     steps /= n  # Fhat just below and at each sorted point

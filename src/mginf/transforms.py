@@ -1,10 +1,11 @@
-"""Laplace transforms and the grid solution of the busy-period convolution equation.
+"""Laplace transforms and the grid solution of the busy-period renewal equation.
 
 The busy-period transform has two equivalent routes: a nested-quadrature
 evaluation straight from the service CDF, and the kernel-based rational form.
-The time-domain CDF solves a Volterra convolution equation in the kernel; its
+In the time domain 1 - B = u/lambda, where u solves the renewal equation
+u = a + a * u with the defective density a = (1 - e^{-rho}) phi.  Its
 trapezoidal discretisation on a uniform grid is a lower-triangular Toeplitz
-system (plus a rank-one term).  Past the last beta knot the kernel is exactly
+system.  Past the last beta knot the kernel is exactly
 exponential, so the system's coefficients are geometric from lag J on (J the
 grid points before the knot): a_d = a_J q^(d-J).  The system is solved
 exactly in blocks of M >= 4J points (block by block with the history carried
@@ -19,7 +20,6 @@ about the new length (middle product).  Every FFT length is the smallest
 convolved with the exponential idle-period density; that convolution is a
 first-order recurrence, evaluated in O(n) with no FFT.
 """
-
 from __future__ import annotations
 
 import math
@@ -51,10 +51,6 @@ class GridFunction:
     @property
     def times(self) -> np.ndarray:
         return np.arange(len(self.values)) * self.step
-
-    def at(self, t: float) -> float:
-        """Linear interpolation between grid samples."""
-        return float(np.interp(t, self.times, self.values))
 
 
 class LaplacePoint(NamedTuple):
@@ -157,26 +153,23 @@ def grid_convolve(a: GridFunction, b: GridFunction) -> GridFunction:
 
 
 def _series_parts(law: ServiceLaw, grid: GridSpec):
-    """Grid samples of the kernel f, the bracket factor r, the weight w and the lead J.
+    """Grid samples of the defective density a = (1 - e^{-rho}) phi, and the lead J.
 
-    J = max(1, number of grid points before t_knot): f is exponential from t_J on.
+    J = max(1, number of grid points before t_knot): a is exponential from t_J on.
     """
-    params = law.params
     h = grid.step
-    rate = params.lam + law.spec.max_abs
+    rate = law.params.lam + law.spec.max_abs
     if h * rate > 0.01 * (1 + 1e-9):
         raise StepTooCoarse(f"step {h} too coarse for rates up to {rate}")
     ts = np.arange(grid_points(grid.t_max, h)) * h
     lead = max(1, int(np.searchsorted(ts, law.t_knot)))
-    f, mass = law._kernel(ts, mass=True)  # one kernel pass for f and Phi
-    one_m_q0 = 1.0 - params.exp_neg_rho
-    bracket = 1.0 - one_m_q0 * (law.inv_total * f / params.lam + mass)
-    weight = one_m_q0 * law.inv_total
-    return f, bracket, weight, lead
+    a = law.kernel(ts)
+    a *= (1.0 - law.params.exp_neg_rho) * law.inv_total
+    return a, lead
 
 
 def _block_solve(a: np.ndarray, rhs: np.ndarray, lead: int, q: float, m: int) -> np.ndarray:
-    """The lower-triangular Toeplitz system a * B = rhs in blocks of m >= J = lead points.
+    """The lower-triangular Toeplitz system a * x = rhs in blocks of m >= J = lead points.
 
     Needs a_d = a_J q^(d-J) for every d >= J; the recurrence is in
     `busy_period_cdf_series`.  The J points before a block enter by one middle
@@ -201,48 +194,50 @@ def _block_solve(a: np.ndarray, rhs: np.ndarray, lead: int, q: float, m: int) ->
                                   near_size)[lead - 1:lead - 1 + e - s]
             y -= a[lead] * carry * steps[1:e - s + 1]
         b[s:e] = np.fft.irfft(np.fft.rfft(y, size) * g_hat, size)[:e - s]
-        # S moves on by m: its window gains B_j for j in [s - J, e - J)
+        # S moves on by m: its window gains x_j for j in [s - J, e - J)
         lo = max(s - lead, 0)
         carry = steps[m] * carry + (b[lo:e - lead] * steps[e - lead - lo - 1::-1]).sum()
     return b
 
 
 def busy_period_cdf_series(law: ServiceLaw, grid: GridSpec) -> GridFunction:
-    """B(t) on the grid: the exact solution of the trapezoidal Volterra system.
+    """B(t) on the grid: 1 - u/lambda, u the exact solution of the trapezoidal renewal system.
 
-    B = r + w K B, with bracket factor r = 1 - (1 - e^{-rho})(phi/lambda + Phi),
-    weight w = (1 - e^{-rho})/I and
-    K x = grid_convolve(x, f) = c * x - h x_0 f / 2, where c = h f except
-    c_0 = h f_0 / 2.  Row 0 gives B_0 = r_0, so a * B = rhs with
-    a = delta - w c and rhs = r - w h r_0 f / 2: the sum of the Neumann series
-    sum_k (w K)^k r with no term dropped.
+    u = a + K u, with a = (1 - e^{-rho}) phi = (1 - e^{-rho}) f/I and
+    K x = grid_convolve(x, a) = h (c * x) - h x_0 a/2, where c = a except
+    c_0 = a_0/2.  Row 0 gives u_0 = a_0, so T * u = rhs with T = delta - h c
+    and rhs = a (1 - h a_0/2): the sum of the Neumann series sum_k K^k a with
+    no term dropped.  u >= 0 when a >= 0, so B <= 1 up to rounding.
 
-    Past the last knot f is exponential, so a_d = a_J q^(d-J) exactly for
+    Past the last knot f is exponential, so T_d = T_J q^(d-J) exactly for
     every d >= J, with q = e^{-r h}, r the kernel's tail rate and
     J = max(1, grid points with t < t_knot).  A grid of at most 2M points,
-    M = max(SERIES_BLOCK, 4J), is one block: B = rhs * (1/a), one power-series
+    M = max(SERIES_BLOCK, 4J), is one block: u = rhs * (1/T), one power-series
     reciprocal and one product.  A longer grid is solved in blocks [s, s+M):
     for k in the block,
 
-        sum_{j=s}^{k} a_{k-j} B_j = rhs_k - sum_{j=s-J}^{s-1} a_{k-j} B_j
-                                    - a_J q^(k-s+1) S_s,
+        sum_{j=s}^{k} T_{k-j} u_j = rhs_k - sum_{j=s-J}^{s-1} T_{k-j} u_j
+                                    - T_J q^(k-s+1) S_s,
 
-    an M x M system solved with the one reciprocal of a[:M], where the scalar
-    S_s = sum_{j <= s-J-1} q^(s-J-1-j) B_j holds every older point and moves
-    on once a block: S_{s+M} = q^M S_s + sum_{j=s-J}^{s+M-J-1} q^(s+M-J-1-j) B_j.
+    an M x M system solved with the one reciprocal of T[:M], where the scalar
+    S_s = sum_{j <= s-J-1} q^(s-J-1-j) u_j holds every older point and moves
+    on once a block: S_{s+M} = q^M S_s + sum_{j=s-J}^{s+M-J-1} q^(s+M-J-1-j) u_j.
     """
-    f, r, w, lead = _series_parts(law, grid)
+    a, lead = _series_parts(law, grid)
     h = grid.step
-    n = len(r)
-    a = -w * h * f  # delta - w c
-    a[0] = 1.0 - 0.5 * w * h * f[0]
-    rhs = r - 0.5 * w * h * r[0] * f
+    n = len(a)
+    half = 0.5 * h * a[0]
+    rhs = a * (1.0 - half)
+    a *= -h  # T = delta - h c, in place
+    a[0] = 1.0 - half
     m = max(SERIES_BLOCK, 4 * lead)
     if n <= 2 * m:
-        b = _product(rhs, _reciprocal(a), n)
+        u = _product(rhs, _reciprocal(a), n)
     else:
-        b = _block_solve(a, rhs, lead, math.exp(-law.tail_rate * h), m)
-    return GridFunction(step=h, values=b)
+        u = _block_solve(a, rhs, lead, math.exp(-law.tail_rate * h), m)
+    u *= -1.0 / law.params.lam
+    u += 1.0
+    return GridFunction(step=h, values=u)
 
 
 def busy_cycle_cdf_series(params: QueueParams, b: GridFunction) -> GridFunction:

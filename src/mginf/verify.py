@@ -4,8 +4,9 @@ Each check takes a ServiceLaw and compares two independent routes to the
 same quantity (closed form, kernel evaluation, Laplace transform, grid
 solution of the convolution equation, Monte Carlo) at a fixed tolerance.
 Every law, the degenerate endpoint beta = -lambda included, has a kernel,
-so every check runs there too; time grids are in units of the
-law's own mean busy cycle e^rho/lambda.
+so every check runs there too; the bound-ordering grid is in units of the
+law's own mean busy cycle e^rho/lambda, the Riccati grid in units of the
+service law's 1/(lambda + max|beta|).
 The series and Monte Carlo checks share the law's (B, Z) grids, so each
 law's busy-period equation is solved once.  Used by the CLI `verify`
 subcommand and the acceptance tests.
@@ -55,13 +56,14 @@ def _cycle_mean(params) -> float:
 def riccati_residual(law: ServiceLaw, n_points: int = 100, t_max: float | None = None) -> float:
     """Max defect of the service-CDF ODE dG/dt = -lam*G^2 - (beta-lam)*G + beta, in units of lam.
 
-    The default horizon t_knot + 5 e^rho/lam and the difference step 1e-5/lam
-    are on the law's own time scale, so the residual does not change when
+    The default horizon t_knot + 30/(lam + max|beta|) is the service law's own
+    scale, where 1 - G is still far above rounding at any rho; with the
+    difference step 1e-5/lam the residual does not change when
     (lam, beta, t) -> (c lam, c beta, t/c).
     """
     lam = law.params.lam
     if t_max is None:
-        t_max = law.t_knot + 5.0 * _cycle_mean(law.params)
+        t_max = law.t_knot + 30.0 / (lam + law.spec.max_abs)
     ts = np.linspace(t_max / n_points, t_max, n_points)
     eps = 1e-5 / lam
     dg = (law.cdf(ts + eps) - law.cdf(ts - eps)) / (2 * eps)

@@ -21,15 +21,15 @@ POINTS = {
     "mc-constant": (1.0, 0.0, 100_000, (
         "a722e1015b86ab57ce0a10b3518be52c24630e6bd49dcc70b2fa394d86bb7bc0",
         "82e474036513c90d4765dc99ad887728fab8ff7cbf93065a44b386e31deee0a5",
-        "b328c7aa637d62fa67f92629a5e89750f12f84b95db31d1d8d61b7c04ca5de9b")),
+        "e2dcf828d56ab9393b7a4f0065763f0277cd75dd105c27cc561d0eb45a8d43c6")),
     "table-ramp": (1.0, ((0.0, 0.0), (1.0, 0.2)), 1000, (
-        "23324afdca139a02ef7053aa7b0c9e32975bf10716a25d5a2d676d130f69866d",
+        "3ec05ebd8eae94d737af6acf7df8654a577fd0a67a15763923267c2beba951aa",
         "396d6053e09f4aeb9f3f9a5236f584ccfc1b50d3d2d7a0c5140448dff3f6c763",
-        "a447f94f48a7af209ef9790f1fd517ba7f277c6e510540e3af8fbe2bc2a6de8a")),
+        "9741a1677e891d8e6892840c6f462f5bc0077205e75e02139d2307cf87d1ba02")),
     "heavy-series": (3.0, 0.0, 20_000, (
         "c9b5d4dccbcb14cee7768c35bb0cb67c4550699d679534281405e562cd469eb4",
         "c095b3aa07d0bf0dc47cc501d03832976fee27b128710fcb6c74433f3a77e1b4",
-        "1aca7f946afb560be520c4236d52bb7aee846dac5e512ec31c4f033f4ef2905e")),
+        "8c888f055c274383ce9842bdcedbf7fa63be00acd5e6255522a6d1ee3ee9e386")),
 }
 
 

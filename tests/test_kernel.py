@@ -138,6 +138,17 @@ def test_riccati_residual(spec):
     assert riccati_residual(law, n_points=100) < 1e-3
 
 
+def test_riccati_residual_sees_a_defect_in_heavy_traffic():
+    # G lives on the 1/(lambda + max|beta|) scale: at rho = 8 a defect of size 1e-2 on
+    # [0, 30] must show, where the busy-cycle scale e^rho/lambda put every sample at G == 1
+    p = validate_queue_params(1.0, 8.0)
+    law = ServiceLaw(p, validate_beta(p, BetaSpec(constant=0.0)))
+    assert riccati_residual(law) < 1e-10
+    exact = law.cdf
+    law.cdf = lambda t: exact(t) + 1e-2 * t * np.exp(-t)
+    assert riccati_residual(law) > 1e-3
+
+
 @pytest.mark.parametrize("c", [1e-2, 1e3, 1e5])
 def test_riccati_residual_is_scale_free(c):
     # (lambda, beta, t) -> (c lambda, c beta, t/c) at fixed rho is the same law
@@ -207,7 +218,7 @@ def integral_route(law, ts):
         fu = np.exp(-law.params.lam * u - law.spec.cumulative(u))
         h = (t - law.t_knot) / (2 * n)
         simpson = h / 3.0 * (fu[0] + fu[-1] + 4.0 * fu[1:-1:2].sum() + 2.0 * fu[2:-1:2].sum())
-        mass.append(law.mass_knot + law.inv_total * simpson)
+        mass.append(law.inv_total * law.grid_prefix[-1] + law.inv_total * simpson)
     return f, np.array(mass)
 
 
@@ -217,7 +228,7 @@ def test_tail_closed_form_matches_integral_route(spec):
     ts = law.t_knot + np.array([1e-3, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0])
     f, mass = integral_route(law, ts)
     assert np.allclose(law.kernel(ts), f, rtol=2e-15, atol=0)
-    assert np.allclose(law.prefix_mass(ts), mass, rtol=2e-15, atol=0)
+    assert np.allclose(law.p00(ts), 1.0 - (1.0 - P11.exp_neg_rho) * mass, rtol=2e-15, atol=0)
     g = 1.0 - (1.0 - P11.exp_neg_rho) * law.inv_total * f / (1.0 - (1.0 - P11.exp_neg_rho) * mass)
     assert np.allclose(law.cdf(ts), g, rtol=2e-15, atol=0)
 
@@ -226,7 +237,7 @@ def test_tail_closed_form_matches_integral_route(spec):
 def test_kernel_mass_and_cdf_are_continuous_at_the_last_knot(spec):
     law = ServiceLaw(P11, validate_beta(P11, spec))
     around = np.array([np.nextafter(law.t_knot, 0.0), law.t_knot, np.nextafter(law.t_knot, 9.0)])
-    for fn in (law.kernel, law.prefix_mass, law.cdf, law.p00):
+    for fn in (law.kernel, law.cdf, law.p00):
         vals = fn(around)
         assert np.max(np.abs(np.diff(vals))) <= 2e-15 * np.max(np.abs(vals))
     assert law.cdf(law.t_knot) == law.g_knot
@@ -270,7 +281,7 @@ def test_table_below_the_certificate_floor_by_1e_9_is_rejected():
 
 
 def reference_kernel(law, t):
-    """f, Phi, p00 and G on np.atleast_1d(t), each formula written out whole as one expression.
+    """f, p00 and G on np.atleast_1d(t), each formula written out whole as one expression.
 
     The reference for the in-place evaluator: the same operations in the same
     order, from the law's cached constants and kernel grid.
@@ -280,7 +291,6 @@ def reference_kernel(law, t):
     x = -law.tail_rate * np.maximum(t - law.t_knot, 0.0)
     ex = np.exp(x)
     f = law.f_knot * ex
-    mass = law.mass_knot + law.tail_mass * -np.expm1(x)
     p00 = q0 + (1.0 - q0) * law.tail_mass * ex
     body = t < law.t_knot
     if body.any():
@@ -292,10 +302,9 @@ def reference_kernel(law, t):
         tm = t0 + 0.5 * dt
         fm = np.exp(-lam * tm - law.spec.cumulative(tm))
         cell = dt / 6.0 * (law.grid_f[idx] + 4.0 * fm + fb)
-        mass[body] = law.inv_total * (law.grid_prefix[idx] + cell)
-        p00[body] = 1.0 - (1.0 - q0) * mass[body]
+        p00[body] = 1.0 - (1.0 - q0) * (law.inv_total * (law.grid_prefix[idx] + cell))
     g = 1.0 - (1.0 - q0) * (law.inv_total * f) / (lam * p00)
-    return {"kernel": f, "prefix_mass": mass, "p00": p00, "cdf": g}
+    return {"kernel": f, "p00": p00, "cdf": g}
 
 
 EVALUATOR_SPECS = {
@@ -327,7 +336,7 @@ def test_evaluator_is_bit_identical_to_its_formulas(name):
 @pytest.mark.parametrize("spec", [BetaSpec(constant=0.0), RAMP])
 def test_evaluator_rejects_negative_time_and_passes_nan(spec):
     law = ServiceLaw(P11, validate_beta(P11, spec))
-    for fn in (law.kernel, law.prefix_mass, law.p00, law.cdf):
+    for fn in (law.kernel, law.p00, law.cdf):
         for t in (-1e-300, [0.5, -1.0], [np.nan, -1.0], np.array([[0.5], [-2.0]])):
             with pytest.raises(NegativeTime):
                 fn(t)

@@ -293,21 +293,21 @@ def test_mean_extraction_from_transforms():
 @pytest.mark.parametrize("spec", [BetaSpec(constant=0.3),
                                   BetaSpec(knots=((0.0, 0.3), (0.5, -0.2), (1.0, 0.1)))])
 def test_direct_solve_equals_neumann_sum(spec):
-    # B = sum_k (w K)^k r, K x = grid_convolve(x, f), summed until the terms vanish
+    # 1 - B = (1/lambda) sum_k (w K)^k a, a = w f, w = (1 - e^-rho)/I and
+    # K x = grid_convolve(x, f), summed until the terms vanish
     law = ServiceLaw(P11, validate_beta(P11, spec))
     grid = GridSpec(step=0.005, t_max=1.5)
     b = busy_period_cdf_series(law, grid)
     assert len(b.values) == 301
     f = GridFunction(grid.step, law.kernel(b.times))
-    one_m_q0 = 1.0 - P11.exp_neg_rho
-    phi = law.inv_total * f.values
-    term = GridFunction(grid.step, 1.0 - one_m_q0 * (phi / P11.lam + law.prefix_mass(b.times)))
+    w = (1.0 - P11.exp_neg_rho) * law.inv_total
+    term = GridFunction(grid.step, w * f.values)
     total = term.values.copy()
     for _ in range(200):
-        term = GridFunction(grid.step, one_m_q0 * law.inv_total * grid_convolve(term, f).values)
+        term = GridFunction(grid.step, w * grid_convolve(term, f).values)
         total += term.values
     assert np.max(np.abs(term.values)) < 1e-17
-    assert np.max(np.abs(b.values - total)) <= 1e-12
+    assert np.max(np.abs(b.values - (1.0 - total / P11.lam))) <= 1e-12
 
 
 def test_direct_solve_in_heavy_traffic():
@@ -353,7 +353,7 @@ def test_series_busy_cycle_confluent_point():
 
 def test_degenerate_series_curves():
     # beta = -lambda goes through the grid solve like every other law: the
-    # weight (1 - e^{-rho})/I is 0, so B is the bracket 1, and Z is the
+    # density a = (1 - e^{-rho})/I f is 0, so u = 0 and B = 1, and Z is the
     # trapezoidal convolution of 1 with the Exp(lambda) density
     vb = validate_beta(P11, BetaSpec(constant=-1.0))
     sup = {}
@@ -388,13 +388,27 @@ def test_series_second_order_convergence(rho):
     assert sup[0.01] / sup[0.005] >= 3.9
 
 
-def test_series_cdf_shape():
-    law = law_for(P11, 0.3)
-    b = busy_period_cdf_series(law, GridSpec(step=0.005, t_max=30.0))
-    z = busy_cycle_cdf_series(P11, b)
-    for g in (b, z):
+DIP = ((0.0, 0.0), (1.0, -0.2), (3.0, 0.0))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ServiceLaw(P11, validate_beta(P11, BetaSpec(constant=0.3)),
+                       GridSpec(step=0.005, t_max=30.0)),
+    # heavy traffic and a dip table on their default grids: u >= 0 keeps B at or
+    # below 1 here, where a B solved from the bracketed equation exceeded 1 by up to 3e-4
+    lambda: law_for(validate_queue_params(1.0, 3.0), 0.0),
+    lambda: law_for(validate_queue_params(1.0, 5.0), 0.0),
+    lambda: table_law(3.0, DIP),
+], ids=["beta_0.3", "rho_3", "rho_5", "dip_table_rho_3"])
+def test_series_cdf_shape(make):
+    law = make()
+    b, z = law.series
+    # Z is the trapezoid of the Exp(lambda) idle density against B; those weights sum
+    # to (x/2) coth(x/2) = 1 + x^2/12 + ..., x = lambda h, and Z tends to that as B -> 1
+    x = law.params.lam * b.step
+    for g, top in ((b, 1.0), (z, 0.5 * x / math.tanh(0.5 * x))):
         assert np.all(np.diff(g.values) >= -1e-8)
-        assert np.all(g.values >= -1e-8) and np.all(g.values <= 1 + 1e-5)
+        assert np.all(g.values >= -1e-8) and np.all(g.values <= top + 1e-12)
         assert g.values[-1] > 1 - 1e-4
 
 
@@ -409,7 +423,7 @@ def one_block(law, grid, monkeypatch):
 
 def blocked(law, grid):
     """B and the block length M = max(SERIES_BLOCK, 4 J) the solve uses on this grid."""
-    lead = transforms._series_parts(law, grid)[3]
+    lead = transforms._series_parts(law, grid)[1]
     return busy_period_cdf_series(law, grid).values, max(SERIES_BLOCK, 4 * lead)
 
 
@@ -464,7 +478,7 @@ def test_block_solve_is_causal_across_the_last_knot():
 
 
 def test_block_solve_at_the_degenerate_endpoint_is_exactly_one():
-    # lambda + beta(inf) = 0: w = 0, so a = delta and B is the bracket 1 in every block
+    # lambda + beta(inf) = 0: 1/I = 0, so a = 0, T = delta and B = 1 - u/lambda = 1 in every block
     law = ServiceLaw(P11, validate_beta(P11, BetaSpec(knots=((0.0, 0.0), (1.0, -1.0)))))
     b, m = blocked(law, GridSpec(step=0.005, t_max=100.0))
     assert len(b) > 2 * m
@@ -514,11 +528,6 @@ def test_verify_run_never_loads_scipy():
 
 
 # ---- GridFunction plumbing -------------------------------------------------
-
-def test_grid_function_interpolation():
-    g = GridFunction(0.5, np.array([0.0, 1.0, 2.0]))
-    assert g.at(0.25) == pytest.approx(0.5)
-
 
 @given(st.floats(min_value=0.01, max_value=5.0), st.integers(min_value=2, max_value=50))
 @settings(max_examples=25, deadline=None)
