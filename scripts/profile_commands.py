@@ -14,7 +14,10 @@ of fresh mappings.  One round runs first as a warm-up, so first-call costs
 Then each call of --rounds rounds prints one JSON line: the round, the
 command, its exit code, wall time, `ru_minflt` delta (minor page faults:
 pages the process touched for the first time, or got back from the kernel
-afresh after freeing them) and the sha256 of its CSV.  Command stdout is
+afresh after freeing them), the sha256 of its CSV and `series_points`, the
+busy-period grid points solved in that call (0 if none; counted by a wrapper
+on `mginf.transforms.busy_period_cdf_series`, which `ServiceLaw.series`
+looks up on the module at call time, as in bench/child.py).  Command stdout is
 discarded; CSVs go to a temporary directory.
 
 Example:
@@ -32,6 +35,7 @@ import tempfile
 import time
 from pathlib import Path
 
+from mginf import transforms
 from mginf.cli import main as mginf_main
 
 EVAL_SECONDS = 0.25  # bench/run.py's EVAL_MIN_S
@@ -60,8 +64,24 @@ def command_argvs(workload: str, seed: int, work: Path) -> list[tuple[str, list[
     return [("eval", ev), ("simulate", sim), ("eval", ev), ("verify", ["verify", *common, *mc])]
 
 
+SOLVED = []  # grid points of each busy-period solve since the last timed call
+
+
+def count_series_points() -> None:
+    """Wrap the busy-period grid solve so each call records the points it returns."""
+    solve = transforms.busy_period_cdf_series
+
+    def counted(law, grid):
+        b = solve(law, grid)
+        SOLVED.append(b.values.size)
+        return b
+
+    transforms.busy_period_cdf_series = counted
+
+
 def timed_call(argv: list[str]) -> dict:
-    """Exit code, wall seconds, minor faults and CSV digest of one in-process call."""
+    """Exit code, wall seconds, minor faults, CSV digest and series points of one call."""
+    SOLVED.clear()
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     start = time.perf_counter()
     with contextlib.redirect_stdout(io.StringIO()):
@@ -71,7 +91,8 @@ def timed_call(argv: list[str]) -> dict:
     digest = None
     if "--out" in argv:
         digest = hashlib.sha256(Path(argv[argv.index("--out") + 1]).read_bytes()).hexdigest()
-    return {"exit": code, "wall_s": round(wall, 6), "minflt": faults, "out_sha256": digest}
+    return {"exit": code, "wall_s": round(wall, 6), "minflt": faults, "out_sha256": digest,
+            "series_points": sum(SOLVED)}
 
 
 def main() -> int:
@@ -80,6 +101,7 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=5)
     ap.add_argument("--rounds", type=int, default=3)
     args = ap.parse_args()
+    count_series_points()
     with tempfile.TemporaryDirectory() as tmp:
         calls = command_argvs(args.workload, args.seed, Path(tmp))
         for rnd in range(-1, args.rounds):  # round -1 is the warm-up

@@ -1,8 +1,10 @@
 """Command-line front end: `mginf eval|simulate|verify`.
 
-Each run validates its input and builds one ServiceLaw on the grid
-(`--t-max`, finer of `--step` and the law's default step); every command
-reads its curves, quantile and series from that law.  Emits plot-ready CSV
+Each run validates its input and builds one ServiceLaw whose series grid
+steps at the finer of `--step` and the law's default step and ends where it
+meets its exponential tail; every command reads its curves, quantile and
+series from that law.  `--t-max` and `--step` set only the rows of `eval`
+(by default 12 mean busy periods, (e^rho - 1)/lambda each).  Emits plot-ready CSV
 (17 significant digits, '.' decimal separator, LF line endings) and
 pass/fail verification reports.  Exit codes: 0 success / all checks pass,
 1 verification failure, 2 invalid input, 3 I/O failure.
@@ -66,7 +68,7 @@ def _build_config(args) -> RunConfig:
     else:
         spec = load_beta_table(args.beta_file)
     grid = default_grid(params, spec)
-    t_max = args.t_max if args.t_max is not None else grid.t_max
+    t_max = args.t_max if args.t_max is not None else 12.0 * math.expm1(params.rho) / params.lam
     step = args.step if args.step is not None else grid.step
     if not (math.isfinite(t_max) and math.isfinite(step)):
         raise NonFiniteParameter(f"--t-max and --step must be finite, got {t_max} and {step}")
@@ -76,7 +78,7 @@ def _build_config(args) -> RunConfig:
         raise MginfError(f"--step must be > 0, got {step}")
     vbeta = validate_beta(params, spec)
     return RunConfig(
-        law=ServiceLaw(params, vbeta, GridSpec(step=min(grid.step, step), t_max=t_max)),
+        law=ServiceLaw(params, vbeta, GridSpec(step=min(grid.step, step), t_max=grid.t_max)),
         t_max=t_max,
         step=step,
         cycles=args.cycles,
@@ -310,8 +312,10 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="constant monotony indicator beta")
     p.add_argument("--beta-file", default=None,
                    help="CSV table `t,beta` with header row, piecewise-linear")
-    p.add_argument("--t-max", dest="t_max", type=float, default=None)
-    p.add_argument("--step", type=float, default=None)
+    p.add_argument("--t-max", dest="t_max", type=float, default=None,
+                   help="last eval row (default 12 mean busy periods)")
+    p.add_argument("--step", type=float, default=None,
+                   help="eval row spacing; also the series step when finer than its default")
     p.add_argument("--cycles", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="output file (default stdout)")

@@ -4,18 +4,20 @@ Everything is driven by the kernel f(t) = exp(-lambda*t - int_0^t beta(u)du),
 normalised by its integral I = int_0^inf f: with phi = f/I and the prefix
 mass Phi = int_0^t f / I,
 
-    G = 1 - (1 - e^{-rho}) phi / (lambda (1 - (1 - e^{-rho}) Phi)).
+    G = 1 - (1 - e^{-rho}) phi / (lambda p00),  p00 = e^{-rho} + (1 - e^{-rho})(1 - Phi).
 
 Beyond the last beta knot the kernel is exactly exponential with rate
-r = lambda + beta(inf), so f, p00 = 1 - (1 - e^{-rho}) Phi and G are
-closed form there, with no beta integral, and G inverts in closed form;
-only [0, t_knot] is numeric, and for constant beta (t_knot = 0) nothing is.
-Every admissible beta, constant, tabulated or the degenerate endpoint
-beta = -lambda, is one law: at r = 0 the integral diverges, 1/I is exactly 0,
-so phi == Phi == 0 and G == 1, the limit of the formula above.  Only the
-busy-period and busy-cycle laws choose: the closed forms when beta is
-constant, the series grids otherwise.
-The grids are solved once per law, on first use.
+r = lambda + beta(inf), so f, p00 and G are closed form there, with no beta
+integral, and G inverts in closed form; only [0, t_knot] is numeric, and for
+constant beta (t_knot = 0) nothing is.  Every admissible beta, constant,
+tabulated or the degenerate endpoint beta = -lambda, is one law: at r = 0 the
+integral diverges, 1/I is exactly 0, so phi == Phi == 0 and G == 1, the limit
+of the formula above.  Only the busy-period and busy-cycle laws choose: the
+closed forms when beta is constant, otherwise the series grids up to the
+point where they meet their exponential tail 1 - B ~ C e^{-gamma t}, and
+that tail, closed form, past it.  (gamma, C) solve the renewal equation's
+characteristic equation on the kernel grid; the grids are solved once per
+law, on first use.
 """
 
 from __future__ import annotations
@@ -51,8 +53,9 @@ class ServiceLaw:
     atom), is vectorised over u in [0, 1).  At the degenerate endpoint the law
     gives G == 1, atom 1, quantile 0 and p00 == 1.  `indicator` is beta(t)
     itself.  `busy_cdf` and `cycle_cdf` are the closed forms when beta is
-    constant and linear interpolation of the series grids otherwise; with
-    `idle_cdf` they are the reference curves of the Monte Carlo checks.
+    constant; otherwise they interpolate the series grids up to their end T
+    and are closed form in `busy_tail` past it.  With `idle_cdf` they are the
+    reference curves of the Monte Carlo checks.
     `beta` is the constant, or None when no closed form exists.
 
     The constructor integrates the kernel once on [0, t_knot], with a step of
@@ -62,8 +65,9 @@ class ServiceLaw:
     With body = int_0^{t_knot} f and f_end = f(t_knot), r I = r body + f_end,
     so 1/I = r/(r body + f_end) and m = f_end/(r body + f_end) are finite for
     every r >= 0; only r < 0, where f grows, is rejected.  Without a closed
-    form the series grid is sized here too, so a grid beyond MAX_GRID_POINTS
-    raises GridTooLarge before any caller simulates or writes output.
+    form the first block of the series grid is sized here too, so one beyond
+    MAX_GRID_POINTS raises GridTooLarge before any caller simulates or writes
+    output.
     """
 
     def __init__(self, params: QueueParams, vbeta: ValidatedBeta, grid: GridSpec | None = None):
@@ -72,16 +76,16 @@ class ServiceLaw:
         self.grid = default_grid(params, spec) if grid is None else grid
         self.beta = spec.constant
         self.indicator = spec.value
-        if self.beta is None:  # B and Z are series grids: reject one too large before any draw
-            transforms.grid_points(self.grid.t_max, self.grid.step)
         self.tail_rate = tail_rate = params.lam + spec.tail_rate()  # r
         self.t_knot = t_knot = spec.last_knot  # the kernel is exponential beyond it
         if tail_rate < 0:
             raise DivergentKernelIntegral(
                 f"kernel tail rate lambda + beta(inf) must be >= 0 (got {tail_rate})"
             )
-        # uniform grid on [0, t_knot] (empty for constant beta) and int_0^{grid_t} f
-        self.grid_t = self.grid_f = self.grid_prefix = np.array([])
+        # uniform grid on [0, t_knot] (empty for constant beta), f at its nodes and cell
+        # midpoints, and int_0^{grid_t} f, int_{grid_t}^{t_knot} f from the same Simpson cells
+        self.grid_t = self.grid_f = self.grid_fm = np.array([])
+        self.grid_prefix = self.grid_suffix = self.grid_t
         body, f_end = 0.0, 1.0
         if t_knot > 0:
             cells = 1e3 * t_knot * (params.lam + spec.max_abs)
@@ -92,17 +96,20 @@ class ServiceLaw:
             self.grid_t = ts = np.linspace(0.0, t_knot, n + 1)
             h = ts[1] - ts[0]
             self.grid_f = self._integrand(ts)
-            cells = h / 6.0 * (self.grid_f[:-1] + 4.0 * self._integrand(ts[:-1] + 0.5 * h)
-                               + self.grid_f[1:])
+            self.grid_fm = self._integrand(ts[:-1] + 0.5 * h)
+            cells = h / 6.0 * (self.grid_f[:-1] + 4.0 * self.grid_fm + self.grid_f[1:])
             self.grid_prefix = np.concatenate([[0.0], np.cumsum(cells)])
+            self.grid_suffix = np.concatenate([np.cumsum(cells[::-1])[::-1], [0.0]])
             body, f_end = float(self.grid_prefix[-1]), float(self.grid_f[-1])
+        if self.beta is None:  # B and Z are series grids: reject a first block too large
+            transforms.series_block(t_knot, self.grid)
         self.f_knot = f_end
         r_total = tail_rate * body + f_end  # r I
         self.inv_total = inv_total = tail_rate / r_total  # 1/I; exactly 0 when r = 0
         self.tail_mass = f_end / r_total  # Phi(t) = 1 - m e^{-r (t - t_knot)} past t_knot
-        q0 = params.exp_neg_rho
+        every = np.arange(self.grid_t.size)
         self.grid_g = self._service_cdf(self.grid_f.copy(),
-                                        1.0 - (1.0 - q0) * (inv_total * self.grid_prefix))
+                                        self._body_p00(every, np.zeros(every.size)))
         self.atom = float(self._service_cdf(np.ones(1), np.ones(1))[0])  # f(0) = 1, p00(0) = 1
         self.g_knot = self.cdf(t_knot)  # with the tail form of p00, as everywhere from t_knot on
         # G' = (1 - G)(beta + lambda G), so G is a CDF only while beta + lambda G >= 0.
@@ -152,8 +159,8 @@ class ServiceLaw:
     def _body(self, tb: np.ndarray):
         """f and p00 at tb <= t_knot, in fresh arrays.
 
-        f is the exact integrand; Phi is the certified grid prefix plus Simpson
-        over [t0, tb], t0 the grid point at or below tb.
+        f is the exact integrand; the mass up to tb is the certified grid sum
+        up to t0, the grid point at or below tb, plus Simpson over [t0, tb].
         """
         fb = self._integrand(tb)
         idx = np.clip((tb // self.grid_t[1]).astype(int), 0, len(self.grid_t) - 1)
@@ -161,8 +168,24 @@ class ServiceLaw:
         dt = tb - t0
         fm = self._integrand(t0 + 0.5 * dt)
         cell = dt / 6.0 * (self.grid_f[idx] + 4.0 * fm + fb)
-        phi = self.inv_total * (self.grid_prefix[idx] + cell)
-        return fb, 1.0 - (1.0 - self.params.exp_neg_rho) * phi
+        return fb, self._body_p00(idx, cell)
+
+    def _body_p00(self, idx: np.ndarray, cell: np.ndarray) -> np.ndarray:
+        """p00 at t = grid_t[idx] + dt <= t_knot, given cell = int_{grid_t[idx]}^t f.
+
+        p00 = 1 - (1 - e^{-rho}) Phi, Phi = (prefix + cell)/I, where that is at
+        least 1/2, so the difference cannot cancel.  Below 1/2 it would (to 0
+        for a flat table to t = 40 at rho = 40), so there
+        p00 = e^{-rho} + (1 - e^{-rho})(1 - Phi), two positive terms, with
+        1 - Phi = (suffix - cell)/I + m from the reverse sums of the same cells.
+        """
+        q0 = self.params.exp_neg_rho
+        p00 = 1.0 - (1.0 - q0) * (self.inv_total * (self.grid_prefix[idx] + cell))
+        far = np.flatnonzero(p00 < 0.5)
+        if far.size:
+            rest = self.inv_total * (self.grid_suffix[idx[far]] - cell[far]) + self.tail_mass
+            p00[far] = q0 + (1.0 - q0) * rest
+        return p00
 
     def _service_cdf(self, f: np.ndarray, p00: np.ndarray) -> np.ndarray:
         """G = 1 - (1 - e^{-rho}) phi / (lambda p00), phi = f/I, formed in f; p00 is overwritten.
@@ -253,6 +276,88 @@ class ServiceLaw:
         return -np.expm1(-self.params.lam * np.asarray(t, dtype=float))
 
     @cached_property
+    def busy_tail(self) -> tuple[float, float]:
+        """(gamma, C) with 1 - B(t) ~ C e^{-gamma t} as t -> inf.
+
+        1 - B = u/lambda, u = a + a * u, and a = (1 - e^{-rho}) phi has mass
+        1 - e^{-rho} < 1, so by the key renewal theorem for defective equations
+        (Feller II, XI.6; Asmussen, Applied Probability and Queues, V.7)
+        gamma in [0, r) solves (1 - e^{-rho}) L(gamma) = 1 and
+        C = 1/(lambda (1 - e^{-rho}) L'(gamma)), with L(g) = int e^{g t} phi.
+        L - 1 and L' are Simpson sums over the kernel grid's cells plus closed
+        forms past t_knot.  gamma is the root of
+        F = (r - g)(e^{-rho} - (1 - e^{-rho})(L - 1)), which keeps e^{-rho}
+        beside 1 and is nearly linear while the exponential tail dominates L,
+        as (r - g) L stays bounded up to r.  From g = 0, inside a bracket of
+        [0, r), a Newton step on the concave F lands right of the root; from
+        the right, Newton steps on the convex log((1 - e^{-rho}) L) fall to it
+        monotonically, also where e^{g t} over the body dominates L; a step
+        that leaves the bracket bisects it.  For constant beta F is linear, so
+        the first step gives gamma = (lambda + beta) e^{-rho} and
+        C = (1 - e^{-rho}) r/lambda = 1 - G(0): the closed form, exact from
+        t = 0.  At r = 0, 1/I = 0 and a = 0: (0, 0).
+        """
+        r, tk, fk = self.tail_rate, self.t_knot, self.f_knot
+        if self.inv_total == 0.0:
+            return 0.0, 0.0
+        q0 = self.params.exp_neg_rho
+        w = 1.0 - q0
+        # Simpson over the kernel grid's cells: h/6 at the two ends, h/3 at interior
+        # nodes, 2h/3 at midpoints; f and its exponent log f at every node
+        nodes = f = weights = log_f = np.zeros(0)
+        if tk > 0:
+            ts = self.grid_t
+            h = ts[1] - ts[0]
+            nodes = np.concatenate([ts, ts[:-1] + 0.5 * h])
+            f = np.concatenate([self.grid_f, self.grid_fm])
+            weights = np.full(nodes.size, h / 3.0)
+            weights[[0, ts.size - 1]] = h / 6.0
+            weights[ts.size:] = 2.0 * h / 3.0
+            with np.errstate(divide="ignore"):
+                log_f = np.log(f)
+            gone = np.flatnonzero(f == 0.0)  # f underflowed: its exponent from beta
+            log_f[gone] = -self.params.lam * nodes[gone] - self.spec.cumulative(nodes[gone])
+        log_fk = -self.params.lam * tk - float(self.spec.cumulative(tk))
+        tweights = weights * nodes
+        wf, twf = weights * f, tweights * f
+        mass, tmass = wf.sum(), twf.sum()
+
+        def moments(g: float) -> tuple[float, float]:
+            """L(g) - 1 and L'(g); f e^{g t} = f_knot e^{g t_knot} e^{-(r - g) u} at t_knot + u."""
+            with np.errstate(all="ignore"):  # far right of the root these overflow: bisect
+                if g * tk < 1.0:  # f (e^{g t} - 1) by expm1, with no cancellation
+                    grow = np.expm1(g * nodes)
+                    body, tbody = (wf * grow).sum(), (twf * grow).sum() + tmass
+                    knot = fk * math.expm1(g * tk)
+                else:  # f e^{g t} in logs: f may underflow where e^{g t} would overflow
+                    grow = np.exp(log_f + g * nodes)
+                    body, tbody = (weights * grow).sum() - mass, (tweights * grow).sum()
+                    knot = np.exp(log_fk + g * tk) - fk
+                x = r - g
+                d0 = body + (r * knot + g * fk) / (r * x)
+                d1 = tbody + (knot + fk) * (tk / x + 1.0 / x**2)
+            return self.inv_total * d0, self.inv_total * d1
+
+        g, lo, hi = 0.0, 0.0, r
+        with np.errstate(all="ignore"):  # a non-finite step bisects
+            for _ in range(100):
+                d0, d1 = moments(g)
+                num = q0 - w * d0  # F/(r - g)
+                if num > 0.0:  # left of the root: Newton on F, concave, lands right of it
+                    lo = g
+                    step = (r - g) * num / (num + (r - g) * w * d1)
+                else:  # right of it: Newton on log((1 - e^{-rho}) L), convex, so monotone
+                    hi = g
+                    step = -(np.log1p(d0) + np.log1p(-q0)) * (1.0 + d0) / d1
+                g += step
+                if abs(step) <= 1e-12 * g:  # converging quadratically: g is good to rounding
+                    break
+                if not lo < g < hi:
+                    g = 0.5 * (lo + hi)
+        # L' from before the last step, which moved g by 1e-12 of itself at most
+        return float(g), float(1.0 / (self.params.lam * w * d1))
+
+    @cached_property
     def series(self) -> tuple[GridFunction, GridFunction]:
         """(B, Z) on the law's grid by the direct grid solve of the renewal equation, solved once."""
         # looked up on the module at call time, so a wrapper put there sees every solve
@@ -260,11 +365,42 @@ class ServiceLaw:
         return b, transforms.busy_cycle_cdf_series(self.params, b)
 
     def busy_cdf(self, t):
-        if self.beta is None:
-            return np.interp(t, self.series[0].times, self.series[0].values)
-        return cf.busy_period_cdf(self.params, self.beta, t)
+        """B(t): the closed form for constant beta; else the grid, then 1 - C e^{-gamma t}."""
+        if self.beta is not None:
+            return cf.busy_period_cdf(self.params, self.beta, t)
+        gamma, c = self.busy_tail
+        return _grid_then(self.series[0], t, lambda u, end: 1.0 - c * np.exp(-gamma * (u + end)))
 
     def cycle_cdf(self, t):
-        if self.beta is None:
-            return np.interp(t, self.series[1].times, self.series[1].values)
-        return cf.busy_cycle_cdf(self.params, self.beta, t)
+        """Z(t): closed form for constant beta; else the grid to its end T, then closed form.
+
+        Past T, with u = t - T and Z = B * Exp(lambda),
+        1 - Z(t) = (1 - Z(T)) e^{-lambda u} + C lambda e^{-gamma T} (e^{-gamma u} - e^{-lambda u})/d,
+        d = lambda - gamma, whose last factor is e^{-min(lambda, gamma) u} (-expm1(-|d| u))/|d|,
+        u e^{-lambda u} at d = 0.
+        """
+        if self.beta is not None:
+            return cf.busy_cycle_cdf(self.params, self.beta, t)
+        gamma, c = self.busy_tail
+        lam = self.params.lam
+        z = self.series[1]
+        slow, gap = min(lam, gamma), abs(lam - gamma)
+
+        def tail(u, end):
+            mix = u * 1.0 if gap == 0.0 else -np.expm1(-gap * u) / gap
+            mix *= np.exp(-slow * u)
+            return 1.0 - ((1.0 - z.values[-1]) * np.exp(-lam * u)
+                          + c * lam * math.exp(-gamma * end) * mix)
+
+        return _grid_then(z, t, tail)
+
+
+def _grid_then(g: GridFunction, t, tail):
+    """g linearly interpolated on [0, T], T its last time, and tail(t - T, T) past T."""
+    tt = np.atleast_1d(np.asarray(t, dtype=float))
+    end = (g.values.size - 1) * g.step
+    out = np.interp(tt, g.times, g.values)
+    past = tt > end
+    if past.any():
+        out[past] = tail(tt[past] - end, end)
+    return _like(t, out)

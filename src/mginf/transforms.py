@@ -13,7 +13,14 @@ forward, as for Volterra convolution equations in general: Hairer, Lubich &
 Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985).  Each block uses one
 power-series reciprocal of a[:M]; the J points before it enter by a middle
 product (one vector update when J = 1), and all older points by one scalar
-carried from block to block.  A grid of at most 2M points is a single block.
+carried from block to block.
+The walk stops at the first block end where the grid meets its own
+exponential tail: by the key renewal theorem for defective equations
+1 - B(t) ~ C e^{-gamma t} (Feller II, XI.6; Asmussen, Applied Probability and
+Queues, 2003, V.7), with (gamma, C) from `ServiceLaw.busy_tail`, and past
+that block B and Z are closed form in them.  For constant beta the tail is
+exact from t = 0, so the walk is one block at every rho.  The grid's t_max
+only caps the walk.
 The reciprocal takes Newton steps whose two products share one cyclic FFT of
 about the new length (middle product).  Every FFT length is the smallest
 5-smooth number 2^a 3^b 5^c that holds the product.  The busy-cycle CDF is B
@@ -60,17 +67,27 @@ class LaplacePoint(NamedTuple):
 
 @dataclass(frozen=True)
 class GridSpec:
+    """Step of the busy-period grid and the cap on its walk (inf: none but MAX_GRID_POINTS)."""
+
     step: float
     t_max: float
 
 
-# Largest time grid built: about 0.75 GB for the series solve at ~45 bytes per point
-# (316 MB peak RSS measured at rho = 8, 7.15M points).
+# Largest time grid built (eval rows, the kernel grid, the busy-period walk).
+# A walk peaks at about 26 bytes a point (tracemalloc, 354k points at rho = 5),
+# 0.44 GB at this size; its default grids are one block of 4096 points.
 MAX_GRID_POINTS = 2**24
 
 # Points per block of the busy-period solve (at least 4 J, J the points before
-# the last knot); a grid of at most two blocks is solved in one piece.
+# the last knot).
 SERIES_BLOCK = 4096
+
+# The walk stops at the first block end t_k with |1 - B_k - C e^{-gamma t_k}|
+# below this: a tenth of verify's 1e-3 gate on the series curves, so the step
+# from grid to tail stays ten times inside it.  The mismatch holds the grid's
+# own O(h^2) error (1.25e-5 at rho = 3, h = 0.005), which a tolerance near
+# rounding would never accept.
+TAIL_TOL = 1e-4
 
 
 def grid_points(t_max: float, step: float) -> int:
@@ -87,13 +104,38 @@ def grid_points(t_max: float, step: float) -> int:
 
 
 def default_grid(params: QueueParams, spec: BetaSpec) -> GridSpec:
-    """h small vs the arrival, service and beta rates; t_max 12 busy-period means.
+    """h small vs the kernel's rate lambda + max|beta|, the only rate the solve sees; no cap.
 
     The beta term keeps h * (lambda + max|beta|) within the grid solve's 0.01 limit.
+    The walk ends where the grid meets its exponential tail.
     """
-    h = min(0.005 / params.lam, params.alpha / 200.0, 0.01 / (params.lam + spec.max_abs))
-    t_max = 12.0 * math.expm1(params.rho) / params.lam
-    return GridSpec(step=h, t_max=t_max)
+    h = min(0.005 / params.lam, 0.01 / (params.lam + spec.max_abs))
+    return GridSpec(step=h, t_max=math.inf)
+
+
+def series_block(t_knot: float, grid: GridSpec) -> tuple[int, int, int | None]:
+    """(J, M, cap) of the busy-period walk on `grid`.
+
+    J = max(1, grid points with t < t_knot), M = max(SERIES_BLOCK, 4J) the
+    block length (so every block ends past t_knot), and cap the points of
+    0, h, ..., t_max, or None when t_max is beyond MAX_GRID_POINTS.  Raises
+    GridTooLarge when the first block of an uncapped walk would pass
+    MAX_GRID_POINTS, so a law can reject its grid before any output.
+    """
+    h = grid.step
+    steps = grid.t_max / h
+    cap = int(round(steps)) + 1 if steps < MAX_GRID_POINTS - 0.5 else None
+    knot = t_knot / h
+    if cap is None and 4.0 * knot > MAX_GRID_POINTS:
+        raise GridTooLarge(f"busy-period blocks of {4.0 * knot:.3g} points (step {h:g}, "
+                           f"last knot {t_knot:g}) exceed {MAX_GRID_POINTS}")
+    lead = math.ceil(min(knot, MAX_GRID_POINTS))  # the first k with k h >= t_knot
+    while lead > 0 and (lead - 1) * h >= t_knot:
+        lead -= 1
+    while lead * h < t_knot:
+        lead += 1
+    lead = max(1, lead)
+    return lead, max(SERIES_BLOCK, 4 * lead), cap
 
 
 def _fft_size(n: int) -> int:
@@ -152,56 +194,15 @@ def grid_convolve(a: GridFunction, b: GridFunction) -> GridFunction:
     return GridFunction(step=a.step, values=trap)
 
 
-def _series_parts(law: ServiceLaw, grid: GridSpec):
-    """Grid samples of the defective density a = (1 - e^{-rho}) phi, and the lead J.
-
-    J = max(1, number of grid points before t_knot): a is exponential from t_J on.
-    """
-    h = grid.step
-    rate = law.params.lam + law.spec.max_abs
-    if h * rate > 0.01 * (1 + 1e-9):
-        raise StepTooCoarse(f"step {h} too coarse for rates up to {rate}")
-    ts = np.arange(grid_points(grid.t_max, h)) * h
-    lead = max(1, int(np.searchsorted(ts, law.t_knot)))
-    a = law.kernel(ts)
+def _density(law: ServiceLaw, h: float, start: int, stop: int) -> np.ndarray:
+    """The defective density a = (1 - e^{-rho}) phi at the grid points start..stop-1."""
+    a = law.kernel(np.arange(start, stop) * h)
     a *= (1.0 - law.params.exp_neg_rho) * law.inv_total
-    return a, lead
-
-
-def _block_solve(a: np.ndarray, rhs: np.ndarray, lead: int, q: float, m: int) -> np.ndarray:
-    """The lower-triangular Toeplitz system a * x = rhs in blocks of m >= J = lead points.
-
-    Needs a_d = a_J q^(d-J) for every d >= J; the recurrence is in
-    `busy_period_cdf_series`.  The J points before a block enter by one middle
-    product with a[1:m+J], or for J = 1 by one vector update.
-    """
-    n = len(rhs)
-    size = _fft_size(2 * m - 1)
-    g_hat = np.fft.rfft(_reciprocal(a[:m]), size)
-    near_size = _fft_size(m + lead - 1)
-    near_hat = np.fft.rfft(a[1:m + lead], near_size)
-    steps = q ** np.arange(m + 1)  # q^0 .. q^m
-    b = np.empty(n)
-    carry = 0.0  # S for the block starting at s
-    for s in range(0, n, m):
-        e = min(s + m, n)
-        y = rhs[s:e].copy()
-        if s:
-            if lead == 1:  # constant beta: one point, one vector update
-                y -= a[1:1 + e - s] * b[s - 1]
-            else:
-                y -= np.fft.irfft(np.fft.rfft(b[s - lead:s], near_size) * near_hat,
-                                  near_size)[lead - 1:lead - 1 + e - s]
-            y -= a[lead] * carry * steps[1:e - s + 1]
-        b[s:e] = np.fft.irfft(np.fft.rfft(y, size) * g_hat, size)[:e - s]
-        # S moves on by m: its window gains x_j for j in [s - J, e - J)
-        lo = max(s - lead, 0)
-        carry = steps[m] * carry + (b[lo:e - lead] * steps[e - lead - lo - 1::-1]).sum()
-    return b
+    return a
 
 
 def busy_period_cdf_series(law: ServiceLaw, grid: GridSpec) -> GridFunction:
-    """B(t) on the grid: 1 - u/lambda, u the exact solution of the trapezoidal renewal system.
+    """B(t) on 0, h, ..., T: 1 - u/lambda, u the exact solution of the trapezoidal renewal system.
 
     u = a + K u, with a = (1 - e^{-rho}) phi = (1 - e^{-rho}) f/I and
     K x = grid_convolve(x, a) = h (c * x) - h x_0 a/2, where c = a except
@@ -210,32 +211,68 @@ def busy_period_cdf_series(law: ServiceLaw, grid: GridSpec) -> GridFunction:
     no term dropped.  u >= 0 when a >= 0, so B <= 1 up to rounding.
 
     Past the last knot f is exponential, so T_d = T_J q^(d-J) exactly for
-    every d >= J, with q = e^{-r h}, r the kernel's tail rate and
-    J = max(1, grid points with t < t_knot).  A grid of at most 2M points,
-    M = max(SERIES_BLOCK, 4J), is one block: u = rhs * (1/T), one power-series
-    reciprocal and one product.  A longer grid is solved in blocks [s, s+M):
-    for k in the block,
+    every d >= J, with q = e^{-r h}, r the kernel's tail rate and (J, M) from
+    `series_block`.  The grid is solved in blocks [s, s+M), the first with
+    one power-series reciprocal of T[:M] and one product; for k in a later
+    block,
 
         sum_{j=s}^{k} T_{k-j} u_j = rhs_k - sum_{j=s-J}^{s-1} T_{k-j} u_j
                                     - T_J q^(k-s+1) S_s,
 
-    an M x M system solved with the one reciprocal of T[:M], where the scalar
+    an M x M system solved with the same reciprocal, where the scalar
     S_s = sum_{j <= s-J-1} q^(s-J-1-j) u_j holds every older point and moves
     on once a block: S_{s+M} = q^M S_s + sum_{j=s-J}^{s+M-J-1} q^(s+M-J-1-j) u_j.
+    The walk ends at the first block end t_k with |u_k/lambda - C e^{-gamma t_k}|
+    below TAIL_TOL, (gamma, C) = law.busy_tail, or at the cap t_max; an uncapped
+    walk that would pass MAX_GRID_POINTS raises GridTooLarge.
     """
-    a, lead = _series_parts(law, grid)
     h = grid.step
-    n = len(a)
+    rate = law.params.lam + law.spec.max_abs
+    if h * rate > 0.01 * (1 + 1e-9):
+        raise StepTooCoarse(f"step {h} too coarse for rates up to {rate}")
+    lead, m, cap = series_block(law.t_knot, grid)
+    if cap is not None:
+        m = min(m, cap)  # a capped grid shorter than one block is that block
+    lam = law.params.lam
+    gamma, c = law.busy_tail
+    a = _density(law, h, 0, m + lead if cap is None else min(m + lead, cap))
     half = 0.5 * h * a[0]
-    rhs = a * (1.0 - half)
+    y = a[:m] * (1.0 - half)  # the right-hand side of the first block
     a *= -h  # T = delta - h c, in place
     a[0] = 1.0 - half
-    m = max(SERIES_BLOCK, 4 * lead)
-    if n <= 2 * m:
-        u = _product(rhs, _reciprocal(a), n)
-    else:
-        u = _block_solve(a, rhs, lead, math.exp(-law.tail_rate * h), m)
-    u *= -1.0 / law.params.lam
+    size = _fft_size(2 * m - 1)
+    g_hat = np.fft.rfft(_reciprocal(a[:m]), size)
+    near_size = _fft_size(m + lead - 1)
+    near_hat = np.fft.rfft(a[1:m + lead], near_size)
+    steps = math.exp(-law.tail_rate * h) ** np.arange(m + 1)  # q^0 .. q^m
+    blocks = []
+    carry = 0.0  # S for the block starting at s
+    s = 0
+    while True:
+        e = s + m if cap is None else min(s + m, cap)
+        if s:
+            if e > MAX_GRID_POINTS:
+                raise GridTooLarge(f"busy-period grid did not meet its exponential tail "
+                                   f"within {MAX_GRID_POINTS} points (step {h:g})")
+            y = _density(law, h, s, e)
+            y *= 1.0 - half
+            prev = blocks[-1][-lead:]  # u_{s-J} .. u_{s-1}; M >= J
+            if lead == 1:  # constant beta: one point, one vector update
+                y -= a[1:1 + e - s] * prev[0]
+            else:
+                y -= np.fft.irfft(np.fft.rfft(prev, near_size) * near_hat,
+                                  near_size)[lead - 1:lead - 1 + e - s]
+            y -= a[lead] * carry * steps[1:e - s + 1]
+        x = np.fft.irfft(np.fft.rfft(y, size) * g_hat, size)[:e - s]
+        blocks.append(x)
+        if e == cap or abs(x[-1] / lam - c * math.exp(-gamma * (e - 1) * h)) < TAIL_TOL:
+            break
+        # S moves on by M: its window gains u_j for j in [s - J, e - J)
+        window = np.concatenate([prev, x[:m - lead]]) if s else x[:m - lead]
+        carry = steps[m] * carry + (window * steps[window.size - 1::-1]).sum()
+        s = e
+    u = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+    u *= -1.0 / lam
     u += 1.0
     return GridFunction(step=h, values=u)
 

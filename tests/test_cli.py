@@ -174,11 +174,10 @@ def test_rho_40_exits_invalid_never_hangs(command, extra, reason, tmp_path, caps
     assert not out.exists()
 
 
-def test_rho_40_p00_cancelling_before_the_last_knot_exits_invalid(tmp_path, capsys):
-    # before the last knot p00 = 1 - (1 - e^-rho) Phi, and 1 - e^-40 == 1.0.  The law forms G on
-    # its kernel grid of [0, 40] before it certifies beta, and there Phi plateaus at 1/I times
-    # I = int_0^40 f (rate 1), so p00 = 1 - fl(fl(1/I) I), exactly 0 for every I within 1e-12
-    # of 1: the last bits of exp and of the Simpson sum cannot turn this into another error
+def test_rho_40_flat_table_to_40_exits_invalid(tmp_path, capsys):
+    # p00 no longer cancels before the last knot, but the Simpson sum of the kernel over
+    # [0, 40] is 4e-14 short of 1 - e^-40, so G(0) = 1 - 1/I is -4e-14 and the certificate
+    # beta + lambda G >= -8 ulps rejects the table before any output
     table = tmp_path / "flat.csv"
     table.write_text("t,beta\n0,0\n40,0\n")
     out = tmp_path / "s.csv"
@@ -186,7 +185,7 @@ def test_rho_40_p00_cancelling_before_the_last_knot_exits_invalid(tmp_path, caps
                         "--cycles", "2", "--t-max", "1", "--step", "0.001", "--out", str(out)],
                        capsys)
     assert code == EXIT_INVALID
-    assert err.startswith("error: ") and "p00" in err
+    assert err.startswith("error: ") and "would decrease" in err
     assert not out.exists()
 
 
@@ -244,7 +243,35 @@ def test_verify_envelope_detail_names_the_grid_size(tmp_path, capsys):
     _, out, _ = run(["verify", "--lambda", "1", "--rho", "1", "--beta-file", str(table),
                      "--t-max", "2", "--step", "0.005", "--cycles", "10"], capsys)
     line = next(x for x in out.splitlines() if "envelope bounds on series curves" in x)
-    assert line.endswith(": 401-point grid")
+    # one block of the walk, which meets the tail there; --t-max sets only eval's rows
+    assert line.endswith(": 4096-point grid")
+
+
+@pytest.mark.parametrize("rho", [1e-3, 0.1, 0.5])
+def test_ramp_verify_ks_passes_at_small_rho(rho, tmp_path, capsys):
+    # B and Z past the series grid are its exponential tail; clamped to the grid's last
+    # value they put KS(busy cycle) at 0.988 (rho = 1e-3) and 0.32 (rho = 0.1)
+    table = tmp_path / "ramp.csv"
+    table.write_text("t,beta\n0,0\n1,0.2\n")
+    _, out, _ = run(["verify", "--lambda", "1", "--rho", repr(rho), "--beta-file", str(table),
+                     "--cycles", "100000", "--seed", "1"], capsys)
+    report = parse_report(out)
+    for name in ("KS(busy period)", "KS(busy cycle)", "KS(idle period)"):
+        assert report[name] == "PASS", out
+
+
+@pytest.mark.parametrize("rho,cycles", [(8.0, 2000), (10.0, 200)])
+def test_heavy_traffic_verify_series_passes(rho, cycles, capsys):
+    # the series grid is one block that meets the exact tail; walked to 12 mean busy
+    # periods it was 2.3e-3 off at rho = 8 (7.15M points) and too large at rho = 10
+    code, out, err = run(["verify", "--lambda", "1", "--rho", repr(rho), "--beta", "0",
+                          "--cycles", str(cycles)], capsys)
+    report = parse_report(out)
+    assert report["busy period: series vs closed form"] == "PASS", out
+    assert report["busy cycle: series vs closed form"] == "PASS", out
+    # exit 1 only for the paper's floors, false at interior beta
+    assert code == EXIT_VERIFY_FAIL, err
+    assert {n for n, v in report.items() if v == "FAIL"} == set(FLOOR_CHECKS), out
 
 
 @pytest.mark.parametrize("beta_args", [["--beta", "0"], ["--beta-file", "ramp"]])
@@ -456,10 +483,12 @@ def test_table_ending_at_degenerate_endpoint_is_the_degenerate_law(tmp_path, cap
     # running average 1.3 > 0.581977 at t = 2: rejected whatever the output horizon
     ("t,beta\n0,0\n1,0.1\n2,5\n", ["--t-max", "1"]),
     ("t,beta\n0,0\n1,0.1\n2,5\n", ["--t-max", "5"]),
-    # grids beyond MAX_GRID_POINTS: the series grid three ways, then the kernel grid
+    # about e^50 customers a cycle
     ("t,beta\n0,0\n1,0.2\n", ["--rho", "50"]),
-    ("t,beta\n0,0\n1,0.2\n", ["--t-max", "1e12"]),
-    ("t,beta\n0,0\n1,0.2\n", ["--t-max", "1e7", "--step", "1"]),
+    # grids beyond MAX_GRID_POINTS: the series grid's lead J = t_knot/h, then its first
+    # block 4J, then the kernel grid
+    ("t,beta\n0,0\n1,0.2\n", ["--step", "1e-8"]),
+    ("t,beta\n0,0\n1,0.2\n", ["--step", "1e-7"]),
     ("t,beta\n0,-1\n1e300,0\n", []),
 ])
 def test_verify_bad_input_exits_invalid(table, extra, tmp_path, capsys):
@@ -487,6 +516,21 @@ def test_eval_oversized_grid_exits_invalid(argv, tmp_path, capsys):
     code, _, err = run(["eval", "--lambda", "1", *argv], capsys)
     assert code == EXIT_INVALID
     assert err.startswith("error: ") and str(MAX_GRID_POINTS) in err
+
+
+@pytest.mark.parametrize("extra", [["--t-max", "1e12"], ["--t-max", "1e7", "--step", "1"]])
+def test_t_max_sets_only_eval_rows(extra, tmp_path, capsys):
+    # the series grid ends where it meets its tail whatever --t-max is; walked to --t-max
+    # at the default step it was 2e14 and 2e9 points, beyond MAX_GRID_POINTS
+    table = tmp_path / "ramp.csv"
+    table.write_text("t,beta\n0,0\n1,0.2\n")
+    common = ["--lambda", "1", "--rho", "1", "--beta-file", str(table)]
+    code, out, _ = run(["verify", *common, "--cycles", "1000", *extra], capsys)
+    assert code == EXIT_VERIFY_FAIL  # the envelope check FAILs by design for the ramp
+    assert out == run(["verify", *common, "--cycles", "1000"], capsys)[1]
+    code, _, err = run(["simulate", *common, "--cycles", "100",
+                        "--out", str(tmp_path / "s.csv"), *extra], capsys)
+    assert code == EXIT_OK, err
 
 
 def test_constant_beta_simulate_builds_no_time_grid(tmp_path, capsys):

@@ -23,9 +23,9 @@ POINTS = {
         "82e474036513c90d4765dc99ad887728fab8ff7cbf93065a44b386e31deee0a5",
         "e2dcf828d56ab9393b7a4f0065763f0277cd75dd105c27cc561d0eb45a8d43c6")),
     "table-ramp": (1.0, ((0.0, 0.0), (1.0, 0.2)), 1000, (
-        "3ec05ebd8eae94d737af6acf7df8654a577fd0a67a15763923267c2beba951aa",
+        "cb0b3c4cec18fc4c3fc94ef06f4feed0cd56de9f589cf4b3d56bf69b05b7f571",
         "396d6053e09f4aeb9f3f9a5236f584ccfc1b50d3d2d7a0c5140448dff3f6c763",
-        "9741a1677e891d8e6892840c6f462f5bc0077205e75e02139d2307cf87d1ba02")),
+        "421d809ded02caccffa425f1b2e3a6622eeb2ef180190e0a115a69052f089b9b")),
     "heavy-series": (3.0, 0.0, 20_000, (
         "c9b5d4dccbcb14cee7768c35bb0cb67c4550699d679534281405e562cd469eb4",
         "c095b3aa07d0bf0dc47cc501d03832976fee27b128710fcb6c74433f3a77e1b4",

@@ -280,6 +280,38 @@ def test_table_below_the_certificate_floor_by_1e_9_is_rejected():
         ServiceLaw(p, validate_beta(p, spec), GridSpec(step=0.005, t_max=1.0))
 
 
+@pytest.mark.parametrize("rho", [20.0, 30.0])
+def test_table_p00_does_not_cancel_before_the_last_knot(rho):
+    # the flat table to t = 40 is beta = 0 with its whole body before the knot, where
+    # 1 - (1 - e^-rho) Phi cancelled down to 1e-16 e^rho relative (1e-3 at rho = 30);
+    # e^-rho + (1 - e^-rho)(1 - Phi), 1 - Phi from the reverse sums, does not
+    p = validate_queue_params(1.0, rho)
+    law = ServiceLaw(p, validate_beta(p, BetaSpec(knots=((0.0, 0.0), (40.0, 0.0)))))
+    ts = np.linspace(0.0, 40.0, 4001)
+    assert np.max(np.abs(law.p00(ts) / cf.empty_probability(p, 0.0, ts) - 1.0)) <= 1e-12
+    assert np.max(np.abs(law.cdf(ts) - cf.service_cdf(p, 0.0, ts))) <= 1e-12
+
+
+@pytest.mark.parametrize("rho", [0.1, 1.0, 3.0, 8.0])
+@pytest.mark.parametrize("beta", [-0.5, 0.0])
+def test_busy_tail_of_a_flat_table_is_its_constant(rho, beta):
+    # 1 - B = (1 - G(0)) e^{-(lambda + beta) e^{-rho} t} exactly for constant beta; the flat
+    # table gets (gamma, C) from Newton steps on Simpson sums over its kernel grid
+    p = validate_queue_params(1.0, rho)
+    want = ((p.lam + beta) * p.exp_neg_rho, 1.0 - cf.service_cdf(p, beta, 0.0))
+    for spec in (BetaSpec(constant=beta), BetaSpec(knots=((0.0, beta), (1.0, beta)))):
+        got = ServiceLaw(p, validate_beta(p, spec)).busy_tail
+        assert got == pytest.approx(want, rel=1e-10, abs=0.0), spec
+
+
+@pytest.mark.parametrize("spec", [BetaSpec(constant=-1.0),
+                                  BetaSpec(knots=((0.0, 0.0), (1.0, -1.0)))])
+def test_busy_tail_at_the_degenerate_endpoint_has_no_weight(spec):
+    # lambda + beta(inf) = 0: B == 1, so C = 0
+    gamma, c = ServiceLaw(P11, validate_beta(P11, spec)).busy_tail
+    assert c == 0.0 and gamma == 0.0
+
+
 def reference_kernel(law, t):
     """f, p00 and G on np.atleast_1d(t), each formula written out whole as one expression.
 
@@ -302,7 +334,9 @@ def reference_kernel(law, t):
         tm = t0 + 0.5 * dt
         fm = np.exp(-lam * tm - law.spec.cumulative(tm))
         cell = dt / 6.0 * (law.grid_f[idx] + 4.0 * fm + fb)
-        p00[body] = 1.0 - (1.0 - q0) * (law.inv_total * (law.grid_prefix[idx] + cell))
+        near = 1.0 - (1.0 - q0) * (law.inv_total * (law.grid_prefix[idx] + cell))
+        far = q0 + (1.0 - q0) * (law.inv_total * (law.grid_suffix[idx] - cell) + law.tail_mass)
+        p00[body] = np.where(near < 0.5, far, near)
     g = 1.0 - (1.0 - q0) * (law.inv_total * f) / (lam * p00)
     return {"kernel": f, "p00": p00, "cdf": g}
 

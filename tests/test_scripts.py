@@ -43,3 +43,6 @@ def test_profile_commands_prints_one_json_line_per_call():
         # verify exits 1: the paper's floor envelope FAILs for the ramp's series curves
         assert c["exit"] == {"eval": 0, "simulate": 0, "verify": 1}[c["command"]]
         assert (c["out_sha256"] is None) == (c["command"] == "verify")
+        # each command builds its own law; eval and simulate read B and Z (the eval rows, the
+        # KS lines) and verify the series checks, each from one walk of one block
+        assert c["series_points"] == 4096, c

@@ -409,22 +409,26 @@ def test_series_cdf_shape(make):
     for g, top in ((b, 1.0), (z, 0.5 * x / math.tanh(0.5 * x))):
         assert np.all(np.diff(g.values) >= -1e-8)
         assert np.all(g.values >= -1e-8) and np.all(g.values <= top + 1e-12)
-        assert g.values[-1] > 1 - 1e-4
+    # the law's curves, grid then tail, reach 1 within 12 mean busy periods
+    far = 12.0 * math.expm1(law.params.rho) / law.params.lam
+    assert law.busy_cdf(far) > 1 - 1e-4 and law.cycle_cdf(far) > 1 - 1e-4
 
 
 # ---- the block solve past the last knot -------------------------------------
 
 def one_block(law, grid, monkeypatch):
-    """B by the one-block solve (one reciprocal and one product) on any grid."""
+    """B by the one-block solve (one reciprocal and one product) on any capped grid."""
     with monkeypatch.context() as m:
         m.setattr(transforms, "SERIES_BLOCK", 2**30)
         return busy_period_cdf_series(law, grid).values
 
 
-def blocked(law, grid):
-    """B and the block length M = max(SERIES_BLOCK, 4 J) the solve uses on this grid."""
-    lead = transforms._series_parts(law, grid)[1]
-    return busy_period_cdf_series(law, grid).values, max(SERIES_BLOCK, 4 * lead)
+def blocked(law, grid, monkeypatch):
+    """B walked to the cap of the grid, and the block length M = max(SERIES_BLOCK, 4 J)."""
+    with monkeypatch.context() as m:
+        m.setattr(transforms, "TAIL_TOL", 0.0)  # never meets the tail: every block to the cap
+        b = busy_period_cdf_series(law, grid).values
+    return b, transforms.series_block(law.t_knot, grid)[1]
 
 
 def table_law(rho, knots, grid=None):
@@ -432,13 +436,19 @@ def table_law(rho, knots, grid=None):
     return ServiceLaw(p, validate_beta(p, BetaSpec(knots=knots)), grid)
 
 
+def busy_means(rho, n=12.0, h=0.005):
+    """A grid of n mean busy periods at lambda = 1."""
+    return GridSpec(step=h, t_max=n * math.expm1(rho))
+
+
 # (law, grid, tolerance): J = 1 (one vector update), J = 10, J = 2000 and J = 6000
 # (middle product; the last a body longer than one SERIES_BLOCK)
 BLOCK_CASES = {
-    "rho 3": (lambda: law_for(validate_queue_params(1.0, 3.0), 0.0), None, 1e-13),
-    "rho 5": (lambda: law_for(validate_queue_params(1.0, 5.0), 0.0), None, 1e-12),
-    "rho 3, beta -0.5": (lambda: law_for(validate_queue_params(1.0, 3.0), -0.5), None, 1e-13),
-    "short table": (lambda: table_law(2.0, ((0.0, 0.0), (0.05, 0.1))), None, 1e-13),
+    "rho 3": (lambda: law_for(validate_queue_params(1.0, 3.0), 0.0), busy_means(3.0), 1e-13),
+    "rho 5": (lambda: law_for(validate_queue_params(1.0, 5.0), 0.0), busy_means(5.0), 1e-12),
+    "rho 3, beta -0.5": (lambda: law_for(validate_queue_params(1.0, 3.0), -0.5), busy_means(3.0),
+                         1e-13),
+    "short table": (lambda: table_law(2.0, ((0.0, 0.0), (0.05, 0.1))), busy_means(2.0), 1e-13),
     "ramp, h = 5e-4": (lambda: ServiceLaw(P11, validate_beta(P11, RAMP)),
                        GridSpec(step=5e-4, t_max=40.0), 1e-13),
     "long body": (lambda: table_law(1.0, ((0.0, 0.0), (6.0, 0.1), (12.0, 0.2))),
@@ -450,52 +460,102 @@ BLOCK_CASES = {
 def test_block_solve_equals_one_block_solve(case, monkeypatch):
     make, grid, tol = BLOCK_CASES[case]
     law = make()
-    grid = grid or law.grid
-    b, m = blocked(law, grid)
+    b, m = blocked(law, grid, monkeypatch)
     assert len(b) > 2 * m + m // 2, case  # at least three blocks
     assert np.max(np.abs(b - one_block(law, grid, monkeypatch))) <= tol, case
 
 
 @pytest.mark.parametrize("extra", [0, 1])
 def test_block_solve_at_two_blocks_and_one_point_more(extra, monkeypatch):
-    # 2M points are one block; 2M + 1 are blocks of M, M and 1
+    # 2M points are two blocks of M; 2M + 1 are blocks of M, M and 1
     law = law_for(P11, 0.0)
     h = 0.005
     grid = GridSpec(step=h, t_max=(2 * SERIES_BLOCK - 1 + extra) * h)
-    b, m = blocked(law, grid)
+    b, m = blocked(law, grid, monkeypatch)
     assert len(b) == 2 * m + extra
     assert np.max(np.abs(b - one_block(law, grid, monkeypatch))) <= 1e-13
     assert np.max(np.abs(b - cf.busy_period_cdf(P11, 0.0, np.arange(len(b)) * h))) < 1e-3
 
 
-def test_block_solve_is_causal_across_the_last_knot():
+def test_block_solve_is_causal_across_the_last_knot(monkeypatch):
     # a grid that ends before t_knot is one block; B on it is the head of B on a long grid
     law = table_law(1.0, ((0.0, 0.0), (30.0, 0.2)))
     short = busy_period_cdf_series(law, GridSpec(step=5e-3, t_max=20.0)).values
-    b, m = blocked(law, GridSpec(step=5e-3, t_max=400.0))
+    b, m = blocked(law, GridSpec(step=5e-3, t_max=400.0), monkeypatch)
     assert len(b) > 2 * m and len(short) == 4001
     assert np.max(np.abs(b[:len(short)] - short)) <= 1e-13
 
 
-def test_block_solve_at_the_degenerate_endpoint_is_exactly_one():
+def test_block_solve_at_the_degenerate_endpoint_is_exactly_one(monkeypatch):
     # lambda + beta(inf) = 0: 1/I = 0, so a = 0, T = delta and B = 1 - u/lambda = 1 in every block
     law = ServiceLaw(P11, validate_beta(P11, BetaSpec(knots=((0.0, 0.0), (1.0, -1.0)))))
-    b, m = blocked(law, GridSpec(step=0.005, t_max=100.0))
+    b, m = blocked(law, GridSpec(step=0.005, t_max=100.0), monkeypatch)
     assert len(b) > 2 * m
     assert np.max(np.abs(b - 1.0)) <= 1e-15
+    assert law.busy_tail == (0.0, 0.0)
+    assert len(law.series[0].values) == m  # its tail, 1 - B = 0, is met after one block
 
 
-def test_block_solve_memory_per_grid_point():
+def test_block_solve_memory_per_grid_point(monkeypatch):
     p = validate_queue_params(1.0, 5.0)
     law = law_for(p, 0.0)
     tracemalloc.start()
     try:
-        n = len(busy_period_cdf_series(law, law.grid).values)
+        n = len(blocked(law, busy_means(5.0), monkeypatch)[0])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert n == 353793
     assert peak <= 60 * n  # 72 bytes a point with one reciprocal over the whole grid
+
+
+@pytest.mark.parametrize("rho", [0.5, 1.0, 3.0, 5.0, 8.0, 10.0, 40.0])
+@pytest.mark.parametrize("beta", [-0.5, 0.0])
+def test_constant_beta_walk_is_one_block(rho, beta):
+    # the tail 1 - (1 - G(0)) e^{-gamma t} is exact from t = 0, so the first block meets it
+    # within the grid's own error at every rho; the walk used to run to 12 mean busy periods
+    # (7.15M points at rho = 8, more than MAX_GRID_POINTS at rho = 10)
+    p = validate_queue_params(1.0, rho)
+    law = law_for(p, beta)
+    b, z = law.series
+    assert len(b.values) == SERIES_BLOCK
+    assert np.max(np.abs(b.values - cf.busy_period_cdf(p, beta, b.times))) < transforms.TAIL_TOL
+    assert np.max(np.abs(z.values - cf.busy_cycle_cdf(p, beta, z.times))) < transforms.TAIL_TOL
+
+
+TAIL_TABLES = {
+    "ramp": ((0.0, 0.0), (1.0, 0.2)),
+    "dip": ((0.0, 0.0), (1.0, -0.2), (3.0, 0.0)),
+    "small ramp": ((0.0, 0.0), (1.0, 0.004)),
+}
+
+
+@pytest.mark.parametrize("rho", [1e-3, 0.1, 1.0])
+@pytest.mark.parametrize("name", sorted(TAIL_TABLES))
+def test_table_tail_continues_the_walked_grid(name, rho, monkeypatch):
+    # past the junction, B and Z of the law (closed form in gamma, C and Z(T)) agree with a
+    # grid walked on to 40 time units further at the same step
+    p = validate_queue_params(1.0, rho)
+    law = table_law(rho, TAIL_TABLES[name])
+    end = law.series[0].times[-1]
+    h = law.grid.step
+    b, _ = blocked(law, GridSpec(step=h, t_max=end + 40.0), monkeypatch)
+    z = busy_cycle_cdf_series(p, GridFunction(h, b)).values
+    ts = np.arange(len(b)) * h
+    assert np.max(np.abs(law.busy_cdf(ts) - b)) < transforms.TAIL_TOL
+    assert np.max(np.abs(law.cycle_cdf(ts) - z)) < transforms.TAIL_TOL
+
+
+def test_ramp_step_at_small_rho_follows_the_kernel_rate():
+    # h = 0.005 on the ramp at rho = 1e-3, where the mean service time is 1e-3: the solve
+    # sees only the kernel's rate lambda + max|beta|.  Against an h/8 solve, B is off by
+    # 2.8e-9 and Z by 3.1e-6, of which 2.1e-6 is the idle trapezoid's (lambda h)^2/12
+    law = table_law(1e-3, TAIL_TABLES["ramp"])
+    assert law.grid.step == 0.005
+    fine = table_law(1e-3, TAIL_TABLES["ramp"], GridSpec(step=0.005 / 8, t_max=math.inf))
+    ts = np.linspace(0.0, 30.0, 6001)  # grid and tail
+    assert np.max(np.abs(law.busy_cdf(ts) - fine.busy_cdf(ts))) < 3e-9
+    assert np.max(np.abs(law.cycle_cdf(ts) - fine.cycle_cdf(ts))) < 4e-6
 
 
 def test_series_step_too_coarse():
@@ -505,9 +565,11 @@ def test_series_step_too_coarse():
 
 
 def test_default_grid():
+    # the step follows lambda and the kernel's rate only, and nothing caps the walk
     g = default_grid(P11, BetaSpec(constant=0.0))
     assert g.step == pytest.approx(0.005)
-    assert g.t_max == pytest.approx(12 * math.expm1(1.0))
+    assert g.t_max == math.inf
+    assert default_grid(validate_queue_params(1.0, 1e-3), RAMP).step == pytest.approx(0.005)
 
 
 def test_import_leaves_scipy_signal_unloaded():
