@@ -71,8 +71,8 @@ def count_series_points() -> None:
     """Wrap the busy-period grid solve so each call records the points it returns."""
     solve = transforms.busy_period_cdf_series
 
-    def counted(law, grid):
-        b = solve(law, grid)
+    def counted(law):
+        b = solve(law)
         SOLVED.append(b.values.size)
         return b
 

@@ -10,9 +10,8 @@ from .closed_form import (
     service_atom, service_cdf, service_curve, service_quantile,
 )
 from .transforms import (
-    GridFunction, GridSpec, LaplacePoint, busy_cycle_cdf_series, busy_cycle_laplace,
-    busy_period_cdf_series, busy_period_laplace_from_service, busy_period_laplace_general,
-    default_grid, grid_convolve,
+    GridFunction, LaplacePoint, busy_cycle_cdf_series, busy_cycle_laplace, busy_period_cdf_series,
+    busy_period_laplace_from_service, busy_period_laplace_general, default_step, grid_convolve,
 )
 from .simulate import (
     CycleSamples, EmpiricalCdf, cycle_summary, empirical_cdf, ks_distance, run_cycles,

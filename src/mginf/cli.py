@@ -32,7 +32,7 @@ from .errors import (
 from .law import ServiceLaw
 from .params import BetaSpec, load_beta_table, validate_beta, validate_queue_params
 from .simulate import empirical_cdf, ks_distance, run_cycles, cycle_summary
-from .transforms import GridSpec, default_grid, grid_points
+from .transforms import default_step, grid_points
 from .verify import verify_point
 
 EXIT_OK = 0
@@ -67,9 +67,9 @@ def _build_config(args) -> RunConfig:
         spec = BetaSpec(constant=args.beta)
     else:
         spec = load_beta_table(args.beta_file)
-    grid = default_grid(params, spec)
+    h = default_step(params, spec)
     t_max = args.t_max if args.t_max is not None else 12.0 * math.expm1(params.rho) / params.lam
-    step = args.step if args.step is not None else grid.step
+    step = args.step if args.step is not None else h
     if not (math.isfinite(t_max) and math.isfinite(step)):
         raise NonFiniteParameter(f"--t-max and --step must be finite, got {t_max} and {step}")
     if t_max <= 0:
@@ -78,7 +78,7 @@ def _build_config(args) -> RunConfig:
         raise MginfError(f"--step must be > 0, got {step}")
     vbeta = validate_beta(params, spec)
     return RunConfig(
-        law=ServiceLaw(params, vbeta, GridSpec(step=min(grid.step, step), t_max=grid.t_max)),
+        law=ServiceLaw(params, vbeta, min(h, step)),
         t_max=t_max,
         step=step,
         cycles=args.cycles,

@@ -13,11 +13,12 @@ constant beta (t_knot = 0) nothing is.  Every admissible beta, constant,
 tabulated or the degenerate endpoint beta = -lambda, is one law: at r = 0 the
 integral diverges, 1/I is exactly 0, so phi == Phi == 0 and G == 1, the limit
 of the formula above.  Only the busy-period and busy-cycle laws choose: the
-closed forms when beta is constant, otherwise the series grids up to the
-point where they meet their exponential tail 1 - B ~ C e^{-gamma t}, and
-that tail, closed form, past it.  (gamma, C) solve the renewal equation's
-characteristic equation on the kernel grid; the grids are solved once per
-law, on first use.
+closed forms when beta is constant, otherwise the series grids at the law's
+step up to the point where they meet their exponential tail
+1 - B ~ C e^{-gamma t}, and that tail, closed form, past it.  (gamma, C) solve
+the renewal equation's characteristic equation in the kernel's Laplace
+transform, whose Simpson sums on the kernel grid also give the kernel-form
+busy-period transform; the grids are solved once per law, on first use.
 """
 
 from __future__ import annotations
@@ -30,9 +31,9 @@ import numpy as np
 from . import closed_form as cf
 from . import transforms
 from .errors import (BetaOutOfRange, DivergentKernelIntegral, GridTooLarge, NonFiniteParameter,
-                     ProbabilityOutOfRange)
+                     ProbabilityOutOfRange, StepTooCoarse)
 from .params import QueueParams, ValidatedBeta
-from .transforms import MAX_GRID_POINTS, GridFunction, GridSpec, default_grid
+from .transforms import MAX_GRID_POINTS, GridFunction, default_step
 
 
 # Rounding slack of the certificate beta + lambda G >= 0, in ulps of lambda: at
@@ -64,16 +65,17 @@ class ServiceLaw:
     p00 are closed form in them, not only the quantile.
     With body = int_0^{t_knot} f and f_end = f(t_knot), r I = r body + f_end,
     so 1/I = r/(r body + f_end) and m = f_end/(r body + f_end) are finite for
-    every r >= 0; only r < 0, where f grows, is rejected.  Without a closed
-    form the first block of the series grid is sized here too, so one beyond
-    MAX_GRID_POINTS raises GridTooLarge before any caller simulates or writes
-    output.
+    every r >= 0; only r < 0, where f grows, is rejected.  `step` is that of
+    the series grids (by default `default_step`); a step too coarse for the
+    kernel's rate raises StepTooCoarse, and without a closed form the first
+    block of the series grid is sized here too, so one beyond MAX_GRID_POINTS
+    raises GridTooLarge, both before any caller simulates or writes output.
     """
 
-    def __init__(self, params: QueueParams, vbeta: ValidatedBeta, grid: GridSpec | None = None):
+    def __init__(self, params: QueueParams, vbeta: ValidatedBeta, step: float | None = None):
         spec = vbeta.spec
         self.params, self.spec = params, spec
-        self.grid = default_grid(params, spec) if grid is None else grid
+        self.step = default_step(params, spec) if step is None else step
         self.beta = spec.constant
         self.indicator = spec.value
         self.tail_rate = tail_rate = params.lam + spec.tail_rate()  # r
@@ -82,6 +84,9 @@ class ServiceLaw:
             raise DivergentKernelIntegral(
                 f"kernel tail rate lambda + beta(inf) must be >= 0 (got {tail_rate})"
             )
+        rate = params.lam + spec.max_abs
+        if self.step * rate > 0.01 * (1 + 1e-9):
+            raise StepTooCoarse(f"step {self.step} too coarse for rates up to {rate}")
         # uniform grid on [0, t_knot] (empty for constant beta), f at its nodes and cell
         # midpoints, and int_0^{grid_t} f, int_{grid_t}^{t_knot} f from the same Simpson cells
         self.grid_t = self.grid_f = self.grid_fm = np.array([])
@@ -102,7 +107,7 @@ class ServiceLaw:
             self.grid_suffix = np.concatenate([np.cumsum(cells[::-1])[::-1], [0.0]])
             body, f_end = float(self.grid_prefix[-1]), float(self.grid_f[-1])
         if self.beta is None:  # B and Z are series grids: reject a first block too large
-            transforms.series_block(t_knot, self.grid)
+            transforms.series_block(t_knot, self.step)
         self.f_knot = f_end
         r_total = tail_rate * body + f_end  # r I
         self.inv_total = inv_total = tail_rate / r_total  # 1/I; exactly 0 when r = 0
@@ -276,36 +281,14 @@ class ServiceLaw:
         return -np.expm1(-self.params.lam * np.asarray(t, dtype=float))
 
     @cached_property
-    def busy_tail(self) -> tuple[float, float]:
-        """(gamma, C) with 1 - B(t) ~ C e^{-gamma t} as t -> inf.
+    def _simpson(self):
+        """Simpson nodes of the kernel grid's cells, their weights times 1, t and f, and log f.
 
-        1 - B = u/lambda, u = a + a * u, and a = (1 - e^{-rho}) phi has mass
-        1 - e^{-rho} < 1, so by the key renewal theorem for defective equations
-        (Feller II, XI.6; Asmussen, Applied Probability and Queues, V.7)
-        gamma in [0, r) solves (1 - e^{-rho}) L(gamma) = 1 and
-        C = 1/(lambda (1 - e^{-rho}) L'(gamma)), with L(g) = int e^{g t} phi.
-        L - 1 and L' are Simpson sums over the kernel grid's cells plus closed
-        forms past t_knot.  gamma is the root of
-        F = (r - g)(e^{-rho} - (1 - e^{-rho})(L - 1)), which keeps e^{-rho}
-        beside 1 and is nearly linear while the exponential tail dominates L,
-        as (r - g) L stays bounded up to r.  From g = 0, inside a bracket of
-        [0, r), a Newton step on the concave F lands right of the root; from
-        the right, Newton steps on the convex log((1 - e^{-rho}) L) fall to it
-        monotonically, also where e^{g t} over the body dominates L; a step
-        that leaves the bracket bisects it.  For constant beta F is linear, so
-        the first step gives gamma = (lambda + beta) e^{-rho} and
-        C = (1 - e^{-rho}) r/lambda = 1 - G(0): the closed form, exact from
-        t = 0.  At r = 0, 1/I = 0 and a = 0: (0, 0).
+        h/6 at the two ends, h/3 at interior nodes, 2h/3 at midpoints; all
+        empty for constant beta.  Also the sums of w f and of w t f.
         """
-        r, tk, fk = self.tail_rate, self.t_knot, self.f_knot
-        if self.inv_total == 0.0:
-            return 0.0, 0.0
-        q0 = self.params.exp_neg_rho
-        w = 1.0 - q0
-        # Simpson over the kernel grid's cells: h/6 at the two ends, h/3 at interior
-        # nodes, 2h/3 at midpoints; f and its exponent log f at every node
         nodes = f = weights = log_f = np.zeros(0)
-        if tk > 0:
+        if self.t_knot > 0:
             ts = self.grid_t
             h = ts[1] - ts[0]
             nodes = np.concatenate([ts, ts[:-1] + 0.5 * h])
@@ -317,31 +300,69 @@ class ServiceLaw:
                 log_f = np.log(f)
             gone = np.flatnonzero(f == 0.0)  # f underflowed: its exponent from beta
             log_f[gone] = -self.params.lam * nodes[gone] - self.spec.cumulative(nodes[gone])
-        log_fk = -self.params.lam * tk - float(self.spec.cumulative(tk))
         tweights = weights * nodes
         wf, twf = weights * f, tweights * f
-        mass, tmass = wf.sum(), twf.sum()
+        return nodes, weights, tweights, wf, twf, log_f, wf.sum(), twf.sum()
 
-        def moments(g: float) -> tuple[float, float]:
-            """L(g) - 1 and L'(g); f e^{g t} = f_knot e^{g t_knot} e^{-(r - g) u} at t_knot + u."""
-            with np.errstate(all="ignore"):  # far right of the root these overflow: bisect
-                if g * tk < 1.0:  # f (e^{g t} - 1) by expm1, with no cancellation
-                    grow = np.expm1(g * nodes)
-                    body, tbody = (wf * grow).sum(), (twf * grow).sum() + tmass
-                    knot = fk * math.expm1(g * tk)
-                else:  # f e^{g t} in logs: f may underflow where e^{g t} would overflow
-                    grow = np.exp(log_f + g * nodes)
-                    body, tbody = (weights * grow).sum() - mass, (tweights * grow).sum()
-                    knot = np.exp(log_fk + g * tk) - fk
-                x = r - g
-                d0 = body + (r * knot + g * fk) / (r * x)
-                d1 = tbody + (knot + fk) * (tk / x + 1.0 / x**2)
-            return self.inv_total * d0, self.inv_total * d1
+    def kernel_moments(self, g: float) -> tuple[float, float]:
+        """L(g) - 1 and L'(g), L(g) = int_0^inf e^{g t} phi(t) dt, for g < r.
 
+        Simpson sums over the kernel grid's cells, plus closed forms past
+        t_knot, where f e^{g t} = f_knot e^{g t_knot} e^{-(r - g) u} at
+        t_knot + u.  While g t_knot < 1 the body is f (e^{g t} - 1) by expm1,
+        with no cancellation, which covers every g <= 0; past it f e^{g t} is
+        formed in logs, since f may underflow where e^{g t} would overflow.
+        At r = 0, phi == 0: (-1, 0).
+        """
+        if self.inv_total == 0.0:
+            return -1.0, 0.0
+        r, tk, fk = self.tail_rate, self.t_knot, self.f_knot
+        nodes, weights, tweights, wf, twf, log_f, mass, tmass = self._simpson
+        with np.errstate(all="ignore"):  # far right of gamma these overflow: busy_tail bisects
+            if g * tk < 1.0:
+                grow = np.expm1(g * nodes)
+                body, tbody = (wf * grow).sum(), (twf * grow).sum() + tmass
+                knot = fk * math.expm1(g * tk)
+            else:
+                grow = np.exp(log_f + g * nodes)
+                body, tbody = (weights * grow).sum() - mass, (tweights * grow).sum()
+                log_fk = -self.params.lam * tk - float(self.spec.cumulative(tk))
+                knot = np.exp(log_fk + g * tk) - fk
+            x = r - g
+            d0 = body + (r * knot + g * fk) / (r * x)
+            d1 = tbody + (knot + fk) * (tk / x + 1.0 / x**2)
+        return self.inv_total * d0, self.inv_total * d1
+
+    @cached_property
+    def busy_tail(self) -> tuple[float, float]:
+        """(gamma, C) with 1 - B(t) ~ C e^{-gamma t} as t -> inf.
+
+        1 - B = u/lambda, u = a + a * u, and a = (1 - e^{-rho}) phi has mass
+        1 - e^{-rho} < 1, so by the key renewal theorem for defective equations
+        (Feller II, XI.6; Asmussen, Applied Probability and Queues, V.7)
+        gamma in [0, r) solves (1 - e^{-rho}) L(gamma) = 1 and
+        C = 1/(lambda (1 - e^{-rho}) L'(gamma)), with L - 1 and L' from
+        `kernel_moments`.  gamma is the root of
+        F = (r - g)(e^{-rho} - (1 - e^{-rho})(L - 1)), which keeps e^{-rho}
+        beside 1 and is nearly linear while the exponential tail dominates L,
+        as (r - g) L stays bounded up to r.  From g = 0, inside a bracket of
+        [0, r), a Newton step on the concave F lands right of the root; from
+        the right, Newton steps on the convex log((1 - e^{-rho}) L) fall to it
+        monotonically, also where e^{g t} over the body dominates L; a step
+        that leaves the bracket bisects it.  For constant beta F is linear, so
+        the first step gives gamma = (lambda + beta) e^{-rho} and
+        C = (1 - e^{-rho}) r/lambda = 1 - G(0): the closed form, exact from
+        t = 0.  At r = 0, 1/I = 0 and a = 0: (0, 0).
+        """
+        if self.inv_total == 0.0:
+            return 0.0, 0.0
+        r = self.tail_rate
+        q0 = self.params.exp_neg_rho
+        w = 1.0 - q0
         g, lo, hi = 0.0, 0.0, r
         with np.errstate(all="ignore"):  # a non-finite step bisects
             for _ in range(100):
-                d0, d1 = moments(g)
+                d0, d1 = self.kernel_moments(g)
                 num = q0 - w * d0  # F/(r - g)
                 if num > 0.0:  # left of the root: Newton on F, concave, lands right of it
                     lo = g
@@ -359,9 +380,9 @@ class ServiceLaw:
 
     @cached_property
     def series(self) -> tuple[GridFunction, GridFunction]:
-        """(B, Z) on the law's grid by the direct grid solve of the renewal equation, solved once."""
+        """(B, Z) at the law's step by the direct grid solve of the renewal equation, solved once."""
         # looked up on the module at call time, so a wrapper put there sees every solve
-        b = transforms.busy_period_cdf_series(self, self.grid)
+        b = transforms.busy_period_cdf_series(self)
         return b, transforms.busy_cycle_cdf_series(self.params, b)
 
     def busy_cdf(self, t):

@@ -1,26 +1,26 @@
 """Laplace transforms and the grid solution of the busy-period renewal equation.
 
 The busy-period transform has two equivalent routes: a nested-quadrature
-evaluation straight from the service CDF, and the kernel-based rational form.
+evaluation straight from the service CDF, and the kernel-based rational form
+in L phi(s), which `ServiceLaw.kernel_moments` sums over the same Simpson
+nodes as the tail root (gamma, C).
 In the time domain 1 - B = u/lambda, where u solves the renewal equation
 u = a + a * u with the defective density a = (1 - e^{-rho}) phi.  Its
-trapezoidal discretisation on a uniform grid is a lower-triangular Toeplitz
-system.  Past the last beta knot the kernel is exactly
+trapezoidal discretisation on a uniform grid of the law's step is a
+lower-triangular Toeplitz system.  Past the last beta knot the kernel is exactly
 exponential, so the system's coefficients are geometric from lag J on (J the
 grid points before the knot): a_d = a_J q^(d-J).  The system is solved
 exactly in blocks of M >= 4J points (block by block with the history carried
 forward, as for Volterra convolution equations in general: Hairer, Lubich &
 Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985).  Each block uses one
 power-series reciprocal of a[:M]; the J points before it enter by a middle
-product (one vector update when J = 1), and all older points by one scalar
-carried from block to block.
+product, and all older points by one scalar carried from block to block.
 The walk stops at the first block end where the grid meets its own
 exponential tail: by the key renewal theorem for defective equations
 1 - B(t) ~ C e^{-gamma t} (Feller II, XI.6; Asmussen, Applied Probability and
 Queues, 2003, V.7), with (gamma, C) from `ServiceLaw.busy_tail`, and past
 that block B and Z are closed form in them.  For constant beta the tail is
-exact from t = 0, so the walk is one block at every rho.  The grid's t_max
-only caps the walk.
+exact from t = 0, so the walk is one block at every rho.
 The reciprocal takes Newton steps whose two products share one cyclic FFT of
 about the new length (middle product).  Every FFT length is the smallest
 5-smooth number 2^a 3^b 5^c that holds the product.  The busy-cycle CDF is B
@@ -35,7 +35,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
-from .errors import GridTooLarge, NegativeS, QuadratureFailure, StepMismatch, StepTooCoarse
+from .errors import GridTooLarge, NegativeS, QuadratureFailure, StepMismatch
 from .params import BetaSpec, QueueParams
 
 if TYPE_CHECKING:  # law imports this module
@@ -63,14 +63,6 @@ class GridFunction:
 class LaplacePoint(NamedTuple):
     s: float
     value: float
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Step of the busy-period grid and the cap on its walk (inf: none but MAX_GRID_POINTS)."""
-
-    step: float
-    t_max: float
 
 
 # Largest time grid built (eval rows, the kernel grid, the busy-period walk).
@@ -103,39 +95,33 @@ def grid_points(t_max: float, step: float) -> int:
     return int(round(steps)) + 1
 
 
-def default_grid(params: QueueParams, spec: BetaSpec) -> GridSpec:
-    """h small vs the kernel's rate lambda + max|beta|, the only rate the solve sees; no cap.
+def default_step(params: QueueParams, spec: BetaSpec) -> float:
+    """h small vs the kernel's rate lambda + max|beta|, the only rate the solve sees.
 
     The beta term keeps h * (lambda + max|beta|) within the grid solve's 0.01 limit.
-    The walk ends where the grid meets its exponential tail.
     """
-    h = min(0.005 / params.lam, 0.01 / (params.lam + spec.max_abs))
-    return GridSpec(step=h, t_max=math.inf)
+    return min(0.005 / params.lam, 0.01 / (params.lam + spec.max_abs))
 
 
-def series_block(t_knot: float, grid: GridSpec) -> tuple[int, int, int | None]:
-    """(J, M, cap) of the busy-period walk on `grid`.
+def series_block(t_knot: float, step: float) -> tuple[int, int]:
+    """(J, M) of the busy-period walk at `step`.
 
-    J = max(1, grid points with t < t_knot), M = max(SERIES_BLOCK, 4J) the
-    block length (so every block ends past t_knot), and cap the points of
-    0, h, ..., t_max, or None when t_max is beyond MAX_GRID_POINTS.  Raises
-    GridTooLarge when the first block of an uncapped walk would pass
-    MAX_GRID_POINTS, so a law can reject its grid before any output.
+    J = max(1, grid points with t < t_knot) and M = max(SERIES_BLOCK, 4J) the
+    block length, so every block ends past t_knot.  Raises GridTooLarge when
+    the first block would pass MAX_GRID_POINTS, so a law can reject its step
+    before any output.
     """
-    h = grid.step
-    steps = grid.t_max / h
-    cap = int(round(steps)) + 1 if steps < MAX_GRID_POINTS - 0.5 else None
-    knot = t_knot / h
-    if cap is None and 4.0 * knot > MAX_GRID_POINTS:
-        raise GridTooLarge(f"busy-period blocks of {4.0 * knot:.3g} points (step {h:g}, "
+    knot = t_knot / step
+    if 4.0 * knot > MAX_GRID_POINTS:
+        raise GridTooLarge(f"busy-period blocks of {4.0 * knot:.3g} points (step {step:g}, "
                            f"last knot {t_knot:g}) exceed {MAX_GRID_POINTS}")
-    lead = math.ceil(min(knot, MAX_GRID_POINTS))  # the first k with k h >= t_knot
-    while lead > 0 and (lead - 1) * h >= t_knot:
+    lead = math.ceil(knot)  # the first k with k h >= t_knot
+    while lead > 0 and (lead - 1) * step >= t_knot:
         lead -= 1
-    while lead * h < t_knot:
+    while lead * step < t_knot:
         lead += 1
     lead = max(1, lead)
-    return lead, max(SERIES_BLOCK, 4 * lead), cap
+    return lead, max(SERIES_BLOCK, 4 * lead)
 
 
 def _fft_size(n: int) -> int:
@@ -201,8 +187,8 @@ def _density(law: ServiceLaw, h: float, start: int, stop: int) -> np.ndarray:
     return a
 
 
-def busy_period_cdf_series(law: ServiceLaw, grid: GridSpec) -> GridFunction:
-    """B(t) on 0, h, ..., T: 1 - u/lambda, u the exact solution of the trapezoidal renewal system.
+def busy_period_cdf_series(law: ServiceLaw) -> GridFunction:
+    """B(t) on 0, h, ..., T at the law's step h: 1 - u/lambda, u solving the trapezoidal system.
 
     u = a + K u, with a = (1 - e^{-rho}) phi = (1 - e^{-rho}) f/I and
     K x = grid_convolve(x, a) = h (c * x) - h x_0 a/2, where c = a except
@@ -223,19 +209,14 @@ def busy_period_cdf_series(law: ServiceLaw, grid: GridSpec) -> GridFunction:
     S_s = sum_{j <= s-J-1} q^(s-J-1-j) u_j holds every older point and moves
     on once a block: S_{s+M} = q^M S_s + sum_{j=s-J}^{s+M-J-1} q^(s+M-J-1-j) u_j.
     The walk ends at the first block end t_k with |u_k/lambda - C e^{-gamma t_k}|
-    below TAIL_TOL, (gamma, C) = law.busy_tail, or at the cap t_max; an uncapped
-    walk that would pass MAX_GRID_POINTS raises GridTooLarge.
+    below TAIL_TOL, (gamma, C) = law.busy_tail; a walk that would pass
+    MAX_GRID_POINTS raises GridTooLarge.
     """
-    h = grid.step
-    rate = law.params.lam + law.spec.max_abs
-    if h * rate > 0.01 * (1 + 1e-9):
-        raise StepTooCoarse(f"step {h} too coarse for rates up to {rate}")
-    lead, m, cap = series_block(law.t_knot, grid)
-    if cap is not None:
-        m = min(m, cap)  # a capped grid shorter than one block is that block
+    h = law.step
+    lead, m = series_block(law.t_knot, h)
     lam = law.params.lam
     gamma, c = law.busy_tail
-    a = _density(law, h, 0, m + lead if cap is None else min(m + lead, cap))
+    a = _density(law, h, 0, m + lead)
     half = 0.5 * h * a[0]
     y = a[:m] * (1.0 - half)  # the right-hand side of the first block
     a *= -h  # T = delta - h c, in place
@@ -249,7 +230,7 @@ def busy_period_cdf_series(law: ServiceLaw, grid: GridSpec) -> GridFunction:
     carry = 0.0  # S for the block starting at s
     s = 0
     while True:
-        e = s + m if cap is None else min(s + m, cap)
+        e = s + m
         if s:
             if e > MAX_GRID_POINTS:
                 raise GridTooLarge(f"busy-period grid did not meet its exponential tail "
@@ -257,15 +238,12 @@ def busy_period_cdf_series(law: ServiceLaw, grid: GridSpec) -> GridFunction:
             y = _density(law, h, s, e)
             y *= 1.0 - half
             prev = blocks[-1][-lead:]  # u_{s-J} .. u_{s-1}; M >= J
-            if lead == 1:  # constant beta: one point, one vector update
-                y -= a[1:1 + e - s] * prev[0]
-            else:
-                y -= np.fft.irfft(np.fft.rfft(prev, near_size) * near_hat,
-                                  near_size)[lead - 1:lead - 1 + e - s]
-            y -= a[lead] * carry * steps[1:e - s + 1]
-        x = np.fft.irfft(np.fft.rfft(y, size) * g_hat, size)[:e - s]
+            y -= np.fft.irfft(np.fft.rfft(prev, near_size) * near_hat,
+                              near_size)[lead - 1:lead - 1 + m]
+            y -= a[lead] * carry * steps[1:]
+        x = np.fft.irfft(np.fft.rfft(y, size) * g_hat, size)[:m]
         blocks.append(x)
-        if e == cap or abs(x[-1] / lam - c * math.exp(-gamma * (e - 1) * h)) < TAIL_TOL:
+        if abs(x[-1] / lam - c * math.exp(-gamma * (e - 1) * h)) < TAIL_TOL:
             break
         # S moves on by M: its window gains u_j for j in [s - J, e - J)
         window = np.concatenate([prev, x[:m - lead]]) if s else x[:m - lead]
@@ -358,36 +336,24 @@ def busy_period_laplace_from_service(
     return LaplacePoint(s, 1.0 + (s - 1.0 / j) / params.lam)
 
 
-def kernel_laplace(law: ServiceLaw, s: float) -> float:
-    """L phi(s) = int_0^inf e^{-s t} phi(t) dt for s > 0, numeric on [0, t_knot] + exact tail."""
-    if s <= 0:
-        raise NegativeS(f"s must be > 0, got {s}")
-    tail = law.tail_rate * law.tail_mass * math.exp(-s * law.t_knot) / (s + law.tail_rate)
-    if law.t_knot == 0:
-        return float(tail)
-    ts = law.grid_t
-    h = ts[1] - ts[0]
-    vals = np.exp(-s * ts) * law.grid_f
-    mid = ts[:-1] + 0.5 * h
-    vals_mid = np.exp(-s * mid) * law.kernel(mid)
-    numeric = (h / 6.0 * (vals[:-1] + 4.0 * vals_mid + vals[1:])).sum()
-    return float(law.inv_total * numeric + tail)
-
-
 def busy_period_laplace_general(law: ServiceLaw, s: float) -> LaplacePoint:
     """Busy-period transform from the kernel: rational in L phi(s).
 
-    With (1 - G(0)) L f = (1 - e^{-rho}) L phi / lambda this is
-    (1 - (s + lambda)(1 - e^{-rho}) L phi / lambda) / (1 - (1 - e^{-rho}) L phi);
-    at s = 0 it is the normalization value 1.
+    With (1 - G(0)) L f = (1 - e^{-rho}) L phi / lambda and x = (1 - e^{-rho}) L phi
+    this is (1 - (s + lambda) x / lambda) / D, where
+    D = 1 - x = e^{-rho} - (1 - e^{-rho})(L phi - 1) keeps e^{-rho} beside 1.
+    L phi - 1 is `ServiceLaw.kernel_moments` at g = -s.  At s = 0, and at
+    r = 0 where phi == 0 and D = e^{-rho} + (1 - e^{-rho}) rounds to 1, it is
+    the normalization value 1.
     """
     if s < 0:
         raise NegativeS(f"s must be >= 0, got {s}")
     if s == 0:
         return LaplacePoint(0.0, 1.0)
-    lam = law.params.lam
-    x = (1.0 - law.params.exp_neg_rho) * kernel_laplace(law, s)
-    return LaplacePoint(s, (1.0 - (s + lam) * x / lam) / (1.0 - x))
+    q0, lam = law.params.exp_neg_rho, law.params.lam
+    excess = law.kernel_moments(-s)[0]  # L phi(s) - 1
+    x = (1.0 - q0) * (1.0 + excess)
+    return LaplacePoint(s, float((1.0 - (s + lam) * x / lam) / (q0 - (1.0 - q0) * excess)))
 
 
 def busy_cycle_laplace(params: QueueParams, bp: LaplacePoint) -> LaplacePoint:

@@ -89,7 +89,7 @@ def check_series_envelope(law: ServiceLaw) -> list[CheckResult]:
     b_grid, z_grid = law.series
     ts = b_grid.times[1:]
     env = cf.envelope_bounds(law.params, ts)
-    slack = 1e-9 + 2e-3  # series curves carry O(h) discretization error
+    slack = 1e-9 + 2e-3  # series curves carry O(h^2) discretization error
     ok = (np.all(b_grid.values[1:] >= env.bp_floor - slack)
           and np.all(z_grid.values[1:] >= env.cycle_floor - slack)
           and np.all(z_grid.values[1:] <= env.cycle_ceiling + slack))

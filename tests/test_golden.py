@@ -29,7 +29,7 @@ POINTS = {
     "heavy-series": (3.0, 0.0, 20_000, (
         "c9b5d4dccbcb14cee7768c35bb0cb67c4550699d679534281405e562cd469eb4",
         "c095b3aa07d0bf0dc47cc501d03832976fee27b128710fcb6c74433f3a77e1b4",
-        "8c888f055c274383ce9842bdcedbf7fa63be00acd5e6255522a6d1ee3ee9e386")),
+        "a08a353406930f4132f273b621bdd7b05243815cfa14e8964d31c61bdc9e75f2")),
 }
 
 

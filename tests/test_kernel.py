@@ -8,7 +8,6 @@ from mginf import closed_form as cf
 from mginf.errors import BetaOutOfRange, DivergentKernelIntegral, NegativeTime, NonFiniteParameter
 from mginf.law import ServiceLaw
 from mginf.params import BetaSpec, ValidatedBeta, beta_bounds, validate_beta, validate_queue_params
-from mginf.transforms import GridSpec
 from mginf.verify import riccati_residual
 
 P11 = validate_queue_params(1.0, 1.0)
@@ -255,7 +254,7 @@ def test_cdf_and_p00_do_not_cancel_in_heavy_traffic(rho, beta, spec):
     # past the last knot p00 = e^-rho + (1 - e^-rho) m e^{-r (t - t_knot)}, two positive
     # terms; 1 - (1 - e^-rho) Phi put G off by 0.08 at rho = 36
     p = validate_queue_params(1.0, rho)
-    law = ServiceLaw(p, validate_beta(p, spec), GridSpec(step=0.005, t_max=1.0))  # B, Z unused
+    law = ServiceLaw(p, validate_beta(p, spec))
     ts = np.linspace(0.0, 80.0, 8001)
     assert np.max(np.abs(law.cdf(ts) - cf.service_cdf(p, beta, ts))) <= 1e-13
     want = cf.empty_probability(p, beta, ts)
@@ -266,7 +265,7 @@ def test_cdf_and_p00_do_not_cancel_in_heavy_traffic(rho, beta, spec):
 def test_flat_table_at_rho_36_is_certified_like_its_constant(spec):
     # beta + lambda G rounds to -3 ulps of lambda at t = 0 for beta = 0, within the slack
     p = validate_queue_params(1.0, 36.0)
-    ServiceLaw(p, validate_beta(p, spec), GridSpec(step=0.005, t_max=1.0))
+    ServiceLaw(p, validate_beta(p, spec))
 
 
 def test_table_below_the_certificate_floor_by_1e_9_is_rejected():
@@ -277,7 +276,7 @@ def test_table_below_the_certificate_floor_by_1e_9_is_rejected():
     p = validate_queue_params(1.0, 36.0)
     assert -1.02e-9 < -(1.0 - math.exp(-1.0)) * d < -1e-9
     with pytest.raises(BetaOutOfRange, match="at t=0:"):
-        ServiceLaw(p, validate_beta(p, spec), GridSpec(step=0.005, t_max=1.0))
+        ServiceLaw(p, validate_beta(p, spec))
 
 
 @pytest.mark.parametrize("rho", [20.0, 30.0])
@@ -302,6 +301,37 @@ def test_busy_tail_of_a_flat_table_is_its_constant(rho, beta):
     for spec in (BetaSpec(constant=beta), BetaSpec(knots=((0.0, beta), (1.0, beta)))):
         got = ServiceLaw(p, validate_beta(p, spec)).busy_tail
         assert got == pytest.approx(want, rel=1e-10, abs=0.0), spec
+
+
+@pytest.mark.parametrize("spec", [RAMP, THREE_KNOTS], ids=["ramp", "three knots"])
+def test_kernel_moments_against_quadrature(spec):
+    # L(g) - 1 and L'(g), L(g) = int e^{g t} phi, by adaptive quadrature of the law's own
+    # kernel between its knots and over 80 e-foldings past the last one: the transform
+    # route at g = -s and the tail root's sums at g = gamma/2
+    from scipy.integrate import quad
+    law = ServiceLaw(P11, validate_beta(P11, spec))
+    knots = [t for t, _ in spec.knots]
+    for g in (-0.1, -1.0, -5.0, 0.5 * law.busy_tail[0]):
+        edges = knots + [knots[-1] + 80.0 / (law.tail_rate - g)]
+
+        def moment(k):
+            fn = lambda t: t**k * math.exp(g * t) * law.kernel(t) * law.inv_total
+            return sum(quad(fn, a, b, epsabs=1e-14, epsrel=1e-13, limit=200)[0]
+                       for a, b in zip(edges[:-1], edges[1:]))
+
+        d0, d1 = law.kernel_moments(g)
+        assert d0 == pytest.approx(moment(0) - 1.0, abs=1e-10), g
+        assert d1 == pytest.approx(moment(1), abs=1e-10), g
+
+
+def test_kernel_moments_at_the_degenerate_endpoint():
+    # phi == 0, so L == 0, and the transform route gives the busy period's B(s) = 1 exactly
+    from mginf.transforms import busy_period_laplace_general
+    for spec in (BetaSpec(constant=-1.0), BetaSpec(knots=((0.0, 0.0), (1.0, -1.0)))):
+        law = ServiceLaw(P11, validate_beta(P11, spec))
+        for s in (0.1, 1.0, 5.0):
+            assert law.kernel_moments(-s) == (-1.0, 0.0)
+            assert busy_period_laplace_general(law, s).value == 1.0
 
 
 @pytest.mark.parametrize("spec", [BetaSpec(constant=-1.0),

@@ -15,14 +15,13 @@ from mginf.law import ServiceLaw
 from mginf.params import BetaSpec, validate_beta, validate_queue_params
 from mginf.transforms import (
     GridFunction,
-    GridSpec,
     SERIES_BLOCK,
     busy_cycle_cdf_series,
     busy_cycle_laplace,
     busy_period_cdf_series,
     busy_period_laplace_from_service,
     busy_period_laplace_general,
-    default_grid,
+    default_step,
     grid_convolve,
     _fft_size,
     _product,
@@ -266,8 +265,7 @@ def test_transform_routes_agree():
 def test_series_transform_consistency():
     # Laplace transform of the series-built B agrees with the kernel-form transform
     law = law_for(P11, 0.0)
-    grid = GridSpec(step=0.005, t_max=30.0)
-    b = busy_period_cdf_series(law, grid)
+    b = busy_period_cdf_series(law)
     ts = b.times
     for s in (0.5, 1.0, 2.0):
         # Stieltjes transform via integration by parts: s * int e^{-st} B dt + tail
@@ -294,59 +292,57 @@ def test_mean_extraction_from_transforms():
                                   BetaSpec(knots=((0.0, 0.3), (0.5, -0.2), (1.0, 0.1)))])
 def test_direct_solve_equals_neumann_sum(spec):
     # 1 - B = (1/lambda) sum_k (w K)^k a, a = w f, w = (1 - e^-rho)/I and
-    # K x = grid_convolve(x, f), summed until the terms vanish
+    # K x = grid_convolve(x, f), summed until the terms vanish, on the first 301 points
     law = ServiceLaw(P11, validate_beta(P11, spec))
-    grid = GridSpec(step=0.005, t_max=1.5)
-    b = busy_period_cdf_series(law, grid)
-    assert len(b.values) == 301
-    f = GridFunction(grid.step, law.kernel(b.times))
+    b = busy_period_cdf_series(law)
+    h = law.step
+    assert h == 0.005
+    f = GridFunction(h, law.kernel(b.times[:301]))
     w = (1.0 - P11.exp_neg_rho) * law.inv_total
-    term = GridFunction(grid.step, w * f.values)
+    term = GridFunction(h, w * f.values)
     total = term.values.copy()
     for _ in range(200):
-        term = GridFunction(grid.step, w * grid_convolve(term, f).values)
+        term = GridFunction(h, w * grid_convolve(term, f).values)
         total += term.values
     assert np.max(np.abs(term.values)) < 1e-17
-    assert np.max(np.abs(b.values - (1.0 - total / P11.lam))) <= 1e-12
+    assert np.max(np.abs(b.values[:301] - (1.0 - total / P11.lam))) <= 1e-12
 
 
 def test_direct_solve_in_heavy_traffic():
     # rho = 5 needs ~2000 Neumann terms; the direct solve has no term budget
     p = validate_queue_params(1.0, 5.0)
-    spec = BetaSpec(constant=0.0)
-    grid = default_grid(p, spec)
-    b = busy_period_cdf_series(ServiceLaw(p, validate_beta(p, spec)), grid)
+    b = busy_period_cdf_series(law_for(p, 0.0))
     assert np.max(np.abs(b.values - cf.busy_period_cdf(p, 0.0, b.times))) < 1e-3
 
 
 def test_series_matches_closed_form_busy_period():
     law = law_for(P11, 0.0)
-    b = busy_period_cdf_series(law, GridSpec(step=0.005, t_max=30.0))
+    b = busy_period_cdf_series(law)
     assert np.max(np.abs(b.values - cf.busy_period_cdf(P11, 0.0, b.times))) < 1e-3
 
 
 def test_series_purely_exponential_endpoint():
     law = law_for(PLN2, 1.0)
-    b = busy_period_cdf_series(law, GridSpec(step=0.005, t_max=20.0))
+    b = busy_period_cdf_series(law)
     assert np.max(np.abs(b.values - (-np.expm1(-b.times)))) < 1e-3
 
 
 def test_series_atom_at_zero():
     law = law_for(P11, 0.0)
-    b = busy_period_cdf_series(law, GridSpec(step=0.005, t_max=10.0))
+    b = busy_period_cdf_series(law)
     assert b.values[0] == pytest.approx(math.exp(-1), abs=0.005)
 
 
 def test_series_busy_cycle_matches_closed_form():
     law = law_for(P11, 0.0)
-    z = busy_cycle_cdf_series(P11, busy_period_cdf_series(law, GridSpec(step=0.005, t_max=30.0)))
+    z = busy_cycle_cdf_series(P11, busy_period_cdf_series(law))
     assert np.max(np.abs(z.values - cf.busy_cycle_cdf(P11, 0.0, z.times))) < 1e-3
     assert z.values[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_series_busy_cycle_confluent_point():
     law = law_for(PLN2, 1.0)
-    z = busy_cycle_cdf_series(PLN2, busy_period_cdf_series(law, GridSpec(step=0.005, t_max=20.0)))
+    z = busy_cycle_cdf_series(PLN2, busy_period_cdf_series(law))
     i = int(round(1.0 / 0.005))
     assert z.values[i] == pytest.approx(1 - 2 / math.e, abs=1e-3)
 
@@ -358,7 +354,7 @@ def test_degenerate_series_curves():
     vb = validate_beta(P11, BetaSpec(constant=-1.0))
     sup = {}
     for h in (0.005, 0.0025, 0.00125):
-        b, z = ServiceLaw(P11, vb, GridSpec(step=h, t_max=10.0)).series
+        b, z = ServiceLaw(P11, vb, h).series
         if h == 0.005:  # longer FFTs round more: 1.3e-15 at h = 0.00125
             assert np.max(np.abs(b.values - 1.0)) <= 1e-15
         sup[h] = np.max(np.abs(z.values - (-np.expm1(-z.times))))
@@ -366,24 +362,14 @@ def test_degenerate_series_curves():
     assert sup[0.005] / sup[0.0025] >= 3.9 and sup[0.0025] / sup[0.00125] >= 3.9
 
 
-def test_series_first_order_convergence():
-    law = law_for(P11, 0.0)
-    sup = {}
-    for h in (0.01, 0.005):
-        b = busy_period_cdf_series(law, GridSpec(step=h, t_max=20.0))
-        sup[h] = np.max(np.abs(b.values - cf.busy_period_cdf(P11, 0.0, b.times)))
-    assert sup[0.005] <= 0.5 * sup[0.01] * 1.05
-
-
 @pytest.mark.parametrize("rho", [0.5, 1.0, 3.0])
 def test_series_second_order_convergence(rho):
     # the trapezoidal solve is second order for constant beta, atom included
     p = validate_queue_params(1.0, rho)
-    law = law_for(p, 0.0)
-    t_max = 12.0 * math.expm1(rho)
+    vb = validate_beta(p, BetaSpec(constant=0.0))
     sup = {}
     for h in (0.01, 0.005):
-        b = busy_period_cdf_series(law, GridSpec(step=h, t_max=t_max))
+        b = busy_period_cdf_series(ServiceLaw(p, vb, h))
         sup[h] = np.max(np.abs(b.values - cf.busy_period_cdf(p, 0.0, b.times)))
     assert sup[0.01] / sup[0.005] >= 3.9
 
@@ -392,8 +378,7 @@ DIP = ((0.0, 0.0), (1.0, -0.2), (3.0, 0.0))
 
 
 @pytest.mark.parametrize("make", [
-    lambda: ServiceLaw(P11, validate_beta(P11, BetaSpec(constant=0.3)),
-                       GridSpec(step=0.005, t_max=30.0)),
+    lambda: law_for(P11, 0.3),
     # heavy traffic and a dip table on their default grids: u >= 0 keeps B at or
     # below 1 here, where a B solved from the bracketed equation exceeded 1 by up to 3e-4
     lambda: law_for(validate_queue_params(1.0, 3.0), 0.0),
@@ -416,84 +401,76 @@ def test_series_cdf_shape(make):
 
 # ---- the block solve past the last knot -------------------------------------
 
-def one_block(law, grid, monkeypatch):
-    """B by the one-block solve (one reciprocal and one product) on any capped grid."""
+def walked(law, monkeypatch, tail_tol=1e-10):
+    """B walked on to the first block end within tail_tol of its tail, and the block length M."""
     with monkeypatch.context() as m:
-        m.setattr(transforms, "SERIES_BLOCK", 2**30)
-        return busy_period_cdf_series(law, grid).values
+        m.setattr(transforms, "TAIL_TOL", tail_tol)
+        b = busy_period_cdf_series(law).values
+    return b, transforms.series_block(law.t_knot, law.step)[1]
 
 
-def blocked(law, grid, monkeypatch):
-    """B walked to the cap of the grid, and the block length M = max(SERIES_BLOCK, 4 J)."""
+def one_block(law, n, monkeypatch):
+    """B on n points by the one-block solve (one reciprocal and one product)."""
     with monkeypatch.context() as m:
-        m.setattr(transforms, "TAIL_TOL", 0.0)  # never meets the tail: every block to the cap
-        b = busy_period_cdf_series(law, grid).values
-    return b, transforms.series_block(law.t_knot, grid)[1]
+        m.setattr(transforms, "SERIES_BLOCK", n)
+        m.setattr(transforms, "TAIL_TOL", math.inf)
+        return busy_period_cdf_series(law).values
 
 
-def table_law(rho, knots, grid=None):
+def table_law(rho, knots, step=None):
     p = validate_queue_params(1.0, rho)
-    return ServiceLaw(p, validate_beta(p, BetaSpec(knots=knots)), grid)
+    return ServiceLaw(p, validate_beta(p, BetaSpec(knots=knots)), step)
 
 
-def busy_means(rho, n=12.0, h=0.005):
-    """A grid of n mean busy periods at lambda = 1."""
-    return GridSpec(step=h, t_max=n * math.expm1(rho))
-
-
-# (law, grid, tolerance): J = 1 (one vector update), J = 10, J = 2000 and J = 6000
-# (middle product; the last a body longer than one SERIES_BLOCK)
+# (law, TAIL_TOL of the walk, tolerance): J = 1, J = 10, J = 2000 and J = 6000 (the last
+# a body longer than one SERIES_BLOCK); the walk stops once the tail is met that closely
 BLOCK_CASES = {
-    "rho 3": (lambda: law_for(validate_queue_params(1.0, 3.0), 0.0), busy_means(3.0), 1e-13),
-    "rho 5": (lambda: law_for(validate_queue_params(1.0, 5.0), 0.0), busy_means(5.0), 1e-12),
-    "rho 3, beta -0.5": (lambda: law_for(validate_queue_params(1.0, 3.0), -0.5), busy_means(3.0),
-                         1e-13),
-    "short table": (lambda: table_law(2.0, ((0.0, 0.0), (0.05, 0.1))), busy_means(2.0), 1e-13),
-    "ramp, h = 5e-4": (lambda: ServiceLaw(P11, validate_beta(P11, RAMP)),
-                       GridSpec(step=5e-4, t_max=40.0), 1e-13),
-    "long body": (lambda: table_law(1.0, ((0.0, 0.0), (6.0, 0.1), (12.0, 0.2))),
-                  GridSpec(step=2e-3, t_max=120.0), 1e-13),
+    "rho 3": (lambda: law_for(validate_queue_params(1.0, 3.0), 0.0), 1e-10, 1e-13),
+    "rho 5": (lambda: law_for(validate_queue_params(1.0, 5.0), 0.0), 1e-10, 1e-12),
+    "rho 3, beta -0.5": (lambda: law_for(validate_queue_params(1.0, 3.0), -0.5), 1e-10, 1e-13),
+    "short table": (lambda: table_law(2.0, ((0.0, 0.0), (0.05, 0.1))), 1e-10, 1e-13),
+    "ramp, h = 5e-4": (lambda: ServiceLaw(P11, validate_beta(P11, RAMP), 5e-4), 1e-10, 1e-13),
+    "long body": (lambda: table_law(1.0, ((0.0, 0.0), (6.0, 0.1), (12.0, 0.2)), 2e-3), 1e-40,
+                  1e-13),
 }
 
 
 @pytest.mark.parametrize("case", BLOCK_CASES)
 def test_block_solve_equals_one_block_solve(case, monkeypatch):
-    make, grid, tol = BLOCK_CASES[case]
+    make, tail_tol, tol = BLOCK_CASES[case]
     law = make()
-    b, m = blocked(law, grid, monkeypatch)
-    assert len(b) > 2 * m + m // 2, case  # at least three blocks
-    assert np.max(np.abs(b - one_block(law, grid, monkeypatch))) <= tol, case
-
-
-@pytest.mark.parametrize("extra", [0, 1])
-def test_block_solve_at_two_blocks_and_one_point_more(extra, monkeypatch):
-    # 2M points are two blocks of M; 2M + 1 are blocks of M, M and 1
-    law = law_for(P11, 0.0)
-    h = 0.005
-    grid = GridSpec(step=h, t_max=(2 * SERIES_BLOCK - 1 + extra) * h)
-    b, m = blocked(law, grid, monkeypatch)
-    assert len(b) == 2 * m + extra
-    assert np.max(np.abs(b - one_block(law, grid, monkeypatch))) <= 1e-13
-    assert np.max(np.abs(b - cf.busy_period_cdf(P11, 0.0, np.arange(len(b)) * h))) < 1e-3
+    b, m = walked(law, monkeypatch, tail_tol)
+    assert len(b) >= 3 * m, case  # at least three blocks
+    assert np.max(np.abs(b - one_block(law, len(b), monkeypatch))) <= tol, case
 
 
 def test_block_solve_is_causal_across_the_last_knot(monkeypatch):
-    # a grid that ends before t_knot is one block; B on it is the head of B on a long grid
+    # the walk's blocks reach far past t_knot = 30, yet B on [0, 5] solves the trapezoidal
+    # equation u = a + K u on [0, 5] alone, here by a dense triangular solve
+    from scipy.linalg import solve_triangular, toeplitz
     law = table_law(1.0, ((0.0, 0.0), (30.0, 0.2)))
-    short = busy_period_cdf_series(law, GridSpec(step=5e-3, t_max=20.0)).values
-    b, m = blocked(law, GridSpec(step=5e-3, t_max=400.0), monkeypatch)
-    assert len(b) > 2 * m and len(short) == 4001
-    assert np.max(np.abs(b[:len(short)] - short)) <= 1e-13
+    b, m = walked(law, monkeypatch, 1e-40)
+    assert len(b) >= 3 * m
+    h, n = law.step, 1001
+    a = (1.0 - P11.exp_neg_rho) * law.inv_total * law.kernel(np.arange(n) * h)
+    c = a.copy()
+    c[0] *= 0.5
+    k = h * toeplitz(c, np.zeros(n))  # K x = h (c * x) - h x_0 a/2
+    k[:, 0] -= 0.5 * h * a
+    u = solve_triangular(np.eye(n) - k, a, lower=True)
+    assert np.max(np.abs(b[:n] - (1.0 - u / P11.lam))) <= 1e-13
 
 
 def test_block_solve_at_the_degenerate_endpoint_is_exactly_one(monkeypatch):
-    # lambda + beta(inf) = 0: 1/I = 0, so a = 0, T = delta and B = 1 - u/lambda = 1 in every block
+    # lambda + beta(inf) = 0: 1/I = 0, so a = 0, T = delta and B = 1 - u/lambda = 1 in every
+    # block.  Its tail, 1 - B = 0, is met after one block; a stand-in tail e^{-t} walks it on
     law = ServiceLaw(P11, validate_beta(P11, BetaSpec(knots=((0.0, 0.0), (1.0, -1.0)))))
-    b, m = blocked(law, GridSpec(step=0.005, t_max=100.0), monkeypatch)
-    assert len(b) > 2 * m
-    assert np.max(np.abs(b - 1.0)) <= 1e-15
     assert law.busy_tail == (0.0, 0.0)
-    assert len(law.series[0].values) == m  # its tail, 1 - B = 0, is met after one block
+    assert len(law.series[0].values) == SERIES_BLOCK
+    monkeypatch.setitem(law.__dict__, "busy_tail", (1.0, 1.0))
+    b, m = walked(law, monkeypatch, 1e-40)
+    assert len(b) >= 3 * m
+    assert np.max(np.abs(b - 1.0)) <= 1e-15
 
 
 def test_block_solve_memory_per_grid_point(monkeypatch):
@@ -501,11 +478,11 @@ def test_block_solve_memory_per_grid_point(monkeypatch):
     law = law_for(p, 0.0)
     tracemalloc.start()
     try:
-        n = len(blocked(law, busy_means(5.0), monkeypatch)[0])
+        n = len(walked(law, monkeypatch)[0])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert n == 353793
+    assert n >= 300_000
     assert peak <= 60 * n  # 72 bytes a point with one reciprocal over the whole grid
 
 
@@ -534,14 +511,15 @@ TAIL_TABLES = {
 @pytest.mark.parametrize("name", sorted(TAIL_TABLES))
 def test_table_tail_continues_the_walked_grid(name, rho, monkeypatch):
     # past the junction, B and Z of the law (closed form in gamma, C and Z(T)) agree with a
-    # grid walked on to 40 time units further at the same step
+    # grid walked on at the same step, 40 time units further at least
     p = validate_queue_params(1.0, rho)
     law = table_law(rho, TAIL_TABLES[name])
     end = law.series[0].times[-1]
-    h = law.grid.step
-    b, _ = blocked(law, GridSpec(step=h, t_max=end + 40.0), monkeypatch)
+    h = law.step
+    b, _ = walked(law, monkeypatch, 1e-40)
     z = busy_cycle_cdf_series(p, GridFunction(h, b)).values
     ts = np.arange(len(b)) * h
+    assert ts[-1] >= end + 40.0
     assert np.max(np.abs(law.busy_cdf(ts) - b)) < transforms.TAIL_TOL
     assert np.max(np.abs(law.cycle_cdf(ts) - z)) < transforms.TAIL_TOL
 
@@ -551,25 +529,23 @@ def test_ramp_step_at_small_rho_follows_the_kernel_rate():
     # sees only the kernel's rate lambda + max|beta|.  Against an h/8 solve, B is off by
     # 2.8e-9 and Z by 3.1e-6, of which 2.1e-6 is the idle trapezoid's (lambda h)^2/12
     law = table_law(1e-3, TAIL_TABLES["ramp"])
-    assert law.grid.step == 0.005
-    fine = table_law(1e-3, TAIL_TABLES["ramp"], GridSpec(step=0.005 / 8, t_max=math.inf))
+    assert law.step == 0.005
+    fine = table_law(1e-3, TAIL_TABLES["ramp"], 0.005 / 8)
     ts = np.linspace(0.0, 30.0, 6001)  # grid and tail
     assert np.max(np.abs(law.busy_cdf(ts) - fine.busy_cdf(ts))) < 3e-9
     assert np.max(np.abs(law.cycle_cdf(ts) - fine.cycle_cdf(ts))) < 4e-6
 
 
 def test_series_step_too_coarse():
-    law = law_for(P11, 0.0)
     with pytest.raises(StepTooCoarse):
-        busy_period_cdf_series(law, GridSpec(step=0.05, t_max=5.0))
+        ServiceLaw(P11, validate_beta(P11, BetaSpec(constant=0.0)), 0.05)
 
 
-def test_default_grid():
-    # the step follows lambda and the kernel's rate only, and nothing caps the walk
-    g = default_grid(P11, BetaSpec(constant=0.0))
-    assert g.step == pytest.approx(0.005)
-    assert g.t_max == math.inf
-    assert default_grid(validate_queue_params(1.0, 1e-3), RAMP).step == pytest.approx(0.005)
+def test_default_step():
+    # the step follows lambda and the kernel's rate only
+    assert default_step(P11, BetaSpec(constant=0.0)) == pytest.approx(0.005)
+    assert default_step(validate_queue_params(1.0, 1e-3), RAMP) == pytest.approx(0.005)
+    assert law_for(P11, 0.0).step == default_step(P11, BetaSpec(constant=0.0))
 
 
 def test_import_leaves_scipy_signal_unloaded():
