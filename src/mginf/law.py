@@ -105,7 +105,9 @@ class ServiceLaw:
             cells = h / 6.0 * (self.grid_f[:-1] + 4.0 * self.grid_fm + self.grid_f[1:])
             self.grid_prefix = np.concatenate([[0.0], np.cumsum(cells)])
             self.grid_suffix = np.concatenate([np.cumsum(cells[::-1])[::-1], [0.0]])
-            body, f_end = float(self.grid_prefix[-1]), float(self.grid_f[-1])
+            # the body mass from the reverse sum, small cells first: the forward sum of a
+            # flat table to t = 40 ends 4e-14 short, which puts G(0) at -4e-14
+            body, f_end = float(self.grid_suffix[0]), float(self.grid_f[-1])
         if self.beta is None:  # B and Z are series grids: reject a first block too large
             transforms.series_block(t_knot, self.step)
         self.f_knot = f_end

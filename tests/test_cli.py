@@ -174,19 +174,21 @@ def test_rho_40_exits_invalid_never_hangs(command, extra, reason, tmp_path, caps
     assert not out.exists()
 
 
-def test_rho_40_flat_table_to_40_exits_invalid(tmp_path, capsys):
-    # p00 no longer cancels before the last knot, but the Simpson sum of the kernel over
-    # [0, 40] is 4e-14 short of 1 - e^-40, so G(0) = 1 - 1/I is -4e-14 and the certificate
-    # beta + lambda G >= -8 ulps rejects the table before any output
+def test_rho_40_flat_table_to_40_evaluates_like_its_constant(tmp_path, capsys):
+    # the body mass is the reverse Simpson sum of the kernel over [0, 40], within 2e-16 of
+    # 1 - e^-40 (the forward sum fell 4e-14 short), so G(0) = 1 - 1/I is -2.2e-16, inside
+    # the certificate's 8 ulps, where it was -4e-14 and the table was rejected
     table = tmp_path / "flat.csv"
     table.write_text("t,beta\n0,0\n40,0\n")
-    out = tmp_path / "s.csv"
-    code, _, err = run(["verify", "--lambda", "1", "--rho", "40", "--beta-file", str(table),
-                        "--cycles", "2", "--t-max", "1", "--step", "0.001", "--out", str(out)],
-                       capsys)
-    assert code == EXIT_INVALID
-    assert err.startswith("error: ") and "would decrease" in err
-    assert not out.exists()
+    out = tmp_path / "e.csv"
+    code, _, err = run(["eval", "--lambda", "1", "--rho", "40", "--beta-file", str(table),
+                        "--t-max", "1", "--step", "0.001", "--out", str(out)], capsys)
+    assert code == EXIT_OK, err
+    rows = np.loadtxt(out, delimiter=",", skiprows=1)
+    assert rows.shape == (1001, 10)
+    assert abs(rows[0, 1]) <= 8 * np.spacing(1.0)  # G(0)
+    assert np.max(np.abs(rows[:, 1] - cf.service_cdf(validate_queue_params(1.0, 40.0), 0.0,
+                                                     rows[:, 0]))) <= 1e-14
 
 
 # ---- verify ----------------------------------------------------------------
