@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
 """Run the full cross-validation battery over the standard parameter matrix.
 
-Sweeps (lambda, rho) in {(1, 1), (1, ln 2), (2, 0.5)} crossed with four beta
-values spanning the admissible range, both endpoints included, printing one
-PASS/FAIL line per check per point.  The exponential floor envelopes are expected to FAIL for
-interior beta values; see the README.  The KS gates are the DKW critical values
-for --cycles at a false-alarm rate of 1e-6 each (`mginf.verify.KS_ALPHA`).
+Sweeps (lambda, rho) in {(1, 1), (1, ln 2), (2, 0.5)} crossed with four
+constant beta values spanning the admissible range, both endpoints included,
+and the ramp table (0, 0), (1, 0.2) (the benchmark's tabulated law), printing
+one PASS/FAIL line per check per point.  The exponential floor envelopes are
+expected to FAIL for interior beta values and for the ramp; see the README.
+The KS gates are the DKW critical values for --cycles at a false-alarm rate
+of 1e-6 each (`mginf.verify.KS_ALPHA`).
 
 Example:
     python3 scripts/cross_validate.py --cycles 100000 --seed 1
@@ -17,6 +19,8 @@ import math
 from mginf.law import ServiceLaw
 from mginf.params import BetaSpec, beta_bounds, validate_beta, validate_queue_params
 from mginf.verify import verify_point
+
+RAMP = BetaSpec(knots=((0.0, 0.0), (1.0, 0.2)))
 
 
 def main() -> int:
@@ -33,13 +37,15 @@ def main() -> int:
     n_fail = 0
     for params in points:
         lo, hi = beta_bounds(params)
-        for beta in (lo, 0.0, 0.5 * hi, hi):
-            print(f"== lambda={params.lam} rho={params.rho:.6f} beta={beta:+.6f} ==")
-            vbeta = validate_beta(params, BetaSpec(constant=beta))
+        specs = [BetaSpec(constant=beta) for beta in (lo, 0.0, 0.5 * hi, hi)] + [RAMP]
+        for spec in specs:
+            label = f"{spec.constant:+.6f}" if spec.constant is not None else f"table {spec.knots}"
+            print(f"== lambda={params.lam} rho={params.rho:.6f} beta={label} ==")
+            vbeta = validate_beta(params, spec)
             for r in verify_point(ServiceLaw(params, vbeta), args.cycles, args.seed):
                 print(f"  {r.status:<4} {r.name}: {r.detail}")
                 n_fail += r.status == "FAIL"
-    print(f"\n{n_fail} failing checks (floor envelopes fail for interior beta)")
+    print(f"\n{n_fail} failing checks (floor envelopes fail for interior beta and the ramp)")
     return 1 if n_fail else 0
 
 

@@ -5,9 +5,9 @@ from .params import (
     validate_beta, validate_queue_params,
 )
 from .closed_form import (
-    DistributionCurve, busy_cycle_cdf, busy_cycle_curve, busy_period_cdf, busy_period_curve,
-    busy_start_empty_probability, empty_probability, envelope_bounds, monotony_indicator,
-    service_atom, service_cdf, service_curve, service_quantile,
+    busy_cycle_cdf, busy_period_cdf, busy_start_empty_probability, cycle_survival,
+    empty_probability, envelope_bounds, monotony_indicator, service_atom, service_cdf,
+    service_quantile, survival_mean,
 )
 from .transforms import (
     GridFunction, LaplacePoint, busy_cycle_cdf_series, busy_cycle_laplace, busy_period_cdf_series,

@@ -1,18 +1,20 @@
-"""Closed forms for the constant-beta service family.
+"""Closed forms for the constant-beta service family, and the busy cycle's exponential tail.
 
 For a constant monotony indicator beta, the service CDF, busy-period CDF and
 busy-cycle CDF of the M|G|inf queue all have elementary expressions built from
-exponentials plus an atom at zero.  Everything here is written in
-overflow-safe form (only decaying exponentials are evaluated) and the
-busy-cycle formula uses an expm1 rearrangement that stays stable through the
-confluent point where its textbook denominator vanishes.
+exponentials plus an atom at zero: 1 - B = C e^{-gamma t}, and Z = B * Exp(lambda)
+is a mix of two exponentials.  `cycle_survival` evaluates that mix from any
+time T on, given gamma, B's survival at T and Z's; it is Z here, from T = 0,
+and the tail of a tabulated law's Z past its series grid
+(`ServiceLaw.cycle_cdf`).  Its one expm1 form stays exact through the
+confluent point gamma = lambda, with no switch.  Everything is written in
+overflow-safe form: only decaying exponentials are evaluated.
+`survival_mean` integrates 1 - F for the mean identities.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -29,10 +31,6 @@ from .params import QueueParams, beta_bounds
 # continuity studies across the confluent point (rho near ln 2, beta at the
 # upper endpoint) can probe both sides; certification in params stays strict.
 BOUND_SLACK_REL = 1e-5
-
-# Switch the busy-cycle formula to its confluent limit when the mixture
-# denominator lambda - e^{-rho}(lambda+beta) is this small relative to lambda.
-CONFLUENCE_EPS_REL = 1e-9
 
 # Survival means integrate over [0, t*] with a GAUSS_NODES-point Gauss-Legendre
 # rule on each of SURVIVAL_PANELS geometrically graded panels
@@ -138,40 +136,47 @@ def busy_period_cdf(params: QueueParams, beta: float, t) -> float | np.ndarray:
     return _ret(np.subtract(1.0, b, out=b), tt)
 
 
-def busy_cycle_cdf(params: QueueParams, beta: float, t) -> float | np.ndarray:
-    """Z(t): mixture of two exponentials, evaluated in confluence-stable form.
+def cycle_survival(lam: float, gamma: float, weight: float, idle: float,
+                   u: np.ndarray) -> np.ndarray:
+    """1 - Z(T + u) where 1 - B = C e^{-gamma t} from T on: the busy cycle's exponential tail.
 
-    With x = (1 - e^{-rho})(lambda+beta) and d = lambda - e^{-rho}(lambda+beta),
-    Z(t) = 1 - e^{-lambda t} (1 + x * expm1(d t)/d); expm1(dt)/d -> t as d -> 0,
-    which reproduces the documented limit 1 - (1 + x t)e^{-lambda t}.  For
-    d > 0 the same expression is written as
-    1 - e^{-lambda t} + x e^{-e^{-rho}(lambda+beta) t} expm1(-d t)/d, so that
-    only decaying exponentials are evaluated, each branch in two arrays of t's size.
+    Z = B * Exp(lambda), so with idle = 1 - Z(T) and weight = lambda C e^{-gamma T},
+
+        1 - Z(T + u) = idle e^{-lambda u} + weight (e^{-gamma u} - e^{-lambda u})/(lambda - gamma).
+
+    The quotient is formed as e^{-min(lambda, gamma) u} (-expm1(-|d| u))/|d|,
+    d = lambda - gamma, and as u e^{-lambda u} where d == 0: only decaying
+    exponentials, and no cancellation however close gamma is to lambda.  u is
+    a float array (NaN passes through); the result is formed in place in two
+    new arrays of its size.
+    """
+    gap = abs(lam - gamma)
+    s, e = np.empty_like(u), np.empty_like(u)
+    if gap == 0.0:
+        np.multiply(u, 1.0, out=s)
+    else:
+        np.expm1(np.multiply(u, -gap, out=s), out=s)
+        s /= -gap
+    s *= np.exp(np.multiply(u, -min(lam, gamma), out=e), out=e)
+    s *= weight
+    np.exp(np.multiply(u, -lam, out=e), out=e)
+    e *= idle
+    s += e
+    return s
+
+
+def busy_cycle_cdf(params: QueueParams, beta: float, t) -> float | np.ndarray:
+    """Z(t) = 1 - cycle_survival from T = 0, in two arrays of t's size.
+
+    1 - B = C e^{-gamma t} from t = 0, with gamma = e^{-rho}(lambda+beta) and
+    lambda C = (1 - e^{-rho})(lambda+beta), and 1 - Z(0) = 1.  At the confluent
+    point gamma == lambda the mixture is 1 - (1 + lambda C t) e^{-lambda t}.
     """
     _check_beta(params, beta)
     tt = check_time(t)
-    lam, q0 = params.lam, params.exp_neg_rho
-    s = lam + beta
-    x = (1.0 - q0) * s
-    d = lam - q0 * s
-    z, e = np.empty_like(tt), np.empty_like(tt)
-    if abs(d) < CONFLUENCE_EPS_REL * lam:  # 1 - (1 + x t) e^{-lambda t}
-        np.multiply(tt, x, out=z)
-        z += 1.0
-        z *= np.exp(np.multiply(tt, -lam, out=e), out=e)
-    elif d > 0:  # (1 - e^{-lambda t}) + x e^{-e^{-rho} s t} expm1(-d t) / d
-        np.exp(np.multiply(tt, -q0 * s, out=z), out=z)
-        z *= x
-        z *= np.expm1(np.multiply(tt, -d, out=e), out=e)
-        z /= d
-        np.exp(np.multiply(tt, -lam, out=e), out=e)
-        return _ret(np.add(np.subtract(1.0, e, out=e), z, out=z), tt)
-    else:  # 1 - e^{-lambda t} (1 + x expm1(d t) / d)
-        np.expm1(np.multiply(tt, d, out=z), out=z)
-        z *= x
-        z /= d
-        z += 1.0
-        z *= np.exp(np.multiply(tt, -lam, out=e), out=e)
+    q0 = params.exp_neg_rho
+    s = params.lam + beta
+    z = cycle_survival(params.lam, q0 * s, (1.0 - q0) * s, 1.0, tt)
     return _ret(np.subtract(1.0, z, out=z), tt)
 
 
@@ -235,40 +240,14 @@ def envelope_bounds(params: QueueParams, t) -> EnvelopeBounds:
     return EnvelopeBounds(_ret(bp_floor, tt), _ret(cycle_floor, tt), _ret(cycle_ceiling, tt))
 
 
-@dataclass(frozen=True)
-class DistributionCurve:
-    """An evaluable CDF with an explicit atom at zero and a lazily computed mean."""
+def survival_mean(cdf: Callable, tail_rate: float) -> float:
+    """int_0^inf (1 - F) by graded Gauss-Legendre on [0, 28/tail_rate] plus the exponential tail.
 
-    atom_at_zero: float
-    cdf: Callable[[float], float]
-    tail_rate: float  # asymptotic exponential decay rate of 1 - cdf
-
-    @cached_property
-    def mean(self) -> float:
-        return _survival_mean(self.cdf, self.tail_rate)
-
-
-def _survival_mean(cdf: Callable, tail_rate: float) -> float:
-    """int_0^inf (1 - F) by graded Gauss-Legendre on [0, t*] plus the exponential tail past t*."""
+    `cdf` is vectorised over t and `tail_rate` is the decay rate of 1 - F;
+    a rate of 0 is the degenerate curve with all its mass at the origin.
+    """
     if tail_rate <= 0:
-        return 0.0  # degenerate curve: all mass at the origin
+        return 0.0
     t_star = 28.0 / tail_rate
     t = t_star * _UNIT_NODES
     return float(np.dot(t_star * _UNIT_WEIGHTS, 1.0 - cdf(t))) + (1.0 - cdf(t_star)) / tail_rate
-
-
-def service_curve(params: QueueParams, beta: float) -> DistributionCurve:
-    return DistributionCurve(service_atom(params, beta), lambda t: service_cdf(params, beta, t),
-                             params.lam + beta)
-
-
-def busy_period_curve(params: QueueParams, beta: float) -> DistributionCurve:
-    return DistributionCurve(service_atom(params, beta),
-                             lambda t: busy_period_cdf(params, beta, t),
-                             params.exp_neg_rho * (params.lam + beta))
-
-
-def busy_cycle_curve(params: QueueParams, beta: float) -> DistributionCurve:
-    s = params.lam + beta
-    slow = min(params.lam, params.exp_neg_rho * s) if s > 0 else params.lam
-    return DistributionCurve(0.0, lambda t: busy_cycle_cdf(params, beta, t), slow)

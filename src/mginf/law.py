@@ -108,8 +108,7 @@ class ServiceLaw:
             # the body mass from the reverse sum, small cells first: the forward sum of a
             # flat table to t = 40 ends 4e-14 short, which puts G(0) at -4e-14
             body, f_end = float(self.grid_suffix[0]), float(self.grid_f[-1])
-        if self.beta is None:  # B and Z are series grids: reject a first block too large
-            transforms.series_block(t_knot, self.step)
+        transforms.series_block(t_knot, self.step)  # a series grid's first block too large raises
         self.f_knot = f_end
         r_total = tail_rate * body + f_end  # r I
         self.inv_total = inv_total = tail_rate / r_total  # 1/I; exactly 0 when r = 0
@@ -135,8 +134,10 @@ class ServiceLaw:
             )
 
     def _integrand(self, t: np.ndarray) -> np.ndarray:
-        """f(t) = exp(-lambda t - int_0^t beta), exact for every t >= 0."""
-        return np.exp(-self.params.lam * t - self.spec.cumulative(t))
+        """f(t) = exp(-lambda t - int_0^t beta), exact for every t >= 0, formed in place."""
+        f = self.spec.cumulative(t)
+        np.subtract(-self.params.lam * t, f, out=f)
+        return np.exp(f, out=f)
 
     def _kernel(self, t):
         """f and p00 = 1 - (1 - e^{-rho}) Phi on np.atleast_1d(t) >= 0.
@@ -171,10 +172,14 @@ class ServiceLaw:
         """
         fb = self._integrand(tb)
         idx = np.clip((tb // self.grid_t[1]).astype(int), 0, len(self.grid_t) - 1)
-        t0 = self.grid_t[idx]
-        dt = tb - t0
-        fm = self._integrand(t0 + 0.5 * dt)
-        cell = dt / 6.0 * (self.grid_f[idx] + 4.0 * fm + fb)
+        mid = self.grid_t[idx]  # t0, then the midpoint t0 + dt/2
+        dt = tb - mid
+        mid += 0.5 * dt
+        cell = self._integrand(mid)  # f there, then dt/6 (f(t0) + 4 f(mid) + f(tb))
+        cell *= 4.0
+        cell += self.grid_f[idx]
+        cell += fb
+        cell *= dt / 6.0
         return fb, self._body_p00(idx, cell)
 
     def _body_p00(self, idx: np.ndarray, cell: np.ndarray) -> np.ndarray:
@@ -397,30 +402,21 @@ class ServiceLaw:
     def cycle_cdf(self, t):
         """Z(t): closed form for constant beta; else the grid to its end T, then closed form.
 
-        Past T, with u = t - T and Z = B * Exp(lambda),
-        1 - Z(t) = (1 - Z(T)) e^{-lambda u} + C lambda e^{-gamma T} (e^{-gamma u} - e^{-lambda u})/d,
-        d = lambda - gamma, whose last factor is e^{-min(lambda, gamma) u} (-expm1(-|d| u))/|d|,
-        u e^{-lambda u} at d = 0.
+        Past T, Z is `closed_form.cycle_survival` with busy_tail's gamma, weight
+        lambda C e^{-gamma T} and idle mass 1 - Z(T).
         """
         if self.beta is not None:
             return cf.busy_cycle_cdf(self.params, self.beta, t)
         gamma, c = self.busy_tail
         lam = self.params.lam
         z = self.series[1]
-        slow, gap = min(lam, gamma), abs(lam - gamma)
-
-        def tail(u, end):
-            mix = u * 1.0 if gap == 0.0 else -np.expm1(-gap * u) / gap
-            mix *= np.exp(-slow * u)
-            return 1.0 - ((1.0 - z.values[-1]) * np.exp(-lam * u)
-                          + c * lam * math.exp(-gamma * end) * mix)
-
-        return _grid_then(z, t, tail)
+        return _grid_then(z, t, lambda u, end: 1.0 - cf.cycle_survival(
+            lam, gamma, c * lam * math.exp(-gamma * end), 1.0 - z.values[-1], u))
 
 
 def _grid_then(g: GridFunction, t, tail):
     """g linearly interpolated on [0, T], T its last time, and tail(t - T, T) past T."""
-    tt = np.atleast_1d(np.asarray(t, dtype=float))
+    tt = np.atleast_1d(cf.check_time(t))
     end = (g.values.size - 1) * g.step
     out = np.interp(tt, g.times, g.values)
     past = tt > end

@@ -109,11 +109,21 @@ class BetaSpec:
         times the offset plus its left knot, the same arithmetic as np.interp.
         """
         t = np.asarray(t, dtype=float)
-        idx = np.maximum(np.searchsorted(self._ts, t, side="right") - 1, 0)
-        dt = t - self._ts[idx]
+        scalar, t = t.ndim == 0, np.atleast_1d(t)
+        idx = np.searchsorted(self._ts, t, side="right")
+        idx -= 1
+        np.maximum(idx, 0, out=idx)
+        dt = self._ts[idx]
+        np.subtract(t, dt, out=dt)
+        out = self._slope[idx]  # prefix + (bl + (slope dt + bl)) dt/2, formed in place
+        out *= dt
         bl = self._vs[idx]
-        out = self._prefix[idx] + 0.5 * (bl + (self._slope[idx] * dt + bl)) * dt
-        return out if out.shape else float(out)
+        out += bl
+        out += bl
+        out *= 0.5
+        out *= dt
+        out += self._prefix.take(idx, out=bl, mode="clip")  # in bl's array; idx is in range
+        return float(out[0]) if scalar else out
 
 
 @dataclass(frozen=True)

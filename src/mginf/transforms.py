@@ -1,9 +1,9 @@
 """Laplace transforms and the grid solution of the busy-period renewal equation.
 
-The busy-period transform has two equivalent routes: a nested-quadrature
-evaluation straight from the service CDF, and the kernel-based rational form
-in L phi(s), which `ServiceLaw.kernel_moments` sums over the same Simpson
-nodes as the tail root (gamma, C).
+The busy-period transform has two equivalent routes from a law: a
+nested-quadrature evaluation straight from its service CDF, and the
+kernel-based rational form in L phi(s), which `ServiceLaw.kernel_moments`
+sums over the same Simpson nodes as the tail root (gamma, C).
 In the time domain 1 - B = u/lambda, where u solves the renewal equation
 u = a + a * u with the defective density a = (1 - e^{-rho}) phi.  Its
 trapezoidal discretisation on a uniform grid of the law's step is a
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -288,29 +288,32 @@ def busy_cycle_cdf_series(params: QueueParams, b: GridFunction) -> GridFunction:
     return GridFunction(step=b.step, values=z)
 
 
-def busy_period_laplace_from_service(
-    params: QueueParams,
-    service_cdf: Callable[[np.ndarray], np.ndarray],
-    s: float,
-) -> LaplacePoint:
+def busy_period_laplace_from_service(law: ServiceLaw, s: float) -> LaplacePoint:
     """Busy-period transform straight from the service CDF by nested quadrature.
 
     Evaluates 1 + (s - 1/J)/lambda with
-    J = int_0^inf exp(-s*t - lambda int_0^t [1 - G(v)] dv) dt; the inner
-    integral saturates at rho, so the integrand tail is e^{-rho} e^{-s t} and
-    is added in closed form.  At s = 0 the outer integral diverges and the
-    normalization value 1 is returned.  It writes into one array of the nodes'
-    size and one of half that, never into the one `service_cdf` returns.
+    J = int_0^inf exp(-s*t - lambda int_0^t [1 - G(v)] dv) dt by Simpson on
+    40,001 nodes over [0, t*] and the tail past t* in closed form,
+    e^{-s t*} e^{-inner(t*)}/s, as if the inner integral had saturated there.
+    t* = min(34/s, t_knot + 36/r), r the kernel's tail rate: by 34/s the
+    integrand is below e^{-34} of its start, and past t_knot 1 - G decays at
+    rate r, so by t_knot + 36/r it has fallen by e^{-36} and the inner
+    integral has all but saturated.  The node spacing thus follows the
+    service law's own scale, not its mean busy period.  At r = 0, G == 1 and
+    t* = 34/s.  At s = 0 the outer integral diverges and the normalization
+    value 1 is returned.  It writes into one array of the nodes' size and one
+    of half that, never into the one `law.cdf` returns.
     """
     if s < 0:
         raise NegativeS(f"s must be >= 0, got {s}")
     if s == 0:
         return LaplacePoint(0.0, 1.0)
-    t_star = 34.0 / s + 40.0 * params.alpha
+    params, r = law.params, law.tail_rate
+    t_star = 34.0 / s if r == 0.0 else min(34.0 / s, law.t_knot + 36.0 / r)
     m = 20000
     h = t_star / (2 * m)
     ts = np.arange(2 * m + 1) * h
-    y = np.subtract(1.0, np.asarray(service_cdf(ts), dtype=float))
+    y = np.subtract(1.0, law.cdf(ts))
     y *= params.lam
     if not np.all(np.isfinite(y)):
         raise QuadratureFailure("service CDF returned non-finite values")

@@ -106,7 +106,7 @@ def check_transform_consistency(law: ServiceLaw, tol: float = 1e-5) -> list[Chec
     worst = 0.0
     for s in _transform_points(law):
         general = busy_period_laplace_general(law, s).value
-        direct = busy_period_laplace_from_service(law.params, law.cdf, s).value
+        direct = busy_period_laplace_from_service(law, s).value
         worst = max(worst, abs(general - direct))
     return [_result("busy period transform: kernel form vs nested quadrature",
                     worst < tol, f"max |diff| {worst:.2e}")]
@@ -123,23 +123,29 @@ def check_transform_mixture(law: ServiceLaw, tol: float = 1e-5) -> list[CheckRes
 
 
 def check_mean_identities(law: ServiceLaw, rel_tol: float = 1e-6) -> list[CheckResult]:
-    """Quadrature means of G, B, Z against rho'/lam, (e^rho' - 1)/lam, e^rho'/lam (Takacs, 1962).
+    """Means of the law's G, B, Z against rho'/lam, (e^rho' - 1)/lam, e^rho'/lam (Takacs, 1962).
 
-    rho' = -ln lim p00(t) is rho when the kernel integral I is finite and 0
-    at the degenerate endpoint, where 1/I = 0 (p00(inf) itself is 0 * inf there).
+    Each mean is `closed_form.survival_mean` of the law's own curve, with its
+    tail rate: r for G, gamma for B and min(lambda, gamma) for Z, or lambda
+    where C == 0 and Z is the idle period alone.  rho' = -ln lim p00(t) is rho
+    when the kernel integral I is finite and 0 at the degenerate endpoint,
+    where 1/I = 0 (p00(inf) itself is 0 * inf there).
     """
-    params, beta = law.params, law.beta
-    rho_eff = params.rho if law.inv_total > 0 else 0.0
+    lam = law.params.lam
+    rho_eff = law.params.rho if law.inv_total > 0 else 0.0
+    gamma, c = law.busy_tail
     targets = {
-        "service mean": (cf.service_curve(params, beta), rho_eff / params.lam),
-        "busy period mean": (cf.busy_period_curve(params, beta), math.expm1(rho_eff) / params.lam),
-        "busy cycle mean": (cf.busy_cycle_curve(params, beta), math.exp(rho_eff) / params.lam),
+        "service mean": (law.cdf, law.tail_rate, rho_eff / lam),
+        "busy period mean": (law.busy_cdf, gamma, math.expm1(rho_eff) / lam),
+        "busy cycle mean": (law.cycle_cdf, min(lam, gamma) if c > 0 else lam,
+                            math.exp(rho_eff) / lam),
     }
     out = []
-    for name, (curve, target) in targets.items():
-        err = abs(curve.mean - target)
+    for name, (cdf, rate, target) in targets.items():
+        mean = cf.survival_mean(cdf, rate)
+        err = abs(mean - target)
         out.append(_result(f"{name} = analytic target", err <= rel_tol * target,
-                           f"|{curve.mean:.10g} - {target:.10g}| = {err:.2e}"))
+                           f"|{mean:.10g} - {target:.10g}| = {err:.2e}"))
     return out
 
 

@@ -107,21 +107,26 @@ def test_criterion_3_confluent_limit():
            f"max |Z - (1-(1+t)e^-t)| = {err:.2e}, rho-continuity gap = {jump:.2e}")
 
 
+def law_means(law):
+    """survival_mean of the law's G, B and Z, at the tail rates check_mean_identities uses."""
+    lam = law.params.lam
+    gamma, c = law.busy_tail
+    return (cf.survival_mean(law.cdf, law.tail_rate), cf.survival_mean(law.busy_cdf, gamma),
+            cf.survival_mean(law.cycle_cdf, min(lam, gamma) if c > 0 else lam))
+
+
 def test_criterion_4_mean_identities():
     worst = 0.0
     for p, beta in matrix(PARAM_POINTS + HEAVY_POINTS):
         if p.lam + beta <= 0:
             continue
-        pairs = (
-            (cf.service_curve(p, beta).mean, p.rho / p.lam),
-            (cf.busy_period_curve(p, beta).mean, math.expm1(p.rho) / p.lam),
-            (cf.busy_cycle_curve(p, beta).mean, math.exp(p.rho) / p.lam),
-        )
-        worst = max(worst, *(abs(m - t) / t for m, t in pairs))
+        targets = (p.rho / p.lam, math.expm1(p.rho) / p.lam, math.exp(p.rho) / p.lam)
+        means = law_means(ServiceLaw(p, vb(p, beta)))
+        worst = max(worst, *(abs(m - t) / t for m, t in zip(means, targets)))
     # degenerate endpoint checked against its own collapsed means
     for p in PARAM_POINTS + HEAVY_POINTS:
-        z = cf.busy_cycle_curve(p, -p.lam)
-        worst = max(worst, abs(z.mean - 1.0 / p.lam) * p.lam)
+        z = law_means(ServiceLaw(p, vb(p, -p.lam)))[2]
+        worst = max(worst, abs(z - 1.0 / p.lam) * p.lam)
     report(4, worst < 1e-6,
            f"max relative mean error = {worst:.2e} < 1e-6 (beta > -lam matrix)")
 
@@ -136,9 +141,7 @@ def test_criterion_5_transform_consistency():
         mu = p.exp_neg_rho * (p.lam + beta)
         for s in (0.1, 0.5, 1.0, 2.0, 5.0):
             general = busy_period_laplace_general(law, s).value
-            direct = busy_period_laplace_from_service(
-                p, lambda t: cf.service_cdf(p, beta, t), s
-            ).value
+            direct = busy_period_laplace_from_service(law, s).value
             mixture = g0 + (1.0 - g0) * mu / (s + mu)
             worst = max(worst, abs(general - direct), abs(general - mixture),
                         abs(direct - mixture))

@@ -1,4 +1,6 @@
+import decimal
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -159,34 +161,36 @@ def test_busy_cycle_continuous_through_confluence():
 
 
 def reference_busy_cdfs(p, beta, t):
-    """B and Z by the closed-form expressions, each written out whole: the in-place reference."""
+    """B and Z by the closed-form expressions, each written out whole: the in-place reference.
+
+    1 - Z = e^{-lambda t} + x e^{-min(lambda, gamma) t} (-expm1(-|d| t))/|d|, with
+    x = (1 - e^{-rho})(lambda + beta), gamma = e^{-rho}(lambda + beta) and
+    d = lambda - gamma; the last factor is t at d == 0.
+    """
     tt = np.asarray(t, dtype=float)
     lam, q0 = p.lam, p.exp_neg_rho
     s = lam + beta
     b = 1.0 - (s / lam) * (1.0 - q0) * np.exp(-q0 * s * tt)
-    x, d = (1.0 - q0) * s, lam - q0 * s
-    if abs(d) < cf.CONFLUENCE_EPS_REL * lam:
-        z = 1.0 - (1.0 + x * tt) * np.exp(-lam * tt)
-    elif d > 0:
-        z = 1.0 - np.exp(-lam * tt) + x * np.exp(-q0 * s * tt) * np.expm1(-d * tt) / d
-    else:
-        z = 1.0 - np.exp(-lam * tt) * (1.0 + x * np.expm1(d * tt) / d)
+    gamma = q0 * s
+    gap = abs(lam - gamma)
+    mix = tt * 1.0 if gap == 0.0 else -np.expm1(-gap * tt) / gap
+    z = 1.0 - (mix * np.exp(-min(lam, gamma) * tt) * ((1.0 - q0) * s) + np.exp(-lam * tt))
     return b, z
 
 
 P05 = validate_queue_params(1.0, 0.5)
 
 
-@pytest.mark.parametrize("p,beta,branch", [
+@pytest.mark.parametrize("p,beta,regime", [
     (P11, 0.0, "d > 0"), (P11, -1.0, "d > 0"), (P11, 0.3, "d > 0"), (P21, -1.0, "d > 0"),
     (PLN2, LN2_HI, "confluent"), (PLN2, 0.0, "d > 0"),
     (P05, math.expm1(0.5), "confluent"), (P05, math.expm1(0.5) + 1e-5, "d < 0"),
-    (P21, 3.083, "d < 0"),
+    (P21, 3.083, "d < 0"), (P05, 1.0 / P05.exp_neg_rho - 1.0, "confluent"),
 ])
-def test_busy_cdfs_are_bit_identical_to_their_expressions(p, beta, branch):
+def test_busy_cdfs_are_bit_identical_to_their_expressions(p, beta, regime):
+    # the cases cover both signs of d = lambda - gamma and d within 1e-9 lambda of 0
     d = p.lam - p.exp_neg_rho * (p.lam + beta)
-    assert branch == ("confluent" if abs(d) < cf.CONFLUENCE_EPS_REL * p.lam
-                      else "d > 0" if d > 0 else "d < 0")
+    assert regime == ("confluent" if abs(d) <= 1e-9 * p.lam else "d > 0" if d > 0 else "d < 0")
     ts = np.concatenate([[0.0, 5e-324, 1e-9], np.linspace(0.0, 60.0, 2001), [1e3, 1e300]])
     want_b, want_z = reference_busy_cdfs(p, beta, ts)
     assert np.array_equal(cf.busy_period_cdf(p, beta, ts), want_b)
@@ -201,6 +205,38 @@ def test_busy_cdfs_are_bit_identical_to_their_expressions(p, beta, branch):
     for fn in (cf.busy_period_cdf, cf.busy_cycle_cdf):
         with pytest.raises(NegativeTime):
             fn(p, beta, [np.nan, -1.0])
+
+
+def decimal_busy_cycle_cdf(p, beta, t):
+    """Z(t) to 50 digits: 1 - e^{-lambda t} - x (e^{-gamma t} - e^{-lambda t})/d.
+
+    x = (1 - e^{-rho})(lambda + beta), gamma = e^{-rho}(lambda + beta), d = lambda - gamma,
+    and t e^{-lambda t} for the last quotient at d == 0; e^{-rho} is the float the
+    closed form reads, taken exactly.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        lam, q0, b, t = (Decimal(float(v)) for v in (p.lam, p.exp_neg_rho, beta, t))
+        s = lam + b
+        gamma, d = q0 * s, lam - q0 * s
+        idle = (-lam * t).exp()
+        mix = t * idle if d == 0 else ((-gamma * t).exp() - idle) / d
+        return float(1 - idle - (1 - q0) * s * mix)
+
+
+@pytest.mark.parametrize("rho", [math.log(2), 0.5], ids=["ln2", "0.5"])
+@pytest.mark.parametrize("gap", [0.0] + [g * sign for sign in (1.0, -1.0)
+                                         for g in (1e-7, 1e-9, 5e-10, 1e-10, 1e-12)])
+def test_busy_cycle_cdf_near_confluence_matches_a_50_digit_reference(rho, gap):
+    # d = lambda - gamma = gap * lambda; at rho = ln 2 the confluent beta is the upper
+    # endpoint, and gamma > lambda (gap < 0) lies within the evaluators' slack
+    p = validate_queue_params(1.0, rho)
+    beta = p.lam * (1.0 - gap) / p.exp_neg_rho - p.lam
+    if gap == 0.0:
+        assert p.exp_neg_rho * (p.lam + beta) == p.lam  # exactly confluent
+    ts = np.linspace(0.0, 40.0, 401)
+    want = np.array([decimal_busy_cycle_cdf(p, beta, t) for t in ts])
+    assert np.max(np.abs(cf.busy_cycle_cdf(p, beta, ts) - want)) <= 1e-15
 
 
 # ---- transient probabilities -----------------------------------------------
@@ -303,18 +339,25 @@ def test_cycle_ceiling_holds_everywhere():
 
 # ---- means -----------------------------------------------------------------
 
+def closed_form_means(p, beta):
+    """survival_mean of G, B and Z at constant beta, at their tail rates."""
+    s = p.lam + beta
+    gamma = p.exp_neg_rho * s
+    return (cf.survival_mean(lambda t: cf.service_cdf(p, beta, t), s),
+            cf.survival_mean(lambda t: cf.busy_period_cdf(p, beta, t), gamma),
+            cf.survival_mean(lambda t: cf.busy_cycle_cdf(p, beta, t),
+                             min(p.lam, gamma) if s > 0 else p.lam))
+
+
 @pytest.mark.parametrize("p", [P11, PLN2, P21])
 @pytest.mark.parametrize("which", ["lo_half", "zero", "mid", "hi"])
 def test_mean_identities(p, which):
     hi = p.lam / math.expm1(p.rho)
     beta = {"lo_half": -p.lam / 2, "zero": 0.0, "mid": hi / 2, "hi": hi}[which]
-    assert cf.service_curve(p, beta).mean == pytest.approx(p.rho / p.lam, rel=1e-6)
-    assert cf.busy_period_curve(p, beta).mean == pytest.approx(
-        math.expm1(p.rho) / p.lam, rel=1e-6
-    )
-    assert cf.busy_cycle_curve(p, beta).mean == pytest.approx(
-        math.exp(p.rho) / p.lam, rel=1e-6
-    )
+    g, b, z = closed_form_means(p, beta)
+    assert g == pytest.approx(p.rho / p.lam, rel=1e-6)
+    assert b == pytest.approx(math.expm1(p.rho) / p.lam, rel=1e-6)
+    assert z == pytest.approx(math.exp(p.rho) / p.lam, rel=1e-6)
 
 
 def test_gauss_legendre_rule_matches_leggauss():
@@ -330,17 +373,16 @@ def test_gauss_legendre_rule_matches_leggauss():
 @pytest.mark.parametrize("rho", [0.1, math.log(2), 1.0, 3.0, 5.0, 8.0])
 def test_survival_mean_matches_targets_across_scales(lam, rho):
     p = validate_queue_params(lam, rho)
+    targets = (rho / lam, math.expm1(rho) / lam, math.exp(rho) / lam)
     for beta in np.linspace(-lam, lam / math.expm1(rho), 9)[1:-1]:
-        for curve, target in ((cf.service_curve(p, beta), rho / lam),
-                              (cf.busy_period_curve(p, beta), math.expm1(rho) / lam),
-                              (cf.busy_cycle_curve(p, beta), math.exp(rho) / lam)):
-            assert curve.mean == pytest.approx(target, rel=1e-9)
+        for mean, target in zip(closed_form_means(p, beta), targets):
+            assert mean == pytest.approx(target, rel=1e-9)
 
 
 def test_degenerate_means():
-    assert cf.service_curve(P11, -1.0).mean == 0.0
-    assert cf.busy_period_curve(P11, -1.0).mean == 0.0
-    assert cf.busy_cycle_curve(P11, -1.0).mean == pytest.approx(1.0, rel=1e-8)
+    g, b, z = closed_form_means(P11, -1.0)
+    assert g == 0.0 and b == 0.0
+    assert z == pytest.approx(1.0, rel=1e-8)
 
 
 # ---- CDF shape properties ---------------------------------------------------

@@ -19,17 +19,17 @@ SEED = 5
 #            sha256 of the eval CSV, the simulate CSV and the verify stdout)
 POINTS = {
     "mc-constant": (1.0, 0.0, 100_000, (
-        "a722e1015b86ab57ce0a10b3518be52c24630e6bd49dcc70b2fa394d86bb7bc0",
+        "2fc548e0227348da8fbbb73196652bab9cb41d8ff77cb4f327192d034593478c",
         "82e474036513c90d4765dc99ad887728fab8ff7cbf93065a44b386e31deee0a5",
-        "e2dcf828d56ab9393b7a4f0065763f0277cd75dd105c27cc561d0eb45a8d43c6")),
+        "68b379dd05cfb3868117503a2d805abeef6a1920e448ed7f7181fb12495500b5")),
     "table-ramp": (1.0, ((0.0, 0.0), (1.0, 0.2)), 1000, (
-        "3f711bd9e8aa1dc0a554006c488d40380a5161de558bb44f3148f4fda57d0cac",
+        "5ec79cce7b9466492bc41e18519f10bbf524823748c141a9e805688979a6048e",
         "ddd160b674f42fcfbc3e267c18edad0b6665d8f347d4612c476280781dc85740",
-        "421d809ded02caccffa425f1b2e3a6622eeb2ef180190e0a115a69052f089b9b")),
+        "e1181fa44fe2d0edf0c6ef87d6c2e881c126f65c5e7bea04f64ded811470cfe0")),
     "heavy-series": (3.0, 0.0, 20_000, (
-        "c9b5d4dccbcb14cee7768c35bb0cb67c4550699d679534281405e562cd469eb4",
+        "cfee4890200616598dfcdc7839505b89ab5a4c852a2af9c75bde754af89ca243",
         "c095b3aa07d0bf0dc47cc501d03832976fee27b128710fcb6c74433f3a77e1b4",
-        "a08a353406930f4132f273b621bdd7b05243815cfa14e8964d31c61bdc9e75f2")),
+        "3a396fb9dbdc18e251dcc7cd240085dd7896ed43a4cbacccffa68adbab6d192a")),
 }
 
 

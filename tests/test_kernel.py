@@ -126,8 +126,7 @@ def test_tabulated_mean_is_rho_over_lambda():
                     (P11, BetaSpec(knots=((0.0, 0.3), (2.0, -0.2), (5.0, 0.1)))),
                     (PLN2, BetaSpec(knots=((0.0, -0.5), (3.0, 0.5))))]:
         law = ServiceLaw(p, validate_beta(p, spec))
-        curve = cf.DistributionCurve(law.atom, law.cdf, law.tail_rate)
-        assert curve.mean == pytest.approx(p.rho / p.lam, rel=1e-5)
+        assert cf.survival_mean(law.cdf, law.tail_rate) == pytest.approx(p.rho / p.lam, rel=1e-5)
 
 
 @pytest.mark.parametrize("spec", [BetaSpec(constant=0.2), RAMP,
@@ -400,7 +399,7 @@ def test_evaluator_is_bit_identical_to_its_formulas(name):
 @pytest.mark.parametrize("spec", [BetaSpec(constant=0.0), RAMP])
 def test_evaluator_rejects_negative_time_and_passes_nan(spec):
     law = ServiceLaw(P11, validate_beta(P11, spec))
-    for fn in (law.kernel, law.p00, law.cdf):
+    for fn in (law.kernel, law.p00, law.cdf, law.busy_cdf, law.cycle_cdf):
         for t in (-1e-300, [0.5, -1.0], [np.nan, -1.0], np.array([[0.5], [-2.0]])):
             with pytest.raises(NegativeTime):
                 fn(t)

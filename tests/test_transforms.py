@@ -27,6 +27,7 @@ from mginf.transforms import (
     _product,
     _reciprocal,
 )
+from mginf.verify import check_transform_consistency
 
 P11 = validate_queue_params(1.0, 1.0)
 RAMP = BetaSpec(knots=((0.0, 0.0), (1.0, 0.2)))
@@ -146,55 +147,53 @@ def test_busy_cycle_recurrence_equals_grid_convolve():
 # ---- Laplace transforms ----------------------------------------------------
 
 def test_laplace_from_service_degenerate():
-    lp = busy_period_laplace_from_service(
-        P11, lambda t: np.ones_like(np.asarray(t, dtype=float)), 2.0
-    )
+    lp = busy_period_laplace_from_service(law_for(P11, -1.0), 2.0)  # G == 1
     assert lp.value == pytest.approx(1.0, abs=1e-9)
 
 
 def test_laplace_from_service_frozen_value():
-    lp = busy_period_laplace_from_service(
-        P11, lambda t: cf.service_cdf(P11, 0.0, t), 1.0
-    )
+    lp = busy_period_laplace_from_service(law_for(P11, 0.0), 1.0)
     # oracle: exponential-mixture transform G(0) + (1-G(0)) mu/(s+mu)
     assert lp.value == pytest.approx(0.5378828427399902, abs=1e-8)
 
 
 def test_laplace_from_service_s0_normalization():
-    lp = busy_period_laplace_from_service(P11, lambda t: cf.service_cdf(P11, 0.0, t), 0.0)
+    lp = busy_period_laplace_from_service(law_for(P11, 0.0), 0.0)
     assert lp.value == 1.0
 
 
-def reference_laplace_from_service(params, service_cdf, s):
+def reference_laplace_from_service(law, s):
     """The nested quadrature with every array formed whole: the in-place route's reference."""
-    t_star = 34.0 / s + 40.0 * params.alpha
+    r = law.tail_rate
+    t_star = 34.0 / s if r == 0.0 else min(34.0 / s, law.t_knot + 36.0 / r)
     m = 20000
     h = t_star / (2 * m)
     ts = np.arange(2 * m + 1) * h
-    y = params.lam * (1.0 - np.asarray(service_cdf(ts), dtype=float))
+    y = law.params.lam * (1.0 - law.cdf(ts))
     cells = h / 3.0 * (y[:-2:2] + 4.0 * y[1::2] + y[2::2])
     inner = np.concatenate([[0.0], np.cumsum(cells)])
     integrand = np.exp(-s * ts[::2] - inner)
     j = 2.0 * h / 3.0 * (integrand[0] + integrand[-1]
                          + 4.0 * integrand[1:-1:2].sum() + 2.0 * integrand[2:-1:2].sum())
     j += integrand[-1] / s
-    return 1.0 + (s - 1.0 / j) / params.lam
+    return 1.0 + (s - 1.0 / j) / law.params.lam
 
 
 @pytest.mark.parametrize("law", [law_for(P11, 0.0), law_for(PLN2, 1.0),
                                  ServiceLaw(P11, validate_beta(P11, RAMP))],
                          ids=["beta=0", "ln2 upper", "ramp"])
-def test_laplace_from_service_is_bit_identical_and_leaves_the_cdf_values_alone(law):
+def test_laplace_from_service_is_bit_identical_and_leaves_the_cdf_values_alone(law, monkeypatch):
     returned = []
+    cdf = law.cdf
 
     def owned_cdf(t):  # hands out an array its caller keeps using
-        g = law.cdf(t)
+        g = cdf(t)
         returned.append((g, g.copy()))
         return g
 
-    for s in (0.1, 1.0, 5.0):
-        got = busy_period_laplace_from_service(law.params, owned_cdf, s).value
-        assert got == reference_laplace_from_service(law.params, law.cdf, s)
+    want = [reference_laplace_from_service(law, s) for s in (0.1, 1.0, 5.0)]
+    monkeypatch.setattr(law, "cdf", owned_cdf)
+    assert [busy_period_laplace_from_service(law, s).value for s in (0.1, 1.0, 5.0)] == want
     assert len(returned) == 3
     for g, before in returned:
         assert np.array_equal(g, before)
@@ -208,10 +207,10 @@ def test_laplace_from_service_holds_at_most_four_and_a_half_arrays_of_its_nodes(
     # its knot carry the body's own temporaries
     nodes = 40001
     for s in (0.1, 1.0, 5.0):
-        busy_period_laplace_from_service(law.params, law.cdf, s)
+        busy_period_laplace_from_service(law, s)
         tracemalloc.start()
         try:
-            busy_period_laplace_from_service(law.params, law.cdf, s)
+            busy_period_laplace_from_service(law, s)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -237,7 +236,7 @@ def test_laplace_rejects_negative_s():
     with pytest.raises(NegativeS):
         busy_period_laplace_general(law_for(P11, 0.0), -1.0)
     with pytest.raises(NegativeS):
-        busy_period_laplace_from_service(P11, lambda t: cf.service_cdf(P11, 0.0, t), -0.5)
+        busy_period_laplace_from_service(law_for(P11, 0.0), -0.5)
 
 
 def test_busy_cycle_laplace():
@@ -258,8 +257,18 @@ def test_transform_routes_agree():
         law = law_for(p, beta)
         for s in (0.1, 0.5, 1.0, 2.0, 5.0):
             general = busy_period_laplace_general(law, s).value
-            direct = busy_period_laplace_from_service(p, law.cdf, s).value
+            direct = busy_period_laplace_from_service(law, s).value
             assert general == pytest.approx(direct, abs=1e-5)
+
+
+@pytest.mark.parametrize("rho", [12.0, 14.0])
+def test_nested_quadrature_keeps_to_the_kernel_form_in_heavy_traffic(rho):
+    # the nodes span the service law's scale; spread over 40 rho/lambda as well,
+    # they left differences of 1.5e-5 and 2.8e-5 at beta = 0, past the 1e-5 gate
+    p = validate_queue_params(1.0, rho)
+    for spec in (BetaSpec(constant=0.0), BetaSpec(knots=((0.0, 0.0), (1.0, -0.2)))):
+        check, = check_transform_consistency(ServiceLaw(p, validate_beta(p, spec)))
+        assert check.status == "PASS", check.detail
 
 
 def test_series_transform_consistency():
