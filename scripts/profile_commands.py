@@ -17,8 +17,11 @@ pages the process touched for the first time, or got back from the kernel
 afresh after freeing them), the sha256 of its CSV and `series_points`, the
 busy-period grid points solved in that call (0 if none; counted by a wrapper
 on `mginf.transforms.busy_period_cdf_series`, which `ServiceLaw.series`
-looks up on the module at call time, as in bench/child.py).  Command stdout is
-discarded; CSVs go to a temporary directory.
+looks up on the module at call time, as in bench/child.py).  Each `verify`
+line also holds `checks_s`, the wall seconds of each `verify.check_*`
+function in that call (wrapped on the module, which `verify_point` looks them
+up on at call time).  Command stdout is discarded; CSVs go to a temporary
+directory.
 
 Example:
     PYTHONPATH=src python3 scripts/profile_commands.py --workload table-ramp --seed 5 --rounds 3
@@ -35,7 +38,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from mginf import transforms
+from mginf import transforms, verify
 from mginf.cli import main as mginf_main
 
 EVAL_SECONDS = 0.25  # bench/run.py's EVAL_MIN_S
@@ -79,9 +82,31 @@ def count_series_points() -> None:
     transforms.busy_period_cdf_series = counted
 
 
+CHECK_SECONDS = {}  # wall seconds of each verify.check_* function since the last timed call
+
+
+def time_checks() -> None:
+    """Wrap each verify.check_* function so each call adds its wall time to CHECK_SECONDS."""
+    def timed(name, check):
+        def wrapped(*args, **kwargs):
+            start = time.perf_counter()
+            try:
+                return check(*args, **kwargs)
+            finally:
+                CHECK_SECONDS[name] = CHECK_SECONDS.get(name, 0.0) + time.perf_counter() - start
+        return wrapped
+
+    for name in [n for n in vars(verify) if n.startswith("check_")]:
+        setattr(verify, name, timed(name, getattr(verify, name)))
+
+
 def timed_call(argv: list[str]) -> dict:
-    """Exit code, wall seconds, minor faults, CSV digest and series points of one call."""
+    """Exit code, wall seconds, minor faults, CSV digest and series points of one call.
+
+    A `verify` call also reports `checks_s`.
+    """
     SOLVED.clear()
+    CHECK_SECONDS.clear()
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     start = time.perf_counter()
     with contextlib.redirect_stdout(io.StringIO()):
@@ -91,8 +116,11 @@ def timed_call(argv: list[str]) -> dict:
     digest = None
     if "--out" in argv:
         digest = hashlib.sha256(Path(argv[argv.index("--out") + 1]).read_bytes()).hexdigest()
-    return {"exit": code, "wall_s": round(wall, 6), "minflt": faults, "out_sha256": digest,
-            "series_points": sum(SOLVED)}
+    result = {"exit": code, "wall_s": round(wall, 6), "minflt": faults, "out_sha256": digest,
+              "series_points": sum(SOLVED)}
+    if argv[0] == "verify":
+        result["checks_s"] = {name: round(sec, 6) for name, sec in CHECK_SECONDS.items()}
+    return result
 
 
 def main() -> int:
@@ -102,6 +130,7 @@ def main() -> int:
     ap.add_argument("--rounds", type=int, default=3)
     args = ap.parse_args()
     count_series_points()
+    time_checks()
     with tempfile.TemporaryDirectory() as tmp:
         calls = command_argvs(args.workload, args.seed, Path(tmp))
         for rnd in range(-1, args.rounds):  # round -1 is the warm-up

@@ -11,7 +11,7 @@ from .closed_form import (
 )
 from .transforms import (
     GridFunction, LaplacePoint, busy_cycle_cdf_series, busy_cycle_laplace, busy_period_cdf_series,
-    busy_period_laplace_from_service, busy_period_laplace_general, default_step, grid_convolve,
+    busy_period_laplace_from_service, busy_period_laplace_general, default_step,
 )
 from .simulate import (
     CycleSamples, EmpiricalCdf, cycle_summary, empirical_cdf, ks_distance, run_cycles,

@@ -49,10 +49,6 @@ class DivergentKernelIntegral(MginfError):
     pass
 
 
-class StepMismatch(MginfError):
-    pass
-
-
 class NegativeS(MginfError):
     pass
 

@@ -90,6 +90,11 @@ class BetaSpec:
         return float(self._ts[-1])
 
     @property
+    def knot_times(self) -> np.ndarray:
+        """Abscissae of the knots, from 0 (just 0 for a constant); beta is linear between them."""
+        return self._ts
+
+    @property
     def max_abs(self) -> float:
         """max |beta(t)| over t >= 0, attained at a knot."""
         return float(np.max(np.abs(self._vs)))

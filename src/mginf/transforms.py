@@ -3,7 +3,10 @@
 The busy-period transform has two equivalent routes from a law: a
 nested-quadrature evaluation straight from its service CDF, and the
 kernel-based rational form in L phi(s), which `ServiceLaw.kernel_moments`
-sums over the same Simpson nodes as the tail root (gamma, C).
+sums over the same Simpson nodes as the tail root (gamma, C).  The nested
+quadrature takes every s at once: one pass of G and of its inner integral
+serves them all, and each s's outer integral is a Romberg sum over the
+shared nodes.
 In the time domain 1 - B = u/lambda, where u solves the renewal equation
 u = a + a * u with the defective density a = (1 - e^{-rho}) phi.  Its
 trapezoidal discretisation on a uniform grid of the law's step is a
@@ -35,7 +38,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .errors import GridTooLarge, NegativeS, QuadratureFailure, StepMismatch
+from .errors import GridTooLarge, NegativeS, QuadratureFailure
 from .params import BetaSpec, QueueParams
 
 if TYPE_CHECKING:  # law imports this module
@@ -137,17 +140,6 @@ def _fft_size(n: int) -> int:
     return best
 
 
-def _product(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    """First n terms of the linear convolution a * b.
-
-    The FFT length is the smallest 5-smooth number at or above the full
-    product length, so the cyclic convolution equals the linear one.
-    """
-    a, b = a[:n], b[:n]
-    size = _fft_size(len(a) + len(b) - 1)
-    return np.fft.irfft(np.fft.rfft(a, size) * np.fft.rfft(b, size), size)[:n]
-
-
 def _reciprocal(a: np.ndarray) -> np.ndarray:
     """The power series 1/a to len(a) terms, by Newton steps g <- g (2 - a g).
 
@@ -169,17 +161,6 @@ def _reciprocal(a: np.ndarray) -> np.ndarray:
     return g
 
 
-def grid_convolve(a: GridFunction, b: GridFunction) -> GridFunction:
-    """Trapezoidal discrete convolution with half-weight endpoints."""
-    if abs(a.step - b.step) > 1e-15 * max(a.step, b.step):
-        raise StepMismatch(f"steps differ: {a.step} vs {b.step}")
-    n = min(len(a.values), len(b.values))
-    av, bv = a.values[:n], b.values[:n]
-    full = _product(av, bv, n)
-    trap = a.step * (full - 0.5 * av[0] * bv - 0.5 * av * bv[0])
-    return GridFunction(step=a.step, values=trap)
-
-
 def _density(law: ServiceLaw, h: float, start: int, stop: int) -> np.ndarray:
     """The defective density a = (1 - e^{-rho}) phi at the grid points start..stop-1."""
     a = law.kernel(np.arange(start, stop) * h)
@@ -190,11 +171,11 @@ def _density(law: ServiceLaw, h: float, start: int, stop: int) -> np.ndarray:
 def busy_period_cdf_series(law: ServiceLaw) -> GridFunction:
     """B(t) on 0, h, ..., T at the law's step h: 1 - u/lambda, u solving the trapezoidal system.
 
-    u = a + K u, with a = (1 - e^{-rho}) phi = (1 - e^{-rho}) f/I and
-    K x = grid_convolve(x, a) = h (c * x) - h x_0 a/2, where c = a except
-    c_0 = a_0/2.  Row 0 gives u_0 = a_0, so T * u = rhs with T = delta - h c
-    and rhs = a (1 - h a_0/2): the sum of the Neumann series sum_k K^k a with
-    no term dropped.  u >= 0 when a >= 0, so B <= 1 up to rounding.
+    u = a + K u, with a = (1 - e^{-rho}) phi = (1 - e^{-rho}) f/I and K x the
+    trapezoid rule for the convolution x * a with half-weight endpoints,
+    K x = h (c * x) - h x_0 a/2, where c = a except c_0 = a_0/2.  Row 0 gives
+    u_0 = a_0, so T * u = rhs with T = delta - h c and rhs = a (1 - h a_0/2):
+    the sum of the Neumann series sum_k K^k a with no term dropped.  u >= 0 when a >= 0, so B <= 1 up to rounding.
 
     Past the last knot f is exponential, so T_d = T_J q^(d-J) exactly for
     every d >= J, with q = e^{-r h}, r the kernel's tail rate and (J, M) from
@@ -258,10 +239,11 @@ def busy_period_cdf_series(law: ServiceLaw) -> GridFunction:
 def busy_cycle_cdf_series(params: QueueParams, b: GridFunction) -> GridFunction:
     """Z(t) = (idle-period exponential density) * B(t) on the grid of B.
 
-    This is the trapezoid grid_convolve forms, Z = x (S - B/2 - B_0 e^{-lambda t}/2)
-    with x = lambda h, q = e^{-x} and S_k = sum_{j<=k} q^{k-j} B_j, evaluated
-    in O(n) with no FFT.  Summing by parts over the increments D_j = B_j - B_{j-1}
-    (D_0 = B_0) gives S = (B - q T)/(1 - q), where T_k = sum_{j<=k} q^{k-j} D_j
+    This is the trapezoid rule for the convolution with half-weight endpoints,
+    Z = x (S - B/2 - B_0 e^{-lambda t}/2) with x = lambda h, q = e^{-x} and
+    S_k = sum_{j<=k} q^{k-j} B_j, evaluated in O(n) with no FFT.  Summing by
+    parts over the increments D_j = B_j - B_{j-1} (D_0 = B_0) gives
+    S = (B - q T)/(1 - q), where T_k = sum_{j<=k} q^{k-j} D_j
     obeys T_k = q T_{k-1} + D_k.  T is of the size of B'/lambda, where S is of
     the size of B/x, so T carries far less rounding (4e-16 against 1.5e-14 at
     rho = 3).  T is a cumulative sum of e^{x j} D_j inside blocks of
@@ -288,55 +270,100 @@ def busy_cycle_cdf_series(params: QueueParams, b: GridFunction) -> GridFunction:
     return GridFunction(step=b.step, values=z)
 
 
-def busy_period_laplace_from_service(law: ServiceLaw, s: float) -> LaplacePoint:
-    """Busy-period transform straight from the service CDF by nested quadrature.
+def busy_period_laplace_from_service(law: ServiceLaw, s_points) -> list[LaplacePoint]:
+    """Busy-period transform at every s of `s_points`, straight from the service CDF.
 
     Evaluates 1 + (s - 1/J)/lambda with
-    J = int_0^inf exp(-s*t - lambda int_0^t [1 - G(v)] dv) dt by Simpson on
-    40,001 nodes over [0, t*] and the tail past t* in closed form,
-    e^{-s t*} e^{-inner(t*)}/s, as if the inner integral had saturated there.
-    t* = min(34/s, t_knot + 36/r), r the kernel's tail rate: by 34/s the
-    integrand is below e^{-34} of its start, and past t_knot 1 - G decays at
-    rate r, so by t_knot + 36/r it has fallen by e^{-36} and the inner
-    integral has all but saturated.  The node spacing thus follows the
-    service law's own scale, not its mean busy period.  At r = 0, G == 1 and
-    t* = 34/s.  At s = 0 the outer integral diverges and the normalization
+    J = int_0^inf exp(-s*t - lambda int_0^t [1 - G(v)] dv) dt by nested
+    quadrature on about 40,001 nodes over [0, t*] and the tail past t* in
+    closed form, e^{-s t*} e^{-inner(t*)}/s, as if the inner integral had
+    saturated there.  t* = min(34/s_min, t_knot + 36/r), s_min the smallest
+    positive s and r the kernel's tail rate: by 34/s_min every integrand is
+    below e^{-34} of its start, and past t_knot 1 - G decays at rate r, so by
+    t_knot + 36/r it has fallen by e^{-36} and the inner integral has all but
+    saturated.  The node spacing thus follows the service law's own scale, not
+    its mean busy period.  At r = 0, G == 1 and t* = 34/s_min.
+
+    G is smooth between beta's knots, where G'' jumps with beta's slope, so
+    the nodes are uniform on each piece of [0, t*] between knots, 16 k
+    intervals on a piece of length w, k = max(1, round(2500 w/t*)); a
+    constant's one piece has 40,000.  G is evaluated once on all the nodes,
+    and the inner integral is one composite Simpson prefix at the even nodes,
+    shared by every s.  Each s then forms only its integrand at the even
+    nodes and integrates each piece by `_romberg`: a larger s sees nodes
+    coarser against its 1/s, which plain Simpson would resolve only to about
+    (s H)^4, H the even nodes' spacing.  The s points of `verify` span a
+    factor 50.  At s = 0 the outer integral diverges and the normalization
     value 1 is returned.  It writes into one array of the nodes' size and one
     of half that, never into the one `law.cdf` returns.
     """
-    if s < 0:
-        raise NegativeS(f"s must be >= 0, got {s}")
-    if s == 0:
-        return LaplacePoint(0.0, 1.0)
-    params, r = law.params, law.tail_rate
-    t_star = 34.0 / s if r == 0.0 else min(34.0 / s, law.t_knot + 36.0 / r)
-    m = 20000
-    h = t_star / (2 * m)
-    ts = np.arange(2 * m + 1) * h
+    s_all = [float(s) for s in s_points]
+    if any(s < 0 for s in s_all):
+        raise NegativeS(f"s must be >= 0, got {min(s_all)}")
+    positive = [s for s in s_all if s > 0]
+    if not positive:
+        return [LaplacePoint(0.0, 1.0) for _ in s_all]
+    params, r, s_min = law.params, law.tail_rate, min(positive)
+    t_star = 34.0 / s_min if r == 0.0 else min(34.0 / s_min, law.t_knot + 36.0 / r)
+    knots = law.spec.knot_times
+    edges = np.append(knots[knots < t_star], t_star)
+    widths = np.diff(edges)
+    counts = 16 * np.maximum(1, np.rint(2500.0 / t_star * widths)).astype(int)
+    offsets = np.concatenate([[0], np.cumsum(counts)])  # each piece's first node
+    steps = widths / counts
+    ts = np.arange(offsets[-1] + 1, dtype=float)
+    for lo, hi, a, h in zip(offsets, offsets[1:], edges, steps):
+        piece = ts[lo:hi]  # node lo + k is a + k h
+        piece -= lo
+        piece *= h
+        piece += a
+    ts[-1] = t_star
     y = np.subtract(1.0, law.cdf(ts))
     y *= params.lam
     if not np.all(np.isfinite(y)):
         raise QuadratureFailure("service CDF returned non-finite values")
     # composite Simpson prefix of the inner integral at the even nodes, after a 0
-    inner = np.zeros(m + 1)
+    half = offsets // 2  # each piece's first even node
+    inner = np.zeros(half[-1] + 1)
     cells = inner[1:]
     np.add(y[:-2:2], np.multiply(y[1::2], 4.0, out=cells), out=cells)
     cells += y[2::2]
-    cells *= h / 3.0
+    for lo, hi, h in zip(half, half[1:], steps):
+        cells[lo:hi] *= h / 3.0
     np.cumsum(cells, out=cells)
-    integrand = np.multiply(ts[::2], -s, out=y[:m + 1])
-    integrand -= inner
-    np.exp(integrand, out=integrand)
-    # Simpson again over the even nodes
-    h2 = 2.0 * h
-    j = h2 / 3.0 * (
-        integrand[0] + integrand[-1]
-        + 4.0 * integrand[1:-1:2].sum() + 2.0 * integrand[2:-1:2].sum()
-    )
-    j += integrand[-1] / s  # exponential tail with the saturated inner integral
-    if not math.isfinite(j) or j <= 0:
-        raise QuadratureFailure("outer Laplace integral failed")
-    return LaplacePoint(s, 1.0 + (s - 1.0 / j) / params.lam)
+    even = ts[::2]
+    integrand = y[:half[-1] + 1]  # lambda (1 - G) is spent: its first half holds each integrand
+    out = []
+    for s in s_all:
+        if s == 0:
+            out.append(LaplacePoint(0.0, 1.0))
+            continue
+        np.multiply(even, -s, out=integrand)
+        integrand -= inner
+        np.exp(integrand, out=integrand)
+        j = _romberg(integrand, half, 2.0 * steps)
+        j += integrand[-1] / s  # exponential tail with the saturated inner integral
+        if not math.isfinite(j) or j <= 0:
+            raise QuadratureFailure("outer Laplace integral failed")
+        out.append(LaplacePoint(s, 1.0 + (s - 1.0 / j) / params.lam))
+    return out
+
+
+def _romberg(y: np.ndarray, bounds: np.ndarray, h: np.ndarray) -> float:
+    """Sum over pieces of Romberg's integral from the trapezoid sums at h_i, 2h_i, 4h_i, 8h_i.
+
+    Piece i holds samples y[bounds[i]:bounds[i+1] + 1] at spacing h[i], the
+    last piece ends at the last sample, and every bound must be divisible by 8.  The stride-k samples of a piece are those of
+    y[::k], so each level is one reduceat over all pieces.  Column 1 of the
+    table holds the Simpson sums at h, 2h and 4h; two more Richardson steps
+    remove their h^4 and h^6 terms.
+    """
+    lo, hi = bounds[:-1], bounds[1:]
+    ends = 0.5 * (y[hi] - y[lo])  # closes each half-open sum [lo, hi) with trapezoid ends
+    table = [k * h * (np.add.reduceat(y[:-1:k], lo // k) + ends) for k in (1, 2, 4, 8)]
+    for level in (4.0, 16.0, 64.0):
+        table = [(level * fine - coarse) / (level - 1.0) for fine, coarse in zip(table, table[1:])]
+    return float(table[0].sum())
 
 
 def busy_period_laplace_general(law: ServiceLaw, s: float) -> LaplacePoint:

@@ -22,7 +22,9 @@ import numpy as np
 from . import closed_form as cf
 from .law import ServiceLaw
 from .simulate import empirical_cdf, ks_distance, run_cycles
-from .transforms import busy_period_laplace_from_service, busy_period_laplace_general
+from .transforms import (
+    LaplacePoint, busy_period_laplace_from_service, busy_period_laplace_general,
+)
 
 # Transform arguments in units of lambda: the checks evaluate at s = c * lambda,
 # so they probe the same part of each law whatever the time scale.
@@ -97,27 +99,26 @@ def check_series_envelope(law: ServiceLaw) -> list[CheckResult]:
                     f"{b_grid.values.size}-point grid")]
 
 
-def _transform_points(law: ServiceLaw) -> list[float]:
-    return [c * law.params.lam for c in TRANSFORM_S_POINTS]
+def kernel_form_transform(law: ServiceLaw) -> list[LaplacePoint]:
+    """The kernel-form busy-period transform at s = c * lambda, c in TRANSFORM_S_POINTS."""
+    return [busy_period_laplace_general(law, c * law.params.lam) for c in TRANSFORM_S_POINTS]
 
 
-def check_transform_consistency(law: ServiceLaw, tol: float = 1e-5) -> list[CheckResult]:
-    """Kernel-form busy-period transform against nested quadrature of G."""
-    worst = 0.0
-    for s in _transform_points(law):
-        general = busy_period_laplace_general(law, s).value
-        direct = busy_period_laplace_from_service(law, s).value
-        worst = max(worst, abs(general - direct))
+def check_transform_consistency(law: ServiceLaw, kernel_form: list[LaplacePoint],
+                                tol: float = 1e-5) -> list[CheckResult]:
+    """`kernel_form_transform` against nested quadrature of G at the same points, in one pass."""
+    direct = busy_period_laplace_from_service(law, [lp.s for lp in kernel_form])
+    worst = max(abs(k.value - d.value) for k, d in zip(kernel_form, direct))
     return [_result("busy period transform: kernel form vs nested quadrature",
                     worst < tol, f"max |diff| {worst:.2e}")]
 
 
-def check_transform_mixture(law: ServiceLaw, tol: float = 1e-5) -> list[CheckResult]:
-    """Kernel-form busy-period transform against the closed form's atom plus exponential."""
+def check_transform_mixture(law: ServiceLaw, kernel_form: list[LaplacePoint],
+                            tol: float = 1e-5) -> list[CheckResult]:
+    """`kernel_form_transform` against the closed form's atom plus exponential."""
     g0 = law.atom
     mu = law.params.exp_neg_rho * (law.params.lam + law.beta)
-    worst = max(abs(busy_period_laplace_general(law, s).value
-                    - (g0 + (1.0 - g0) * mu / (s + mu))) for s in _transform_points(law))
+    worst = max(abs(lp.value - (g0 + (1.0 - g0) * mu / (lp.s + mu))) for lp in kernel_form)
     return [_result("busy period transform: vs analytic exponential mixture",
                     worst < tol, f"max |diff| {worst:.2e}")]
 
@@ -208,8 +209,10 @@ def verify_point(law: ServiceLaw, n_cycles: int, seed: int) -> list[CheckResult]
 
     The closed-form checks run when beta is constant, the degenerate endpoint
     included; for tabulated beta they are reported as SKIP and the series
-    curves are checked against the envelopes instead.
+    curves are checked against the envelopes instead.  The kernel-form
+    transform is formed once, for both transform checks.
     """
+    kernel_form = kernel_form_transform(law)
     if law.beta is None:
         no_closed_form = "no closed form for tabulated beta"
         head = ([CheckResult("series vs closed form", "SKIP", no_closed_form)]
@@ -219,6 +222,6 @@ def verify_point(law: ServiceLaw, n_cycles: int, seed: int) -> list[CheckResult]
     else:
         head = (check_series_vs_closed_form(law) + check_mean_identities(law)
                 + check_bound_ordering(law))
-        mixture = check_transform_mixture(law)
-    return (head + check_transform_consistency(law) + mixture
+        mixture = check_transform_mixture(law, kernel_form)
+    return (head + check_transform_consistency(law, kernel_form) + mixture
             + check_riccati_residual(law) + check_monte_carlo(law, n_cycles, seed))

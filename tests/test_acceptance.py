@@ -139,9 +139,10 @@ def test_criterion_5_transform_consistency():
         law = ServiceLaw(p, vb(p, beta))
         g0 = cf.service_atom(p, beta)
         mu = p.exp_neg_rho * (p.lam + beta)
-        for s in (0.1, 0.5, 1.0, 2.0, 5.0):
+        points = (0.1, 0.5, 1.0, 2.0, 5.0)
+        for s, lp in zip(points, busy_period_laplace_from_service(law, points)):
             general = busy_period_laplace_general(law, s).value
-            direct = busy_period_laplace_from_service(law, s).value
+            direct = lp.value
             mixture = g0 + (1.0 - g0) * mu / (s + mu)
             worst = max(worst, abs(general - direct), abs(general - mixture),
                         abs(direct - mixture))

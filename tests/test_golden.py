@@ -21,15 +21,15 @@ POINTS = {
     "mc-constant": (1.0, 0.0, 100_000, (
         "2fc548e0227348da8fbbb73196652bab9cb41d8ff77cb4f327192d034593478c",
         "82e474036513c90d4765dc99ad887728fab8ff7cbf93065a44b386e31deee0a5",
-        "68b379dd05cfb3868117503a2d805abeef6a1920e448ed7f7181fb12495500b5")),
+        "e4060c1ae73ddf8c893be681bfdfc73858c7aaa23c571bdec4a5662cfb357bfd")),
     "table-ramp": (1.0, ((0.0, 0.0), (1.0, 0.2)), 1000, (
         "5ec79cce7b9466492bc41e18519f10bbf524823748c141a9e805688979a6048e",
         "ddd160b674f42fcfbc3e267c18edad0b6665d8f347d4612c476280781dc85740",
-        "e1181fa44fe2d0edf0c6ef87d6c2e881c126f65c5e7bea04f64ded811470cfe0")),
+        "5bc20400dcfe29a92000aa8863cf4011f4af2f768eaad49a268d1f14d6dc95a4")),
     "heavy-series": (3.0, 0.0, 20_000, (
         "cfee4890200616598dfcdc7839505b89ab5a4c852a2af9c75bde754af89ca243",
         "c095b3aa07d0bf0dc47cc501d03832976fee27b128710fcb6c74433f3a77e1b4",
-        "3a396fb9dbdc18e251dcc7cd240085dd7896ed43a4cbacccffa68adbab6d192a")),
+        "8b48a6fa4892fa7534ca43fa5bd3affc70f3ff5eb3a2cc9395bd6dc340f7280f")),
 }
 
 

@@ -46,3 +46,9 @@ def test_profile_commands_prints_one_json_line_per_call():
         # each command builds its own law; eval and simulate read B and Z (the eval rows, the
         # KS lines) and verify the series checks, each from one walk of one block
         assert c["series_points"] == 4096, c
+        # verify times each of its checks; the ramp runs the envelope check, not the closed forms
+        assert ("checks_s" in c) == (c["command"] == "verify")
+        if c["command"] == "verify":
+            assert {"check_series_envelope", "check_transform_consistency",
+                    "check_riccati_residual", "check_monte_carlo"} == set(c["checks_s"]), c
+            assert all(sec > 0 for sec in c["checks_s"].values()), c

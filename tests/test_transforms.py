@@ -5,14 +5,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from mginf import closed_form as cf
 from mginf import transforms
-from mginf.errors import NegativeS, StepMismatch, StepTooCoarse
+from mginf.errors import BetaOutOfRange, NegativeS, StepTooCoarse
 from mginf.law import ServiceLaw
-from mginf.params import BetaSpec, validate_beta, validate_queue_params
+from mginf.params import BetaSpec, beta_bounds, validate_beta, validate_queue_params
 from mginf.transforms import (
     GridFunction,
     SERIES_BLOCK,
@@ -22,12 +22,10 @@ from mginf.transforms import (
     busy_period_laplace_from_service,
     busy_period_laplace_general,
     default_step,
-    grid_convolve,
     _fft_size,
-    _product,
     _reciprocal,
 )
-from mginf.verify import check_transform_consistency
+from mginf.verify import check_transform_consistency, kernel_form_transform
 
 P11 = validate_queue_params(1.0, 1.0)
 RAMP = BetaSpec(knots=((0.0, 0.0), (1.0, 0.2)))
@@ -38,7 +36,29 @@ def law_for(p, beta):
     return ServiceLaw(p, validate_beta(p, BetaSpec(constant=beta)))
 
 
-# ---- grid convolution ------------------------------------------------------
+# ---- grid convolution: the trapezoid rule the grid solves are tested against --
+
+class StepMismatch(ValueError):
+    pass
+
+
+def _product(a, b, n):
+    """First n terms of the linear convolution a * b, by one FFT of a 5-smooth length."""
+    a, b = a[:n], b[:n]
+    size = _fft_size(len(a) + len(b) - 1)
+    return np.fft.irfft(np.fft.rfft(a, size) * np.fft.rfft(b, size), size)[:n]
+
+
+def grid_convolve(a, b):
+    """Trapezoidal discrete convolution with half-weight endpoints."""
+    if abs(a.step - b.step) > 1e-15 * max(a.step, b.step):
+        raise StepMismatch(f"steps differ: {a.step} vs {b.step}")
+    n = min(len(a.values), len(b.values))
+    av, bv = a.values[:n], b.values[:n]
+    full = _product(av, bv, n)
+    trap = a.step * (full - 0.5 * av[0] * bv - 0.5 * av * bv[0])
+    return GridFunction(step=a.step, values=trap)
+
 
 def test_convolve_boxes():
     h = 0.01
@@ -146,37 +166,84 @@ def test_busy_cycle_recurrence_equals_grid_convolve():
 
 # ---- Laplace transforms ----------------------------------------------------
 
+def from_service(law, s):
+    """The nested-quadrature transform at the one point s."""
+    lp, = busy_period_laplace_from_service(law, [s])
+    return lp
+
+
 def test_laplace_from_service_degenerate():
-    lp = busy_period_laplace_from_service(law_for(P11, -1.0), 2.0)  # G == 1
+    lp = from_service(law_for(P11, -1.0), 2.0)  # G == 1
     assert lp.value == pytest.approx(1.0, abs=1e-9)
 
 
 def test_laplace_from_service_frozen_value():
-    lp = busy_period_laplace_from_service(law_for(P11, 0.0), 1.0)
+    lp = from_service(law_for(P11, 0.0), 1.0)
     # oracle: exponential-mixture transform G(0) + (1-G(0)) mu/(s+mu)
     assert lp.value == pytest.approx(0.5378828427399902, abs=1e-8)
 
 
 def test_laplace_from_service_s0_normalization():
-    lp = busy_period_laplace_from_service(law_for(P11, 0.0), 0.0)
-    assert lp.value == 1.0
+    assert from_service(law_for(P11, 0.0), 0.0) == (0.0, 1.0)
+    law = law_for(P11, 0.0)
+    points = busy_period_laplace_from_service(law, [1.0, 0.0, 0.1])
+    assert [lp.s for lp in points] == [1.0, 0.0, 0.1]
+    assert points[1].value == 1.0
+    # s = 0 does not enter the horizon: the others are as without it
+    assert [points[0], points[2]] == busy_period_laplace_from_service(law, [1.0, 0.1])
 
 
-def reference_laplace_from_service(law, s):
-    """The nested quadrature with every array formed whole: the in-place route's reference."""
+def reference_laplace_from_service(law, s_points):
+    """The nested quadrature with every array formed whole: the in-place route's reference.
+
+    The outer sums are `_romberg`'s, which test_romberg_is_exact_to_degree_seven checks.
+    """
     r = law.tail_rate
-    t_star = 34.0 / s if r == 0.0 else min(34.0 / s, law.t_knot + 36.0 / r)
-    m = 20000
-    h = t_star / (2 * m)
-    ts = np.arange(2 * m + 1) * h
+    s_min = min(s for s in s_points if s > 0)
+    t_star = 34.0 / s_min if r == 0.0 else min(34.0 / s_min, law.t_knot + 36.0 / r)
+    knots = law.spec.knot_times
+    edges = [float(t) for t in knots[knots < t_star]] + [t_star]
+    pieces = []  # (start, intervals, step) between knots
+    for a, b in zip(edges, edges[1:]):
+        n = 16 * max(1, round(2500.0 / t_star * (b - a)))
+        pieces.append((a, n, (b - a) / n))
+    ts = np.concatenate([a + np.arange(n) * h for a, n, h in pieces] + [[t_star]])
     y = law.params.lam * (1.0 - law.cdf(ts))
-    cells = h / 3.0 * (y[:-2:2] + 4.0 * y[1::2] + y[2::2])
+    weights = np.concatenate([np.full(n // 2, h / 3.0) for _, n, h in pieces])
+    cells = (y[:-2:2] + 4.0 * y[1::2] + y[2::2]) * weights
     inner = np.concatenate([[0.0], np.cumsum(cells)])
-    integrand = np.exp(-s * ts[::2] - inner)
-    j = 2.0 * h / 3.0 * (integrand[0] + integrand[-1]
-                         + 4.0 * integrand[1:-1:2].sum() + 2.0 * integrand[2:-1:2].sum())
-    j += integrand[-1] / s
-    return 1.0 + (s - 1.0 / j) / law.params.lam
+    bounds = np.cumsum([0] + [n // 2 for _, n, _ in pieces])
+    outer_steps = np.array([2.0 * h for _, _, h in pieces])
+    values = []
+    for s in s_points:
+        integrand = np.exp(-s * ts[::2] - inner)
+        j = transforms._romberg(integrand, bounds, outer_steps) + integrand[-1] / s
+        values.append(1.0 + (s - 1.0 / j) / law.params.lam)
+    return values
+
+
+def test_romberg_is_exact_to_degree_seven():
+    # three Richardson steps over the trapezoid sums integrate a degree-7 polynomial exactly,
+    # piece by piece, whatever each piece's spacing
+    def poly(t):
+        return 1.0 - 2.0 * t + 0.5 * t**3 - 0.25 * t**5 + 0.125 * t**7
+
+    def exact(a, b):
+        def prim(t):
+            return t - t**2 + t**4 / 8.0 - t**6 / 24.0 + t**8 / 64.0
+        return prim(b) - prim(a)
+
+    edges, counts = np.array([0.0, 0.3, 0.35, 1.2]), np.array([16, 8, 40])
+    ts = np.concatenate([np.linspace(a, b, n + 1)[:-1] for a, b, n in
+                         zip(edges, edges[1:], counts)] + [edges[-1:]])
+    bounds = np.concatenate([[0], np.cumsum(counts)])
+    got = transforms._romberg(poly(ts), bounds, np.diff(edges) / counts)
+    assert got == pytest.approx(exact(0.0, 1.2), abs=1e-14)
+    # e^{-5t} at spacing 0.017, the outer nodes' spacing at s = 5 lambda for beta = -lambda:
+    # Simpson is off by 5.8e-8, the h^8 term Romberg leaves is 1.8e-12
+    x = np.linspace(0.0, 6.8, 401)
+    romberg = transforms._romberg(np.exp(-5.0 * x), np.array([0, 400]), np.array([0.017]))
+    assert abs(romberg - (1.0 - math.exp(-34.0)) / 5.0) < 5e-12
 
 
 @pytest.mark.parametrize("law", [law_for(P11, 0.0), law_for(PLN2, 1.0),
@@ -191,10 +258,11 @@ def test_laplace_from_service_is_bit_identical_and_leaves_the_cdf_values_alone(l
         returned.append((g, g.copy()))
         return g
 
-    want = [reference_laplace_from_service(law, s) for s in (0.1, 1.0, 5.0)]
+    points = (0.1, 1.0, 5.0)
+    want = reference_laplace_from_service(law, points)
     monkeypatch.setattr(law, "cdf", owned_cdf)
-    assert [busy_period_laplace_from_service(law, s).value for s in (0.1, 1.0, 5.0)] == want
-    assert len(returned) == 3
+    assert [lp.value for lp in busy_period_laplace_from_service(law, points)] == want
+    assert len(returned) == 1
     for g, before in returned:
         assert np.array_equal(g, before)
 
@@ -203,18 +271,111 @@ def test_laplace_from_service_is_bit_identical_and_leaves_the_cdf_values_alone(l
                          ids=["beta=0", "ramp"])
 def test_laplace_from_service_holds_at_most_four_and_a_half_arrays_of_its_nodes(law):
     # the nodes, the service CDF's two arrays while it runs, then lambda (1 - G) and the
-    # half-size prefix; the integrand reuses lambda (1 - G).  The ramp's points before
+    # half-size prefix; every integrand reuses lambda (1 - G).  The ramp's points before
     # its knot carry the body's own temporaries
     nodes = 40001
-    for s in (0.1, 1.0, 5.0):
-        busy_period_laplace_from_service(law, s)
-        tracemalloc.start()
-        try:
-            busy_period_laplace_from_service(law, s)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 4.5 * 8 * nodes, s
+    points = [c * law.params.lam for c in (0.1, 0.5, 1.0, 2.0, 5.0)]
+    busy_period_laplace_from_service(law, points)
+    tracemalloc.start()
+    try:
+        busy_period_laplace_from_service(law, points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * 8 * nodes
+
+
+def test_transform_check_reads_the_service_cdf_once(monkeypatch):
+    law = ServiceLaw(P11, validate_beta(P11, RAMP))
+    kernel_form = kernel_form_transform(law)
+    calls = []
+    cdf = law.cdf
+
+    def counted(t):
+        calls.append(np.size(t))
+        return cdf(t)
+
+    monkeypatch.setattr(law, "cdf", counted)
+    check, = check_transform_consistency(law, kernel_form)
+    assert check.status == "PASS"
+    assert len(calls) == 1 and abs(calls[0] - 40001) <= 16, calls
+
+
+ACCURACY_POINTS = {
+    "rho 1, beta 0": (1.0, 1.0, BetaSpec(constant=0.0)),
+    "ramp, rho 1": (1.0, 1.0, RAMP),
+    "rho 3, beta 0": (1.0, 3.0, BetaSpec(constant=0.0)),
+    "rho 14, beta 0": (1.0, 14.0, BetaSpec(constant=0.0)),
+    "rho 14, table": (1.0, 14.0, BetaSpec(knots=((0.0, 0.0), (1.0, -0.2)))),
+    "beta -0.9": (1.0, 1.0, BetaSpec(constant=-0.9)),
+    "beta -1": (1.0, 1.0, BetaSpec(constant=-1.0)),
+    "lambda 100, rho 2, beta -50": (100.0, 2.0, BetaSpec(constant=-50.0)),
+}
+
+
+def transform_gap(law):
+    """max |kernel form - nested quadrature| over verify's transform points."""
+    kernel_form = kernel_form_transform(law)
+    direct = busy_period_laplace_from_service(law, [lp.s for lp in kernel_form])
+    return max(abs(k.value - d.value) for k, d in zip(kernel_form, direct))
+
+
+@pytest.mark.parametrize("lam, rho, spec", ACCURACY_POINTS.values(), ids=ACCURACY_POINTS)
+def test_nested_quadrature_matches_the_kernel_form_to_1e_10(lam, rho, spec):
+    # Romberg on the outer sum; plain Simpson on the shared nodes left 1.5e-6 at beta = -0.9
+    p = validate_queue_params(lam, rho)
+    assert transform_gap(ServiceLaw(p, validate_beta(p, spec))) <= 1e-10
+
+
+def assert_transform_check_holds(p, spec):
+    """verify's transform check PASSes on an admissible law, and its routes agree to 1e-9."""
+    try:
+        law = ServiceLaw(p, validate_beta(p, spec))
+    except BetaOutOfRange:
+        assume(False)
+    check, = check_transform_consistency(law, kernel_form_transform(law))
+    assert check.status == "PASS", check.detail
+    assert transform_gap(law) <= 1e-9
+
+
+LAMBDAS = st.floats(-3.0, 3.0).map(lambda x: 10.0**x)  # log-uniform on [1e-3, 1e3]
+RHOS = st.floats(1e-3, 14.0)
+SWEEP = settings(max_examples=100, deadline=2000)  # milliseconds per example
+
+
+@given(lam=LAMBDAS, rho=RHOS, u=st.floats(0.0, 1.0))
+@example(lam=1.0, rho=math.log(2), u=0.0)
+@example(lam=1.0, rho=math.log(2), u=1.0)
+@example(lam=1.0, rho=math.log(2), u=0.5)
+@example(lam=1e-3, rho=14.0, u=0.0)
+@example(lam=1e3, rho=14.0, u=1.0)
+@example(lam=1e3, rho=1e-3, u=0.0)
+@example(lam=1e-3, rho=1e-3, u=1.0)
+@SWEEP
+def test_transform_check_over_constant_beta(lam, rho, u):
+    # beta = (1 - u) lo + u hi covers [lo, hi] = [-lambda, lambda/(e^rho - 1)], ends exactly
+    p = validate_queue_params(lam, rho)
+    lo, hi = beta_bounds(p)
+    assert_transform_check_holds(p, BetaSpec(constant=(1.0 - u) * lo + u * hi))
+
+
+@given(lam=LAMBDAS, rho=RHOS,
+       rows=st.lists(st.tuples(st.floats(0.01, 3.0), st.floats(-0.25, 1.25)),
+                     min_size=1, max_size=3))
+# kinked tables where one uniform node set over [0, t*] left 1.34e-9 and 1.36e-9
+@example(lam=1.0, rho=1.0, rows=[(1.0, 1.0), (0.03125, 0.25)])
+@example(lam=1.0, rho=1.0, rows=[(1.0, 1.0), (0.5, 0.125)])
+@SWEEP
+def test_transform_check_over_tables(lam, rho, rows):
+    # knot k at the sum of the first k gaps (the first knot at 0), beta_k = (1 - u_k) lo + u_k hi;
+    # the gaps are in units of 1/(lambda + max(lambda, hi)), the kernel's fastest admissible rate
+    p = validate_queue_params(lam, rho)
+    lo, hi = beta_bounds(p)
+    unit = 1.0 / (lam + max(lam, hi))
+    ts = np.concatenate([[0.0], np.cumsum([gap for gap, _ in rows[1:]])]) * unit
+    assume(np.all(np.diff(ts) > 0))
+    knots = tuple((float(t), (1.0 - u) * lo + u * hi) for t, (_, u) in zip(ts, rows))
+    assert_transform_check_holds(p, BetaSpec(knots=knots))
 
 
 def test_laplace_general_frozen_values():
@@ -236,7 +397,7 @@ def test_laplace_rejects_negative_s():
     with pytest.raises(NegativeS):
         busy_period_laplace_general(law_for(P11, 0.0), -1.0)
     with pytest.raises(NegativeS):
-        busy_period_laplace_from_service(law_for(P11, 0.0), -0.5)
+        busy_period_laplace_from_service(law_for(P11, 0.0), [1.0, -0.5])
 
 
 def test_busy_cycle_laplace():
@@ -255,10 +416,10 @@ def test_busy_cycle_laplace():
 def test_transform_routes_agree():
     for p, beta in [(P11, 0.0), (PLN2, 1.0), (P11, -0.5)]:
         law = law_for(p, beta)
-        for s in (0.1, 0.5, 1.0, 2.0, 5.0):
-            general = busy_period_laplace_general(law, s).value
-            direct = busy_period_laplace_from_service(law, s).value
-            assert general == pytest.approx(direct, abs=1e-5)
+        points = (0.1, 0.5, 1.0, 2.0, 5.0)
+        for s, direct in zip(points, busy_period_laplace_from_service(law, points)):
+            assert busy_period_laplace_general(law, s).value == pytest.approx(direct.value,
+                                                                              abs=1e-5)
 
 
 @pytest.mark.parametrize("rho", [12.0, 14.0])
@@ -267,7 +428,8 @@ def test_nested_quadrature_keeps_to_the_kernel_form_in_heavy_traffic(rho):
     # they left differences of 1.5e-5 and 2.8e-5 at beta = 0, past the 1e-5 gate
     p = validate_queue_params(1.0, rho)
     for spec in (BetaSpec(constant=0.0), BetaSpec(knots=((0.0, 0.0), (1.0, -0.2)))):
-        check, = check_transform_consistency(ServiceLaw(p, validate_beta(p, spec)))
+        law = ServiceLaw(p, validate_beta(p, spec))
+        check, = check_transform_consistency(law, kernel_form_transform(law))
         assert check.status == "PASS", check.detail
 
 
