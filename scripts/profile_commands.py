@@ -20,8 +20,9 @@ on `mginf.transforms.busy_period_cdf_series`, which `ServiceLaw.series`
 looks up on the module at call time, as in bench/child.py).  Each `verify`
 line also holds `checks_s`, the wall seconds of each `verify.check_*`
 function in that call (wrapped on the module, which `verify_point` looks them
-up on at call time).  Command stdout is discarded; CSVs go to a temporary
-directory.
+up on at call time).  Each `eval` and `simulate` line holds `write_s`, the
+wall seconds of `mginf.cli.write_csv`, the exact CSV writer (wrapped the same
+way).  Command stdout is discarded; CSVs go to a temporary directory.
 
 Example:
     PYTHONPATH=src python3 scripts/profile_commands.py --workload table-ramp --seed 5 --rounds 3
@@ -38,7 +39,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from mginf import transforms, verify
+from mginf import cli, transforms, verify
 from mginf.cli import main as mginf_main
 
 EVAL_SECONDS = 0.25  # bench/run.py's EVAL_MIN_S
@@ -100,13 +101,31 @@ def time_checks() -> None:
         setattr(verify, name, timed(name, getattr(verify, name)))
 
 
+WRITE_SECONDS = []  # wall seconds of each CSV write since the last timed call
+
+
+def time_writer() -> None:
+    """Wrap cli.write_csv so each call adds its wall time to WRITE_SECONDS."""
+    write = cli.write_csv
+
+    def timed(*args, **kwargs):
+        start = time.perf_counter()
+        try:
+            return write(*args, **kwargs)
+        finally:
+            WRITE_SECONDS.append(time.perf_counter() - start)
+
+    cli.write_csv = timed
+
+
 def timed_call(argv: list[str]) -> dict:
     """Exit code, wall seconds, minor faults, CSV digest and series points of one call.
 
-    A `verify` call also reports `checks_s`.
+    A `verify` call also reports `checks_s`, an `eval` or `simulate` call `write_s`.
     """
     SOLVED.clear()
     CHECK_SECONDS.clear()
+    WRITE_SECONDS.clear()
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     start = time.perf_counter()
     with contextlib.redirect_stdout(io.StringIO()):
@@ -120,6 +139,8 @@ def timed_call(argv: list[str]) -> dict:
               "series_points": sum(SOLVED)}
     if argv[0] == "verify":
         result["checks_s"] = {name: round(sec, 6) for name, sec in CHECK_SECONDS.items()}
+    else:
+        result["write_s"] = round(sum(WRITE_SECONDS), 6)
     return result
 
 
@@ -131,6 +152,7 @@ def main() -> int:
     args = ap.parse_args()
     count_series_points()
     time_checks()
+    time_writer()
     with tempfile.TemporaryDirectory() as tmp:
         calls = command_argvs(args.workload, args.seed, Path(tmp))
         for rnd in range(-1, args.rounds):  # round -1 is the warm-up

@@ -304,7 +304,9 @@ def cmd_verify(config: RunConfig) -> int:
     return EXIT_VERIFY_FAIL if failed else EXIT_OK
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _common_options() -> argparse.ArgumentParser:
+    """The options every subcommand takes, declared once for `parents=`."""
+    p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--lambda", dest="lam", type=float, required=True,
                    help="Poisson arrival rate")
     p.add_argument("--rho", type=float, required=True, help="traffic intensity")
@@ -319,6 +321,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--cycles", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="output file (default stdout)")
+    return p
 
 
 def main(argv=None) -> int:
@@ -327,12 +330,12 @@ def main(argv=None) -> int:
         description="M|G|inf busy period and busy cycle distributions for the "
                     "Riccati service family",
     )
+    common = _common_options()
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_ in (("eval", "evaluate analytic curves to CSV"),
                         ("simulate", "run regenerative Monte Carlo"),
                         ("verify", "run the cross-validation suite")):
-        p = sub.add_parser(name, help=help_)
-        _add_common(p)
+        sub.add_parser(name, help=help_, parents=[common])
     args = parser.parse_args(argv)
     try:
         config = _build_config(args)

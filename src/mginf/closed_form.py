@@ -4,12 +4,12 @@ For a constant monotony indicator beta, the service CDF, busy-period CDF and
 busy-cycle CDF of the M|G|inf queue all have elementary expressions built from
 exponentials plus an atom at zero: 1 - B = C e^{-gamma t}, and Z = B * Exp(lambda)
 is a mix of two exponentials.  `cycle_survival` evaluates that mix from any
-time T on, given gamma, B's survival at T and Z's; it is Z here, from T = 0,
-and the tail of a tabulated law's Z past its series grid
-(`ServiceLaw.cycle_cdf`).  Its one expm1 form stays exact through the
-confluent point gamma = lambda, with no switch.  Everything is written in
-overflow-safe form: only decaying exponentials are evaluated.
-`survival_mean` integrates 1 - F for the mean identities.
+time T on, given gamma, B's survival at T and Z's: Z here, from T = 0, and
+every law's Z past T (`ServiceLaw.cycle_cdf`), T = 0 for constant beta.  Its
+one expm1 form stays exact through the confluent point gamma = lambda, with
+no switch.  Everything is written in overflow-safe form: only decaying
+exponentials are evaluated.  `survival_mean` integrates 1 - F for the mean
+identities.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""One service law per (lambda, rho, beta): the kernel and the only route choice.
+"""One service law per (lambda, rho, beta): its kernel, and the laws B and Z it drives.
 
 Everything is driven by the kernel f(t) = exp(-lambda*t - int_0^t beta(u)du),
 normalised by its integral I = int_0^inf f: with phi = f/I and the prefix
@@ -12,11 +12,10 @@ integral, and G inverts in closed form; only [0, t_knot] is numeric, and for
 constant beta (t_knot = 0) nothing is.  Every admissible beta, constant,
 tabulated or the degenerate endpoint beta = -lambda, is one law: at r = 0 the
 integral diverges, 1/I is exactly 0, so phi == Phi == 0 and G == 1, the limit
-of the formula above.  Only the busy-period and busy-cycle laws choose: the
-closed forms when beta is constant, otherwise the series grids at the law's
-step up to the point where they meet their exponential tail
-1 - B ~ C e^{-gamma t}, and that tail, closed form, past it.  (gamma, C) solve
-the renewal equation's characteristic equation in the kernel's Laplace
+of the formula above.  B and Z take one path too: the series grids at the
+law's step up to T, where they meet the exponential tail 1 - B ~ C e^{-gamma t},
+and that tail, closed form, past T, exact from T = 0 when t_knot = 0.  (gamma, C)
+solve the renewal equation's characteristic equation in the kernel's Laplace
 transform, whose Simpson sums on the kernel grid also give the kernel-form
 busy-period transform; the grids are solved once per law, on first use.
 """
@@ -53,11 +52,9 @@ class ServiceLaw:
     vectorised over t; `quantile`, the inverse of `cdf` (exactly 0 inside the
     atom), is vectorised over u in [0, 1).  At the degenerate endpoint the law
     gives G == 1, atom 1, quantile 0 and p00 == 1.  `indicator` is beta(t)
-    itself.  `busy_cdf` and `cycle_cdf` are the closed forms when beta is
-    constant; otherwise they interpolate the series grids up to their end T
-    and are closed form in `busy_tail` past it.  With `idle_cdf` they are the
-    reference curves of the Monte Carlo checks.
-    `beta` is the constant, or None when no closed form exists.
+    itself.  `busy_cdf` and `cycle_cdf` are closed form in `busy_tail` past
+    T and interpolate the series grids before it, T = 0 for constant beta.
+    With `idle_cdf` they are the reference curves of the Monte Carlo checks.
 
     The constructor integrates the kernel once on [0, t_knot], with a step of
     at most 1e-3/(lambda + max|beta|), the kernel's own rate, and caches 1/I,
@@ -76,7 +73,6 @@ class ServiceLaw:
         spec = vbeta.spec
         self.params, self.spec = params, spec
         self.step = default_step(params, spec) if step is None else step
-        self.beta = spec.constant
         self.indicator = spec.value
         self.tail_rate = tail_rate = params.lam + spec.tail_rate()  # r
         self.t_knot = t_knot = spec.last_knot  # the kernel is exponential beyond it
@@ -311,7 +307,7 @@ class ServiceLaw:
         wf, twf = weights * f, tweights * f
         return nodes, weights, tweights, wf, twf, log_f, wf.sum(), twf.sum()
 
-    def kernel_moments(self, g: float) -> tuple[float, float]:
+    def kernel_moments(self, g: float, x: float | None = None) -> tuple[float, float]:
         """L(g) - 1 and L'(g), L(g) = int_0^inf e^{g t} phi(t) dt, for g < r.
 
         Simpson sums over the kernel grid's cells, plus closed forms past
@@ -319,7 +315,7 @@ class ServiceLaw:
         t_knot + u.  While g t_knot < 1 the body is f (e^{g t} - 1) by expm1,
         with no cancellation, which covers every g <= 0; past it f e^{g t} is
         formed in logs, since f may underflow where e^{g t} would overflow.
-        At r = 0, phi == 0: (-1, 0).
+        x is r - g, unless `busy_tail` passes its own.  At r = 0: (-1, 0).
         """
         if self.inv_total == 0.0:
             return -1.0, 0.0
@@ -335,7 +331,7 @@ class ServiceLaw:
                 body, tbody = (weights * grow).sum() - mass, (tweights * grow).sum()
                 log_fk = -self.params.lam * tk - float(self.spec.cumulative(tk))
                 knot = np.exp(log_fk + g * tk) - fk
-            x = r - g
+            x = r - g if x is None else x
             d0 = body + (r * knot + g * fk) / (r * x)
             d1 = tbody + (knot + fk) * (tk / x + 1.0 / x**2)
         return self.inv_total * d0, self.inv_total * d1
@@ -356,32 +352,36 @@ class ServiceLaw:
         [0, r), a Newton step on the concave F lands right of the root; from
         the right, Newton steps on the convex log((1 - e^{-rho}) L) fall to it
         monotonically, also where e^{g t} over the body dominates L; a step
-        that leaves the bracket bisects it.  For constant beta F is linear, so
-        the first step gives gamma = (lambda + beta) e^{-rho} and
-        C = (1 - e^{-rho}) r/lambda = 1 - G(0): the closed form, exact from
-        t = 0.  At r = 0, 1/I = 0 and a = 0: (0, 0).
+        that leaves the bracket bisects it.  g and x = r - g are stepped
+        apart: near r (small rho) r - g keeps only the bits g leaves, which
+        put C, as x^2, off by 6e-17/rho.  For constant beta F is linear: the
+        first step gives gamma = (lambda + beta) e^{-rho}, C = 1 - G(0), the
+        closed form to rounding.  At r = 0, 1/I = 0 and a = 0: (0, 0).
         """
         if self.inv_total == 0.0:
             return 0.0, 0.0
         r = self.tail_rate
         q0 = self.params.exp_neg_rho
         w = 1.0 - q0
-        g, lo, hi = 0.0, 0.0, r
+        g, x, lo, hi = 0.0, r, (0.0, r), (r, 0.0)  # the bracket's ends as (g, x)
         with np.errstate(all="ignore"):  # a non-finite step bisects
             for _ in range(100):
-                d0, d1 = self.kernel_moments(g)
+                d0, d1 = self.kernel_moments(g, x)
                 num = q0 - w * d0  # F/(r - g)
                 if num > 0.0:  # left of the root: Newton on F, concave, lands right of it
-                    lo = g
-                    step = (r - g) * num / (num + (r - g) * w * d1)
+                    lo = g, x
+                    slope = x * w * d1
+                    step = x * num / (num + slope)
+                    x *= slope / (num + slope)
                 else:  # right of it: Newton on log((1 - e^{-rho}) L), convex, so monotone
-                    hi = g
+                    hi = g, x
                     step = -(np.log1p(d0) + np.log1p(-q0)) * (1.0 + d0) / d1
+                    x -= step
                 g += step
                 if abs(step) <= 1e-12 * g:  # converging quadratically: g is good to rounding
                     break
-                if not lo < g < hi:
-                    g = 0.5 * (lo + hi)
+                if not lo[0] < g < hi[0]:
+                    g, x = 0.5 * (lo[0] + hi[0]), 0.5 * (lo[1] + hi[1])
         # L' from before the last step, which moved g by 1e-12 of itself at most
         return float(g), float(1.0 / (self.params.lam * w * d1))
 
@@ -393,33 +393,30 @@ class ServiceLaw:
         return b, transforms.busy_cycle_cdf_series(self.params, b)
 
     def busy_cdf(self, t):
-        """B(t): the closed form for constant beta; else the grid, then 1 - C e^{-gamma t}."""
-        if self.beta is not None:
-            return cf.busy_period_cdf(self.params, self.beta, t)
+        """B(t) = 1 - C e^{-gamma t} past T, (gamma, C) from `busy_tail`; see `_past_grid`."""
         gamma, c = self.busy_tail
-        return _grid_then(self.series[0], t, lambda u, end: 1.0 - c * np.exp(-gamma * (u + end)))
+        return self._past_grid(0, t, lambda u, end, _: 1.0 - c * np.exp(-gamma * (u + end)))
 
     def cycle_cdf(self, t):
-        """Z(t): closed form for constant beta; else the grid to its end T, then closed form.
-
-        Past T, Z is `closed_form.cycle_survival` with busy_tail's gamma, weight
-        lambda C e^{-gamma T} and idle mass 1 - Z(T).
-        """
-        if self.beta is not None:
-            return cf.busy_cycle_cdf(self.params, self.beta, t)
+        """Z(t) = 1 - `cf.cycle_survival` past T, weight lambda C e^{-gamma T} and idle 1 - Z(T)."""
         gamma, c = self.busy_tail
         lam = self.params.lam
-        z = self.series[1]
-        return _grid_then(z, t, lambda u, end: 1.0 - cf.cycle_survival(
-            lam, gamma, c * lam * math.exp(-gamma * end), 1.0 - z.values[-1], u))
+        return self._past_grid(1, t, lambda u, end, z_end: 1.0 - cf.cycle_survival(
+            lam, gamma, c * lam * math.exp(-gamma * end), 1.0 - z_end, u))
 
+    def _past_grid(self, curve: int, t, tail):
+        """tail(t - T, T, Z(T)) on np.atleast_1d(t), and series[curve] interpolated on [0, T].
 
-def _grid_then(g: GridFunction, t, tail):
-    """g linearly interpolated on [0, T], T its last time, and tail(t - T, T) past T."""
-    tt = np.atleast_1d(cf.check_time(t))
-    end = (g.values.size - 1) * g.step
-    out = np.interp(tt, g.times, g.values)
-    past = tt > end
-    if past.any():
-        out[past] = tail(tt[past] - end, end)
-    return _like(t, out)
+        T is the walked grid's end, where the grid meets its exponential tail;
+        at t_knot = 0 the tail is exact from t = 0, T = 0, and nothing walks.
+        """
+        tt = np.atleast_1d(cf.check_time(t))
+        if self.t_knot == 0:
+            return _like(t, tail(tt, 0.0, 0.0))
+        grid = self.series[curve]
+        end = (grid.values.size - 1) * grid.step
+        out = tail(tt - end, end, self.series[1].values[-1])
+        body = tt <= end
+        if body.any():
+            out[body] = np.interp(tt[body], grid.times, grid.values)
+        return _like(t, out)

@@ -312,11 +312,10 @@ def busy_period_laplace_from_service(law: ServiceLaw, s_points) -> list[LaplaceP
     offsets = np.concatenate([[0], np.cumsum(counts)])  # each piece's first node
     steps = widths / counts
     ts = np.arange(offsets[-1] + 1, dtype=float)
-    for lo, hi, a, h in zip(offsets, offsets[1:], edges, steps):
-        piece = ts[lo:hi]  # node lo + k is a + k h
-        piece -= lo
-        piece *= h
-        piece += a
+    body = ts[:-1]  # node lo + k of a piece from a, spaced h, is a + k h
+    body -= np.repeat(offsets[:-1], counts)
+    body *= np.repeat(steps, counts)
+    body += np.repeat(edges[:-1], counts)
     ts[-1] = t_star
     y = np.subtract(1.0, law.cdf(ts))
     y *= params.lam
@@ -328,8 +327,7 @@ def busy_period_laplace_from_service(law: ServiceLaw, s_points) -> list[LaplaceP
     cells = inner[1:]
     np.add(y[:-2:2], np.multiply(y[1::2], 4.0, out=cells), out=cells)
     cells += y[2::2]
-    for lo, hi, h in zip(half, half[1:], steps):
-        cells[lo:hi] *= h / 3.0
+    cells *= np.repeat(steps / 3.0, counts // 2)
     np.cumsum(cells, out=cells)
     even = ts[::2]
     integrand = y[:half[-1] + 1]  # lambda (1 - G) is spent: its first half holds each integrand

@@ -27,7 +27,7 @@ POINTS = {
         "ddd160b674f42fcfbc3e267c18edad0b6665d8f347d4612c476280781dc85740",
         "5bc20400dcfe29a92000aa8863cf4011f4af2f768eaad49a268d1f14d6dc95a4")),
     "heavy-series": (3.0, 0.0, 20_000, (
-        "cfee4890200616598dfcdc7839505b89ab5a4c852a2af9c75bde754af89ca243",
+        "49fd692f9865ef86030d75daec2f02600399fe4aff6349da9e6efc47553cef7c",
         "c095b3aa07d0bf0dc47cc501d03832976fee27b128710fcb6c74433f3a77e1b4",
         "8b48a6fa4892fa7534ca43fa5bd3affc70f3ff5eb3a2cc9395bd6dc340f7280f")),
 }

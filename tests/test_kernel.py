@@ -3,12 +3,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from mginf import closed_form as cf
 from mginf.errors import BetaOutOfRange, DivergentKernelIntegral, NegativeTime, NonFiniteParameter
 from mginf.law import ServiceLaw
 from mginf.params import BetaSpec, ValidatedBeta, beta_bounds, validate_beta, validate_queue_params
-from mginf.verify import riccati_residual
+from mginf.verify import check_bound_ordering, riccati_residual
 
 P11 = validate_queue_params(1.0, 1.0)
 PLN2 = validate_queue_params(1.0, math.log(2))
@@ -442,3 +443,89 @@ def test_cdf_and_p00_hold_at_most_three_arrays_of_their_points(spec):
         finally:
             tracemalloc.stop()
         assert peak <= 3 * 8 * n
+
+
+# ---- property sweeps over the admissible range ------------------------------
+
+LAMBDAS = st.floats(-3.0, 3.0).map(lambda x: 10.0**x)  # log-uniform on [1e-3, 1e3]
+RHOS = st.floats(1e-3, 14.0)
+SWEEP = settings(max_examples=100, deadline=2000)  # milliseconds per example
+
+# A constant law's (gamma, C) come from Newton steps and L'(gamma), a few roundings
+# more than the closed forms take: over 34,000 draws of this domain its B and Z
+# differed from them by at most 8.9e-16 (4 ulps of 1), and by over 4.4e-16 in 1-2 %.
+CLOSED_FORM_TOL = 1.1e-15
+
+
+def constant_law(lam, rho, u):
+    """The law at beta = (1 - u) lo + u hi, [lo, hi] the admissible range, ends exactly."""
+    p = validate_queue_params(lam, rho)
+    lo, hi = beta_bounds(p)
+    return ServiceLaw(p, validate_beta(p, BetaSpec(constant=(1.0 - u) * lo + u * hi)))
+
+
+@given(lam=LAMBDAS, rho=RHOS, u=st.floats(0.0, 1.0))
+@example(lam=1.0, rho=math.log(2), u=0.0)
+@example(lam=1.0, rho=math.log(2), u=0.5)
+@example(lam=1.0, rho=math.log(2), u=1.0)
+# gamma near r: C from the difference r - gamma was off by 6e-14 relative here
+@example(lam=1.0, rho=1e-3, u=1.0)
+@example(lam=1e3, rho=14.0, u=0.0)
+@SWEEP
+def test_constant_busy_and_cycle_laws_are_their_closed_forms(lam, rho, u):
+    law = constant_law(lam, rho, u)
+    p, beta = law.params, law.spec.constant
+    ts = np.linspace(0.0, 30.0 * math.exp(rho) / lam, 2000)  # 30 mean busy cycles
+    assert np.max(np.abs(law.busy_cdf(ts) - cf.busy_period_cdf(p, beta, ts))) <= CLOSED_FORM_TOL
+    assert np.max(np.abs(law.cycle_cdf(ts) - cf.busy_cycle_cdf(p, beta, ts))) <= CLOSED_FORM_TOL
+
+
+@given(lam=LAMBDAS, rho=RHOS, u=st.sampled_from([0.0, 1.0]) | st.floats(0.01, 0.99))
+@example(lam=1.0, rho=math.log(2), u=0.0)
+@example(lam=1.0, rho=math.log(2), u=1.0)
+@SWEEP
+def test_paper_floors_pass_at_the_endpoints_and_fail_inside(lam, rho, u):
+    # the floors are the laws at the upper end, which every interior law of the same mean
+    # crosses; from 1 % of the range inside either end that crossing exceeds the slack
+    busy, cycle, ceiling = check_bound_ordering(constant_law(lam, rho, u))
+    want = "PASS" if u in (0.0, 1.0) else "FAIL"
+    assert (busy.status, cycle.status, ceiling.status) == (want, want, "PASS")
+
+
+@pytest.mark.parametrize("rho, u, want", [
+    (3.0, 1e-6, ("PASS", "PASS")),  # the crossings fall past the 12 mean cycles checked
+    (14.0, 1e-6, ("PASS", "PASS")),
+    (1e-3, 0.999, ("FAIL", "PASS")),  # the cycle floor is crossed by 9.9e-10 < 1e-9
+])
+def test_a_floor_fails_only_where_its_crossing_exceeds_the_slack(rho, u, want):
+    busy, cycle, _ = check_bound_ordering(constant_law(1.0, rho, u))
+    assert (busy.status, cycle.status) == want
+
+
+@given(lam=LAMBDAS, rho=RHOS, c=st.sampled_from([0.01, 4.0, 37.0]), constant=st.booleans(),
+       rows=st.lists(st.tuples(st.floats(0.01, 3.0), st.floats(-0.25, 1.25)),
+                     min_size=1, max_size=3))
+@SWEEP
+def test_laws_are_invariant_under_time_scaling(lam, rho, c, constant, rows):
+    # (lambda, beta(t), t) -> (c lambda, c beta(t/c), t/c) leaves G, B and Z as they are.
+    # Knot k sits at the sum of the first k gaps, in units of 1/(lambda + max(lambda, hi)),
+    # with beta_k = (1 - u_k) lo + u_k hi; a constant is beta_0.  Measured: 7e-15 at most.
+    p = validate_queue_params(lam, rho)
+    lo, hi = beta_bounds(p)
+    ts = np.concatenate([[0.0], np.cumsum([gap for gap, _ in rows[1:]])]) / (lam + max(lam, hi))
+    assume(np.all(np.diff(ts) > 0))
+    knots = [(float(t), (1.0 - u) * lo + u * hi) for t, (_, u) in zip(ts, rows)]
+
+    def law(scale):
+        q = validate_queue_params(scale * lam, rho)
+        spec = (BetaSpec(constant=scale * knots[0][1]) if constant
+                else BetaSpec(knots=tuple((t / scale, scale * b) for t, b in knots)))
+        try:
+            return ServiceLaw(q, validate_beta(q, spec))
+        except BetaOutOfRange:
+            assume(False)
+
+    base, scaled = law(1.0), law(c)
+    t = np.linspace(0.0, 30.0 * math.exp(rho) / lam, 2000)
+    for fn in ("cdf", "busy_cdf", "cycle_cdf"):
+        assert np.max(np.abs(getattr(base, fn)(t) - getattr(scaled, fn)(t / c))) <= 1e-13, fn

@@ -48,6 +48,10 @@ def test_profile_commands_prints_one_json_line_per_call():
         assert c["series_points"] == 4096, c
         # verify times each of its checks; the ramp runs the envelope check, not the closed forms
         assert ("checks_s" in c) == (c["command"] == "verify")
+        # eval and simulate time their CSV writer, which is part of their wall time
+        assert ("write_s" in c) == (c["command"] != "verify")
+        if "write_s" in c:
+            assert 0 < c["write_s"] <= c["wall_s"], c
         if c["command"] == "verify":
             assert {"check_series_envelope", "check_transform_consistency",
                     "check_riccati_residual", "check_monte_carlo"} == set(c["checks_s"]), c

@@ -246,9 +246,15 @@ def test_romberg_is_exact_to_degree_seven():
     assert abs(romberg - (1.0 - math.exp(-34.0)) / 5.0) < 5e-12
 
 
+# 2000 knots of beta = 0.1 sin t on [0, 10]: pieces far narrower than t*/2500, each of 16 intervals
+SINE_TABLE = BetaSpec(knots=tuple((float(t), 0.1 * math.sin(t))
+                                  for t in np.linspace(0.0, 10.0, 2000)))
+
+
 @pytest.mark.parametrize("law", [law_for(P11, 0.0), law_for(PLN2, 1.0),
-                                 ServiceLaw(P11, validate_beta(P11, RAMP))],
-                         ids=["beta=0", "ln2 upper", "ramp"])
+                                 ServiceLaw(P11, validate_beta(P11, RAMP)),
+                                 ServiceLaw(P11, validate_beta(P11, SINE_TABLE))],
+                         ids=["beta=0", "ln2 upper", "ramp", "2000 knots"])
 def test_laplace_from_service_is_bit_identical_and_leaves_the_cdf_values_alone(law, monkeypatch):
     returned = []
     cdf = law.cdf
