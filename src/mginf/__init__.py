@@ -1,8 +1,8 @@
 """M|G|inf busy-period and busy-cycle distributions for the Riccati service family."""
 
 from .params import (
-    BetaSpec, QueueParams, ValidatedBeta, beta_bounds, load_beta_table, running_average_beta,
-    validate_beta, validate_queue_params,
+    BetaSpec, QueueParams, beta_bounds, load_beta_table, running_average_beta, validate_beta,
+    validate_queue_params,
 )
 from .closed_form import (
     busy_cycle_cdf, busy_period_cdf, busy_start_empty_probability, cycle_survival,

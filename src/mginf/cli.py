@@ -30,7 +30,7 @@ from .errors import (
     EmptySample, MginfError, NegativeParameter, NonFiniteParameter, NonPositiveParameter,
 )
 from .law import ServiceLaw
-from .params import BetaSpec, load_beta_table, validate_beta, validate_queue_params
+from .params import BetaSpec, load_beta_table, validate_queue_params
 from .simulate import empirical_cdf, ks_distance, run_cycles, cycle_summary
 from .transforms import default_step, grid_points
 from .verify import verify_point
@@ -76,9 +76,8 @@ def _build_config(args) -> RunConfig:
         raise MginfError(f"--t-max must be > 0, got {t_max}")
     if step <= 0:
         raise MginfError(f"--step must be > 0, got {step}")
-    vbeta = validate_beta(params, spec)
     return RunConfig(
-        law=ServiceLaw(params, vbeta, min(h, step)),
+        law=ServiceLaw(params, spec, min(h, step)),
         t_max=t_max,
         step=step,
         cycles=args.cycles,

@@ -45,10 +45,6 @@ class DegenerateDistribution(MginfError):
     pass
 
 
-class DivergentKernelIntegral(MginfError):
-    pass
-
-
 class NegativeS(MginfError):
     pass
 

@@ -29,9 +29,9 @@ import numpy as np
 
 from . import closed_form as cf
 from . import transforms
-from .errors import (BetaOutOfRange, DivergentKernelIntegral, GridTooLarge, NonFiniteParameter,
-                     ProbabilityOutOfRange, StepTooCoarse)
-from .params import QueueParams, ValidatedBeta
+from .errors import (BetaOutOfRange, GridTooLarge, NonFiniteParameter, ProbabilityOutOfRange,
+                     StepTooCoarse)
+from .params import BetaSpec, QueueParams, validate_beta
 from .transforms import MAX_GRID_POINTS, GridFunction, default_step
 
 
@@ -62,24 +62,23 @@ class ServiceLaw:
     p00 are closed form in them, not only the quantile.
     With body = int_0^{t_knot} f and f_end = f(t_knot), r I = r body + f_end,
     so 1/I = r/(r body + f_end) and m = f_end/(r body + f_end) are finite for
-    every r >= 0; only r < 0, where f grows, is rejected.  `step` is that of
+    every r >= 0.  Before any of this the constructor certifies spec for
+    params with `validate_beta`, so every law is admissible for the params it
+    holds, and r >= 0: the certificate rejects beta(inf) < -lambda exactly,
+    and lambda + beta(inf) then rounds to >= 0.  `step` is that of
     the series grids (by default `default_step`); a step too coarse for the
     kernel's rate raises StepTooCoarse, and without a closed form the first
     block of the series grid is sized here too, so one beyond MAX_GRID_POINTS
     raises GridTooLarge, both before any caller simulates or writes output.
     """
 
-    def __init__(self, params: QueueParams, vbeta: ValidatedBeta, step: float | None = None):
-        spec = vbeta.spec
+    def __init__(self, params: QueueParams, spec: BetaSpec, step: float | None = None):
+        validate_beta(params, spec)
         self.params, self.spec = params, spec
         self.step = default_step(params, spec) if step is None else step
         self.indicator = spec.value
         self.tail_rate = tail_rate = params.lam + spec.tail_rate()  # r
         self.t_knot = t_knot = spec.last_knot  # the kernel is exponential beyond it
-        if tail_rate < 0:
-            raise DivergentKernelIntegral(
-                f"kernel tail rate lambda + beta(inf) must be >= 0 (got {tail_rate})"
-            )
         rate = params.lam + spec.max_abs
         if self.step * rate > 0.01 * (1 + 1e-9):
             raise StepTooCoarse(f"step {self.step} too coarse for rates up to {rate}")

@@ -3,8 +3,8 @@
 The service-time family is parameterized by a rate function beta(t), either a
 single constant or a piecewise-linear table.  A beta function is admissible when
 its running average (1/t) * int_0^t beta(u) du stays inside [-lambda,
-lambda/(e^rho - 1)] for every t > 0; every downstream module requires a
-certified ValidatedBeta.
+lambda/(e^rho - 1)] for every t > 0; `validate_beta` certifies that, and
+ServiceLaw calls it on the params and spec it is given before it builds anything.
 """
 
 from __future__ import annotations
@@ -48,7 +48,8 @@ class BetaSpec:
     A tabulated spec holds (t, beta) knots with strictly increasing abscissae
     starting at t = 0; beta is piecewise linear between knots and held constant
     at the last ordinate beyond the table.  A constant is stored as the
-    one-knot table ((0, constant),), so both evaluate the same way.
+    one-knot table ((0, constant),), so both evaluate the same way, and a
+    one-knot table is stored as the constant it equals.
     """
 
     constant: float | None = None
@@ -69,6 +70,9 @@ class BetaSpec:
                 raise InvalidTable("first knot must be at t = 0")
             if any(b <= a for a, b in zip(ts, ts[1:])):
                 raise InvalidTable("knot abscissae must be strictly increasing")
+            if len(self.knots) == 1:
+                object.__setattr__(self, "constant", float(self.knots[0][1]))
+                object.__setattr__(self, "knots", None)
         knots = self.knots if self.knots is not None else ((0.0, self.constant),)
         ts = np.array([k[0] for k in knots], dtype=float)
         vs = np.array([k[1] for k in knots], dtype=float)
@@ -131,14 +135,6 @@ class BetaSpec:
         return float(out[0]) if scalar else out
 
 
-@dataclass(frozen=True)
-class ValidatedBeta:
-    """A BetaSpec certified admissible for params on the whole half-line t > 0."""
-
-    spec: BetaSpec
-    params: QueueParams
-
-
 def validate_queue_params(lam: float, rho: float) -> QueueParams:
     """Check and package (lambda, rho); alpha = rho/lambda is derived."""
     for name, v in (("lambda", lam), ("rho", rho)):
@@ -157,14 +153,15 @@ def beta_bounds(params: QueueParams) -> tuple[float, float]:
     return -params.lam, params.lam / math.expm1(params.rho)
 
 
-def validate_beta(params: QueueParams, spec: BetaSpec) -> ValidatedBeta:
+def validate_beta(params: QueueParams, spec: BetaSpec) -> None:
     """Certify that the running average C(t)/t, C = int_0^t beta, is in beta_bounds for all t > 0.
 
     beta is piecewise linear, so C(t)/t takes its extremes among its limits
     beta(0) and beta(inf), its values at the knots, and inside a segment where
     t beta(t) = C(t): with slope s_k != 0 that is t_k + u,
     u = -t_k + sqrt(t_k^2 - 2 (t_k beta_k - C(t_k))/s_k) in (0, t_{k+1} - t_k).
-    The check is exact; a constant is the one-knot table.
+    The check is exact; a constant is the one-knot table.  Raises
+    BetaOutOfRange where the running average leaves the range.
     """
     lo, hi = beta_bounds(params)
     ts, vs, cs = spec._ts, spec._vs, spec._prefix
@@ -182,14 +179,13 @@ def validate_beta(params: QueueParams, spec: BetaSpec) -> ValidatedBeta:
             f"running average of beta at t={where[i]:.6g} is {avg[i]:.6g}, "
             f"outside [{lo}, {hi:.6f}]"
         )
-    return ValidatedBeta(spec=spec, params=params)
 
 
-def running_average_beta(vbeta: ValidatedBeta, t: float) -> float:
+def running_average_beta(spec: BetaSpec, t: float) -> float:
     """(1/t) int_0^t beta(u) du."""
     if t <= 0:
         raise NonPositiveTime(f"t must be > 0, got {t}")
-    return float(vbeta.spec.cumulative(t)) / t
+    return float(spec.cumulative(t)) / t
 
 
 def load_beta_table(path: str | Path) -> BetaSpec:

@@ -4,9 +4,9 @@ Each check takes a ServiceLaw and compares two independent routes to the
 same quantity (closed form, kernel evaluation, Laplace transform, grid
 solution of the convolution equation, Monte Carlo) at a fixed tolerance.
 Every law, the degenerate endpoint beta = -lambda included, has a kernel,
-so every check runs there too; the bound-ordering grid is in units of the
-law's own mean busy cycle e^rho/lambda, the Riccati grid in units of the
-service law's 1/(lambda + max|beta|).
+so every check runs there too; the bound-ordering grid reaches past every
+floor crossing, the Riccati grid spans the service law's own scale
+1/(lambda + max|beta|).  Each gate is a module constant.
 The series and Monte Carlo checks share the law's (B, Z) grids, so each
 law's busy-period equation is solved once.  Used by the CLI `verify`
 subcommand and the acceptance tests.
@@ -21,6 +21,7 @@ import numpy as np
 
 from . import closed_form as cf
 from .law import ServiceLaw
+from .params import beta_bounds
 from .simulate import empirical_cdf, ks_distance, run_cycles
 from .transforms import (
     LaplacePoint, busy_period_laplace_from_service, busy_period_laplace_general,
@@ -33,6 +34,14 @@ TRANSFORM_S_POINTS = (0.1, 0.5, 1.0, 2.0, 5.0)
 # False-alarm rate of each Monte Carlo KS check: the gate is the DKW critical
 # value sqrt(ln(2/KS_ALPHA) / (2 n)), since P(KS > x) <= 2 exp(-2 n x^2).
 KS_ALPHA = 1e-6
+
+SERIES_TOL = 1e-3  # sup |series - closed form| of B and of Z
+TRANSFORM_TOL = 1e-5  # |kernel form - other route| of the busy-period transform
+MEAN_REL_TOL = 1e-6  # relative error of each mean
+RICCATI_TOL = 1e-3  # the Riccati residual, in units of lambda
+RICCATI_POINTS = 100  # samples of that residual
+BOUND_POINTS = 5000  # samples of the bound-ordering grid
+BOUND_SLACK = 1e-9  # rounding slack by which a curve may cross a bound
 
 
 @dataclass(frozen=True)
@@ -50,23 +59,17 @@ def _result(name: str, ok: bool, detail: str) -> CheckResult:
     return CheckResult(name, "PASS" if ok else "FAIL", detail)
 
 
-def _cycle_mean(params) -> float:
-    """e^rho/lambda, the mean busy cycle: the time unit of the checks' grids."""
-    return math.exp(params.rho) / params.lam
-
-
-def riccati_residual(law: ServiceLaw, n_points: int = 100, t_max: float | None = None) -> float:
+def riccati_residual(law: ServiceLaw) -> float:
     """Max defect of the service-CDF ODE dG/dt = -lam*G^2 - (beta-lam)*G + beta, in units of lam.
 
-    The default horizon t_knot + 30/(lam + max|beta|) is the service law's own
-    scale, where 1 - G is still far above rounding at any rho; with the
-    difference step 1e-5/lam the residual does not change when
+    The horizon t_knot + 30/(lam + max|beta|) is the service law's own scale,
+    where 1 - G is still far above rounding at any rho; with the difference
+    step 1e-5/lam the residual does not change when
     (lam, beta, t) -> (c lam, c beta, t/c).
     """
     lam = law.params.lam
-    if t_max is None:
-        t_max = law.t_knot + 30.0 / (lam + law.spec.max_abs)
-    ts = np.linspace(t_max / n_points, t_max, n_points)
+    t_max = law.t_knot + 30.0 / (lam + law.spec.max_abs)
+    ts = np.linspace(t_max / RICCATI_POINTS, t_max, RICCATI_POINTS)
     eps = 1e-5 / lam
     dg = (law.cdf(ts + eps) - law.cdf(ts - eps)) / (2 * eps)
     g = law.cdf(ts)
@@ -75,14 +78,14 @@ def riccati_residual(law: ServiceLaw, n_points: int = 100, t_max: float | None =
     return float(np.max(np.abs(dg - rhs))) / lam
 
 
-def check_series_vs_closed_form(law: ServiceLaw, tol_sup: float = 1e-3) -> list[CheckResult]:
+def check_series_vs_closed_form(law: ServiceLaw) -> list[CheckResult]:
     b_grid, z_grid = law.series
     ts, beta = b_grid.times, law.spec.constant
     db = float(np.max(np.abs(b_grid.values - cf.busy_period_cdf(law.params, beta, ts))))
     dz = float(np.max(np.abs(z_grid.values - cf.busy_cycle_cdf(law.params, beta, ts))))
     return [
-        _result("busy period: series vs closed form", db < tol_sup, f"sup distance {db:.2e}"),
-        _result("busy cycle: series vs closed form", dz < tol_sup, f"sup distance {dz:.2e}"),
+        _result("busy period: series vs closed form", db < SERIES_TOL, f"sup distance {db:.2e}"),
+        _result("busy cycle: series vs closed form", dz < SERIES_TOL, f"sup distance {dz:.2e}"),
     ]
 
 
@@ -104,26 +107,25 @@ def kernel_form_transform(law: ServiceLaw) -> list[LaplacePoint]:
     return [busy_period_laplace_general(law, c * law.params.lam) for c in TRANSFORM_S_POINTS]
 
 
-def check_transform_consistency(law: ServiceLaw, kernel_form: list[LaplacePoint],
-                                tol: float = 1e-5) -> list[CheckResult]:
+def check_transform_consistency(law: ServiceLaw,
+                                kernel_form: list[LaplacePoint]) -> list[CheckResult]:
     """`kernel_form_transform` against nested quadrature of G at the same points, in one pass."""
     direct = busy_period_laplace_from_service(law, [lp.s for lp in kernel_form])
     worst = max(abs(k.value - d.value) for k, d in zip(kernel_form, direct))
     return [_result("busy period transform: kernel form vs nested quadrature",
-                    worst < tol, f"max |diff| {worst:.2e}")]
+                    worst < TRANSFORM_TOL, f"max |diff| {worst:.2e}")]
 
 
-def check_transform_mixture(law: ServiceLaw, kernel_form: list[LaplacePoint],
-                            tol: float = 1e-5) -> list[CheckResult]:
+def check_transform_mixture(law: ServiceLaw, kernel_form: list[LaplacePoint]) -> list[CheckResult]:
     """`kernel_form_transform` against the closed form's atom plus exponential."""
     g0 = law.atom
     mu = law.params.exp_neg_rho * (law.params.lam + law.spec.constant)
     worst = max(abs(lp.value - (g0 + (1.0 - g0) * mu / (lp.s + mu))) for lp in kernel_form)
     return [_result("busy period transform: vs analytic exponential mixture",
-                    worst < tol, f"max |diff| {worst:.2e}")]
+                    worst < TRANSFORM_TOL, f"max |diff| {worst:.2e}")]
 
 
-def check_mean_identities(law: ServiceLaw, rel_tol: float = 1e-6) -> list[CheckResult]:
+def check_mean_identities(law: ServiceLaw) -> list[CheckResult]:
     """Means of the law's G, B, Z against rho'/lam, (e^rho' - 1)/lam, e^rho'/lam (Takacs, 1962).
 
     Each mean is `closed_form.survival_mean` of the law's own curve, with its
@@ -145,38 +147,40 @@ def check_mean_identities(law: ServiceLaw, rel_tol: float = 1e-6) -> list[CheckR
     for name, (cdf, rate, target) in targets.items():
         mean = cf.survival_mean(cdf, rate)
         err = abs(mean - target)
-        out.append(_result(f"{name} = analytic target", err <= rel_tol * target,
+        out.append(_result(f"{name} = analytic target", err <= MEAN_REL_TOL * target,
                            f"|{mean:.10g} - {target:.10g}| = {err:.2e}"))
     return out
 
 
-def check_bound_ordering(law: ServiceLaw, n_points: int = 5000,
-                         slack: float = 1e-9) -> list[CheckResult]:
-    """B and Z against envelope_bounds on t_k = 12 (e^rho/lambda) k/n_points, k = 1..n_points.
+def check_bound_ordering(law: ServiceLaw) -> list[CheckResult]:
+    """B and Z against envelope_bounds on BOUND_POINTS log-spaced t out to every floor crossing.
 
-    The floors are the laws at the upper endpoint, which every interior law of
-    equal mean crosses; a floor FAILs where its crossing on these t_k exceeds
-    the slack.  So both PASS at the endpoints, and may near them; from 1 % of
-    the range inside either end both FAIL at every rho in [1e-3, 14].  The
-    ceiling check always passes.
+    The grid runs from 1e-3/(lambda + hi), hi = lambda/(e^rho - 1), to
+    max(12 e^rho/lambda, 40/r), r the least positive of gamma, hi and lambda:
+    past 40/r, 1 - B, 1 - Z and both floors' survivals are below 41 e^{-40},
+    so no crossing deeper than the slack lies beyond.  The floors are the laws
+    at the upper endpoint, which every interior law of equal mean crosses; a
+    floor FAILs where its crossing exceeds the slack.  So both PASS at the
+    endpoints; from 1 % of the range inside either end both FAIL at every rho
+    in [1e-3, 14].  The ceiling check always passes.
     """
-    ts = 12.0 * _cycle_mean(law.params) * np.arange(1, n_points + 1) / n_points
+    lam, (_, hi) = law.params.lam, beta_bounds(law.params)
+    r = min(x for x in (law.busy_tail[0], hi, lam) if x > 0.0)
+    t_max = max(12.0 * math.exp(law.params.rho) / lam, 40.0 / r)
+    ts = np.geomspace(1e-3 / (lam + hi), t_max, BOUND_POINTS)
     env = cf.envelope_bounds(law.params, ts)
-    b = law.busy_cdf(ts)
-    z = law.cycle_cdf(ts)
-    ok_b = float(np.min(b - env.bp_floor))
-    ok_lo = float(np.min(z - env.cycle_floor))
-    ok_hi = float(np.min(env.cycle_ceiling - z))
-    return [
-        _result("busy period above exponential floor", ok_b >= -slack, f"min slack {ok_b:.2e}"),
-        _result("busy cycle above floor", ok_lo >= -slack, f"min slack {ok_lo:.2e}"),
-        _result("busy cycle below exponential ceiling", ok_hi >= -slack, f"min slack {ok_hi:.2e}"),
-    ]
+    b, z = law.busy_cdf(ts), law.cycle_cdf(ts)
+    gaps = {"busy period above exponential floor": np.min(b - env.bp_floor),
+            "busy cycle above floor": np.min(z - env.cycle_floor),
+            "busy cycle below exponential ceiling": np.min(env.cycle_ceiling - z)}
+    return [_result(name, bool(gap >= -BOUND_SLACK), f"min slack {gap:.2e}")
+            for name, gap in gaps.items()]
 
 
-def check_riccati_residual(law: ServiceLaw, tol: float = 1e-3) -> list[CheckResult]:
+def check_riccati_residual(law: ServiceLaw) -> list[CheckResult]:
     res = riccati_residual(law)
-    return [_result("service CDF solves the Riccati ODE", res < tol, f"max residual {res:.2e}")]
+    return [_result("service CDF solves the Riccati ODE", res < RICCATI_TOL,
+                    f"max residual {res:.2e}")]
 
 
 def check_monte_carlo(law: ServiceLaw, n_cycles: int, seed: int) -> list[CheckResult]:

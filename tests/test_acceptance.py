@@ -25,7 +25,7 @@ from scipy.integrate import quad_vec
 from mginf import closed_form as cf
 from mginf.cli import main
 from mginf.law import ServiceLaw
-from mginf.params import BetaSpec, beta_bounds, validate_beta, validate_queue_params
+from mginf.params import BetaSpec, beta_bounds, validate_queue_params
 from mginf.transforms import (
     busy_period_laplace_from_service,
     busy_period_laplace_general,
@@ -62,14 +62,14 @@ def report(num, ok, detail):
     assert ok, f"criterion {num}: {detail}"
 
 
-def vb(p, beta):
-    return validate_beta(p, BetaSpec(constant=beta))
+def law_at(p, beta):
+    return ServiceLaw(p, BetaSpec(constant=beta))
 
 
 def test_criterion_1_series_equals_closed_form():
     worst = 0.0
     for p, beta in matrix(PARAM_POINTS + HEAVY_POINTS):
-        b, z = ServiceLaw(p, vb(p, beta)).series
+        b, z = law_at(p, beta).series
         ts = b.times
         worst = max(
             worst,
@@ -121,11 +121,11 @@ def test_criterion_4_mean_identities():
         if p.lam + beta <= 0:
             continue
         targets = (p.rho / p.lam, math.expm1(p.rho) / p.lam, math.exp(p.rho) / p.lam)
-        means = law_means(ServiceLaw(p, vb(p, beta)))
+        means = law_means(law_at(p, beta))
         worst = max(worst, *(abs(m - t) / t for m, t in zip(means, targets)))
     # degenerate endpoint checked against its own collapsed means
     for p in PARAM_POINTS + HEAVY_POINTS:
-        z = law_means(ServiceLaw(p, vb(p, -p.lam)))[2]
+        z = law_means(law_at(p, -p.lam))[2]
         worst = max(worst, abs(z - 1.0 / p.lam) * p.lam)
     report(4, worst < 1e-6,
            f"max relative mean error = {worst:.2e} < 1e-6 (beta > -lam matrix)")
@@ -136,7 +136,7 @@ def test_criterion_5_transform_consistency():
     for p, beta in matrix():
         if p.lam + beta <= 0:
             continue
-        law = ServiceLaw(p, vb(p, beta))
+        law = law_at(p, beta)
         g0 = cf.service_atom(p, beta)
         mu = p.exp_neg_rho * (p.lam + beta)
         points = (0.1, 0.5, 1.0, 2.0, 5.0)
@@ -153,10 +153,10 @@ def test_criterion_6_riccati_residual():
     worst = 0.0
     for p in PARAM_POINTS:
         _, hi = beta_bounds(p)
-        worst = max(worst, riccati_residual(ServiceLaw(p, vb(p, 0.5 * hi))))
+        worst = max(worst, riccati_residual(law_at(p, 0.5 * hi)))
     p11 = PARAM_POINTS[0]
     worst = max(worst, riccati_residual(
-        ServiceLaw(p11, validate_beta(p11, RAMP))
+        ServiceLaw(p11, RAMP)
     ))
     report(6, worst < 1e-3, f"max ODE residual = {worst:.2e} < 1e-3")
 
@@ -195,7 +195,7 @@ def test_criterion_7_bound_ordering():
              "ceiling - Z": math.inf}
     bad = []
     for p in PARAM_POINTS + HEAVY_POINTS:
-        # 50 mean busy cycles e^rho/lambda: past the 12 that check_bound_ordering spans
+        # 50 mean busy cycles e^rho/lambda
         ts = 0.01 * math.exp(p.rho) / p.lam * np.arange(1, 5001)
         lo, hi = beta_bounds(p)
         bp_tight, cycle_tight = tight_floors(p, ts)
@@ -208,7 +208,7 @@ def test_criterion_7_bound_ordering():
                              ("Z - tight floor", z - cycle_tight),
                              ("ceiling - Z", env.cycle_ceiling - z)):
                 worst[key] = min(worst[key], float(np.min(gap)))
-            status = {r.name: r.status for r in check_bound_ordering(ServiceLaw(p, vb(p, beta)))}
+            status = {r.name: r.status for r in check_bound_ordering(law_at(p, beta))}
             if beta in (lo, hi):
                 expected = dict.fromkeys((*FLOOR_CHECKS, CEILING_CHECK), "PASS")
             else:
@@ -234,7 +234,7 @@ def test_criterion_8_monte_carlo():
     ]
     bad = []
     for p, beta, seed in points:
-        for r in check_monte_carlo(ServiceLaw(p, vb(p, beta)), 100_000, seed):
+        for r in check_monte_carlo(law_at(p, beta), 100_000, seed):
             if r.status == "FAIL":
                 bad.append(f"(beta={beta}) {r.name}: {r.detail}")
     report(8, not bad,
@@ -280,8 +280,8 @@ def test_criterion_10_determinism(tmp_path, capsys):
 
 def test_busy_cycle_series_is_a_probability():
     # Z(0) = 0 exactly (the idle period is positive almost surely), and Z >= 0 on every grid
-    laws = [ServiceLaw(p, vb(p, beta)) for p, beta in matrix(PARAM_POINTS + HEAVY_POINTS)]
-    laws += [ServiceLaw(p, validate_beta(p, RAMP)) for p in PARAM_POINTS]
+    laws = [law_at(p, beta) for p, beta in matrix(PARAM_POINTS + HEAVY_POINTS)]
+    laws += [ServiceLaw(p, RAMP) for p in PARAM_POINTS]
     for law in laws:
         z = law.series[1].values
         assert z[0] == 0.0

@@ -436,6 +436,27 @@ def test_eval_flat_table_reproduces_closed_form(tmp_path, capsys):
     assert np.max(np.abs(rows[:, 4] - cf.empty_probability(P11, 0.3, ts))) < 1e-12
 
 
+def test_one_row_table_is_the_constant_it_equals(tmp_path, capsys):
+    # a table whose only knot is (0, c) is beta = c: every command, verify's closed-form
+    # checks included, writes the same bytes for it as for --beta c
+    table = tmp_path / "one.csv"
+    table.write_text("t,beta\n0,0.3\n")
+    common = ["--lambda", "1", "--rho", "1", "--cycles", "2000", "--seed", "4"]
+    outputs = []
+    for beta in (["--beta", "0.3"], ["--beta-file", str(table)]):
+        files = []
+        for command in ("eval", "simulate"):
+            out = tmp_path / f"{command}.csv"
+            code, stdout, err = run([command, *common, *beta, "--out", str(out)], capsys)
+            assert code == EXIT_OK, err
+            files += [stdout, out.read_bytes()]
+        code, report, _ = run(["verify", *common, *beta], capsys)
+        assert code == EXIT_VERIFY_FAIL  # the paper floors, at interior beta
+        outputs.append((files, report))
+    assert outputs[0] == outputs[1]
+    assert parse_report(outputs[1][1])["busy period: series vs closed form"] == "PASS"
+
+
 def test_eval_table_with_large_beta_picks_a_fine_enough_grid(tmp_path, capsys):
     # max |beta| = 1.6 needs h <= 0.01 / 2.6, below the beta-blind default 0.005
     table = tmp_path / "spike.csv"

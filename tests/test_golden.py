@@ -21,7 +21,7 @@ POINTS = {
     "mc-constant": (1.0, 0.0, 100_000, (
         "2fc548e0227348da8fbbb73196652bab9cb41d8ff77cb4f327192d034593478c",
         "82e474036513c90d4765dc99ad887728fab8ff7cbf93065a44b386e31deee0a5",
-        "e4060c1ae73ddf8c893be681bfdfc73858c7aaa23c571bdec4a5662cfb357bfd")),
+        "1f4c91965a4c5331121019f13b3e5d00f26336ffdab69f6df1d36e9a382c5a03")),
     "table-ramp": (1.0, ((0.0, 0.0), (1.0, 0.2)), 1000, (
         "5ec79cce7b9466492bc41e18519f10bbf524823748c141a9e805688979a6048e",
         "ddd160b674f42fcfbc3e267c18edad0b6665d8f347d4612c476280781dc85740",
@@ -29,7 +29,7 @@ POINTS = {
     "heavy-series": (3.0, 0.0, 20_000, (
         "49fd692f9865ef86030d75daec2f02600399fe4aff6349da9e6efc47553cef7c",
         "c095b3aa07d0bf0dc47cc501d03832976fee27b128710fcb6c74433f3a77e1b4",
-        "8b48a6fa4892fa7534ca43fa5bd3affc70f3ff5eb3a2cc9395bd6dc340f7280f")),
+        "44dd34db08f2ef21c78e834b5662a95f96e634dd6bd834c4d1b748ecc573575b")),
 }
 
 

@@ -70,8 +70,7 @@ def test_beta_bounds_ordering(lam, rho):
 def test_validate_constant_beta():
     p = validate_queue_params(1.0, 1.0)
     spec = BetaSpec(constant=0.0)
-    vb = validate_beta(p, spec)
-    assert vb.spec is spec and vb.params is p
+    assert validate_beta(p, spec) is None
     with pytest.raises(BetaOutOfRange):
         validate_beta(p, BetaSpec(constant=0.6))
 
@@ -97,8 +96,8 @@ def test_validate_tabulated_running_average():
     p = validate_queue_params(1.0, 1.0)
     # ramp 0 -> 0.2 stays well within (-1, 0.582)
     spec = BetaSpec(knots=((0.0, 0.0), (1.0, 0.2)))
-    vb = validate_beta(p, spec)
-    assert running_average_beta(vb, 3.0) == pytest.approx((0.1 + 0.2 * 2) / 3, rel=1e-12)
+    validate_beta(p, spec)
+    assert running_average_beta(spec, 3.0) == pytest.approx((0.1 + 0.2 * 2) / 3, rel=1e-12)
 
 
 def test_validate_tabulated_violation_reported():
@@ -109,9 +108,7 @@ def test_validate_tabulated_violation_reported():
 
 
 def test_running_average_constant():
-    p = validate_queue_params(1.0, 1.0)
-    vb = validate_beta(p, BetaSpec(constant=0.3))
-    assert running_average_beta(vb, 7.0) == pytest.approx(0.3, rel=1e-14)
+    assert running_average_beta(BetaSpec(constant=0.3), 7.0) == pytest.approx(0.3, rel=1e-14)
 
 
 def test_running_average_linear():
@@ -125,16 +122,14 @@ def test_running_average_linear():
 
 
 def test_running_average_constant_extension():
-    p = validate_queue_params(2.0, 0.5)
-    vb = validate_beta(p, BetaSpec(knots=((0.0, 1.0), (1.0, 1.0))))
-    assert running_average_beta(vb, 3.0) == pytest.approx(1.0, rel=1e-12)
+    spec = BetaSpec(knots=((0.0, 1.0), (1.0, 1.0)))
+    validate_beta(validate_queue_params(2.0, 0.5), spec)
+    assert running_average_beta(spec, 3.0) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_running_average_rejects_nonpositive_time():
-    p = validate_queue_params(1.0, 1.0)
-    vb = validate_beta(p, BetaSpec(constant=0.0))
     with pytest.raises(NonPositiveTime):
-        running_average_beta(vb, 0.0)
+        running_average_beta(BetaSpec(constant=0.0), 0.0)
 
 
 def test_beta_spec_shape_errors():
@@ -146,6 +141,12 @@ def test_beta_spec_shape_errors():
         BetaSpec(knots=((0.0, 0.0), (0.0, 1.0)))  # strictly increasing t
     with pytest.raises(EmptyTable):
         BetaSpec(knots=())
+
+
+def test_one_knot_table_is_stored_as_its_constant():
+    spec = BetaSpec(knots=((0.0, 0.3),))
+    assert spec == BetaSpec(constant=0.3)
+    assert spec.constant == 0.3 and spec.knots is None
 
 
 def test_cumulative_beta_vectorized():

@@ -10,7 +10,7 @@ from numpy.random import SFC64, Generator
 from mginf import closed_form as cf, simulate
 from mginf.errors import EmptySample
 from mginf.law import ServiceLaw
-from mginf.params import BetaSpec, validate_beta, validate_queue_params
+from mginf.params import BetaSpec, validate_queue_params
 from mginf.simulate import cycle_summary, empirical_cdf, ks_distance, run_cycles
 
 P11 = validate_queue_params(1.0, 1.0)
@@ -19,7 +19,7 @@ PLN2 = validate_queue_params(1.0, math.log(2))
 
 def quantile(p, beta):
     """Inverse service CDF of the constant-beta law."""
-    return ServiceLaw(p, validate_beta(p, BetaSpec(constant=beta))).quantile
+    return ServiceLaw(p, BetaSpec(constant=beta)).quantile
 
 
 def test_sample_service_examples():
@@ -173,8 +173,8 @@ def test_busy_idle_independence(big_run):
 
 
 def test_tabulated_beta_simulation():
-    vb = validate_beta(P11, BetaSpec(knots=((0.0, 0.0), (1.0, 0.2))))
-    s = run_cycles(P11, ServiceLaw(P11, vb).quantile, 20_000, seed=2)
+    spec = BetaSpec(knots=((0.0, 0.0), (1.0, 0.2)))
+    s = run_cycles(P11, ServiceLaw(P11, spec).quantile, 20_000, seed=2)
     summ = cycle_summary(s)
     assert abs(summ.mean_busy - math.expm1(1.0)) < 4 * summ.stderr_busy
     assert abs(summ.mean_idle - 1.0) < 4 * summ.stderr_idle
@@ -184,7 +184,7 @@ def test_tabulated_beta_simulation():
                                   BetaSpec(constant=-1.0),
                                   BetaSpec(knots=((0.0, 0.3), (2.0, -0.2), (5.0, 0.1)))])
 def test_law_quantile_takes_arrays(spec):
-    q = ServiceLaw(P11, validate_beta(P11, spec)).quantile
+    q = ServiceLaw(P11, spec).quantile
     u = np.array([0.0, 0.1, 0.5, 0.9, 0.99, 0.999999])
     t = q(u)
     assert t.shape == u.shape
@@ -194,7 +194,7 @@ def test_law_quantile_takes_arrays(spec):
 @pytest.mark.parametrize("rho,beta", [(1.0, 0.0), (1.0, 0.3), (1.0, -0.5), (5.0, 0.0)])
 def test_closed_form_quantile_is_zero_up_to_the_atom(rho, beta):
     p = validate_queue_params(1.0, rho)
-    law = ServiceLaw(p, validate_beta(p, BetaSpec(constant=beta)))
+    law = ServiceLaw(p, BetaSpec(constant=beta))
     below, above = np.nextafter(law.atom, 0.0), np.nextafter(law.atom, 1.0)
     assert law.quantile(law.atom) == 0.0 and law.quantile(below) == 0.0
     assert np.array_equal(law.quantile(np.array([below, law.atom])), [0.0, 0.0])
@@ -253,7 +253,7 @@ STREAM_LAWS = [(lam, rho, spec) for lam, rho in ((1.0, 0.5), (10.0, 3.0))
 
 def _stream_matches_event_loop(lam, rho, spec, n_cycles):
     p = validate_queue_params(lam, rho)
-    q = ServiceLaw(p, validate_beta(p, spec)).quantile
+    q = ServiceLaw(p, spec).quantile
     s = run_cycles(p, q, n_cycles, seed=6)
     busy, idle = event_loop_cycles(p, q, n_cycles, seed=6)
     assert np.max(np.abs(s.busy - busy)) <= 1e-10 / lam
@@ -296,7 +296,7 @@ def test_ks_against_the_closed_form_cycle_law_holds_three_arrays(rho):
     # Z is formed in two arrays of the sample's size; then the KS buffers are Z,
     # the steps i/n and one gap buffer
     p = validate_queue_params(1.0, rho)
-    law = ServiceLaw(p, validate_beta(p, BetaSpec(constant=0.0)))
+    law = ServiceLaw(p, BetaSpec(constant=0.0))
     n = 100_000
     emp = empirical_cdf(run_cycles(p, law.quantile, n, seed=5).cycle)
     ks_distance(emp, law.cycle_cdf)

@@ -12,7 +12,7 @@ from mginf import closed_form as cf
 from mginf import transforms
 from mginf.errors import BetaOutOfRange, NegativeS, StepTooCoarse
 from mginf.law import ServiceLaw
-from mginf.params import BetaSpec, beta_bounds, validate_beta, validate_queue_params
+from mginf.params import BetaSpec, beta_bounds, validate_queue_params
 from mginf.transforms import (
     GridFunction,
     SERIES_BLOCK,
@@ -33,7 +33,7 @@ PLN2 = validate_queue_params(1.0, math.log(2))
 
 
 def law_for(p, beta):
-    return ServiceLaw(p, validate_beta(p, BetaSpec(constant=beta)))
+    return ServiceLaw(p, BetaSpec(constant=beta))
 
 
 # ---- grid convolution: the trapezoid rule the grid solves are tested against --
@@ -151,7 +151,7 @@ def test_busy_cycle_recurrence_equals_grid_convolve():
     ts = np.arange(14001) * 0.05
     cases = [
         (p3, law_for(p3, 0.0).series[0]),
-        (P11, ServiceLaw(P11, validate_beta(P11, RAMP)).series[0]),
+        (P11, ServiceLaw(P11, RAMP).series[0]),
         # h lambda = 0.05: blocks of 4000 points, three and a half of them
         (p3, GridFunction(0.05, cf.busy_period_cdf(p3, 0.0, ts))),
         # h lambda = 250 > 200: blocks of one point
@@ -252,8 +252,8 @@ SINE_TABLE = BetaSpec(knots=tuple((float(t), 0.1 * math.sin(t))
 
 
 @pytest.mark.parametrize("law", [law_for(P11, 0.0), law_for(PLN2, 1.0),
-                                 ServiceLaw(P11, validate_beta(P11, RAMP)),
-                                 ServiceLaw(P11, validate_beta(P11, SINE_TABLE))],
+                                 ServiceLaw(P11, RAMP),
+                                 ServiceLaw(P11, SINE_TABLE)],
                          ids=["beta=0", "ln2 upper", "ramp", "2000 knots"])
 def test_laplace_from_service_is_bit_identical_and_leaves_the_cdf_values_alone(law, monkeypatch):
     returned = []
@@ -273,7 +273,7 @@ def test_laplace_from_service_is_bit_identical_and_leaves_the_cdf_values_alone(l
         assert np.array_equal(g, before)
 
 
-@pytest.mark.parametrize("law", [law_for(P11, 0.0), ServiceLaw(P11, validate_beta(P11, RAMP))],
+@pytest.mark.parametrize("law", [law_for(P11, 0.0), ServiceLaw(P11, RAMP)],
                          ids=["beta=0", "ramp"])
 def test_laplace_from_service_holds_at_most_four_and_a_half_arrays_of_its_nodes(law):
     # the nodes, the service CDF's two arrays while it runs, then lambda (1 - G) and the
@@ -292,7 +292,7 @@ def test_laplace_from_service_holds_at_most_four_and_a_half_arrays_of_its_nodes(
 
 
 def test_transform_check_reads_the_service_cdf_once(monkeypatch):
-    law = ServiceLaw(P11, validate_beta(P11, RAMP))
+    law = ServiceLaw(P11, RAMP)
     kernel_form = kernel_form_transform(law)
     calls = []
     cdf = law.cdf
@@ -330,13 +330,13 @@ def transform_gap(law):
 def test_nested_quadrature_matches_the_kernel_form_to_1e_10(lam, rho, spec):
     # Romberg on the outer sum; plain Simpson on the shared nodes left 1.5e-6 at beta = -0.9
     p = validate_queue_params(lam, rho)
-    assert transform_gap(ServiceLaw(p, validate_beta(p, spec))) <= 1e-10
+    assert transform_gap(ServiceLaw(p, spec)) <= 1e-10
 
 
 def assert_transform_check_holds(p, spec):
     """verify's transform check PASSes on an admissible law, and its routes agree to 1e-9."""
     try:
-        law = ServiceLaw(p, validate_beta(p, spec))
+        law = ServiceLaw(p, spec)
     except BetaOutOfRange:
         assume(False)
     check, = check_transform_consistency(law, kernel_form_transform(law))
@@ -434,7 +434,7 @@ def test_nested_quadrature_keeps_to_the_kernel_form_in_heavy_traffic(rho):
     # they left differences of 1.5e-5 and 2.8e-5 at beta = 0, past the 1e-5 gate
     p = validate_queue_params(1.0, rho)
     for spec in (BetaSpec(constant=0.0), BetaSpec(knots=((0.0, 0.0), (1.0, -0.2)))):
-        law = ServiceLaw(p, validate_beta(p, spec))
+        law = ServiceLaw(p, spec)
         check, = check_transform_consistency(law, kernel_form_transform(law))
         assert check.status == "PASS", check.detail
 
@@ -470,7 +470,7 @@ def test_mean_extraction_from_transforms():
 def test_direct_solve_equals_neumann_sum(spec):
     # 1 - B = (1/lambda) sum_k (w K)^k a, a = w f, w = (1 - e^-rho)/I and
     # K x = grid_convolve(x, f), summed until the terms vanish, on the first 301 points
-    law = ServiceLaw(P11, validate_beta(P11, spec))
+    law = ServiceLaw(P11, spec)
     b = busy_period_cdf_series(law)
     h = law.step
     assert h == 0.005
@@ -528,10 +528,10 @@ def test_degenerate_series_curves():
     # beta = -lambda goes through the grid solve like every other law: the
     # density a = (1 - e^{-rho})/I f is 0, so u = 0 and B = 1, and Z is the
     # trapezoidal convolution of 1 with the Exp(lambda) density
-    vb = validate_beta(P11, BetaSpec(constant=-1.0))
+    spec = BetaSpec(constant=-1.0)
     sup = {}
     for h in (0.005, 0.0025, 0.00125):
-        b, z = ServiceLaw(P11, vb, h).series
+        b, z = ServiceLaw(P11, spec, h).series
         if h == 0.005:  # longer FFTs round more: 1.3e-15 at h = 0.00125
             assert np.max(np.abs(b.values - 1.0)) <= 1e-15
         sup[h] = np.max(np.abs(z.values - (-np.expm1(-z.times))))
@@ -543,10 +543,10 @@ def test_degenerate_series_curves():
 def test_series_second_order_convergence(rho):
     # the trapezoidal solve is second order for constant beta, atom included
     p = validate_queue_params(1.0, rho)
-    vb = validate_beta(p, BetaSpec(constant=0.0))
+    spec = BetaSpec(constant=0.0)
     sup = {}
     for h in (0.01, 0.005):
-        b = busy_period_cdf_series(ServiceLaw(p, vb, h))
+        b = busy_period_cdf_series(ServiceLaw(p, spec, h))
         sup[h] = np.max(np.abs(b.values - cf.busy_period_cdf(p, 0.0, b.times)))
     assert sup[0.01] / sup[0.005] >= 3.9
 
@@ -596,7 +596,7 @@ def one_block(law, n, monkeypatch):
 
 def table_law(rho, knots, step=None):
     p = validate_queue_params(1.0, rho)
-    return ServiceLaw(p, validate_beta(p, BetaSpec(knots=knots)), step)
+    return ServiceLaw(p, BetaSpec(knots=knots), step)
 
 
 # (law, TAIL_TOL of the walk, tolerance): J = 1, J = 10, J = 2000 and J = 6000 (the last
@@ -606,7 +606,7 @@ BLOCK_CASES = {
     "rho 5": (lambda: law_for(validate_queue_params(1.0, 5.0), 0.0), 1e-10, 1e-12),
     "rho 3, beta -0.5": (lambda: law_for(validate_queue_params(1.0, 3.0), -0.5), 1e-10, 1e-13),
     "short table": (lambda: table_law(2.0, ((0.0, 0.0), (0.05, 0.1))), 1e-10, 1e-13),
-    "ramp, h = 5e-4": (lambda: ServiceLaw(P11, validate_beta(P11, RAMP), 5e-4), 1e-10, 1e-13),
+    "ramp, h = 5e-4": (lambda: ServiceLaw(P11, RAMP, 5e-4), 1e-10, 1e-13),
     "long body": (lambda: table_law(1.0, ((0.0, 0.0), (6.0, 0.1), (12.0, 0.2)), 2e-3), 1e-40,
                   1e-13),
 }
@@ -641,7 +641,7 @@ def test_block_solve_is_causal_across_the_last_knot(monkeypatch):
 def test_block_solve_at_the_degenerate_endpoint_is_exactly_one(monkeypatch):
     # lambda + beta(inf) = 0: 1/I = 0, so a = 0, T = delta and B = 1 - u/lambda = 1 in every
     # block.  Its tail, 1 - B = 0, is met after one block; a stand-in tail e^{-t} walks it on
-    law = ServiceLaw(P11, validate_beta(P11, BetaSpec(knots=((0.0, 0.0), (1.0, -1.0)))))
+    law = ServiceLaw(P11, BetaSpec(knots=((0.0, 0.0), (1.0, -1.0))))
     assert law.busy_tail == (0.0, 0.0)
     assert len(law.series[0].values) == SERIES_BLOCK
     monkeypatch.setitem(law.__dict__, "busy_tail", (1.0, 1.0))
@@ -715,7 +715,7 @@ def test_ramp_step_at_small_rho_follows_the_kernel_rate():
 
 def test_series_step_too_coarse():
     with pytest.raises(StepTooCoarse):
-        ServiceLaw(P11, validate_beta(P11, BetaSpec(constant=0.0)), 0.05)
+        ServiceLaw(P11, BetaSpec(constant=0.0), 0.05)
 
 
 def test_default_step():
