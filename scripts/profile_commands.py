@@ -14,10 +14,11 @@ of fresh mappings.  One round runs first as a warm-up, so first-call costs
 Then each call of --rounds rounds prints one JSON line: the round, the
 command, its exit code, wall time, `ru_minflt` delta (minor page faults:
 pages the process touched for the first time, or got back from the kernel
-afresh after freeing them), the sha256 of its CSV and `series_points`, the
-busy-period grid points solved in that call (0 if none; counted by a wrapper
-on `mginf.transforms.busy_period_cdf_series`, which `ServiceLaw.series`
-looks up on the module at call time, as in bench/child.py).  Each `verify`
+afresh after freeing them), the sha256 of its CSV, `series_points`, the
+busy-period grid points solved in that call (0 if none), and `series_s`, the
+wall seconds spent solving them; both are taken by a wrapper on
+`mginf.transforms.busy_period_cdf_series`, which `ServiceLaw.series` looks up
+on the module at call time, as in bench/child.py.  Each `verify`
 line also holds `checks_s`, the wall seconds of each `verify.check_*`
 function in that call (wrapped on the module, which `verify_point` looks them
 up on at call time).  Each `eval` and `simulate` line holds `write_s`, the
@@ -68,19 +69,20 @@ def command_argvs(workload: str, seed: int, work: Path) -> list[tuple[str, list[
     return [("eval", ev), ("simulate", sim), ("eval", ev), ("verify", ["verify", *common, *mc])]
 
 
-SOLVED = []  # grid points of each busy-period solve since the last timed call
+SOLVED = []  # (grid points, wall seconds) of each busy-period solve since the last timed call
 
 
-def count_series_points() -> None:
-    """Wrap the busy-period grid solve so each call records the points it returns."""
+def time_series() -> None:
+    """Wrap the busy-period grid solve so each call records its points and wall time."""
     solve = transforms.busy_period_cdf_series
 
-    def counted(law):
+    def timed(law):
+        start = time.perf_counter()
         b = solve(law)
-        SOLVED.append(b.values.size)
+        SOLVED.append((b.values.size, time.perf_counter() - start))
         return b
 
-    transforms.busy_period_cdf_series = counted
+    transforms.busy_period_cdf_series = timed
 
 
 CHECK_SECONDS = {}  # wall seconds of each verify.check_* function since the last timed call
@@ -119,7 +121,7 @@ def time_writer() -> None:
 
 
 def timed_call(argv: list[str]) -> dict:
-    """Exit code, wall seconds, minor faults, CSV digest and series points of one call.
+    """Exit code, wall seconds, minor faults, CSV digest, series points and seconds of one call.
 
     A `verify` call also reports `checks_s`, an `eval` or `simulate` call `write_s`.
     """
@@ -136,7 +138,8 @@ def timed_call(argv: list[str]) -> dict:
     if "--out" in argv:
         digest = hashlib.sha256(Path(argv[argv.index("--out") + 1]).read_bytes()).hexdigest()
     result = {"exit": code, "wall_s": round(wall, 6), "minflt": faults, "out_sha256": digest,
-              "series_points": sum(SOLVED)}
+              "series_points": sum(n for n, _ in SOLVED),
+              "series_s": round(sum(sec for _, sec in SOLVED), 6)}
     if argv[0] == "verify":
         result["checks_s"] = {name: round(sec, 6) for name, sec in CHECK_SECONDS.items()}
     else:
@@ -150,7 +153,7 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=5)
     ap.add_argument("--rounds", type=int, default=3)
     args = ap.parse_args()
-    count_series_points()
+    time_series()
     time_checks()
     time_writer()
     with tempfile.TemporaryDirectory() as tmp:

@@ -386,7 +386,7 @@ class ServiceLaw:
 
     @cached_property
     def series(self) -> tuple[GridFunction, GridFunction]:
-        """(B, Z) at the law's step by the direct grid solve of the renewal equation, solved once."""
+        """(B, Z) at the law's step, both fourth order (`transforms`), solved once."""
         # looked up on the module at call time, so a wrapper put there sees every solve
         b = transforms.busy_period_cdf_series(self)
         return b, transforms.busy_cycle_cdf_series(self.params, b)

@@ -191,6 +191,21 @@ def test_rho_40_flat_table_to_40_evaluates_like_its_constant(tmp_path, capsys):
                                                      rows[:, 0]))) <= 1e-14
 
 
+@pytest.mark.parametrize("end", ["1", "40"])
+def test_rho_40_flat_table_writes_no_negative_curve(end, tmp_path, capsys):
+    # B is below e^-20 here, where the trapezoid grid alone was off by 4.3e-5: its B column
+    # went down to -8.3e-8 and its Z column to -3.1e-8.  The extrapolated grid is off by
+    # 4.3e-9, and both curves are clipped to [0, 1]
+    table = tmp_path / "flat.csv"
+    table.write_text(f"t,beta\n0,0\n{end},0\n")
+    out = tmp_path / "e.csv"
+    code, _, err = run(["eval", "--lambda", "1", "--rho", "40", "--beta-file", str(table),
+                        "--t-max", "1", "--step", "0.001", "--out", str(out)], capsys)
+    assert code == EXIT_OK, err
+    rows = np.loadtxt(out, delimiter=",", skiprows=1)
+    assert np.all((rows[:, 2:4] >= 0.0) & (rows[:, 2:4] <= 1.0))
+
+
 # ---- verify ----------------------------------------------------------------
 
 FLOOR_CHECKS = ("busy period above exponential floor", "busy cycle above floor")

@@ -21,15 +21,15 @@ POINTS = {
     "mc-constant": (1.0, 0.0, 100_000, (
         "2fc548e0227348da8fbbb73196652bab9cb41d8ff77cb4f327192d034593478c",
         "82e474036513c90d4765dc99ad887728fab8ff7cbf93065a44b386e31deee0a5",
-        "1f4c91965a4c5331121019f13b3e5d00f26336ffdab69f6df1d36e9a382c5a03")),
+        "c4833e50a22fc7d97b64e5460e2ae2dc95560dd101552db3dedfb3a3d8efbf2c")),
     "table-ramp": (1.0, ((0.0, 0.0), (1.0, 0.2)), 1000, (
-        "5ec79cce7b9466492bc41e18519f10bbf524823748c141a9e805688979a6048e",
+        "85561c7b84ad7956cc2aeb44de0627638a61c43ed4b6b8bc014b393d8489c29f",
         "ddd160b674f42fcfbc3e267c18edad0b6665d8f347d4612c476280781dc85740",
         "5bc20400dcfe29a92000aa8863cf4011f4af2f768eaad49a268d1f14d6dc95a4")),
     "heavy-series": (3.0, 0.0, 20_000, (
         "49fd692f9865ef86030d75daec2f02600399fe4aff6349da9e6efc47553cef7c",
         "c095b3aa07d0bf0dc47cc501d03832976fee27b128710fcb6c74433f3a77e1b4",
-        "44dd34db08f2ef21c78e834b5662a95f96e634dd6bd834c4d1b748ecc573575b")),
+        "604c2b32bc11e5697ade072a1cd64f13e3a39b89810ca6a2d885c8cc6f1c9c07")),
 }
 
 

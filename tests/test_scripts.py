@@ -46,6 +46,7 @@ def test_profile_commands_prints_one_json_line_per_call():
         # each command builds its own law; eval and simulate read B and Z (the eval rows, the
         # KS lines) and verify the series checks, each from one walk of one block
         assert c["series_points"] == 4096, c
+        assert 0 <= c["series_s"] <= c["wall_s"], c
         # verify times each of its checks; the ramp runs the envelope check, not the closed forms
         assert ("checks_s" in c) == (c["command"] == "verify")
         # eval and simulate time their CSV writer, which is part of their wall time

@@ -146,22 +146,32 @@ def test_product_matches_np_convolve(a, b, frac):
     assert np.max(np.abs(got - want)) <= 1e-13 * scale + 1e-300  # 1e-300: underflow
 
 
-def test_busy_cycle_recurrence_equals_grid_convolve():
-    p3 = validate_queue_params(1.0, 3.0)
-    ts = np.arange(14001) * 0.05
-    cases = [
-        (p3, law_for(p3, 0.0).series[0]),
-        (P11, ServiceLaw(P11, RAMP).series[0]),
-        # h lambda = 0.05: blocks of 4000 points, three and a half of them
-        (p3, GridFunction(0.05, cf.busy_period_cdf(p3, 0.0, ts))),
-        # h lambda = 250 > 200: blocks of one point
-        (P11, GridFunction(250.0, np.linspace(0.4, 1.0, 7))),
-    ]
-    for p, b in cases:
-        idle = GridFunction(b.step, p.lam * np.exp(-p.lam * b.times))
-        want = grid_convolve(idle, b).values
-        z = busy_cycle_cdf_series(p, b)
-        assert np.max(np.abs(z.values - want)) <= 1e-13 * max(1.0, np.max(np.abs(want))), b.step
+def exact_cycle_of_polynomial(lam, poly, ts):
+    """int_0^t lambda e^{-lambda (t - s)} poly(s) ds = Y(t) - e^{-lambda t} Y(0).
+
+    Y = sum_k (-1)^k poly^(k)/lambda^k solves Y' = lambda (poly - Y).
+    """
+    y = sum((-1.0 / lam) ** k * poly.deriv(k) for k in range(poly.degree() + 1))
+    return y(ts) - np.exp(-lam * ts) * y(0.0)
+
+
+@pytest.mark.parametrize("lam, step, n", [
+    (1.0, 0.005, 4096),  # the default grid, one block of the recurrence
+    (1.0, 0.05, 14001),  # lambda h = 0.05: blocks of 4000 points, three and a half of them
+    (3.0, 0.3, 50),  # lambda h = 0.9 < 1: the moments' power series
+    (1.0, 250.0, 7),  # lambda h = 250 > 200: blocks of one point; the moments' recurrence
+    (2.0, 0.7, 4), (2.0, 0.7, 3), (2.0, 0.7, 2),  # one middle cell, then fewer than 4 points
+])
+def test_busy_cycle_recurrence_is_exact_for_cubics(lam, step, n):
+    # the increments integrate the idle density exactly against the cubic interpolant of B,
+    # so a cubic B (of degree n - 1 on fewer than 4 points) gives the exact convolution
+    p = validate_queue_params(lam, 1.0)
+    span = step * (n - 1)
+    poly = np.polynomial.Polynomial([0.3, 0.5 / span, -0.4 / span**2, 0.2 / span**3][:min(n, 4)])
+    b = GridFunction(step, poly(np.arange(n) * step))
+    z = busy_cycle_cdf_series(p, b)
+    assert z.values[0] == 0.0
+    assert np.max(np.abs(z.values - exact_cycle_of_polynomial(lam, poly, b.times))) <= 1e-14
 
 
 # ---- Laplace transforms ----------------------------------------------------
@@ -468,13 +478,13 @@ def test_mean_extraction_from_transforms():
 @pytest.mark.parametrize("spec", [BetaSpec(constant=0.3),
                                   BetaSpec(knots=((0.0, 0.3), (0.5, -0.2), (1.0, 0.1)))])
 def test_direct_solve_equals_neumann_sum(spec):
-    # 1 - B = (1/lambda) sum_k (w K)^k a, a = w f, w = (1 - e^-rho)/I and
+    # 1 - B_h = (1/lambda) sum_k (w K)^k a, a = w f, w = (1 - e^-rho)/I and
     # K x = grid_convolve(x, f), summed until the terms vanish, on the first 301 points
     law = ServiceLaw(P11, spec)
-    b = busy_period_cdf_series(law)
     h = law.step
     assert h == 0.005
-    f = GridFunction(h, law.kernel(b.times[:301]))
+    b_h, _, _ = walked(law, math.inf)
+    f = GridFunction(h, law.kernel(np.arange(301) * h))
     w = (1.0 - P11.exp_neg_rho) * law.inv_total
     term = GridFunction(h, w * f.values)
     total = term.values.copy()
@@ -482,7 +492,7 @@ def test_direct_solve_equals_neumann_sum(spec):
         term = GridFunction(h, w * grid_convolve(term, f).values)
         total += term.values
     assert np.max(np.abs(term.values)) < 1e-17
-    assert np.max(np.abs(b.values[:301] - (1.0 - total / P11.lam))) <= 1e-12
+    assert np.max(np.abs(b_h[:301] - (1.0 - total / P11.lam))) <= 1e-12
 
 
 def test_direct_solve_in_heavy_traffic():
@@ -526,29 +536,93 @@ def test_series_busy_cycle_confluent_point():
 
 def test_degenerate_series_curves():
     # beta = -lambda goes through the grid solve like every other law: the
-    # density a = (1 - e^{-rho})/I f is 0, so u = 0 and B = 1, and Z is the
-    # trapezoidal convolution of 1 with the Exp(lambda) density
+    # density a = (1 - e^{-rho})/I f is 0, so u = 0 and B = 1, and Z is 1 - e^{-t}
+    # less the idle density's convolution with 1 - B = 0
     spec = BetaSpec(constant=-1.0)
-    sup = {}
     for h in (0.005, 0.0025, 0.00125):
         b, z = ServiceLaw(P11, spec, h).series
-        if h == 0.005:  # longer FFTs round more: 1.3e-15 at h = 0.00125
-            assert np.max(np.abs(b.values - 1.0)) <= 1e-15
-        sup[h] = np.max(np.abs(z.values - (-np.expm1(-z.times))))
-    assert sup[0.005] < 3e-6
-    assert sup[0.005] / sup[0.0025] >= 3.9 and sup[0.0025] / sup[0.00125] >= 3.9
+        assert np.max(np.abs(b.values - 1.0)) <= 1e-15
+        assert np.max(np.abs(z.values - (-np.expm1(-z.times)))) <= 1e-14
 
 
 @pytest.mark.parametrize("rho", [0.5, 1.0, 3.0])
 def test_series_second_order_convergence(rho):
-    # the trapezoidal solve is second order for constant beta, atom included
+    # the raw trapezoidal walk is second order for constant beta, atom included
     p = validate_queue_params(1.0, rho)
     spec = BetaSpec(constant=0.0)
     sup = {}
     for h in (0.01, 0.005):
-        b = busy_period_cdf_series(ServiceLaw(p, spec, h))
-        sup[h] = np.max(np.abs(b.values - cf.busy_period_cdf(p, 0.0, b.times)))
+        b_h = walked(ServiceLaw(p, spec, h), math.inf)[0]
+        sup[h] = np.max(np.abs(b_h - cf.busy_period_cdf(p, 0.0, np.arange(b_h.size) * h)))
     assert sup[0.01] / sup[0.005] >= 3.9
+
+
+@pytest.mark.parametrize("rho", [0.5, 1.0, 3.0])
+def test_series_fourth_order_convergence(rho):
+    # one Richardson step on the companion walk at 2h removes the h^2 term: the error of B
+    # falls 16 times (21 times at rho = 3) on halving h, and that of Z with it
+    p = validate_queue_params(1.0, rho)
+    sup_b, sup_z = {}, {}
+    for h in (0.01, 0.005):
+        b, z = ServiceLaw(p, BetaSpec(constant=0.0), h).series
+        sup_b[h] = np.max(np.abs(b.values - cf.busy_period_cdf(p, 0.0, b.times)))
+        sup_z[h] = np.max(np.abs(z.values - cf.busy_cycle_cdf(p, 0.0, z.times)))
+    assert sup_b[0.01] / sup_b[0.005] >= 12
+    assert sup_z[0.01] / sup_z[0.005] >= 12
+
+
+@pytest.mark.parametrize("rho, beta, tol", [
+    (3.0, 0.0, 5e-9), (3.0, -0.5, 5e-9),  # measured 1.09e-9 and 1.6e-11
+    (1.0, 0.0, 3e-11), (1.0, -0.5, 3e-11),  # measured 3.1e-12 and 9.8e-14
+])
+def test_series_matches_the_closed_forms_to_fourth_order(rho, beta, tol):
+    # on the default grid, where the trapezoid alone is off by up to 1.3e-5 (rho 3, beta 0)
+    p = validate_queue_params(1.0, rho)
+    b, z = law_for(p, beta).series
+    assert np.max(np.abs(b.values - cf.busy_period_cdf(p, beta, b.times))) <= tol
+    assert np.max(np.abs(z.values - cf.busy_cycle_cdf(p, beta, z.times))) <= tol
+
+
+THREE_KNOTS = ((0.0, 0.3), (2.0, -0.2), (5.0, 0.1))
+
+
+@pytest.mark.parametrize("knots", [((0.0, 0.0), (1.0, 0.2)), ((0.0, 0.0), (1.0, -0.2), (3.0, 0.0)),
+                                   THREE_KNOTS], ids=["ramp", "dip", "three knots"])
+def test_table_series_convergence(knots):
+    # on tables B stays fourth order (successive differences fall 15-16 times per halving at
+    # rho = 1).  Z is third order there (7.9 times): beta's kinks put a jump in B'' that the
+    # cubic interpolant of a cell straddling a knot only follows to O(h^2)
+    p = validate_queue_params(1.0, 1.0)
+    laws = [ServiceLaw(p, BetaSpec(knots=knots), h) for h in (0.005, 0.0025, 0.00125)]
+    ts = np.linspace(0.0, 5.0, 501)  # on every grid, and short of every grid's end
+    assert all(law.series[0].times[-1] > ts[-1] for law in laws)
+    for curve, ratio in ((0, 12.0), (1, 7.0)):
+        grids = [np.interp(ts, law.series[curve].times, law.series[curve].values) for law in laws]
+        diffs = [np.max(np.abs(fine - coarse)) for coarse, fine in zip(grids, grids[1:])]
+        assert diffs[0] / diffs[1] >= ratio, (curve, diffs)
+
+
+@pytest.mark.parametrize("rho", [20.0, 40.0])
+def test_flat_table_in_heavy_traffic_is_a_cdf(rho):
+    # the table (0, 0), (1, 0) is the constant beta = 0; the trapezoid grid alone is off by
+    # 4.3e-5 at rho = 20 and went below 0 there, R is off by 4.3e-9 and clipped to [0, 1]
+    p = validate_queue_params(1.0, rho)
+    b = ServiceLaw(p, BetaSpec(knots=((0.0, 0.0), (1.0, 0.0)))).series[0]
+    assert np.max(np.abs(b.values - cf.busy_period_cdf(p, 0.0, b.times))) <= 2e-8
+    assert np.all((b.values >= 0.0) & (b.values <= 1.0))
+
+
+@pytest.mark.parametrize("rho", [0.1, 0.5])
+def test_table_busy_cycle_keeps_below_the_idle_cdf(rho):
+    # Z is B convolved with the idle period, so it never exceeds 1 - e^{-lambda t}.  The
+    # trapezoid's idle weights summed to 1 + (lambda h)^2/12 and overshot it by 4.5e-7 and
+    # 9.9e-7 on the ramp, grid and tail; exact weights keep Z under it to rounding
+    law = table_law(rho, TAIL_TABLES["ramp"])
+    z = law.series[1].values
+    assert z[-1] <= 1.0
+    far = 12.0 * (math.expm1(rho) / law.params.lam + 1.0 / law.params.lam)  # 12 mean busy cycles
+    ts = np.linspace(0.0, far, 5000)
+    assert np.all(law.cycle_cdf(ts) <= law.idle_cdf(ts) + 1e-12)
 
 
 DIP = ((0.0, 0.0), (1.0, -0.2), (3.0, 0.0))
@@ -565,12 +639,9 @@ DIP = ((0.0, 0.0), (1.0, -0.2), (3.0, 0.0))
 def test_series_cdf_shape(make):
     law = make()
     b, z = law.series
-    # Z is the trapezoid of the Exp(lambda) idle density against B; those weights sum
-    # to (x/2) coth(x/2) = 1 + x^2/12 + ..., x = lambda h, and Z tends to that as B -> 1
-    x = law.params.lam * b.step
-    for g, top in ((b, 1.0), (z, 0.5 * x / math.tanh(0.5 * x))):
+    for g in (b, z):
         assert np.all(np.diff(g.values) >= -1e-8)
-        assert np.all(g.values >= -1e-8) and np.all(g.values <= top + 1e-12)
+        assert np.all(g.values >= -1e-8) and np.all(g.values <= 1.0 + 1e-12)
     # the law's curves, grid then tail, reach 1 within 12 mean busy periods
     far = 12.0 * math.expm1(law.params.rho) / law.params.lam
     assert law.busy_cdf(far) > 1 - 1e-4 and law.cycle_cdf(far) > 1 - 1e-4
@@ -578,20 +649,34 @@ def test_series_cdf_shape(make):
 
 # ---- the block solve past the last knot -------------------------------------
 
-def walked(law, monkeypatch, tail_tol=1e-10):
-    """B walked on to the first block end within tail_tol of its tail, and the block length M."""
+def walked(law, tail_tol=1e-10):
+    """B_h and B_2h of the raw walks of `_walks`, and the block length M.
+
+    They walk on to the first block end where B_h is within tail_tol of its tail.
+    """
+    gamma, c = law.busy_tail
+    lam, h = law.params.lam, law.step
+    fine, coarse = [], []
+    for u_h, u_2h in transforms._walks(law):
+        fine.append(u_h)
+        coarse.append(u_2h)
+        if abs(u_h[-1] / lam - c * math.exp(-gamma * (len(fine) * u_h.size - 1) * h)) < tail_tol:
+            break
+    return (1.0 - np.concatenate(fine) / lam, 1.0 - np.concatenate(coarse) / lam,
+            transforms.series_block(law.t_knot, h)[1])
+
+
+def extended(law, monkeypatch, tail_tol):
+    """B of the law, R walked on to the first block end within tail_tol of its tail."""
     with monkeypatch.context() as m:
         m.setattr(transforms, "TAIL_TOL", tail_tol)
-        b = busy_period_cdf_series(law).values
-    return b, transforms.series_block(law.t_knot, law.step)[1]
-
-
-def one_block(law, n, monkeypatch):
-    """B on n points by the one-block solve (one reciprocal and one product)."""
-    with monkeypatch.context() as m:
-        m.setattr(transforms, "SERIES_BLOCK", n)
-        m.setattr(transforms, "TAIL_TOL", math.inf)
         return busy_period_cdf_series(law).values
+
+
+def one_block(law, step, n):
+    """B on n points at `step` by the one-block solve (one reciprocal and one product)."""
+    walk = transforms._Walk(step, transforms.series_block(law.t_knot, step)[0], law.tail_rate)
+    return 1.0 - walk.block(transforms._density(law, step, 0, n)) / law.params.lam
 
 
 def table_law(rho, knots, step=None):
@@ -613,20 +698,24 @@ BLOCK_CASES = {
 
 
 @pytest.mark.parametrize("case", BLOCK_CASES)
-def test_block_solve_equals_one_block_solve(case, monkeypatch):
+def test_block_solve_equals_one_block_solve(case):
+    # both walks: the one at h in blocks of M, its companion at 2h in blocks of M/2 on the
+    # even samples of the same density
     make, tail_tol, tol = BLOCK_CASES[case]
     law = make()
-    b, m = walked(law, monkeypatch, tail_tol)
-    assert len(b) >= 3 * m, case  # at least three blocks
-    assert np.max(np.abs(b - one_block(law, len(b), monkeypatch))) <= tol, case
+    b_h, b_2h, m = walked(law, tail_tol)
+    assert len(b_h) >= 3 * m, case  # at least three blocks
+    assert len(b_2h) * 2 == len(b_h)
+    assert np.max(np.abs(b_h - one_block(law, law.step, len(b_h)))) <= tol, case
+    assert np.max(np.abs(b_2h - one_block(law, 2.0 * law.step, len(b_2h)))) <= tol, case
 
 
-def test_block_solve_is_causal_across_the_last_knot(monkeypatch):
+def test_block_solve_is_causal_across_the_last_knot():
     # the walk's blocks reach far past t_knot = 30, yet B on [0, 5] solves the trapezoidal
     # equation u = a + K u on [0, 5] alone, here by a dense triangular solve
     from scipy.linalg import solve_triangular, toeplitz
     law = table_law(1.0, ((0.0, 0.0), (30.0, 0.2)))
-    b, m = walked(law, monkeypatch, 1e-40)
+    b, _, m = walked(law, 1e-40)
     assert len(b) >= 3 * m
     h, n = law.step, 1001
     a = (1.0 - P11.exp_neg_rho) * law.inv_total * law.kernel(np.arange(n) * h)
@@ -645,7 +734,10 @@ def test_block_solve_at_the_degenerate_endpoint_is_exactly_one(monkeypatch):
     assert law.busy_tail == (0.0, 0.0)
     assert len(law.series[0].values) == SERIES_BLOCK
     monkeypatch.setitem(law.__dict__, "busy_tail", (1.0, 1.0))
-    b, m = walked(law, monkeypatch, 1e-40)
+    b_h, b_2h, m = walked(law, 1e-40)
+    assert len(b_h) >= 3 * m
+    assert np.max(np.abs(b_h - 1.0)) <= 1e-15 and np.max(np.abs(b_2h - 1.0)) <= 1e-15
+    b = extended(law, monkeypatch, 1e-40)
     assert len(b) >= 3 * m
     assert np.max(np.abs(b - 1.0)) <= 1e-15
 
@@ -655,12 +747,12 @@ def test_block_solve_memory_per_grid_point(monkeypatch):
     law = law_for(p, 0.0)
     tracemalloc.start()
     try:
-        n = len(walked(law, monkeypatch)[0])
+        n = len(extended(law, monkeypatch, 1e-10))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert n >= 300_000
-    assert peak <= 60 * n  # 72 bytes a point with one reciprocal over the whole grid
+    assert peak <= 60 * n  # 72 bytes a point with one reciprocal over the whole grid; 18 measured
 
 
 @pytest.mark.parametrize("rho", [0.5, 1.0, 3.0, 5.0, 8.0, 10.0, 40.0])
@@ -693,7 +785,7 @@ def test_table_tail_continues_the_walked_grid(name, rho, monkeypatch):
     law = table_law(rho, TAIL_TABLES[name])
     end = law.series[0].times[-1]
     h = law.step
-    b, _ = walked(law, monkeypatch, 1e-40)
+    b = extended(law, monkeypatch, 1e-40)
     z = busy_cycle_cdf_series(p, GridFunction(h, b)).values
     ts = np.arange(len(b)) * h
     assert ts[-1] >= end + 40.0
@@ -704,13 +796,13 @@ def test_table_tail_continues_the_walked_grid(name, rho, monkeypatch):
 def test_ramp_step_at_small_rho_follows_the_kernel_rate():
     # h = 0.005 on the ramp at rho = 1e-3, where the mean service time is 1e-3: the solve
     # sees only the kernel's rate lambda + max|beta|.  Against an h/8 solve, B is off by
-    # 2.8e-9 and Z by 3.1e-6, of which 2.1e-6 is the idle trapezoid's (lambda h)^2/12
+    # 7.9e-15 and Z by 1.9e-13 (the trapezoid grids alone: 2.8e-9 and 3.1e-6)
     law = table_law(1e-3, TAIL_TABLES["ramp"])
     assert law.step == 0.005
     fine = table_law(1e-3, TAIL_TABLES["ramp"], 0.005 / 8)
     ts = np.linspace(0.0, 30.0, 6001)  # grid and tail
-    assert np.max(np.abs(law.busy_cdf(ts) - fine.busy_cdf(ts))) < 3e-9
-    assert np.max(np.abs(law.cycle_cdf(ts) - fine.cycle_cdf(ts))) < 4e-6
+    assert np.max(np.abs(law.busy_cdf(ts) - fine.busy_cdf(ts))) < 1e-13
+    assert np.max(np.abs(law.cycle_cdf(ts) - fine.cycle_cdf(ts))) < 2e-12
 
 
 def test_series_step_too_coarse():
