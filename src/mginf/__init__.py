@@ -7,7 +7,7 @@ from .params import (
 from .closed_form import (
     busy_cycle_cdf, busy_period_cdf, busy_start_empty_probability, cycle_survival,
     empty_probability, envelope_bounds, monotony_indicator, service_atom, service_cdf,
-    service_quantile, survival_mean,
+    service_quantile,
 )
 from .transforms import (
     GridFunction, LaplacePoint, busy_cycle_cdf_series, busy_cycle_laplace, busy_period_cdf_series,

@@ -8,14 +8,13 @@ time T on, given gamma, B's survival at T and Z's: Z here, from T = 0, and
 every law's Z past T (`ServiceLaw.cycle_cdf`), T = 0 for constant beta.  Its
 one expm1 form stays exact through the confluent point gamma = lambda, with
 no switch.  Everything is written in overflow-safe form: only decaying
-exponentials are evaluated.  `survival_mean` integrates 1 - F for the mean
-identities.
+exponentials are evaluated.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,41 +30,6 @@ from .params import QueueParams, beta_bounds
 # continuity studies across the confluent point (rho near ln 2, beta at the
 # upper endpoint) can probe both sides; certification in params stays strict.
 BOUND_SLACK_REL = 1e-5
-
-# Survival means integrate over [0, t*] with a GAUSS_NODES-point Gauss-Legendre
-# rule on each of SURVIVAL_PANELS geometrically graded panels
-# [0, t* 2^-63], [t* 2^-63, t* 2^-62], ..., [t*/2, t*].  The grading resolves
-# both time scales of the busy cycle (rates lambda and e^{-rho}(lambda+beta));
-# the curves are an atom plus one or two exponentials, whose means the rule
-# gives to 1.2e-11 relative error or better for rho from 0.05 to 15.
-GAUSS_NODES = 20
-SURVIVAL_PANELS = 64
-
-
-def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1], by Golub-Welsch.
-
-    The nodes are the eigenvalues of the Jacobi matrix of the Legendre
-    recurrence, symmetric tridiagonal with off-diagonal k/sqrt(4k^2 - 1);
-    each weight is 2 v_0^2, v the node's unit eigenvector.
-    """
-    k = np.arange(1.0, n)
-    off = k / np.sqrt(4.0 * k * k - 1.0)
-    x, v = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
-    return x, 2.0 * v[0] ** 2
-
-
-def _graded_rule() -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the composite rule on [0, 1]."""
-    x, w = _gauss_legendre(GAUSS_NODES)
-    edges = np.exp2(np.arange(-SURVIVAL_PANELS, 1, dtype=float))
-    edges[0] = 0.0
-    lo, half = edges[:-1, None], 0.5 * np.diff(edges)[:, None]
-    return (lo + half * (1.0 + x)).ravel(), (half * w).ravel()
-
-
-_UNIT_NODES, _UNIT_WEIGHTS = _graded_rule()
-
 
 def _check_beta(params: QueueParams, beta: float) -> None:
     lo, hi = beta_bounds(params)
@@ -238,16 +202,3 @@ def envelope_bounds(params: QueueParams, t) -> EnvelopeBounds:
     cycle_ceiling = -np.expm1(-lam * tt)
     cycle_floor = busy_cycle_cdf(params, hi, tt)
     return EnvelopeBounds(_ret(bp_floor, tt), _ret(cycle_floor, tt), _ret(cycle_ceiling, tt))
-
-
-def survival_mean(cdf: Callable, tail_rate: float) -> float:
-    """int_0^inf (1 - F) by graded Gauss-Legendre on [0, 28/tail_rate] plus the exponential tail.
-
-    `cdf` is vectorised over t and `tail_rate` is the decay rate of 1 - F;
-    a rate of 0 is the degenerate curve with all its mass at the origin.
-    """
-    if tail_rate <= 0:
-        return 0.0
-    t_star = 28.0 / tail_rate
-    t = t_star * _UNIT_NODES
-    return float(np.dot(t_star * _UNIT_WEIGHTS, 1.0 - cdf(t))) + (1.0 - cdf(t_star)) / tail_rate

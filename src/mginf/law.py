@@ -29,8 +29,8 @@ import numpy as np
 
 from . import closed_form as cf
 from . import transforms
-from .errors import (BetaOutOfRange, GridTooLarge, NonFiniteParameter, ProbabilityOutOfRange,
-                     StepTooCoarse)
+from .errors import (BetaOutOfRange, GridTooLarge, NegativeS, NonFiniteParameter,
+                     ProbabilityOutOfRange, StepTooCoarse)
 from .params import BetaSpec, QueueParams, validate_beta
 from .transforms import MAX_GRID_POINTS, GridFunction, default_step
 
@@ -43,6 +43,23 @@ CERT_ULPS = 8
 def _like(t, values: np.ndarray):
     """values, computed on np.atleast_1d(t), as a float when t is a scalar."""
     return float(values[0]) if np.ndim(t) == 0 else values
+
+
+def simpson_weights(n: int, h: float) -> np.ndarray:
+    """Weights of a fourth-order sum over n >= 3 samples at spacing h.
+
+    Composite Simpson, with Simpson's 3/8 rule on the last three cells when
+    the cells are odd in number (a 4096-point block always is).
+    """
+    cells = n - 1
+    m = cells - 3 * (cells % 2)  # the cells under Simpson's rule, an even number
+    w = np.zeros(n)
+    if m:
+        w[:m + 1:2], w[1:m:2] = 2.0 * h / 3.0, 4.0 * h / 3.0
+        w[0] = w[m] = h / 3.0
+    if m < cells:
+        w[m:] += 3.0 * h / 8.0 * np.array([1.0, 3.0, 3.0, 1.0])
+    return w
 
 
 class ServiceLaw:
@@ -402,6 +419,36 @@ class ServiceLaw:
         lam = self.params.lam
         return self._past_grid(1, t, lambda u, end, z_end: 1.0 - cf.cycle_survival(
             lam, gamma, c * lam * math.exp(-gamma * end), 1.0 - z_end, u))
+
+    def survival_transforms(self, s) -> tuple[np.ndarray, np.ndarray]:
+        """L[1 - B](s) and L[1 - Z](s), int_0^inf e^{-s t} (1 - F(t)) dt, at each s >= 0.
+
+        The series grids on [0, T], T the walked grid's end for every law
+        (constants too), by `simpson_weights`; past T the closed tails
+        C e^{-(s + gamma) T}/(s + gamma) for B and
+        e^{-s T} (idle/(s + lambda) + weight/((s + lambda)(s + gamma))) for Z,
+        with `cycle_cdf`'s weight lambda C e^{-gamma T} and idle 1 - Z(T); the
+        C terms are 0 where C == 0.  At s = 0 these are the means of B and Z.
+        """
+        s = np.atleast_1d(np.asarray(s, dtype=float))
+        if np.any(s < 0):
+            raise NegativeS(f"s must be >= 0, got {s.min()}")
+        b, z = self.series
+        ts = b.times
+        w = simpson_weights(ts.size, b.step)
+        wb, wz = w * (1.0 - b.values), w * (1.0 - z.values)
+        lb, lz = np.empty_like(s), np.empty_like(s)
+        for i, x in enumerate(s):  # one decay at a time: the grids may hold millions of points
+            decay = np.exp(-x * ts)
+            lb[i], lz[i] = wb @ decay, wz @ decay
+        lam, (gamma, c), end = self.params.lam, self.busy_tail, ts[-1]
+        decay = np.exp(-s * end)
+        lz += decay * (1.0 - z.values[-1]) / (s + lam)
+        if c > 0.0:
+            tail = c * math.exp(-gamma * end) * decay / (s + gamma)  # B's tail
+            lb += tail
+            lz += lam * tail / (s + lam)
+        return lb, lz
 
     def _past_grid(self, curve: int, t, tail):
         """tail(t - T, T, Z(T)) on np.atleast_1d(t), and series[curve] interpolated on [0, T].

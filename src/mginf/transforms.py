@@ -89,10 +89,10 @@ MAX_GRID_POINTS = 2**24
 SERIES_BLOCK = 4096
 
 # The walk stops at the first block end t_k with |1 - R_k - C e^{-gamma t_k}|
-# below this, R the extrapolated grid: a tenth of verify's 1e-3 gate on the
-# series curves, so the step from grid to tail stays ten times inside it.  R's
-# own error is far smaller (1.1e-9 at rho = 3, h = 0.005), so the mismatch is
-# mostly how far the tail still is from its asymptote at t_k.
+# below this, R the extrapolated grid: the largest step B may take at T, where
+# the grid meets its tail.  R's own error is far smaller (1.1e-9 at rho = 3,
+# h = 0.005), so the mismatch is mostly how far the tail still is from its
+# asymptote at t_k; verify's series-vs-transform and mean checks read both sides.
 TAIL_TOL = 1e-4
 
 
@@ -482,10 +482,11 @@ def _romberg(y: np.ndarray, bounds: np.ndarray, h: np.ndarray) -> float:
     """Sum over pieces of Romberg's integral from the trapezoid sums at h_i, 2h_i, 4h_i, 8h_i.
 
     Piece i holds samples y[bounds[i]:bounds[i+1] + 1] at spacing h[i], the
-    last piece ends at the last sample, and every bound must be divisible by 8.  The stride-k samples of a piece are those of
-    y[::k], so each level is one reduceat over all pieces.  Column 1 of the
-    table holds the Simpson sums at h, 2h and 4h; two more Richardson steps
-    remove their h^4 and h^6 terms.
+    last piece ends at the last sample, and every bound must be divisible by
+    8.  The stride-k samples of a piece are those of y[::k], so each level is
+    one reduceat over all pieces.  Column 1 of the table holds the Simpson
+    sums at h, 2h and 4h; two more Richardson steps remove their h^4 and h^6
+    terms.
     """
     lo, hi = bounds[:-1], bounds[1:]
     ends = 0.5 * (y[hi] - y[lo])  # closes each half-open sum [lo, hi) with trapezoid ends

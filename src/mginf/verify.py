@@ -1,13 +1,13 @@
 """Cross-validation checks tying the four computation routes together.
 
 Each check takes a ServiceLaw and compares two independent routes to the
-same quantity (closed form, kernel evaluation, Laplace transform, grid
-solution of the convolution equation, Monte Carlo) at a fixed tolerance.
-Every law, the degenerate endpoint beta = -lambda included, has a kernel,
-so every check runs there too; the bound-ordering grid reaches past every
-floor crossing, the Riccati grid spans the service law's own scale
+same quantity (kernel evaluation, Laplace transform, grid solution of the
+convolution equation, Takacs's means, Monte Carlo) at a fixed tolerance.
+Every law, constant, tabulated or the degenerate endpoint beta = -lambda,
+runs the same checks on its own grids; the bound-ordering grid reaches past
+every floor crossing, the Riccati grid spans the service law's own scale
 1/(lambda + max|beta|).  Each gate is a module constant.
-The series and Monte Carlo checks share the law's (B, Z) grids, so each
+The series, mean and Monte Carlo checks share the law's (B, Z) grids, so each
 law's busy-period equation is solved once.  Used by the CLI `verify`
 subcommand and the acceptance tests.
 """
@@ -20,11 +20,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import closed_form as cf
-from .law import ServiceLaw
+from .law import ServiceLaw, simpson_weights
 from .params import beta_bounds
 from .simulate import empirical_cdf, ks_distance, run_cycles
 from .transforms import (
-    LaplacePoint, busy_period_laplace_from_service, busy_period_laplace_general,
+    LaplacePoint, busy_cycle_laplace, busy_period_laplace_from_service,
+    busy_period_laplace_general,
 )
 
 # Transform arguments in units of lambda: the checks evaluate at s = c * lambda,
@@ -35,8 +36,7 @@ TRANSFORM_S_POINTS = (0.1, 0.5, 1.0, 2.0, 5.0)
 # value sqrt(ln(2/KS_ALPHA) / (2 n)), since P(KS > x) <= 2 exp(-2 n x^2).
 KS_ALPHA = 1e-6
 
-SERIES_TOL = 1e-3  # sup |series - closed form| of B and of Z
-TRANSFORM_TOL = 1e-5  # |kernel form - other route| of the busy-period transform
+TRANSFORM_TOL = 1e-5  # |kernel form - other route| of the busy-period or busy-cycle transform
 MEAN_REL_TOL = 1e-6  # relative error of each mean
 RICCATI_TOL = 1e-3  # the Riccati residual, in units of lambda
 RICCATI_POINTS = 100  # samples of that residual
@@ -47,12 +47,8 @@ BOUND_SLACK = 1e-9  # rounding slack by which a curve may cross a bound
 @dataclass(frozen=True)
 class CheckResult:
     name: str
-    status: str  # PASS / FAIL / SKIP
+    status: str  # PASS / FAIL
     detail: str
-
-    @property
-    def passed(self) -> bool:
-        return self.status != "FAIL"
 
 
 def _result(name: str, ok: bool, detail: str) -> CheckResult:
@@ -78,17 +74,6 @@ def riccati_residual(law: ServiceLaw) -> float:
     return float(np.max(np.abs(dg - rhs))) / lam
 
 
-def check_series_vs_closed_form(law: ServiceLaw) -> list[CheckResult]:
-    b_grid, z_grid = law.series
-    ts, beta = b_grid.times, law.spec.constant
-    db = float(np.max(np.abs(b_grid.values - cf.busy_period_cdf(law.params, beta, ts))))
-    dz = float(np.max(np.abs(z_grid.values - cf.busy_cycle_cdf(law.params, beta, ts))))
-    return [
-        _result("busy period: series vs closed form", db < SERIES_TOL, f"sup distance {db:.2e}"),
-        _result("busy cycle: series vs closed form", dz < SERIES_TOL, f"sup distance {dz:.2e}"),
-    ]
-
-
 def check_series_envelope(law: ServiceLaw) -> list[CheckResult]:
     """Series B and Z against envelope_bounds on the law's grid, past t = 0."""
     b_grid, z_grid = law.series
@@ -109,6 +94,22 @@ def kernel_form_transform(law: ServiceLaw) -> list[LaplacePoint]:
     return [busy_period_laplace_general(law, c * law.params.lam) for c in TRANSFORM_S_POINTS]
 
 
+def check_series_transform(law: ServiceLaw,
+                           kernel_form: list[LaplacePoint]) -> list[CheckResult]:
+    """The series grids' transforms 1 - s L[1 - F](s) against `kernel_form_transform`.
+
+    L[1 - B] and L[1 - Z] are `ServiceLaw.survival_transforms`; B's is compared
+    with the kernel form, Z's with `busy_cycle_laplace` of it.
+    """
+    s = np.array([lp.s for lp in kernel_form])
+    lb, lz = law.survival_transforms(s)
+    db = max(abs(1.0 - x * y - lp.value) for x, y, lp in zip(s, lb, kernel_form))
+    dz = max(abs(1.0 - x * y - busy_cycle_laplace(law.params, lp).value)
+             for x, y, lp in zip(s, lz, kernel_form))
+    return [_result("busy period: series vs transform", db < TRANSFORM_TOL, f"max |diff| {db:.2e}"),
+            _result("busy cycle: series vs transform", dz < TRANSFORM_TOL, f"max |diff| {dz:.2e}")]
+
+
 def check_transform_consistency(law: ServiceLaw,
                                 kernel_form: list[LaplacePoint]) -> list[CheckResult]:
     """`kernel_form_transform` against nested quadrature of G at the same points, in one pass."""
@@ -118,36 +119,30 @@ def check_transform_consistency(law: ServiceLaw,
                     worst < TRANSFORM_TOL, f"max |diff| {worst:.2e}")]
 
 
-def check_transform_mixture(law: ServiceLaw, kernel_form: list[LaplacePoint]) -> list[CheckResult]:
-    """`kernel_form_transform` against the closed form's atom plus exponential."""
-    g0 = law.atom
-    mu = law.params.exp_neg_rho * (law.params.lam + law.spec.constant)
-    worst = max(abs(lp.value - (g0 + (1.0 - g0) * mu / (lp.s + mu))) for lp in kernel_form)
-    return [_result("busy period transform: vs analytic exponential mixture",
-                    worst < TRANSFORM_TOL, f"max |diff| {worst:.2e}")]
-
-
 def check_mean_identities(law: ServiceLaw) -> list[CheckResult]:
     """Means of the law's G, B, Z against rho'/lam, (e^rho' - 1)/lam, e^rho'/lam (Takacs, 1962).
 
-    Each mean is `closed_form.survival_mean` of the law's own curve, with its
-    tail rate: r for G, gamma for B and min(lambda, gamma) for Z, or lambda
-    where C == 0 and Z is the idle period alone.  rho' = -ln lim p00(t) is rho
+    The means of B and Z are `ServiceLaw.survival_transforms` at s = 0.  The
+    service mean is the same fourth-order sum of 1 - G over the kernel grid on
+    [0, t_knot], plus (ln p00(t_knot) + rho')/lambda past the knot, since
+    p00(t) = exp(-lambda int_0^t (1 - G)); at constant beta (t_knot = 0,
+    p00(0) = 1) it is rho'/lambda exactly.  rho' = -ln lim p00(t) is rho
     when the kernel integral I is finite and 0 at the degenerate endpoint,
     where 1/I = 0 (p00(inf) itself is 0 * inf there).
     """
     lam = law.params.lam
     rho_eff = law.params.rho if law.inv_total > 0 else 0.0
-    gamma, c = law.busy_tail
+    g_mean = (math.log(law.p00(law.t_knot)) + rho_eff) / lam
+    if law.t_knot > 0:
+        g_mean += simpson_weights(law.grid_t.size, law.grid_t[1]) @ (1.0 - law.grid_g)
+    (b_mean,), (z_mean,) = law.survival_transforms(0.0)
     targets = {
-        "service mean": (law.cdf, law.tail_rate, rho_eff / lam),
-        "busy period mean": (law.busy_cdf, gamma, math.expm1(rho_eff) / lam),
-        "busy cycle mean": (law.cycle_cdf, min(lam, gamma) if c > 0 else lam,
-                            math.exp(rho_eff) / lam),
+        "service mean": (g_mean, rho_eff / lam),
+        "busy period mean": (b_mean, math.expm1(rho_eff) / lam),
+        "busy cycle mean": (z_mean, math.exp(rho_eff) / lam),
     }
     out = []
-    for name, (cdf, rate, target) in targets.items():
-        mean = cf.survival_mean(cdf, rate)
+    for name, (mean, target) in targets.items():
         err = abs(mean - target)
         out.append(_result(f"{name} = analytic target", err <= MEAN_REL_TOL * target,
                            f"|{mean:.10g} - {target:.10g}| = {err:.2e}"))
@@ -215,21 +210,13 @@ def check_monte_carlo(law: ServiceLaw, n_cycles: int, seed: int) -> list[CheckRe
 def verify_point(law: ServiceLaw, n_cycles: int, seed: int) -> list[CheckResult]:
     """Run the full cross-validation battery for one service law.
 
-    The closed-form checks run when beta is constant, the degenerate endpoint
-    included; for tabulated beta they are reported as SKIP and the series
-    curves are checked against the envelopes instead.  The kernel-form
-    transform is formed once, for both transform checks.
+    Every law runs the same checks; the kernel-form transform is formed once,
+    for both transform checks.
     """
     kernel_form = kernel_form_transform(law)
-    if law.spec.constant is None:
-        no_closed_form = "no closed form for tabulated beta"
-        head = ([CheckResult("series vs closed form", "SKIP", no_closed_form)]
-                + check_series_envelope(law))
-        mixture = [CheckResult("busy period transform: vs analytic exponential mixture",
-                               "SKIP", no_closed_form)]
-    else:
-        head = (check_series_vs_closed_form(law) + check_mean_identities(law)
-                + check_bound_ordering(law))
-        mixture = check_transform_mixture(law, kernel_form)
-    return (head + check_transform_consistency(law, kernel_form) + mixture
-            + check_riccati_residual(law) + check_monte_carlo(law, n_cycles, seed))
+    # The envelope family alone depends on the law: bench/run.py expects the paper's
+    # floors to FAIL under these names, one envelope line for a table (ROADMAP item 1)
+    envelope = check_bound_ordering if law.spec.constant is not None else check_series_envelope
+    return (check_series_transform(law, kernel_form) + check_mean_identities(law) + envelope(law)
+            + check_transform_consistency(law, kernel_form) + check_riccati_residual(law)
+            + check_monte_carlo(law, n_cycles, seed))

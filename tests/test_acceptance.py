@@ -20,7 +20,7 @@ asserted separately.
 import math
 
 import numpy as np
-from scipy.integrate import quad_vec
+from scipy.integrate import quad, quad_vec
 
 from mginf import closed_form as cf
 from mginf.cli import main
@@ -108,11 +108,10 @@ def test_criterion_3_confluent_limit():
 
 
 def law_means(law):
-    """survival_mean of the law's G, B and Z, at the tail rates check_mean_identities uses."""
-    lam = law.params.lam
-    gamma, c = law.busy_tail
-    return (cf.survival_mean(law.cdf, law.tail_rate), cf.survival_mean(law.busy_cdf, gamma),
-            cf.survival_mean(law.cycle_cdf, min(lam, gamma) if c > 0 else lam))
+    """Means of the law's G (quad of 1 - G) and of its B and Z (L[1 - B], L[1 - Z] at s = 0)."""
+    g = quad(lambda t: 1.0 - law.cdf(t), 0.0, math.inf, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+    (b,), (z,) = law.survival_transforms(0.0)
+    return g, b, z
 
 
 def test_criterion_4_mean_identities():

@@ -225,7 +225,7 @@ def test_verify_endpoint_all_pass(capsys):
                         "--beta", "1", "--cycles", "20000", "--seed", "1"], capsys)
     report = parse_report(out)
     assert code == EXIT_OK
-    assert all(s in ("PASS", "SKIP") for s in report.values())
+    assert all(s == "PASS" for s in report.values())
     assert sum(s == "PASS" for s in report.values()) >= 10
 
 
@@ -238,20 +238,23 @@ def test_verify_interior_beta_fails_only_floor_checks(capsys):
     assert failed == set(FLOOR_CHECKS)
 
 
-def test_verify_tabulated_beta_skips_closed_form(tmp_path, capsys):
+def test_verify_tabulated_beta_runs_the_checks_of_a_constant(tmp_path, capsys):
     table = tmp_path / "ramp.csv"
     table.write_text("t,beta\n0.0,0.0\n1.0,0.2\n")
     code, out, _ = run(["verify", "--lambda", "1", "--rho", "1",
                         "--beta-file", str(table), "--cycles", "5000",
                         "--seed", "3"], capsys)
     report = parse_report(out)
-    assert report["series vs closed form"] == "SKIP"
-    assert report["busy period transform: vs analytic exponential mixture"] == "SKIP"
-    assert report["busy period transform: kernel form vs nested quadrature"] == "PASS"
-    assert report["service CDF solves the Riccati ODE"] == "PASS"
-    assert report["zero-busy fraction matches atom"] == "PASS"
-    # interior running-average beta, so the floor envelope fails here too
-    assert report["envelope bounds on series curves"] == "FAIL"
+    assert "SKIP" not in out
+    for name in ("busy period: series vs transform", "busy cycle: series vs transform",
+                 "service mean = analytic target", "busy period mean = analytic target",
+                 "busy cycle mean = analytic target",
+                 "busy period transform: kernel form vs nested quadrature",
+                 "service CDF solves the Riccati ODE", "zero-busy fraction matches atom"):
+        assert report[name] == "PASS", out
+    # interior running-average beta, so the floor envelope fails here too, and only it
+    assert code == EXIT_VERIFY_FAIL
+    assert {n for n, v in report.items() if v == "FAIL"} == {"envelope bounds on series curves"}
 
 
 def test_verify_envelope_detail_names_the_grid_size(tmp_path, capsys):
@@ -284,8 +287,8 @@ def test_heavy_traffic_verify_series_passes(rho, cycles, capsys):
     code, out, err = run(["verify", "--lambda", "1", "--rho", repr(rho), "--beta", "0",
                           "--cycles", str(cycles)], capsys)
     report = parse_report(out)
-    assert report["busy period: series vs closed form"] == "PASS", out
-    assert report["busy cycle: series vs closed form"] == "PASS", out
+    assert report["busy period: series vs transform"] == "PASS", out
+    assert report["busy cycle: series vs transform"] == "PASS", out
     # exit 1 only for the paper's floors, false at interior beta
     assert code == EXIT_VERIFY_FAIL, err
     assert {n for n, v in report.items() if v == "FAIL"} == set(FLOOR_CHECKS), out
@@ -314,7 +317,8 @@ def test_verify_transform_checks_pass_at_every_time_scale(lam, capsys):
                      "--cycles", "200", "--seed", "1"], capsys)
     report = parse_report(out)
     assert report["busy period transform: kernel form vs nested quadrature"] == "PASS"
-    assert report["busy period transform: vs analytic exponential mixture"] == "PASS"
+    assert report["busy period: series vs transform"] == "PASS"
+    assert report["busy cycle: series vs transform"] == "PASS"
 
 
 # ---- heavy traffic ------------------------------------------------------------
@@ -334,7 +338,8 @@ def test_verify_heavy_traffic_has_no_nan_detail(capsys):
                      "--cycles", "2000", "--seed", "1"], capsys)
     assert "nan" not in out
     report = parse_report(out)
-    assert report["busy cycle: series vs closed form"] == "PASS"
+    assert report["busy period: series vs transform"] == "PASS"
+    assert report["busy cycle: series vs transform"] == "PASS"
     assert report["busy cycle mean = analytic target"] == "PASS"
 
 
@@ -352,7 +357,7 @@ def test_verify_degenerate_endpoint_runs_every_check(rho, capsys):
                           "--cycles", "20000", "--seed", "1"], capsys)
     report = parse_report(out)
     assert code == EXIT_OK, out
-    assert set(report.values()) == {"PASS"} and len(report) == 16
+    assert set(report.values()) == {"PASS"} and len(report) == 15
     assert err == ""
 
 
@@ -368,7 +373,7 @@ def test_verify_is_invariant_under_time_scaling(rho, ratio, capsys):
                          "--cycles", "2000", "--seed", "1"], capsys)
         lines[c] = [line.partition(": ")[0] for line in out.splitlines()]
     assert lines[0.01] == lines[1.0] == lines[100.0]
-    assert len(lines[1.0]) == 16
+    assert len(lines[1.0]) == 15
 
 
 # ---- CSV output ----------------------------------------------------------------
@@ -452,8 +457,8 @@ def test_eval_flat_table_reproduces_closed_form(tmp_path, capsys):
 
 
 def test_one_row_table_is_the_constant_it_equals(tmp_path, capsys):
-    # a table whose only knot is (0, c) is beta = c: every command, verify's closed-form
-    # checks included, writes the same bytes for it as for --beta c
+    # a table whose only knot is (0, c) is beta = c: every command, verify's bound ordering
+    # included, writes the same bytes for it as for --beta c
     table = tmp_path / "one.csv"
     table.write_text("t,beta\n0,0.3\n")
     common = ["--lambda", "1", "--rho", "1", "--cycles", "2000", "--seed", "4"]
@@ -469,7 +474,7 @@ def test_one_row_table_is_the_constant_it_equals(tmp_path, capsys):
         assert code == EXIT_VERIFY_FAIL  # the paper floors, at interior beta
         outputs.append((files, report))
     assert outputs[0] == outputs[1]
-    assert parse_report(outputs[1][1])["busy period: series vs closed form"] == "PASS"
+    assert parse_report(outputs[1][1])["busy period: series vs transform"] == "PASS"
 
 
 def test_eval_table_with_large_beta_picks_a_fine_enough_grid(tmp_path, capsys):

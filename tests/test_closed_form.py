@@ -14,7 +14,8 @@ from mginf.errors import (
     NegativeTime,
     ProbabilityOutOfRange,
 )
-from mginf.params import validate_queue_params
+from mginf.law import ServiceLaw
+from mginf.params import BetaSpec, validate_queue_params
 
 P11 = validate_queue_params(1.0, 1.0)
 PLN2 = validate_queue_params(1.0, math.log(2))
@@ -339,14 +340,13 @@ def test_cycle_ceiling_holds_everywhere():
 
 # ---- means -----------------------------------------------------------------
 
-def closed_form_means(p, beta):
-    """survival_mean of G, B and Z at constant beta, at their tail rates."""
-    s = p.lam + beta
-    gamma = p.exp_neg_rho * s
-    return (cf.survival_mean(lambda t: cf.service_cdf(p, beta, t), s),
-            cf.survival_mean(lambda t: cf.busy_period_cdf(p, beta, t), gamma),
-            cf.survival_mean(lambda t: cf.busy_cycle_cdf(p, beta, t),
-                             min(p.lam, gamma) if s > 0 else p.lam))
+def constant_means(p, beta):
+    """Means of G, B and Z at constant beta: quad of the closed form's 1 - G, and the law's
+    L[1 - B] and L[1 - Z] at s = 0 (its series grids plus their closed tails)."""
+    g = quad(lambda t: 1.0 - cf.service_cdf(p, beta, t), 0.0, math.inf,
+             epsabs=0.0, epsrel=1e-12, limit=200)[0]
+    (b,), (z,) = ServiceLaw(p, BetaSpec(constant=beta)).survival_transforms(0.0)
+    return g, b, z
 
 
 @pytest.mark.parametrize("p", [P11, PLN2, P21])
@@ -354,19 +354,10 @@ def closed_form_means(p, beta):
 def test_mean_identities(p, which):
     hi = p.lam / math.expm1(p.rho)
     beta = {"lo_half": -p.lam / 2, "zero": 0.0, "mid": hi / 2, "hi": hi}[which]
-    g, b, z = closed_form_means(p, beta)
+    g, b, z = constant_means(p, beta)
     assert g == pytest.approx(p.rho / p.lam, rel=1e-6)
     assert b == pytest.approx(math.expm1(p.rho) / p.lam, rel=1e-6)
     assert z == pytest.approx(math.exp(p.rho) / p.lam, rel=1e-6)
-
-
-def test_gauss_legendre_rule_matches_leggauss():
-    import numpy.polynomial  # the reference only; mginf computes the rule by Golub-Welsch
-
-    x, w = cf._gauss_legendre(cf.GAUSS_NODES)
-    x_ref, w_ref = numpy.polynomial.legendre.leggauss(cf.GAUSS_NODES)
-    assert np.max(np.abs(x - x_ref)) <= 1e-14
-    assert np.max(np.abs(w - w_ref)) <= 1e-14
 
 
 @pytest.mark.parametrize("lam", [0.01, 1.0, 100.0])
@@ -375,12 +366,12 @@ def test_survival_mean_matches_targets_across_scales(lam, rho):
     p = validate_queue_params(lam, rho)
     targets = (rho / lam, math.expm1(rho) / lam, math.exp(rho) / lam)
     for beta in np.linspace(-lam, lam / math.expm1(rho), 9)[1:-1]:
-        for mean, target in zip(closed_form_means(p, beta), targets):
+        for mean, target in zip(constant_means(p, beta), targets):
             assert mean == pytest.approx(target, rel=1e-9)
 
 
 def test_degenerate_means():
-    g, b, z = closed_form_means(P11, -1.0)
+    g, b, z = constant_means(P11, -1.0)
     assert g == 0.0 and b == 0.0
     assert z == pytest.approx(1.0, rel=1e-8)
 

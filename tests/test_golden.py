@@ -21,15 +21,15 @@ POINTS = {
     "mc-constant": (1.0, 0.0, 100_000, (
         "2fc548e0227348da8fbbb73196652bab9cb41d8ff77cb4f327192d034593478c",
         "82e474036513c90d4765dc99ad887728fab8ff7cbf93065a44b386e31deee0a5",
-        "c4833e50a22fc7d97b64e5460e2ae2dc95560dd101552db3dedfb3a3d8efbf2c")),
+        "4db74e5cfd9b2c6d5ae9ff1dddfc001f1af67cc4a39373c69065e9c1ce270975")),
     "table-ramp": (1.0, ((0.0, 0.0), (1.0, 0.2)), 1000, (
         "85561c7b84ad7956cc2aeb44de0627638a61c43ed4b6b8bc014b393d8489c29f",
         "ddd160b674f42fcfbc3e267c18edad0b6665d8f347d4612c476280781dc85740",
-        "5bc20400dcfe29a92000aa8863cf4011f4af2f768eaad49a268d1f14d6dc95a4")),
+        "551e3e493a8bb9e882539200a6e7ba309f11db747926a0a7aa813935cb785942")),
     "heavy-series": (3.0, 0.0, 20_000, (
         "49fd692f9865ef86030d75daec2f02600399fe4aff6349da9e6efc47553cef7c",
         "c095b3aa07d0bf0dc47cc501d03832976fee27b128710fcb6c74433f3a77e1b4",
-        "604c2b32bc11e5697ade072a1cd64f13e3a39b89810ca6a2d885c8cc6f1c9c07")),
+        "4af60907fc89223cc4461b6f41294629270dd62bd5e5953ed16d088e84582831")),
 }
 
 

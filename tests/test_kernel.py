@@ -6,10 +6,13 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from mginf import closed_form as cf
-from mginf.errors import BetaOutOfRange, NegativeTime, NonFiniteParameter
-from mginf.law import ServiceLaw
+from mginf.errors import BetaOutOfRange, NegativeS, NegativeTime, NonFiniteParameter
+from mginf.law import ServiceLaw, simpson_weights
 from mginf.params import BetaSpec, beta_bounds, validate_beta, validate_queue_params
-from mginf.verify import check_bound_ordering, riccati_residual
+from mginf.verify import (
+    check_bound_ordering, check_mean_identities, check_riccati_residual, check_series_transform,
+    check_transform_consistency, kernel_form_transform, riccati_residual,
+)
 
 P11 = validate_queue_params(1.0, 1.0)
 PLN2 = validate_queue_params(1.0, math.log(2))
@@ -132,11 +135,15 @@ def test_constant_beta_equivalence(p, beta):
 
 
 def test_tabulated_mean_is_rho_over_lambda():
+    from scipy.integrate import quad
+
     for p, spec in [(P11, RAMP),
                     (P11, BetaSpec(knots=((0.0, 0.3), (2.0, -0.2), (5.0, 0.1)))),
                     (PLN2, BetaSpec(knots=((0.0, -0.5), (3.0, 0.5))))]:
         law = ServiceLaw(p, spec)
-        assert cf.survival_mean(law.cdf, law.tail_rate) == pytest.approx(p.rho / p.lam, rel=1e-5)
+        pieces = np.append(law.spec.knot_times, np.inf)  # G'' jumps at each knot
+        mean = sum(quad(lambda t: 1.0 - law.cdf(t), a, b)[0] for a, b in zip(pieces, pieces[1:]))
+        assert mean == pytest.approx(p.rho / p.lam, rel=1e-5)
 
 
 @pytest.mark.parametrize("spec", [BetaSpec(constant=0.2), RAMP,
@@ -487,6 +494,35 @@ def test_constant_busy_and_cycle_laws_are_their_closed_forms(lam, rho, u):
     ts = np.linspace(0.0, 30.0 * math.exp(rho) / lam, 2000)  # 30 mean busy cycles
     assert np.max(np.abs(law.busy_cdf(ts) - cf.busy_period_cdf(p, beta, ts))) <= CLOSED_FORM_TOL
     assert np.max(np.abs(law.cycle_cdf(ts) - cf.busy_cycle_cdf(p, beta, ts))) <= CLOSED_FORM_TOL
+    # the series grids, read through their transforms, against the kernel form and the means
+    for check in check_series_transform(law, kernel_form_transform(law)) + check_mean_identities(law):
+        assert check.status == "PASS", check
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 8, 4096])
+def test_simpson_weights_integrate_cubics_exactly(n):
+    # even cell counts are Simpson alone, odd ones end in the 3/8 rule (n = 4: that rule alone)
+    t = np.linspace(0.0, 2.0, n)
+    assert simpson_weights(n, t[1]) @ (t**3 - t + 1.0) == pytest.approx(4.0, rel=1e-13)
+
+
+def test_survival_transforms_reject_negative_s():
+    with pytest.raises(NegativeS):
+        ServiceLaw(P11, RAMP).survival_transforms([1.0, -1e-300])
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: busy_tail's root rounds to r here, so "
+                                       "C = 7738 where it is about 4e-99")
+def test_a_tail_root_below_the_resolution_of_r_passes_every_deterministic_check():
+    # f(t_knot) = 1.7e-98; the B mean is off by 1.3e-2 relative through the wrong tail
+    p = validate_queue_params(23.678261386205403, 0.005483567916047305)
+    law = ServiceLaw(p, BetaSpec(knots=((0.0, 929.8632), (0.0684, 2944.7731),
+                                        (0.1296, -19.3484))))
+    kernel_form = kernel_form_transform(law)
+    # all but the Monte Carlo lines and the envelope line, whose paper floors are false here
+    checks = (check_series_transform(law, kernel_form) + check_mean_identities(law)
+              + check_transform_consistency(law, kernel_form) + check_riccati_residual(law))
+    assert [c for c in checks if c.status != "PASS"] == []
 
 
 @given(lam=LAMBDAS, rho=RHOS, u=st.sampled_from([0.0, 1.0]) | st.floats(0.01, 0.99))
