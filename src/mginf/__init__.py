@@ -14,7 +14,7 @@ from .transforms import (
     busy_period_laplace_from_service, busy_period_laplace_general, default_step,
 )
 from .simulate import (
-    CycleSamples, EmpiricalCdf, cycle_summary, empirical_cdf, ks_distance, run_cycles,
+    CycleSamples, EmpiricalCdf, cycle_ks, cycle_summary, empirical_cdf, ks_distance, run_cycles,
 )
 from .law import ServiceLaw
 from .verify import verify_point

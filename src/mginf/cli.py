@@ -1,6 +1,10 @@
 """Command-line front end: `mginf eval|simulate|verify`.
 
-Each run validates its input and builds one ServiceLaw whose series grid
+One parser takes the command and the nine options, in any order; every
+command reads the law's options (`--lambda`, `--rho`, `--beta` or
+`--beta-file`, `--step`), `eval` also `--t-max` and `--out`, `simulate`
+`--cycles`, `--seed` and `--out`, `verify` `--cycles` and `--seed`.  Each run
+validates all of them and builds one ServiceLaw whose series grid
 steps at the finer of `--step` and the law's default step and ends where it
 meets its exponential tail; every command reads its curves, quantile and
 series from that law.  `--t-max` and `--step` set only the rows of `eval`
@@ -20,8 +24,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -31,7 +33,7 @@ from .errors import (
 )
 from .law import ServiceLaw
 from .params import BetaSpec, load_beta_table, validate_queue_params
-from .simulate import empirical_cdf, ks_distance, run_cycles, cycle_summary
+from .simulate import cycle_ks, cycle_summary, run_cycles
 from .transforms import default_step, grid_points
 from .verify import verify_point
 
@@ -45,17 +47,13 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-@dataclass
-class RunConfig:
-    law: ServiceLaw
-    t_max: float
-    step: float
-    cycles: int
-    seed: int
-    out: Path | None
+def _build_law(args) -> ServiceLaw:
+    """The run's certified ServiceLaw, after every check of its options.
 
-
-def _build_config(args) -> RunConfig:
+    Fills in the defaults of args.t_max (12 mean busy periods) and args.step
+    (the law's default step); the law steps at the finer of args.step and
+    its default.
+    """
     params = validate_queue_params(args.lam, args.rho)
     if (args.beta is None) == (args.beta_file is None):
         raise MginfError("exactly one of --beta / --beta-file is required")
@@ -68,22 +66,18 @@ def _build_config(args) -> RunConfig:
     else:
         spec = load_beta_table(args.beta_file)
     h = default_step(params, spec)
-    t_max = args.t_max if args.t_max is not None else 12.0 * math.expm1(params.rho) / params.lam
-    step = args.step if args.step is not None else h
-    if not (math.isfinite(t_max) and math.isfinite(step)):
-        raise NonFiniteParameter(f"--t-max and --step must be finite, got {t_max} and {step}")
-    if t_max <= 0:
-        raise MginfError(f"--t-max must be > 0, got {t_max}")
-    if step <= 0:
-        raise MginfError(f"--step must be > 0, got {step}")
-    return RunConfig(
-        law=ServiceLaw(params, spec, min(h, step)),
-        t_max=t_max,
-        step=step,
-        cycles=args.cycles,
-        seed=args.seed,
-        out=Path(args.out) if args.out else None,
-    )
+    if args.t_max is None:
+        args.t_max = 12.0 * math.expm1(params.rho) / params.lam
+    if args.step is None:
+        args.step = h
+    if not (math.isfinite(args.t_max) and math.isfinite(args.step)):
+        raise NonFiniteParameter(f"--t-max and --step must be finite, "
+                                 f"got {args.t_max} and {args.step}")
+    if args.t_max <= 0:
+        raise MginfError(f"--t-max must be > 0, got {args.t_max}")
+    if args.step <= 0:
+        raise MginfError(f"--step must be > 0, got {args.step}")
+    return ServiceLaw(params, spec, min(h, args.step))
 
 
 # ---- exact %.17g CSV fields ---------------------------------------------------
@@ -250,16 +244,15 @@ def write_csv(out, header: str, columns) -> None:
         out.write(_format_block(block.ravel(), len(columns)))
 
 
-def _write_output(config: RunConfig, header: str, columns) -> None:
-    if config.out is None:
+def _write_output(args, header: str, columns) -> None:
+    if not args.out:
         return write_csv(sys.stdout, header, columns)
-    with open(config.out, "w", newline="\n") as out:
+    with open(args.out, "w", newline="\n") as out:
         write_csv(out, header, columns)
 
 
-def cmd_eval(config: RunConfig) -> int:
-    law = config.law
-    ts = np.arange(grid_points(config.t_max, config.step)) * config.step
+def cmd_eval(args, law: ServiceLaw) -> int:
+    ts = np.arange(grid_points(args.t_max, args.step)) * args.step
     g = law.cdf(ts)
     b = law.busy_cdf(ts)
     z = law.cycle_cdf(ts)
@@ -267,21 +260,18 @@ def cmd_eval(config: RunConfig) -> int:
     ind = law.indicator(ts)
     p10 = p00 * g
     env = cf.envelope_bounds(law.params, ts)
-    _write_output(config, "t,G,B,Z,p00,p10,indicator,bp_floor,cycle_floor,cycle_ceiling",
+    _write_output(args, "t,G,B,Z,p00,p10,indicator,bp_floor,cycle_floor,cycle_ceiling",
                   (ts, g, b, z, p00, p10, ind, env.bp_floor, env.cycle_floor, env.cycle_ceiling))
     return EXIT_OK
 
 
-def cmd_simulate(config: RunConfig) -> int:
-    if config.cycles < 2:  # the summary's standard errors need two; reject before any output
-        raise EmptySample(f"simulate needs --cycles >= 2, got {config.cycles}")
-    law = config.law
-    samples = run_cycles(law.params, law.quantile, config.cycles, config.seed)
-    _write_output(config, "busy,idle,cycle", (samples.busy, samples.idle, samples.cycle))
+def cmd_simulate(args, law: ServiceLaw) -> int:
+    if args.cycles < 2:  # the summary's standard errors need two; reject before any output
+        raise EmptySample(f"simulate needs --cycles >= 2, got {args.cycles}")
+    samples = run_cycles(law.params, law.quantile, args.cycles, args.seed)
+    _write_output(args, "busy,idle,cycle", (samples.busy, samples.idle, samples.cycle))
     summ = cycle_summary(samples)
-    ks_busy = ks_distance(empirical_cdf(samples.busy), law.busy_cdf)
-    ks_cycle = ks_distance(empirical_cdf(samples.cycle), law.cycle_cdf)
-    ks_idle = ks_distance(empirical_cdf(samples.idle), law.idle_cdf)
+    ks_busy, ks_cycle, ks_idle = cycle_ks(samples, law)
     print(f"cycles          {samples.n}")
     print(f"seed            {samples.seed}")
     print(f"mean_busy       {_fmt(summ.mean_busy)} (stderr {_fmt(summ.stderr_busy)})")
@@ -293,34 +283,11 @@ def cmd_simulate(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_verify(config: RunConfig) -> int:
-    results = verify_point(config.law, config.cycles, config.seed)
-    failed = False
+def cmd_verify(args, law: ServiceLaw) -> int:
+    results = verify_point(law, args.cycles, args.seed)
     for r in results:
         print(f"{r.status:<4} {r.name}: {r.detail}")
-        if r.status == "FAIL":
-            failed = True
-    return EXIT_VERIFY_FAIL if failed else EXIT_OK
-
-
-def _common_options() -> argparse.ArgumentParser:
-    """The options every subcommand takes, declared once for `parents=`."""
-    p = argparse.ArgumentParser(add_help=False)
-    p.add_argument("--lambda", dest="lam", type=float, required=True,
-                   help="Poisson arrival rate")
-    p.add_argument("--rho", type=float, required=True, help="traffic intensity")
-    p.add_argument("--beta", type=float, default=None,
-                   help="constant monotony indicator beta")
-    p.add_argument("--beta-file", default=None,
-                   help="CSV table `t,beta` with header row, piecewise-linear")
-    p.add_argument("--t-max", dest="t_max", type=float, default=None,
-                   help="last eval row (default 12 mean busy periods)")
-    p.add_argument("--step", type=float, default=None,
-                   help="eval row spacing; also the series step when finer than its default")
-    p.add_argument("--cycles", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None, help="output file (default stdout)")
-    return p
+    return EXIT_VERIFY_FAIL if any(r.status == "FAIL" for r in results) else EXIT_OK
 
 
 def main(argv=None) -> int:
@@ -329,20 +296,30 @@ def main(argv=None) -> int:
         description="M|G|inf busy period and busy cycle distributions for the "
                     "Riccati service family",
     )
-    common = _common_options()
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_ in (("eval", "evaluate analytic curves to CSV"),
-                        ("simulate", "run regenerative Monte Carlo"),
-                        ("verify", "run the cross-validation suite")):
-        sub.add_parser(name, help=help_, parents=[common])
+    parser.add_argument("command", choices=("eval", "simulate", "verify"),
+                        help="eval: analytic curves to CSV; simulate: regenerative Monte Carlo; "
+                             "verify: the cross-validation suite")
+    parser.add_argument("--lambda", dest="lam", type=float, required=True,
+                        help="Poisson arrival rate")
+    parser.add_argument("--rho", type=float, required=True, help="traffic intensity")
+    parser.add_argument("--beta", type=float, default=None,
+                        help="constant monotony indicator beta")
+    parser.add_argument("--beta-file", default=None,
+                        help="CSV table `t,beta` with header row, piecewise-linear")
+    parser.add_argument("--t-max", dest="t_max", type=float, default=None,
+                        help="last eval row (default 12 mean busy periods)")
+    parser.add_argument("--step", type=float, default=None,
+                        help="eval row spacing; also the series step when finer than its default")
+    parser.add_argument("--cycles", type=int, default=100_000,
+                        help="Monte Carlo cycles of simulate and verify")
+    parser.add_argument("--seed", type=int, default=0, help="seed of simulate and verify")
+    parser.add_argument("--out", default=None, help="CSV of eval or simulate (default stdout)")
     args = parser.parse_args(argv)
     try:
-        config = _build_config(args)
-        if args.command == "eval":
-            return cmd_eval(config)
-        if args.command == "simulate":
-            return cmd_simulate(config)
-        return cmd_verify(config)
+        law = _build_law(args)
+        # looked up at call time, so a wrapper put on the module sees every command
+        command = {"eval": cmd_eval, "simulate": cmd_simulate, "verify": cmd_verify}[args.command]
+        return command(args, law)
     except MginfError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

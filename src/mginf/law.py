@@ -373,6 +373,13 @@ class ServiceLaw:
         put C, as x^2, off by 6e-17/rho.  For constant beta F is linear: the
         first step gives gamma = (lambda + beta) e^{-rho}, C = 1 - G(0), the
         closed form to rounding.  At r = 0, 1/I = 0 and a = 0: (0, 0).
+
+        A step that reaches r finds the root where g rounds to r and only x
+        can hold it (the tail's share of L below rounding: f(t_knot) = 1.7e-98
+        puts it 1e-97 below r = 4.33).  At g = r, L - 1 is the body sum A plus
+        the tail term E/x, E = e^{r t_knot} f(t_knot)/I, so the root is
+        x = (1 - e^{-rho}) E / (e^{-rho} - (1 - e^{-rho}) A), and C takes
+        L' at that same x; gamma is r.
         """
         if self.inv_total == 0.0:
             return 0.0, 0.0
@@ -394,11 +401,18 @@ class ServiceLaw:
                     step = -(np.log1p(d0) + np.log1p(-q0)) * (1.0 + d0) / d1
                     x -= step
                 g += step
-                if abs(step) <= 1e-12 * g:  # converging quadratically: g is good to rounding
-                    break
+                if g >= r:  # the root may lie below the resolution of r: solve x at g = r
+                    tail = self.inv_total * math.exp((r - self.params.lam) * self.t_knot
+                                                     - float(self.spec.cumulative(self.t_knot)))
+                    x = w * tail / (q0 - w * self.kernel_moments(r, math.inf)[0])
+                    if 0.0 < x and r - x == r:
+                        g, d1 = r, self.kernel_moments(r, x)[1]
+                        break
+                elif abs(step) <= 1e-12 * g:  # converging quadratically: g is good to rounding
+                    break  # (F may round to 0 there, and the last step leave [lo, hi] by rounding)
                 if not lo[0] < g < hi[0]:
                     g, x = 0.5 * (lo[0] + hi[0]), 0.5 * (lo[1] + hi[1])
-        # L' from before the last step, which moved g by 1e-12 of itself at most
+        # L' from before the last step, which moved g by 1e-12 of itself at most, or at x
         return float(g), float(1.0 / (self.params.lam * w * d1))
 
     @cached_property

@@ -61,7 +61,7 @@ class BetaSpec:
 
     def __post_init__(self):
         if (self.constant is None) == (self.knots is None):
-            raise ValueError("exactly one of constant / knots must be given")
+            raise InvalidTable("exactly one of constant / knots must be given")
         if self.knots is not None:
             if len(self.knots) == 0:
                 raise EmptyTable("tabulated beta needs at least one knot")

@@ -22,7 +22,7 @@ import numpy as np
 # package so that the first run_cycles call does not pay for it.
 from numpy.random import SFC64, Generator
 
-from .errors import EmptySample, SimulationTooLarge
+from .errors import EmptySample, NonPositiveParameter, SimulationTooLarge
 from .params import QueueParams
 
 
@@ -72,7 +72,7 @@ def run_cycles(
     CHUNK/lambda per customer of its cycle however long the run.
     """
     if n_cycles < 1:
-        raise ValueError("n_cycles must be >= 1")
+        raise NonPositiveParameter(f"n_cycles must be >= 1, got {n_cycles}")
     work = n_cycles * math.exp(params.rho) + CHUNK  # a cycle has e^rho customers
     if work > MAX_CUSTOMERS:
         raise SimulationTooLarge(f"{n_cycles} cycles at rho = {params.rho:g} would draw about "
@@ -148,6 +148,13 @@ def ks_distance(emp: EmpiricalCdf, analytic: Callable[[np.ndarray], np.ndarray])
     np.subtract(f, steps[:-1], out=gap)
     np.subtract(f[lo:hi], steps[hi], out=gap[lo:hi])
     return float(np.maximum(above, gap.max()))
+
+
+def cycle_ks(samples: CycleSamples, law) -> tuple[float, float, float]:
+    """KS distances of the busy, cycle and idle samples from law.busy_cdf, cycle_cdf, idle_cdf."""
+    return (ks_distance(empirical_cdf(samples.busy), law.busy_cdf),
+            ks_distance(empirical_cdf(samples.cycle), law.cycle_cdf),
+            ks_distance(empirical_cdf(samples.idle), law.idle_cdf))
 
 
 class CycleSummary(NamedTuple):

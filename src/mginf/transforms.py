@@ -48,7 +48,8 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .errors import GridTooLarge, NegativeS, QuadratureFailure
+from .errors import (GridTooLarge, NegativeS, NonFiniteParameter, NonPositiveParameter,
+                     QuadratureFailure)
 from .params import BetaSpec, QueueParams
 
 if TYPE_CHECKING:  # law imports this module
@@ -64,9 +65,9 @@ class GridFunction:
 
     def __post_init__(self):
         if self.step <= 0:
-            raise ValueError("step must be > 0")
+            raise NonPositiveParameter(f"step must be > 0, got {self.step}")
         if not np.all(np.isfinite(self.values)):
-            raise ValueError("grid values must be finite")
+            raise NonFiniteParameter("grid values must be finite")
 
     @property
     def times(self) -> np.ndarray:

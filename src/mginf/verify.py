@@ -22,7 +22,7 @@ import numpy as np
 from . import closed_form as cf
 from .law import ServiceLaw, simpson_weights
 from .params import beta_bounds
-from .simulate import empirical_cdf, ks_distance, run_cycles
+from .simulate import cycle_ks, run_cycles
 from .transforms import (
     LaplacePoint, busy_cycle_laplace, busy_period_laplace_from_service,
     busy_period_laplace_general,
@@ -183,9 +183,7 @@ def check_riccati_residual(law: ServiceLaw) -> list[CheckResult]:
 def check_monte_carlo(law: ServiceLaw, n_cycles: int, seed: int) -> list[CheckResult]:
     """KS of busy, cycle and idle samples at the DKW gate for KS_ALPHA, plus two 3-stderr gates."""
     samples = run_cycles(law.params, law.quantile, n_cycles, seed)
-    ks_busy = ks_distance(empirical_cdf(samples.busy), law.busy_cdf)
-    ks_cycle = ks_distance(empirical_cdf(samples.cycle), law.cycle_cdf)
-    ks_idle = ks_distance(empirical_cdf(samples.idle), law.idle_cdf)
+    ks_busy, ks_cycle, ks_idle = cycle_ks(samples, law)
     ks_tol = math.sqrt(math.log(2.0 / KS_ALPHA) / (2.0 * n_cycles))
     atom = law.atom
     zero_frac = float(np.mean(samples.busy == 0.0))

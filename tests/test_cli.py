@@ -592,6 +592,55 @@ def test_non_utf8_table_exits_invalid(tmp_path, capsys):
     assert err.startswith("error: ") and "UTF-8" in err
 
 
+# ---- the parser: one command and nine options, in any order ----------------
+
+@pytest.mark.parametrize("argv", [["--help"], ["eval", "--help"]])
+def test_help_exits_0_and_names_every_command(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out = capsys.readouterr().out
+    assert exc.value.code == 0
+    assert all(command in out for command in ("eval", "simulate", "verify"))
+
+
+@pytest.mark.parametrize("command", [[], ["plot"]])
+def test_a_missing_or_unknown_command_exits_2_without_a_traceback(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--lambda", "1", "--rho", "1", "--beta", "0"])
+    err = capsys.readouterr().err
+    assert exc.value.code == EXIT_INVALID
+    assert err.splitlines()[-1].startswith("mginf: error: ") and "command" in err.splitlines()[-1]
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("eval", ["--t-max", "3", "--step", "0.25"]),
+    ("simulate", ["--cycles", "300", "--seed", "4"]),
+    ("verify", ["--cycles", "300", "--seed", "4"]),
+])
+def test_options_before_the_command_parse_as_after_it(command, extra, tmp_path, capsys):
+    table = tmp_path / "ramp.csv"
+    table.write_text("t,beta\n0,0\n1,0.2\n")
+    options = ["--lambda", "1", "--rho", "1", "--beta-file", str(table), *extra]
+    after = run([command, *options], capsys)
+    assert run([*options, command], capsys) == after
+    assert run([*options[:2], command, *options[2:]], capsys) == after
+
+
+def test_simulate_prints_the_ks_values_of_verify(tmp_path, capsys):
+    table = tmp_path / "ramp.csv"
+    table.write_text("t,beta\n0,0\n1,0.2\n")
+    options = ["--lambda", "1", "--rho", "1", "--beta-file", str(table),
+               "--cycles", "2000", "--seed", "5"]
+    _, summary, _ = run(["simulate", *options, "--out", str(tmp_path / "s.csv")], capsys)
+    _, report, _ = run(["verify", *options], capsys)
+    printed = dict(line.split() for line in summary.splitlines() if line.startswith("ks_"))
+    for key, name in (("ks_busy", "KS(busy period)"), ("ks_cycle", "KS(busy cycle)"),
+                      ("ks_idle", "KS(idle period)")):
+        line = next(x for x in report.splitlines() if f" {name}: " in x)
+        assert line.split(": ")[1].split(" <")[0] == f"{float(printed[key]):.4f}"
+
+
 # ---- any input: an exit code, never a traceback ----------------------------
 
 BAD_FLOATS = st.sampled_from([0.0, -1.0, math.nan, math.inf, -math.inf])

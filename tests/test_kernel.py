@@ -9,6 +9,7 @@ from mginf import closed_form as cf
 from mginf.errors import BetaOutOfRange, NegativeS, NegativeTime, NonFiniteParameter
 from mginf.law import ServiceLaw, simpson_weights
 from mginf.params import BetaSpec, beta_bounds, validate_beta, validate_queue_params
+from mginf.transforms import series_block
 from mginf.verify import (
     check_bound_ordering, check_mean_identities, check_riccati_residual, check_series_transform,
     check_transform_consistency, kernel_form_transform, riccati_residual,
@@ -511,18 +512,39 @@ def test_survival_transforms_reject_negative_s():
         ServiceLaw(P11, RAMP).survival_transforms([1.0, -1e-300])
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: busy_tail's root rounds to r here, so "
-                                       "C = 7738 where it is about 4e-99")
+# f(t_knot) = 1.7e-98: the tail root (1 - e^{-rho}) L(gamma) = 1 lies about 1e-97 below r = 4.33
+TAIL_BELOW_R = (validate_queue_params(23.678261386205403, 0.005483567916047305),
+                BetaSpec(knots=((0.0, 929.8632), (0.0684, 2944.7731), (0.1296, -19.3484))))
+
+
 def test_a_tail_root_below_the_resolution_of_r_passes_every_deterministic_check():
-    # f(t_knot) = 1.7e-98; the B mean is off by 1.3e-2 relative through the wrong tail
-    p = validate_queue_params(23.678261386205403, 0.005483567916047305)
-    law = ServiceLaw(p, BetaSpec(knots=((0.0, 929.8632), (0.0684, 2944.7731),
-                                        (0.1296, -19.3484))))
+    law = ServiceLaw(*TAIL_BELOW_R)
     kernel_form = kernel_form_transform(law)
     # all but the Monte Carlo lines and the envelope line, whose paper floors are false here
     checks = (check_series_transform(law, kernel_form) + check_mean_identities(law)
               + check_transform_consistency(law, kernel_form) + check_riccati_residual(law))
     assert [c for c in checks if c.status != "PASS"] == []
+
+
+def test_a_tail_root_below_the_resolution_of_r_is_held_by_x():
+    law = ServiceLaw(*TAIL_BELOW_R)
+    r, (gamma, c) = law.tail_rate, law.busy_tail
+    q0, w = law.params.exp_neg_rho, -math.expm1(-law.params.rho)
+    # gamma rounds to r: x = r - gamma is the tail root, solved from the tail term of L at g = r
+    x = w * law.inv_total * law.kernel(law.t_knot) * math.exp(r * law.t_knot) / (
+        q0 - w * law.kernel_moments(r, math.inf)[0])
+    assert gamma == r and 1e-98 < x < 1e-96
+    # F/(r - g) = e^{-rho} - (1 - e^{-rho})(L - 1) changes sign across the root
+    left, right = (q0 - w * law.kernel_moments(r, k * x)[0] for k in (2.0, 0.5))
+    assert left > 0.0 > right
+    assert c == pytest.approx(1.0 / (law.params.lam * w * law.kernel_moments(r, x)[1]), rel=1e-15)
+    assert 0.0 < c < 1e-98  # it was 7738 when the root's last step left [0, r)
+    b = law.series[0]
+    assert b.values.size == series_block(law.t_knot, law.step)[1]  # one block, not 9
+    end = (b.values.size - 1) * b.step
+    # 1 - B is continuous at T: the grid and the tail just past it agree to the grid's error
+    assert abs(law.busy_cdf(end) - law.busy_cdf(math.nextafter(end, math.inf))) <= 1e-12
+    assert abs(law.cycle_cdf(end) - law.cycle_cdf(math.nextafter(end, math.inf))) <= 1e-12
 
 
 @given(lam=LAMBDAS, rho=RHOS, u=st.sampled_from([0.0, 1.0]) | st.floats(0.01, 0.99))

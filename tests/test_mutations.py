@@ -1,9 +1,14 @@
-"""Mutation tests: an error patched into the busy-period walk turns named verify checks to FAIL.
+"""Mutation tests: an error patched into a law's B or Z turns named verify checks to FAIL.
 
-Each mutation is put in with monkeypatch on the module the walk looks it up
-on at call time, and the law is built afresh, so its grids are solved with it.
+Each mutation is put in with monkeypatch on the name the code looks up at
+call time, and the law is built afresh, so its grids and tail are solved with
+it.  A mutation that no check catches yet is a strict xfail that names the
+checks closest to seeing it and what they read.
 """
 
+import math
+
+import numpy as np
 import pytest
 
 from mginf import transforms
@@ -13,7 +18,13 @@ from mginf.verify import verify_point
 
 P11 = validate_queue_params(1.0, 1.0)
 SPECS = {"constant": BetaSpec(constant=0.0), "ramp": BetaSpec(knots=((0.0, 0.0), (1.0, 0.2)))}
-NAMED = ("busy period mean = analytic target", "busy period: series vs transform")
+B_CHECKS = ("busy period mean = analytic target", "busy period: series vs transform")
+Z_CHECKS = ("busy cycle mean = analytic target", "busy cycle: series vs transform")
+
+
+def statuses(law, names):
+    report = {r.name: r.status for r in verify_point(ServiceLaw(P11, SPECS[law]), 200, 1)}
+    return [report[name] for name in names]
 
 
 @pytest.mark.parametrize("scale, want", [(1.0, "PASS"), (1.0 + 1e-4, "FAIL")])
@@ -24,5 +35,37 @@ def test_a_density_off_by_1e_4_fails_the_busy_period_mean_and_transform(law, sca
     # relative (gate 1e-6) and the transform by 6.8e-5 and 7.8e-5 (gate 1e-5)
     density = transforms._density
     monkeypatch.setattr(transforms, "_density", lambda *a: density(*a) * scale)
-    report = {r.name: r.status for r in verify_point(ServiceLaw(P11, SPECS[law]), 200, 1)}
-    assert [report[name] for name in NAMED] == [want, want]
+    assert statuses(law, B_CHECKS) == [want, want]
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 4: no check reads (gamma, C) on its own; "
+                                       "the B mean reads 9e-10 (constant) and 2e-10 (ramp) off "
+                                       "against a gate of 1.7e-6, the transform lines 1.7e-9 "
+                                       "and 1.8e-9 as without the mutation")
+@pytest.mark.parametrize("law", sorted(SPECS))
+def test_a_tail_weight_off_by_1e_6_fails_a_busy_period_check(law, monkeypatch):
+    tail = ServiceLaw.busy_tail
+
+    def off(self):
+        gamma, c = tail.func(self)
+        return gamma, c * (1.0 + 1e-6)
+
+    monkeypatch.setattr(ServiceLaw, "busy_tail", property(off))
+    assert "FAIL" in statuses(law, B_CHECKS)
+
+
+def trapezoid_weights(x, p):
+    """The trapezoid rule's cell weights, x e^{-x}/2 and x/2 on the cell's ends, on each stencil."""
+    first, mid, last = np.zeros(p), np.zeros(p), np.zeros(p)
+    for weights, left in ((first, 0), (mid, 1), (last, p - 2)):
+        weights[left], weights[left + 1] = 0.5 * x * math.exp(-x), 0.5 * x
+    return first, mid, last
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 4: trapezoid weights put the Z mean 1.4e-6 "
+                                       "(constant) and 1.1e-6 (ramp) off against a gate of "
+                                       "2.7e-6, and Z's transform 2e-7 off against 1e-5")
+@pytest.mark.parametrize("law", sorted(SPECS))
+def test_trapezoid_weights_for_z_fail_a_busy_cycle_check(law, monkeypatch):
+    monkeypatch.setattr(transforms, "_cell_weights", trapezoid_weights)
+    assert "FAIL" in statuses(law, Z_CHECKS)

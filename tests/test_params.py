@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from mginf.errors import (
     BetaOutOfRange,
     EmptyTable,
+    InvalidTable,
     MginfError,
     NonFiniteParameter,
     NonPositiveParameter,
@@ -141,6 +142,12 @@ def test_beta_spec_shape_errors():
         BetaSpec(knots=((0.0, 0.0), (0.0, 1.0)))  # strictly increasing t
     with pytest.raises(EmptyTable):
         BetaSpec(knots=())
+
+
+@pytest.mark.parametrize("kwargs", [{}, {"constant": 0.0, "knots": ((0.0, 0.0),)}])
+def test_beta_spec_needs_exactly_one_source(kwargs):
+    with pytest.raises(InvalidTable):
+        BetaSpec(**kwargs)
 
 
 def test_one_knot_table_is_stored_as_its_constant():

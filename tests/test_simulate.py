@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from numpy.random import SFC64, Generator
 
 from mginf import closed_form as cf, simulate
-from mginf.errors import EmptySample
+from mginf.errors import EmptySample, NonPositiveParameter
 from mginf.law import ServiceLaw
 from mginf.params import BetaSpec, validate_queue_params
 from mginf.simulate import cycle_summary, empirical_cdf, ks_distance, run_cycles
@@ -114,6 +114,12 @@ def test_run_cycles_determinism():
     assert np.array_equal(a.idle, b.idle)
     c = run_cycles(P11, quantile(P11, 0.0), 500, seed=10)
     assert not np.array_equal(a.busy, c.busy)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_run_cycles_rejects_fewer_than_one_cycle(n):
+    with pytest.raises(NonPositiveParameter):
+        run_cycles(P11, quantile(P11, 0.0), n, seed=0)
 
 
 def test_run_cycles_structure():

@@ -10,7 +10,8 @@ from hypothesis.extra import numpy as hnp
 
 from mginf import closed_form as cf
 from mginf import transforms
-from mginf.errors import BetaOutOfRange, NegativeS, StepTooCoarse
+from mginf.errors import (BetaOutOfRange, NegativeS, NonFiniteParameter, NonPositiveParameter,
+                          StepTooCoarse)
 from mginf.law import ServiceLaw
 from mginf.params import BetaSpec, beta_bounds, validate_queue_params
 from mginf.transforms import (
@@ -835,6 +836,18 @@ def test_verify_run_never_loads_scipy():
 
 
 # ---- GridFunction plumbing -------------------------------------------------
+
+@pytest.mark.parametrize("h", [0.0, -0.1])
+def test_grid_function_rejects_a_non_positive_step(h):
+    with pytest.raises(NonPositiveParameter):
+        GridFunction(h, np.zeros(3))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_grid_function_rejects_non_finite_values(bad):
+    with pytest.raises(NonFiniteParameter):
+        GridFunction(0.1, np.array([0.0, bad, 1.0]))
+
 
 @given(st.floats(min_value=0.01, max_value=5.0), st.integers(min_value=2, max_value=50))
 @settings(max_examples=25, deadline=None)
