@@ -5,9 +5,9 @@ Sweeps (lambda, rho) in {(1, 1), (1, ln 2), (2, 0.5)} crossed with four
 constant beta values spanning the admissible range, both endpoints included,
 and the ramp table (0, 0), (1, 0.2) (the benchmark's tabulated law), printing
 one PASS/FAIL line per check per point.  Every law runs the same checks on its
-own grids; only the envelope lines differ, the bound ordering for a constant
-and one envelope line for the ramp.  The exponential floor envelopes are
-expected to FAIL for interior beta values and for the ramp; see the README.
+own grids; only the names of the floor lines differ: a constant has one line
+per paper floor, the ramp one line for both.  The exponential floor envelopes
+are expected to FAIL for interior beta values and for the ramp; see the README.
 The KS gates are the DKW critical values for --cycles at a false-alarm rate
 of 1e-6 each (`mginf.verify.KS_ALPHA`).
 

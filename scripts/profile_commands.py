@@ -21,9 +21,9 @@ wall seconds spent solving them; both are taken by a wrapper on
 on the module at call time, as in bench/child.py.  Each `verify`
 line also holds `checks_s`, the wall seconds of each `verify.check_*`
 function in that call (wrapped on the module, which `verify_point` looks them
-up on at call time).  Every law runs the same checks but its envelope family:
-`check_bound_ordering` for a constant, `check_series_envelope` for a table.
-`check_series_transform` reads the grids first, so its seconds hold the solve's.  Each `eval` and `simulate` line holds `write_s`, the
+up on at call time).  Every law runs the same checks, `check_bound_ordering`
+among them.  `check_series_transform` reads the grids first, so its seconds
+hold the solve's.  Each `eval` and `simulate` line holds `write_s`, the
 wall seconds of `mginf.cli.write_csv`, the exact CSV writer (wrapped the same
 way).  Command stdout is discarded; CSVs go to a temporary directory.
 

@@ -10,12 +10,10 @@ from .closed_form import (
     service_quantile,
 )
 from .transforms import (
-    GridFunction, LaplacePoint, busy_cycle_cdf_series, busy_cycle_laplace, busy_period_cdf_series,
+    GridFunction, busy_cycle_cdf_series, busy_cycle_laplace, busy_period_cdf_series,
     busy_period_laplace_from_service, busy_period_laplace_general, default_step,
 )
-from .simulate import (
-    CycleSamples, EmpiricalCdf, cycle_ks, cycle_summary, empirical_cdf, ks_distance, run_cycles,
-)
+from .simulate import CycleSamples, cycle_ks, cycle_summary, ks_distance, run_cycles
 from .law import ServiceLaw
 from .verify import verify_point
 

@@ -29,8 +29,8 @@ import numpy as np
 
 from . import closed_form as cf
 from . import transforms
-from .errors import (BetaOutOfRange, GridTooLarge, NegativeS, NonFiniteParameter,
-                     ProbabilityOutOfRange, StepTooCoarse)
+from .errors import (BetaOutOfRange, GridTooLarge, NonFiniteParameter, ProbabilityOutOfRange,
+                     StepTooCoarse)
 from .params import BetaSpec, QueueParams, validate_beta
 from .transforms import MAX_GRID_POINTS, GridFunction, default_step
 
@@ -444,9 +444,7 @@ class ServiceLaw:
         with `cycle_cdf`'s weight lambda C e^{-gamma T} and idle 1 - Z(T); the
         C terms are 0 where C == 0.  At s = 0 these are the means of B and Z.
         """
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        if np.any(s < 0):
-            raise NegativeS(f"s must be >= 0, got {s.min()}")
+        s = transforms.laplace_points(s)
         b, z = self.series
         ts = b.times
         w = simpson_weights(ts.size, b.step)

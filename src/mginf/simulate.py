@@ -106,28 +106,8 @@ def run_cycles(
     return CycleSamples(busy=busy, idle=idle, cycle=busy + idle, seed=seed, n=n_cycles)
 
 
-class EmpiricalCdf:
-    """Right-continuous step CDF of a sample."""
-
-    def __init__(self, samples):
-        samples = np.asarray(samples, dtype=float)
-        if samples.size == 0:
-            raise EmptySample("empty sample")
-        self.sorted = np.sort(samples)
-        self.n = samples.size
-
-    def __call__(self, t) -> float | np.ndarray:
-        tt = np.asarray(t, dtype=float)
-        out = np.searchsorted(self.sorted, tt, side="right") / self.n
-        return float(out) if tt.ndim == 0 else out
-
-
-def empirical_cdf(samples) -> EmpiricalCdf:
-    return EmpiricalCdf(samples)
-
-
-def ks_distance(emp: EmpiricalCdf, analytic: Callable[[np.ndarray], np.ndarray]) -> float:
-    """sup_x max(|Fhat(x) - F(x)|, |Fhat(x-) - F(x)|) over the sample points.
+def ks_distance(samples, analytic: Callable[[np.ndarray], np.ndarray]) -> float:
+    """sup_x max(|Fhat(x) - F(x)|, |Fhat(x-) - F(x)|) over the sample points, Fhat their step CDF.
 
     Valid for reference CDFs with an atom at 0: sample points at 0 compare the
     empirical mass there against F(0) directly.  Against a continuous reference
@@ -136,7 +116,10 @@ def ks_distance(emp: EmpiricalCdf, analytic: Callable[[np.ndarray], np.ndarray])
     As F - i/n <= F - (i-1)/n, that is the larger of max(i/n - F) and
     max(F - (i-1)/n), two reductions over one reused buffer.
     """
-    s, n = emp.sorted, emp.n
+    s = np.sort(np.asarray(samples, dtype=float))
+    n = s.size
+    if n == 0:
+        raise EmptySample("empty sample")
     f = np.asarray(analytic(s), dtype=float)
     steps = np.arange(n + 1, dtype=float)
     steps /= n  # Fhat just below and at each sorted point
@@ -152,9 +135,8 @@ def ks_distance(emp: EmpiricalCdf, analytic: Callable[[np.ndarray], np.ndarray])
 
 def cycle_ks(samples: CycleSamples, law) -> tuple[float, float, float]:
     """KS distances of the busy, cycle and idle samples from law.busy_cdf, cycle_cdf, idle_cdf."""
-    return (ks_distance(empirical_cdf(samples.busy), law.busy_cdf),
-            ks_distance(empirical_cdf(samples.cycle), law.cycle_cdf),
-            ks_distance(empirical_cdf(samples.idle), law.idle_cdf))
+    return (ks_distance(samples.busy, law.busy_cdf), ks_distance(samples.cycle, law.cycle_cdf),
+            ks_distance(samples.idle, law.idle_cdf))
 
 
 class CycleSummary(NamedTuple):

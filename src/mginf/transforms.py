@@ -44,7 +44,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -72,11 +72,6 @@ class GridFunction:
     @property
     def times(self) -> np.ndarray:
         return np.arange(len(self.values)) * self.step
-
-
-class LaplacePoint(NamedTuple):
-    s: float
-    value: float
 
 
 # Largest time grid built (eval rows, the kernel grid, the busy-period walk).
@@ -402,8 +397,16 @@ def busy_cycle_cdf_series(params: QueueParams, b: GridFunction) -> GridFunction:
     return GridFunction(step=b.step, values=z)
 
 
-def busy_period_laplace_from_service(law: ServiceLaw, s_points) -> list[LaplacePoint]:
-    """Busy-period transform at every s of `s_points`, straight from the service CDF.
+def laplace_points(s) -> np.ndarray:
+    """np.atleast_1d(s) as floats; raises NegativeS if any is below 0."""
+    s = np.atleast_1d(np.asarray(s, dtype=float))
+    if np.any(s < 0):
+        raise NegativeS(f"s must be >= 0, got {s.min()}")
+    return s
+
+
+def busy_period_laplace_from_service(law: ServiceLaw, s) -> np.ndarray:
+    """Busy-period transform at every s of the array `s`, straight from the service CDF.
 
     Evaluates 1 + (s - 1/J)/lambda with
     J = int_0^inf exp(-s*t - lambda int_0^t [1 - G(v)] dv) dt by nested
@@ -429,13 +432,12 @@ def busy_period_laplace_from_service(law: ServiceLaw, s_points) -> list[LaplaceP
     value 1 is returned.  It writes into one array of the nodes' size and one
     of half that, never into the one `law.cdf` returns.
     """
-    s_all = [float(s) for s in s_points]
-    if any(s < 0 for s in s_all):
-        raise NegativeS(f"s must be >= 0, got {min(s_all)}")
-    positive = [s for s in s_all if s > 0]
-    if not positive:
-        return [LaplacePoint(0.0, 1.0) for _ in s_all]
-    params, r, s_min = law.params, law.tail_rate, min(positive)
+    s = laplace_points(s)
+    out = np.ones_like(s)
+    positive = np.flatnonzero(s > 0)
+    if not positive.size:
+        return out
+    params, r, s_min = law.params, law.tail_rate, float(s[positive].min())
     t_star = 34.0 / s_min if r == 0.0 else min(34.0 / s_min, law.t_knot + 36.0 / r)
     knots = law.spec.knot_times
     edges = np.append(knots[knots < t_star], t_star)
@@ -463,19 +465,16 @@ def busy_period_laplace_from_service(law: ServiceLaw, s_points) -> list[LaplaceP
     np.cumsum(cells, out=cells)
     even = ts[::2]
     integrand = y[:half[-1] + 1]  # lambda (1 - G) is spent: its first half holds each integrand
-    out = []
-    for s in s_all:
-        if s == 0:
-            out.append(LaplacePoint(0.0, 1.0))
-            continue
-        np.multiply(even, -s, out=integrand)
+    for i in positive:
+        x = float(s[i])
+        np.multiply(even, -x, out=integrand)
         integrand -= inner
         np.exp(integrand, out=integrand)
         j = _romberg(integrand, half, 2.0 * steps)
-        j += integrand[-1] / s  # exponential tail with the saturated inner integral
+        j += integrand[-1] / x  # exponential tail with the saturated inner integral
         if not math.isfinite(j) or j <= 0:
             raise QuadratureFailure("outer Laplace integral failed")
-        out.append(LaplacePoint(s, 1.0 + (s - 1.0 / j) / params.lam))
+        out[i] = 1.0 + (x - 1.0 / j) / params.lam
     return out
 
 
@@ -497,26 +496,25 @@ def _romberg(y: np.ndarray, bounds: np.ndarray, h: np.ndarray) -> float:
     return float(table[0].sum())
 
 
-def busy_period_laplace_general(law: ServiceLaw, s: float) -> LaplacePoint:
-    """Busy-period transform from the kernel: rational in L phi(s).
+def busy_period_laplace_general(law: ServiceLaw, s) -> np.ndarray:
+    """Busy-period transform from the kernel at every s of the array `s`: rational in L phi(s).
 
     With (1 - G(0)) L f = (1 - e^{-rho}) L phi / lambda and x = (1 - e^{-rho}) L phi
     this is (1 - (s + lambda) x / lambda) / D, where
     D = 1 - x = e^{-rho} - (1 - e^{-rho})(L phi - 1) keeps e^{-rho} beside 1.
-    L phi - 1 is `ServiceLaw.kernel_moments` at g = -s.  At s = 0, and at
-    r = 0 where phi == 0 and D = e^{-rho} + (1 - e^{-rho}) rounds to 1, it is
-    the normalization value 1.
+    L phi - 1 is `ServiceLaw.kernel_moments` at g = -s, one s at a time.  At
+    s = 0, and at r = 0 where phi == 0 and D = e^{-rho} + (1 - e^{-rho})
+    rounds to 1, it is the normalization value 1.
     """
-    if s < 0:
-        raise NegativeS(f"s must be >= 0, got {s}")
-    if s == 0:
-        return LaplacePoint(0.0, 1.0)
+    s = laplace_points(s)
     q0, lam = law.params.exp_neg_rho, law.params.lam
-    excess = law.kernel_moments(-s)[0]  # L phi(s) - 1
+    excess = np.array([law.kernel_moments(-x)[0] for x in s])  # L phi(s) - 1
     x = (1.0 - q0) * (1.0 + excess)
-    return LaplacePoint(s, float((1.0 - (s + lam) * x / lam) / (q0 - (1.0 - q0) * excess)))
+    out = (1.0 - (s + lam) * x / lam) / (q0 - (1.0 - q0) * excess)
+    out[s == 0] = 1.0
+    return out
 
 
-def busy_cycle_laplace(params: QueueParams, bp: LaplacePoint) -> LaplacePoint:
-    """Idle and busy periods are independent: Zbar(s) = lambda/(lambda+s) * Bbar(s)."""
-    return LaplacePoint(bp.s, params.lam / (params.lam + bp.s) * bp.value)
+def busy_cycle_laplace(params: QueueParams, s, busy) -> np.ndarray:
+    """Idle and busy periods are independent: Zbar(s) = lambda/(lambda+s) * Bbar(s), on arrays."""
+    return params.lam / (params.lam + np.asarray(s, dtype=float)) * busy

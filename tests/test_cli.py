@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from mginf import closed_form as cf
+from mginf import closed_form as cf, transforms
 from mginf.cli import EXIT_INVALID, EXIT_IO, EXIT_OK, EXIT_VERIFY_FAIL, main, write_csv
 from mginf.params import validate_queue_params
 from mginf.transforms import MAX_GRID_POINTS
@@ -247,24 +247,33 @@ def test_verify_tabulated_beta_runs_the_checks_of_a_constant(tmp_path, capsys):
     report = parse_report(out)
     assert "SKIP" not in out
     for name in ("busy period: series vs transform", "busy cycle: series vs transform",
-                 "service mean = analytic target", "busy period mean = analytic target",
-                 "busy cycle mean = analytic target",
+                 "busy period tail meets its grid", "service mean = analytic target",
+                 "busy period mean = analytic target", "busy cycle mean = analytic target",
+                 "busy cycle below exponential ceiling",
                  "busy period transform: kernel form vs nested quadrature",
                  "service CDF solves the Riccati ODE", "zero-busy fraction matches atom"):
         assert report[name] == "PASS", out
-    # interior running-average beta, so the floor envelope fails here too, and only it
+    # interior running-average beta, so the floors fail here too, on one line, and only they
     assert code == EXIT_VERIFY_FAIL
     assert {n for n, v in report.items() if v == "FAIL"} == {"envelope bounds on series curves"}
 
 
-def test_verify_envelope_detail_names_the_grid_size(tmp_path, capsys):
+def test_verify_walks_the_ramp_in_one_block(tmp_path, capsys, monkeypatch):
     table = tmp_path / "ramp.csv"
     table.write_text("t,beta\n0.0,0.0\n1.0,0.2\n")
-    _, out, _ = run(["verify", "--lambda", "1", "--rho", "1", "--beta-file", str(table),
-                     "--t-max", "2", "--step", "0.005", "--cycles", "10"], capsys)
-    line = next(x for x in out.splitlines() if "envelope bounds on series curves" in x)
+    walked = []
+    solve = transforms.busy_period_cdf_series
+
+    def counted(law):
+        grid = solve(law)
+        walked.append(grid.values.size)
+        return grid
+
+    monkeypatch.setattr(transforms, "busy_period_cdf_series", counted)
+    code, _, _ = run(["verify", "--lambda", "1", "--rho", "1", "--beta-file", str(table),
+                      "--t-max", "2", "--step", "0.005", "--cycles", "10"], capsys)
     # one block of the walk, which meets the tail there; --t-max sets only eval's rows
-    assert line.endswith(": 4096-point grid")
+    assert code == EXIT_VERIFY_FAIL and walked == [4096]
 
 
 @pytest.mark.parametrize("rho", [1e-3, 0.1, 0.5])
@@ -357,7 +366,7 @@ def test_verify_degenerate_endpoint_runs_every_check(rho, capsys):
                           "--cycles", "20000", "--seed", "1"], capsys)
     report = parse_report(out)
     assert code == EXIT_OK, out
-    assert set(report.values()) == {"PASS"} and len(report) == 15
+    assert set(report.values()) == {"PASS"} and len(report) == 16
     assert err == ""
 
 
@@ -373,7 +382,7 @@ def test_verify_is_invariant_under_time_scaling(rho, ratio, capsys):
                          "--cycles", "2000", "--seed", "1"], capsys)
         lines[c] = [line.partition(": ")[0] for line in out.splitlines()]
     assert lines[0.01] == lines[1.0] == lines[100.0]
-    assert len(lines[1.0]) == 15
+    assert len(lines[1.0]) == 16
 
 
 # ---- CSV output ----------------------------------------------------------------

@@ -21,15 +21,15 @@ POINTS = {
     "mc-constant": (1.0, 0.0, 100_000, (
         "2fc548e0227348da8fbbb73196652bab9cb41d8ff77cb4f327192d034593478c",
         "82e474036513c90d4765dc99ad887728fab8ff7cbf93065a44b386e31deee0a5",
-        "4db74e5cfd9b2c6d5ae9ff1dddfc001f1af67cc4a39373c69065e9c1ce270975")),
+        "6ff77e4b0ca3a4a85dbb4ddc8991a77a1fb2bce9a926ba35569490694909e43b")),
     "table-ramp": (1.0, ((0.0, 0.0), (1.0, 0.2)), 1000, (
         "85561c7b84ad7956cc2aeb44de0627638a61c43ed4b6b8bc014b393d8489c29f",
         "ddd160b674f42fcfbc3e267c18edad0b6665d8f347d4612c476280781dc85740",
-        "551e3e493a8bb9e882539200a6e7ba309f11db747926a0a7aa813935cb785942")),
+        "915d4683cb1ba92fb1ce6d5e86c393c5c870167510b66b4a9774cf05f018e1f6")),
     "heavy-series": (3.0, 0.0, 20_000, (
         "49fd692f9865ef86030d75daec2f02600399fe4aff6349da9e6efc47553cef7c",
         "c095b3aa07d0bf0dc47cc501d03832976fee27b128710fcb6c74433f3a77e1b4",
-        "4af60907fc89223cc4461b6f41294629270dd62bd5e5953ed16d088e84582831")),
+        "00724f54b1d6d1aec3c39ebf4efab181720155f5e210ed9d8e4ac31b4fb38c55")),
 }
 
 

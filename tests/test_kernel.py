@@ -9,10 +9,10 @@ from mginf import closed_form as cf
 from mginf.errors import BetaOutOfRange, NegativeS, NegativeTime, NonFiniteParameter
 from mginf.law import ServiceLaw, simpson_weights
 from mginf.params import BetaSpec, beta_bounds, validate_beta, validate_queue_params
-from mginf.transforms import series_block
+from mginf.transforms import busy_period_laplace_general, series_block
 from mginf.verify import (
-    check_bound_ordering, check_mean_identities, check_riccati_residual, check_series_transform,
-    check_transform_consistency, kernel_form_transform, riccati_residual,
+    TRANSFORM_S_POINTS, check_bound_ordering, check_busy_tail, check_mean_identities,
+    check_riccati_residual, check_series_transform, check_transform_consistency, riccati_residual,
 )
 
 P11 = validate_queue_params(1.0, 1.0)
@@ -343,12 +343,11 @@ def test_kernel_moments_against_quadrature(spec):
 
 def test_kernel_moments_at_the_degenerate_endpoint():
     # phi == 0, so L == 0, and the transform route gives the busy period's B(s) = 1 exactly
-    from mginf.transforms import busy_period_laplace_general
     for spec in (BetaSpec(constant=-1.0), BetaSpec(knots=((0.0, 0.0), (1.0, -1.0)))):
         law = ServiceLaw(P11, spec)
         for s in (0.1, 1.0, 5.0):
             assert law.kernel_moments(-s) == (-1.0, 0.0)
-            assert busy_period_laplace_general(law, s).value == 1.0
+        assert list(busy_period_laplace_general(law, [0.1, 1.0, 5.0])) == [1.0, 1.0, 1.0]
 
 
 @pytest.mark.parametrize("spec", [BetaSpec(constant=-1.0),
@@ -495,8 +494,11 @@ def test_constant_busy_and_cycle_laws_are_their_closed_forms(lam, rho, u):
     ts = np.linspace(0.0, 30.0 * math.exp(rho) / lam, 2000)  # 30 mean busy cycles
     assert np.max(np.abs(law.busy_cdf(ts) - cf.busy_period_cdf(p, beta, ts))) <= CLOSED_FORM_TOL
     assert np.max(np.abs(law.cycle_cdf(ts) - cf.busy_cycle_cdf(p, beta, ts))) <= CLOSED_FORM_TOL
-    # the series grids, read through their transforms, against the kernel form and the means
-    for check in check_series_transform(law, kernel_form_transform(law)) + check_mean_identities(law):
+    # the series grids, read through their transforms, against the kernel form, the means and
+    # the tail
+    s = lam * np.array(TRANSFORM_S_POINTS)
+    checks = check_series_transform(law, s, busy_period_laplace_general(law, s))
+    for check in checks + check_mean_identities(law) + check_busy_tail(law):
         assert check.status == "PASS", check
 
 
@@ -519,10 +521,13 @@ TAIL_BELOW_R = (validate_queue_params(23.678261386205403, 0.005483567916047305),
 
 def test_a_tail_root_below_the_resolution_of_r_passes_every_deterministic_check():
     law = ServiceLaw(*TAIL_BELOW_R)
-    kernel_form = kernel_form_transform(law)
-    # all but the Monte Carlo lines and the envelope line, whose paper floors are false here
-    checks = (check_series_transform(law, kernel_form) + check_mean_identities(law)
-              + check_transform_consistency(law, kernel_form) + check_riccati_residual(law))
+    s = law.params.lam * np.array(TRANSFORM_S_POINTS)
+    kernel_form = busy_period_laplace_general(law, s)
+    # all but the Monte Carlo lines and the envelope line, whose paper floors are false here;
+    # the ceiling holds
+    checks = (check_series_transform(law, s, kernel_form) + check_busy_tail(law)
+              + check_mean_identities(law) + check_bound_ordering(law)[1:]
+              + check_transform_consistency(law, s, kernel_form) + check_riccati_residual(law))
     assert [c for c in checks if c.status != "PASS"] == []
 
 

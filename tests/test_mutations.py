@@ -38,20 +38,19 @@ def test_a_density_off_by_1e_4_fails_the_busy_period_mean_and_transform(law, sca
     assert statuses(law, B_CHECKS) == [want, want]
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 4: no check reads (gamma, C) on its own; "
-                                       "the B mean reads 9e-10 (constant) and 2e-10 (ramp) off "
-                                       "against a gate of 1.7e-6, the transform lines 1.7e-9 "
-                                       "and 1.8e-9 as without the mutation")
+@pytest.mark.parametrize("scale, want", [(1.0, "PASS"), (1.0 + 1e-6, "FAIL")])
 @pytest.mark.parametrize("law", sorted(SPECS))
-def test_a_tail_weight_off_by_1e_6_fails_a_busy_period_check(law, monkeypatch):
+def test_a_tail_weight_off_by_1e_6_fails_a_busy_period_check(law, scale, want, monkeypatch):
+    # C times 1 + 1e-6 puts 1 - B(T) 3.4e-10 (constant) and 1.0e-10 (ramp) off the tail, against
+    # gates of 3.4e-11 and 1.0e-11; the B mean moves by 9e-10 and 2e-10 only (gate 1.7e-6)
     tail = ServiceLaw.busy_tail
 
     def off(self):
         gamma, c = tail.func(self)
-        return gamma, c * (1.0 + 1e-6)
+        return gamma, c * scale
 
     monkeypatch.setattr(ServiceLaw, "busy_tail", property(off))
-    assert "FAIL" in statuses(law, B_CHECKS)
+    assert statuses(law, ("busy period tail meets its grid",)) == [want]
 
 
 def trapezoid_weights(x, p):

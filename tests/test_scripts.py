@@ -47,14 +47,14 @@ def test_profile_commands_prints_one_json_line_per_call():
         # KS lines) and verify the series checks, each from one walk of one block
         assert c["series_points"] == 4096, c
         assert 0 <= c["series_s"] <= c["wall_s"], c
-        # verify times each of its checks; the ramp runs the envelope check, not the bound ordering
+        # verify times each of its checks, the same ones for a table as for a constant
         assert ("checks_s" in c) == (c["command"] == "verify")
         # eval and simulate time their CSV writer, which is part of their wall time
         assert ("write_s" in c) == (c["command"] != "verify")
         if "write_s" in c:
             assert 0 < c["write_s"] <= c["wall_s"], c
         if c["command"] == "verify":
-            assert {"check_series_transform", "check_mean_identities", "check_series_envelope",
-                    "check_transform_consistency", "check_riccati_residual",
-                    "check_monte_carlo"} == set(c["checks_s"]), c
+            assert {"check_series_transform", "check_busy_tail", "check_mean_identities",
+                    "check_bound_ordering", "check_transform_consistency",
+                    "check_riccati_residual", "check_monte_carlo"} == set(c["checks_s"]), c
             assert all(sec > 0 for sec in c["checks_s"].values()), c

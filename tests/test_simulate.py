@@ -11,7 +11,7 @@ from mginf import closed_form as cf, simulate
 from mginf.errors import EmptySample, NonPositiveParameter
 from mginf.law import ServiceLaw
 from mginf.params import BetaSpec, validate_queue_params
-from mginf.simulate import cycle_summary, empirical_cdf, ks_distance, run_cycles
+from mginf.simulate import cycle_summary, ks_distance, run_cycles
 
 P11 = validate_queue_params(1.0, 1.0)
 PLN2 = validate_queue_params(1.0, math.log(2))
@@ -29,39 +29,24 @@ def test_sample_service_examples():
         assert quantile(P11, -1.0)(u) == 0.0
 
 
-def test_empirical_cdf_examples():
-    e = empirical_cdf([0.0, 0.0, 1.0, 1.0])
-    assert e(0.0) == 0.5
-    e2 = empirical_cdf([3.0])
-    assert e2(2.9) == 0.0
-    assert e2(3.0) == 1.0  # right continuity
-    with pytest.raises(EmptySample):
-        empirical_cdf([])
-
-
-@given(st.lists(st.floats(min_value=0, max_value=100), min_size=1, max_size=50))
-@settings(max_examples=50, deadline=None)
-def test_empirical_cdf_is_cdf(xs):
-    e = empirical_cdf(xs)
-    ts = np.linspace(-1, 101, 200)
-    vals = e(ts)
-    assert np.all(np.diff(vals) >= 0)
-    assert vals[0] == 0.0 and vals[-1] == 1.0
-
-
 def test_ks_distance_examples():
-    single = empirical_cdf([0.5])
-    assert ks_distance(single, lambda t: np.clip(np.asarray(t, float), 0, 1)) == (
-        pytest.approx(0.5)
-    )
+    unit = lambda t: np.clip(np.asarray(t, float), 0, 1)
+    assert ks_distance([0.5], unit) == pytest.approx(0.5)
+    # the sample is sorted inside, and the caller's array is left as it was
+    sample = np.array([0.9, 0.1, 0.5])
+    assert ks_distance(sample, unit) == ks_distance(np.sort(sample), unit)
+    assert list(sample) == [0.9, 0.1, 0.5]
+    with pytest.raises(EmptySample):
+        ks_distance([], unit)
 
 
-def ks_searchsorted(emp, analytic) -> float:
+def ks_searchsorted(sample, analytic) -> float:
     """The KS statistic with Fhat(x) and Fhat(x-) from two searchsorted passes."""
-    xs = np.unique(emp.sorted)
+    ordered = np.sort(np.asarray(sample, dtype=float))
+    xs = np.unique(ordered)
     f = np.asarray(analytic(xs), dtype=float)
-    after = emp(xs)
-    before = np.searchsorted(emp.sorted, xs, "left") / emp.n
+    after = np.searchsorted(ordered, xs, "right") / ordered.size
+    before = np.searchsorted(ordered, xs, "left") / ordered.size
     gap = np.maximum(np.abs(after - f), np.abs(before - f))
     gap[xs == 0.0] = np.abs(after - f)[xs == 0.0]
     return float(np.max(gap))
@@ -75,13 +60,13 @@ def atom_cdf(t):
                 min_size=1, max_size=200))
 @settings(max_examples=100, deadline=None)
 def test_ks_distance_matches_searchsorted_form(xs):
-    emp = empirical_cdf(xs)
-    assert ks_distance(emp, atom_cdf) == ks_searchsorted(emp, atom_cdf)
+    assert ks_distance(xs, atom_cdf) == ks_searchsorted(xs, atom_cdf)
 
 
-def ks_gap_array(emp, analytic) -> float:
+def ks_gap_array(sample, analytic) -> float:
     """The KS statistic from the full array of per-point gaps, as ks_distance once formed it."""
-    s, n = emp.sorted, emp.n
+    s = np.sort(np.asarray(sample, dtype=float))
+    n = s.size
     f = np.asarray(analytic(s), dtype=float)
     steps = np.arange(n + 1) / n
     gap = np.maximum(np.abs(steps[1:] - f), f - steps[:-1])
@@ -96,15 +81,13 @@ def ks_gap_array(emp, analytic) -> float:
 @example([0.0] * 7 + [1.0, 1.0, 3.0])
 @settings(max_examples=100, deadline=None)
 def test_ks_distance_is_bit_identical_to_the_gap_array(xs):
-    emp = empirical_cdf(xs)
-    assert ks_distance(emp, atom_cdf) == ks_gap_array(emp, atom_cdf)
+    assert ks_distance(xs, atom_cdf) == ks_gap_array(xs, atom_cdf)
 
 
 def test_ks_distance_matches_searchsorted_form_with_ties_and_atom():
     rng = np.random.default_rng(5)
     sample = np.where(rng.random(50_000) < 0.3, 0.0, np.round(rng.exponential(1.0, 50_000), 3))
-    emp = empirical_cdf(sample)
-    assert ks_distance(emp, atom_cdf) == ks_searchsorted(emp, atom_cdf)
+    assert ks_distance(sample, atom_cdf) == ks_searchsorted(sample, atom_cdf)
 
 
 def test_run_cycles_determinism():
@@ -157,12 +140,9 @@ def test_mean_cycle_at_confluent_point():
 
 def test_ks_against_analytic_curves(big_run):
     s = big_run
-    assert ks_distance(empirical_cdf(s.busy),
-                       lambda t: cf.busy_period_cdf(P11, 0.0, t)) < 0.01
-    assert ks_distance(empirical_cdf(s.cycle),
-                       lambda t: cf.busy_cycle_cdf(P11, 0.0, t)) < 0.01
-    assert ks_distance(empirical_cdf(s.idle),
-                       lambda t: -np.expm1(-np.asarray(t, float))) < 0.01
+    assert ks_distance(s.busy, lambda t: cf.busy_period_cdf(P11, 0.0, t)) < 0.01
+    assert ks_distance(s.cycle, lambda t: cf.busy_cycle_cdf(P11, 0.0, t)) < 0.01
+    assert ks_distance(s.idle, lambda t: -np.expm1(-np.asarray(t, float))) < 0.01
 
 
 def test_zero_busy_fraction_matches_atom(big_run):
@@ -224,7 +204,7 @@ def test_heavy_traffic_simulation():
     summ = cycle_summary(s)
     assert abs(summ.mean_busy - math.expm1(5.0)) < 4 * summ.stderr_busy
     dkw = math.sqrt(math.log(2 / 1e-6) / (2 * s.n))  # critical value at alpha = 1e-6
-    assert ks_distance(empirical_cdf(s.busy), lambda t: cf.busy_period_cdf(p, 0.0, t)) < dkw
+    assert ks_distance(s.busy, lambda t: cf.busy_period_cdf(p, 0.0, t)) < dkw
 
 
 def event_loop_cycles(params, quantile, n_cycles, seed):
@@ -299,20 +279,20 @@ def test_run_cycles_memory_is_the_output_plus_one_chunk():
 
 @pytest.mark.parametrize("rho", [1.0, 3.0])
 def test_ks_against_the_closed_form_cycle_law_holds_three_arrays(rho):
-    # Z is formed in two arrays of the sample's size; then the KS buffers are Z,
-    # the steps i/n and one gap buffer
+    # the sorted sample, then Z, formed in two arrays of the sample's size; then the KS
+    # buffers are Z, the steps i/n and one gap buffer beside the sorted sample
     p = validate_queue_params(1.0, rho)
     law = ServiceLaw(p, BetaSpec(constant=0.0))
     n = 100_000
-    emp = empirical_cdf(run_cycles(p, law.quantile, n, seed=5).cycle)
-    ks_distance(emp, law.cycle_cdf)
+    cycle = run_cycles(p, law.quantile, n, seed=5).cycle
+    ks_distance(cycle, law.cycle_cdf)
     tracemalloc.start()
     try:
-        ks_distance(emp, law.cycle_cdf)
+        ks_distance(cycle, law.cycle_cdf)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * 8 * n + 4096  # plus the scalars' bookkeeping
+    assert peak <= 4 * 8 * n + 4096  # plus the scalars' bookkeeping
 
 
 def test_cycle_summary_requires_two():

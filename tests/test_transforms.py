@@ -26,7 +26,7 @@ from mginf.transforms import (
     _fft_size,
     _reciprocal,
 )
-from mginf.verify import check_transform_consistency, kernel_form_transform
+from mginf.verify import TRANSFORM_S_POINTS, check_busy_tail, check_transform_consistency
 
 P11 = validate_queue_params(1.0, 1.0)
 RAMP = BetaSpec(knots=((0.0, 0.0), (1.0, 0.2)))
@@ -179,29 +179,75 @@ def test_busy_cycle_recurrence_is_exact_for_cubics(lam, step, n):
 
 def from_service(law, s):
     """The nested-quadrature transform at the one point s."""
-    lp, = busy_period_laplace_from_service(law, [s])
-    return lp
+    value, = busy_period_laplace_from_service(law, [s])
+    return value
+
+
+def general(law, s):
+    """The kernel-form transform at the one point s."""
+    value, = busy_period_laplace_general(law, s)
+    return value
+
+
+def verify_points(law):
+    """The s of `verify`, c lambda for c in TRANSFORM_S_POINTS."""
+    return law.params.lam * np.array(TRANSFORM_S_POINTS)
+
+
+def transform_check(law):
+    """verify's one "kernel form vs nested quadrature" line at its points."""
+    s = verify_points(law)
+    check, = check_transform_consistency(law, s, busy_period_laplace_general(law, s))
+    return check
 
 
 def test_laplace_from_service_degenerate():
-    lp = from_service(law_for(P11, -1.0), 2.0)  # G == 1
-    assert lp.value == pytest.approx(1.0, abs=1e-9)
+    assert from_service(law_for(P11, -1.0), 2.0) == pytest.approx(1.0, abs=1e-9)  # G == 1
 
 
 def test_laplace_from_service_frozen_value():
-    lp = from_service(law_for(P11, 0.0), 1.0)
     # oracle: exponential-mixture transform G(0) + (1-G(0)) mu/(s+mu)
-    assert lp.value == pytest.approx(0.5378828427399902, abs=1e-8)
+    assert from_service(law_for(P11, 0.0), 1.0) == pytest.approx(0.5378828427399902, abs=1e-8)
+
+
+def assert_s_0_gives_exactly_1(route):
+    """route maps an array holding s = 0 to an array, exactly 1 there, on beta = 0 and the ramp."""
+    for law in (law_for(P11, 0.0), ServiceLaw(P11, RAMP)):
+        points = np.array([1.0, 0.0, 0.1])
+        values = route(law, points)
+        assert values.shape == (3,) and values[1] == 1.0
+        # s = 0 does not enter the horizon: the others are as without it
+        assert list(values[[0, 2]]) == list(route(law, points[[0, 2]]))
+        assert list(route(law, [0.0, 0.0])) == [1.0, 1.0]
 
 
 def test_laplace_from_service_s0_normalization():
-    assert from_service(law_for(P11, 0.0), 0.0) == (0.0, 1.0)
-    law = law_for(P11, 0.0)
-    points = busy_period_laplace_from_service(law, [1.0, 0.0, 0.1])
-    assert [lp.s for lp in points] == [1.0, 0.0, 0.1]
-    assert points[1].value == 1.0
-    # s = 0 does not enter the horizon: the others are as without it
-    assert [points[0], points[2]] == busy_period_laplace_from_service(law, [1.0, 0.1])
+    assert from_service(law_for(P11, 0.0), 0.0) == 1.0
+    assert_s_0_gives_exactly_1(busy_period_laplace_from_service)
+
+
+# Both routes at verify's points c lambda, c in TRANSFORM_S_POINTS, as the routes gave them
+# one s at a time before they took arrays: (kernel form, nested quadrature), as float.hex
+FROZEN_TRANSFORMS = {
+    "beta=0": (law_for(P11, 0.0), (
+        ("0x1.bad3bd8d3f825p-1", "0x1.458acfbfc5a7cp-1", "0x1.136561454ba86p-1",
+         "0x1.dd45f73891a88p-2", "0x1.a511d6a55def9p-2"),
+        ("0x1.bad3bd8d3f82cp-1", "0x1.458acfbfc5a7cp-1", "0x1.136561454ba82p-1",
+         "0x1.dd45f73891a80p-2", "0x1.a511d6a55ded0p-2"))),
+    "ramp": (ServiceLaw(P11, RAMP), (
+        ("0x1.b896b4fced8e9p-1", "0x1.34de2b59c12f4p-1", "0x1.f1a16fa8fe5b3p-2",
+         "0x1.98dcc15354c39p-2", "0x1.5827df2a50ad4p-2"),
+        ("0x1.b896b4fced8e8p-1", "0x1.34de2b59c12eap-1", "0x1.f1a16fa8fe5a8p-2",
+         "0x1.98dcc15354cb8p-2", "0x1.5827df2a515e0p-2"))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_TRANSFORMS))
+def test_laplace_routes_on_arrays_keep_their_per_point_values(name):
+    law, (kernel_form, nested) = FROZEN_TRANSFORMS[name]
+    s = verify_points(law)
+    assert [x.hex() for x in busy_period_laplace_general(law, s)] == list(kernel_form)
+    assert [x.hex() for x in busy_period_laplace_from_service(law, s)] == list(nested)
 
 
 def reference_laplace_from_service(law, s_points):
@@ -278,7 +324,7 @@ def test_laplace_from_service_is_bit_identical_and_leaves_the_cdf_values_alone(l
     points = (0.1, 1.0, 5.0)
     want = reference_laplace_from_service(law, points)
     monkeypatch.setattr(law, "cdf", owned_cdf)
-    assert [lp.value for lp in busy_period_laplace_from_service(law, points)] == want
+    assert list(busy_period_laplace_from_service(law, points)) == want
     assert len(returned) == 1
     for g, before in returned:
         assert np.array_equal(g, before)
@@ -304,7 +350,8 @@ def test_laplace_from_service_holds_at_most_four_and_a_half_arrays_of_its_nodes(
 
 def test_transform_check_reads_the_service_cdf_once(monkeypatch):
     law = ServiceLaw(P11, RAMP)
-    kernel_form = kernel_form_transform(law)
+    s = verify_points(law)
+    kernel_form = busy_period_laplace_general(law, s)
     calls = []
     cdf = law.cdf
 
@@ -313,7 +360,7 @@ def test_transform_check_reads_the_service_cdf_once(monkeypatch):
         return cdf(t)
 
     monkeypatch.setattr(law, "cdf", counted)
-    check, = check_transform_consistency(law, kernel_form)
+    check, = check_transform_consistency(law, s, kernel_form)
     assert check.status == "PASS"
     assert len(calls) == 1 and abs(calls[0] - 40001) <= 16, calls
 
@@ -332,9 +379,9 @@ ACCURACY_POINTS = {
 
 def transform_gap(law):
     """max |kernel form - nested quadrature| over verify's transform points."""
-    kernel_form = kernel_form_transform(law)
-    direct = busy_period_laplace_from_service(law, [lp.s for lp in kernel_form])
-    return max(abs(k.value - d.value) for k, d in zip(kernel_form, direct))
+    s = verify_points(law)
+    return np.max(np.abs(busy_period_laplace_general(law, s)
+                         - busy_period_laplace_from_service(law, s)))
 
 
 @pytest.mark.parametrize("lam, rho, spec", ACCURACY_POINTS.values(), ids=ACCURACY_POINTS)
@@ -344,15 +391,24 @@ def test_nested_quadrature_matches_the_kernel_form_to_1e_10(lam, rho, spec):
     assert transform_gap(ServiceLaw(p, spec)) <= 1e-10
 
 
-def assert_transform_check_holds(p, spec):
-    """verify's transform check PASSes on an admissible law, and its routes agree to 1e-9."""
+def admissible_law(p, spec):
+    """The law of (p, spec); a draw where spec is not admissible is discarded."""
     try:
-        law = ServiceLaw(p, spec)
+        return ServiceLaw(p, spec)
     except BetaOutOfRange:
         assume(False)
-    check, = check_transform_consistency(law, kernel_form_transform(law))
+
+
+def assert_transform_check_holds(law):
+    """verify's transform check PASSes, and its routes agree to 1e-9."""
+    check = transform_check(law)
     assert check.status == "PASS", check.detail
     assert transform_gap(law) <= 1e-9
+
+
+def assert_tail_check_holds(law):
+    check, = check_busy_tail(law)
+    assert check.status == "PASS", check.detail
 
 
 LAMBDAS = st.floats(-3.0, 3.0).map(lambda x: 10.0**x)  # log-uniform on [1e-3, 1e3]
@@ -373,70 +429,86 @@ def test_transform_check_over_constant_beta(lam, rho, u):
     # beta = (1 - u) lo + u hi covers [lo, hi] = [-lambda, lambda/(e^rho - 1)], ends exactly
     p = validate_queue_params(lam, rho)
     lo, hi = beta_bounds(p)
-    assert_transform_check_holds(p, BetaSpec(constant=(1.0 - u) * lo + u * hi))
+    law = admissible_law(p, BetaSpec(constant=(1.0 - u) * lo + u * hi))
+    assert_transform_check_holds(law)
+    assert_tail_check_holds(law)
 
 
-@given(lam=LAMBDAS, rho=RHOS,
-       rows=st.lists(st.tuples(st.floats(0.01, 3.0), st.floats(-0.25, 1.25)),
-                     min_size=1, max_size=3))
-# kinked tables where one uniform node set over [0, t*] left 1.34e-9 and 1.36e-9
-@example(lam=1.0, rho=1.0, rows=[(1.0, 1.0), (0.03125, 0.25)])
-@example(lam=1.0, rho=1.0, rows=[(1.0, 1.0), (0.5, 0.125)])
-@SWEEP
-def test_transform_check_over_tables(lam, rho, rows):
-    # knot k at the sum of the first k gaps (the first knot at 0), beta_k = (1 - u_k) lo + u_k hi;
-    # the gaps are in units of 1/(lambda + max(lambda, hi)), the kernel's fastest admissible rate
+def drawn_table_law(lam, rho, rows):
+    """Knot k at the sum of the first k gaps (the first knot at 0), beta_k = (1 - u_k) lo + u_k hi.
+
+    The gaps are in units of 1/(lambda + max(lambda, hi)), the kernel's fastest admissible rate.
+    """
     p = validate_queue_params(lam, rho)
     lo, hi = beta_bounds(p)
     unit = 1.0 / (lam + max(lam, hi))
     ts = np.concatenate([[0.0], np.cumsum([gap for gap, _ in rows[1:]])]) * unit
     assume(np.all(np.diff(ts) > 0))
-    knots = tuple((float(t), (1.0 - u) * lo + u * hi) for t, (_, u) in zip(ts, rows))
-    assert_transform_check_holds(p, BetaSpec(knots=knots))
+    return admissible_law(p, BetaSpec(knots=tuple((float(t), (1.0 - u) * lo + u * hi)
+                                                  for t, (_, u) in zip(ts, rows))))
+
+
+TABLE_ROWS = st.lists(st.tuples(st.floats(0.01, 3.0), st.floats(-0.25, 1.25)),
+                      min_size=1, max_size=3)
+
+
+@given(lam=LAMBDAS, rho=RHOS, rows=TABLE_ROWS)
+# kinked tables where one uniform node set over [0, t*] left 1.34e-9 and 1.36e-9
+@example(lam=1.0, rho=1.0, rows=[(1.0, 1.0), (0.03125, 0.25)])
+@example(lam=1.0, rho=1.0, rows=[(1.0, 1.0), (0.5, 0.125)])
+@SWEEP
+def test_transform_check_over_tables(lam, rho, rows):
+    assert_transform_check_holds(drawn_table_law(lam, rho, rows))
+
+
+@pytest.mark.xfail(strict=True, reason="the walk is not fourth order across a knot between grid "
+                                       "points: beta from hi to -0.6 over 3.125 h puts 1 - B(T) "
+                                       "2.7e-7 off its tail, against a gate of 1e-7 (CHANGES.md)")
+@given(lam=LAMBDAS, rho=RHOS, rows=TABLE_ROWS)
+@example(lam=1.0, rho=1.0, rows=[(1.0, 1.0), (0.5, 0.125)])
+@example(lam=1.0, rho=1.0, rows=[(1.0, 1.0), (0.03125, 0.25)])
+@SWEEP
+def test_tail_check_over_tables(lam, rho, rows):
+    assert_tail_check_holds(drawn_table_law(lam, rho, rows))
 
 
 def test_laplace_general_frozen_values():
-    assert busy_period_laplace_general(law_for(P11, 0.0), 1.0).value == pytest.approx(
-        0.5378828427399902, abs=1e-12
-    )
-    assert busy_period_laplace_general(law_for(PLN2, 1.0), 1.0).value == pytest.approx(
-        0.5, abs=1e-12
-    )
+    assert general(law_for(P11, 0.0), 1.0) == pytest.approx(0.5378828427399902, abs=1e-12)
+    assert general(law_for(PLN2, 1.0), 1.0) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_laplace_general_s0_normalization():
-    assert busy_period_laplace_general(law_for(P11, 0.3), 0.0).value == pytest.approx(
-        1.0, abs=1e-12
-    )
+    assert general(law_for(P11, 0.3), 0.0) == 1.0
+    assert_s_0_gives_exactly_1(busy_period_laplace_general)
 
 
 def test_laplace_rejects_negative_s():
     with pytest.raises(NegativeS):
         busy_period_laplace_general(law_for(P11, 0.0), -1.0)
     with pytest.raises(NegativeS):
+        busy_period_laplace_general(law_for(P11, 0.0), [1.0, -0.5])
+    with pytest.raises(NegativeS):
         busy_period_laplace_from_service(law_for(P11, 0.0), [1.0, -0.5])
 
 
 def test_busy_cycle_laplace():
-    from mginf.transforms import LaplacePoint
-    assert busy_cycle_laplace(P11, LaplacePoint(1.0, 0.5378828427399902)).value == (
+    assert busy_cycle_laplace(P11, 1.0, 0.5378828427399902) == (
         pytest.approx(0.2689414213699951, abs=1e-12)
     )
-    assert busy_cycle_laplace(P11, LaplacePoint(0.0, 1.0)).value == 1.0
+    assert list(busy_cycle_laplace(P11, np.array([0.0, 1.0]), np.array([1.0, 0.5]))) == [1.0, 0.25]
     # for beta = 0 the busy cycle is exponential with rate e^{-1}: at s = mu
     # the transform is exactly 1/2
     mu = math.exp(-1)
     bp = busy_period_laplace_general(law_for(P11, 0.0), mu)
-    assert busy_cycle_laplace(P11, bp).value == pytest.approx(0.5, abs=1e-10)
+    assert busy_cycle_laplace(P11, mu, bp) == pytest.approx([0.5], abs=1e-10)
 
 
 def test_transform_routes_agree():
     for p, beta in [(P11, 0.0), (PLN2, 1.0), (P11, -0.5)]:
         law = law_for(p, beta)
-        points = (0.1, 0.5, 1.0, 2.0, 5.0)
-        for s, direct in zip(points, busy_period_laplace_from_service(law, points)):
-            assert busy_period_laplace_general(law, s).value == pytest.approx(direct.value,
-                                                                              abs=1e-5)
+        points = np.array([0.1, 0.5, 1.0, 2.0, 5.0])
+        assert busy_period_laplace_general(law, points) == pytest.approx(
+            busy_period_laplace_from_service(law, points), abs=1e-5)
 
 
 @pytest.mark.parametrize("rho", [12.0, 14.0])
@@ -446,7 +518,7 @@ def test_nested_quadrature_keeps_to_the_kernel_form_in_heavy_traffic(rho):
     p = validate_queue_params(1.0, rho)
     for spec in (BetaSpec(constant=0.0), BetaSpec(knots=((0.0, 0.0), (1.0, -0.2)))):
         law = ServiceLaw(p, spec)
-        check, = check_transform_consistency(law, kernel_form_transform(law))
+        check = transform_check(law)
         assert check.status == "PASS", check.detail
 
 
@@ -458,18 +530,16 @@ def test_series_transform_consistency():
     for s in (0.5, 1.0, 2.0):
         # Stieltjes transform via integration by parts: s * int e^{-st} B dt + tail
         numeric = s * np.trapezoid(np.exp(-s * ts) * b.values, ts) + math.exp(-s * ts[-1])
-        assert numeric == pytest.approx(
-            busy_period_laplace_general(law, s).value, abs=1e-3
-        )
+        assert numeric == pytest.approx(general(law, s), abs=1e-3)
 
 
 def test_mean_extraction_from_transforms():
     law = law_for(P11, 0.2)
     h = 1e-4
-    bbar = lambda s: busy_period_laplace_general(law, s).value
+    bbar = lambda s: general(law, s)
     mean_b = -(bbar(2 * h) - bbar(h)) / h  # one-sided at s = 0+
     assert mean_b == pytest.approx(math.expm1(1.0), rel=1e-2)
-    zbar = lambda s: busy_cycle_laplace(P11, busy_period_laplace_general(law, s)).value
+    zbar = lambda s: busy_cycle_laplace(P11, s, general(law, s))
     mean_z = -(zbar(2 * h) - zbar(h)) / h
     assert mean_z == pytest.approx(math.e, rel=1e-2)
 
