@@ -25,7 +25,11 @@ up on at call time).  Every law runs the same checks, `check_bound_ordering`
 among them.  `check_series_transform` reads the grids first, so its seconds
 hold the solve's.  Each `eval` and `simulate` line holds `write_s`, the
 wall seconds of `mginf.cli.write_csv`, the exact CSV writer (wrapped the same
-way).  Command stdout is discarded; CSVs go to a temporary directory.
+way).  Each `simulate` and `verify` line holds `mc_s`, the wall seconds of
+`run_cycles`, and `ks_s`, those of `cycle_ks`; both modules import the two
+names from `mginf.simulate`, so the wrappers go on `mginf.cli` and
+`mginf.verify`, where the commands look them up at call time.  Command stdout
+is discarded; CSVs go to a temporary directory.
 
 Example:
     PYTHONPATH=src python3 scripts/profile_commands.py --workload table-ramp --seed 5 --rounds 3
@@ -87,22 +91,24 @@ def time_series() -> None:
     transforms.busy_period_cdf_series = timed
 
 
+def timed_into(seconds: dict, key: str, fn):
+    """fn, wrapped so that each call adds its wall time to seconds[key]."""
+    def wrapped(*args, **kwargs):
+        start = time.perf_counter()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            seconds[key] = seconds.get(key, 0.0) + time.perf_counter() - start
+    return wrapped
+
+
 CHECK_SECONDS = {}  # wall seconds of each verify.check_* function since the last timed call
 
 
 def time_checks() -> None:
     """Wrap each verify.check_* function so each call adds its wall time to CHECK_SECONDS."""
-    def timed(name, check):
-        def wrapped(*args, **kwargs):
-            start = time.perf_counter()
-            try:
-                return check(*args, **kwargs)
-            finally:
-                CHECK_SECONDS[name] = CHECK_SECONDS.get(name, 0.0) + time.perf_counter() - start
-        return wrapped
-
     for name in [n for n in vars(verify) if n.startswith("check_")]:
-        setattr(verify, name, timed(name, getattr(verify, name)))
+        setattr(verify, name, timed_into(CHECK_SECONDS, name, getattr(verify, name)))
 
 
 WRITE_SECONDS = []  # wall seconds of each CSV write since the last timed call
@@ -122,14 +128,26 @@ def time_writer() -> None:
     cli.write_csv = timed
 
 
+MC_SECONDS = {}  # wall seconds of run_cycles ("mc_s") and cycle_ks ("ks_s") since the last timed call
+
+
+def time_monte_carlo() -> None:
+    """Wrap run_cycles and cycle_ks on cli and verify so each call adds its wall time to MC_SECONDS."""
+    for module in (cli, verify):
+        module.run_cycles = timed_into(MC_SECONDS, "mc_s", module.run_cycles)
+        module.cycle_ks = timed_into(MC_SECONDS, "ks_s", module.cycle_ks)
+
+
 def timed_call(argv: list[str]) -> dict:
     """Exit code, wall seconds, minor faults, CSV digest, series points and seconds of one call.
 
-    A `verify` call also reports `checks_s`, an `eval` or `simulate` call `write_s`.
+    A `verify` call also reports `checks_s`, an `eval` or `simulate` call `write_s`, and a
+    `simulate` or `verify` call `mc_s` and `ks_s`.
     """
     SOLVED.clear()
     CHECK_SECONDS.clear()
     WRITE_SECONDS.clear()
+    MC_SECONDS.clear()
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     start = time.perf_counter()
     with contextlib.redirect_stdout(io.StringIO()):
@@ -146,6 +164,8 @@ def timed_call(argv: list[str]) -> dict:
         result["checks_s"] = {name: round(sec, 6) for name, sec in CHECK_SECONDS.items()}
     else:
         result["write_s"] = round(sum(WRITE_SECONDS), 6)
+    if argv[0] != "eval":
+        result.update({key: round(MC_SECONDS.get(key, 0.0), 6) for key in ("mc_s", "ks_s")})
     return result
 
 
@@ -158,6 +178,7 @@ def main() -> int:
     time_series()
     time_checks()
     time_writer()
+    time_monte_carlo()
     with tempfile.TemporaryDirectory() as tmp:
         calls = command_argvs(args.workload, args.seed, Path(tmp))
         for rnd in range(-1, args.rounds):  # round -1 is the warm-up

@@ -238,31 +238,34 @@ class ServiceLaw:
 
         Past the last knot 1 - Phi = m e^{-r (t - t_knot)} and phi = r m e^{-r (t - t_knot)},
         so G inverts in closed form.  That one expression runs over every u, with
-        no gather or scatter, and u <= G(0) (where its logarithm may be of a
-        non-positive number) is set to 0 after it; at t_knot = 0, where m = 1, it is
-        closed_form.service_quantile bit for bit.  Below G(t_knot) the certified
-        grid values of G enclose u: the cubic Hermite interpolant of G on the
-        enclosing cell, with G' = (1 - G)(beta + lambda G) at its ends, is
-        inverted by two Newton steps from the chord, and one Newton step on the
-        exact G, clipped to the cell, finishes.
+        no gather or scatter.  Its logarithm's argument is clamped to at least 1:
+        log 1 = 0 clamps t at t_knot, and no lane, not even one inside the atom,
+        takes the logarithm's slow path for arguments <= 0.  u <= G(0) is set to
+        0 after it.  At t_knot = 0, where m = 1, it is closed_form.service_quantile
+        bit for bit.  Below G(t_knot) the certified grid values of G enclose u:
+        the cubic Hermite interpolant of G on the enclosing cell, with
+        G' = (1 - G)(beta + lambda G) at its ends, is inverted by two Newton
+        steps from the chord, and one Newton step on the exact G, clipped to the
+        cell, finishes.
         """
         uu = np.asarray(u, dtype=float)
-        if not np.all((uu >= 0.0) & (uu < 1.0)):
+        if uu.size and not (uu.min() >= 0.0 and uu.max() < 1.0):  # NaN fails both
             raise ProbabilityOutOfRange(f"u must be in [0, 1), got {u}")
         lam, q0, r = self.params.lam, self.params.exp_neg_rho, self.tail_rate
         u1 = np.atleast_1d(uu)
-        with np.errstate(all="ignore"):  # inside the atom, and everywhere at r = 0
+        with np.errstate(all="ignore"):  # everywhere at r = 0
             v = np.subtract(1.0, u1)
             v *= lam
             t = np.subtract(r, v)
             t *= (1.0 - q0) * self.tail_mass
             v *= q0
             t /= v
+            np.maximum(t, 1.0, out=t)
             np.log(t, out=t)
             t /= r
-            t += self.t_knot
-            np.maximum(t, 0.0, out=t)
-            t = np.where(u1 > self.atom, t, 0.0)
+            if self.t_knot > 0:
+                t += self.t_knot
+            t = np.where(u1 > self.atom, t, 0.0)  # branch-free: faster than a masked copyto
         if self.t_knot > 0:  # tables: u below G(t_knot) inverts on the kernel grid
             body = (u1 > self.atom) & (u1 < self.g_knot)
             if np.any(body):

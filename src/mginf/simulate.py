@@ -26,16 +26,22 @@ from .errors import EmptySample, NonPositiveParameter, SimulationTooLarge
 from .params import QueueParams
 
 
-# Largest expected work of a run, in customers: about 20 s at the 30-40 ns per
+# Largest expected work of a run, in customers: about 20 s at the 37-45 ns per
 # customer measured on 2-core x86-64 at rho 3-5 (SFC64 exponential and uniform
-# 10 ns, the closed-form quantile 10 ns, cumsum and running max 10 ns, the
-# cycle scan the rest).  A run draws about e^rho customers a cycle, rounded up
-# to whole chunks of CHUNK.
+# 10 ns, the closed-form quantile 10 ns, cumsum, add and running max 10 ns,
+# the cycle scan 2 ns, the rest per-chunk call overhead).  A run draws about
+# e^rho customers a cycle, rounded up to whole chunks of CHUNK.
 MAX_CUSTOMERS = 5e8
 # Customers per chunk: longer chunks spread the fixed numpy cost of each chunk
 # (some 25 numpy calls), shorter ones draw less past the last cycle (1000
 # cycles at rho 1 need about 2700 customers).
 CHUNK = 8192
+# Points per block of ks_distance and busy_idle_correlation.  A block's arrays
+# (reference values, steps i/n and gaps, 128 kB each) are reused from the heap
+# and stay in L2 cache.  Arrays over a whole sample of 1e5 points are fresh
+# memory, whose first touch costs a page fault per 4 kB (about 2.5 us each on a
+# 2-vCPU VM).
+KS_BLOCK = 16384
 
 
 @dataclass(frozen=True)
@@ -92,13 +98,16 @@ def run_cycles(
         np.cumsum(draws, out=t)
         m[0] = m[-1]
         np.add(t, quantile(rng.random(out=draws)), out=m[1:])
-        np.maximum.accumulate(m, out=m)
+        np.fmax.accumulate(m, out=m)  # the running maximum: m holds no NaN, and fmax is faster
         starts = np.flatnonzero(t >= m[:-1])
         if starts.size:
             ends, new = m[starts], t[starts]
             lo, hi = max(done, 0), min(done + starts.size, n_cycles)
-            busy[lo:hi] = (ends - np.concatenate(([opened], new[:-1])))[lo - done:hi - done]
-            idle[lo:hi] = (new - ends)[lo - done:hi - done]
+            k = hi - done  # starts[lo - done:k] close cycles lo..hi-1
+            np.subtract(new[lo - done:k], ends[lo - done:k], out=idle[lo:hi])
+            np.subtract(ends[1:k], new[:k - 1], out=busy[hi - k + 1:hi])
+            if done >= 0:  # the first start closes the cycle left open by the last chunk
+                busy[lo] = ends[0] - opened
             done += starts.size
             opened = new[-1]
         opened -= t[-1]
@@ -109,34 +118,64 @@ def run_cycles(
 def ks_distance(samples, analytic: Callable[[np.ndarray], np.ndarray]) -> float:
     """sup_x max(|Fhat(x) - F(x)|, |Fhat(x-) - F(x)|) over the sample points, Fhat their step CDF.
 
-    Valid for reference CDFs with an atom at 0: sample points at 0 compare the
-    empirical mass there against F(0) directly.  Against a continuous reference
-    the sorted point i (1-based) bounds both limits of its run of ties, so
+    Valid for reference CDFs with an atom at 0: the run of sample points at 0
+    compares the empirical mass there, Fhat(0), against F(0) once, at its last
+    point, which leads the points above 0.  Against a continuous reference the
+    sorted point i (1-based) bounds both limits of its run of ties, so
     max(|i/n - F|, F - (i-1)/n) over all points is the run-start statistic.
     As F - i/n <= F - (i-1)/n, that is the larger of max(i/n - F) and
-    max(F - (i-1)/n), two reductions over one reused buffer.
+    max(F - (i-1)/n).  Both reductions, and F itself, run over blocks of
+    KS_BLOCK sorted points; the maxima are those of the whole arrays bit for
+    bit.
     """
     s = np.sort(np.asarray(samples, dtype=float))
     n = s.size
     if n == 0:
         raise EmptySample("empty sample")
-    f = np.asarray(analytic(s), dtype=float)
-    steps = np.arange(n + 1, dtype=float)
-    steps /= n  # Fhat just below and at each sorted point
     lo, hi = np.searchsorted(s, 0.0, "left"), np.searchsorted(s, 0.0, "right")
-    # the reference jumps at its atom at 0, so only Fhat(0) against F(0) applies there
-    gap = np.subtract(steps[1:], f)
-    np.subtract(steps[hi], f[lo:hi], out=gap[lo:hi])
-    above = gap.max()
-    np.subtract(f, steps[:-1], out=gap)
-    np.subtract(f[lo:hi], steps[hi], out=gap[lo:hi])
-    return float(np.maximum(above, gap.max()))
+    lead = hi - 1 if hi > lo else hi  # the last point at 0 leads the points above it
+    tops = []
+    for start, stop in ((0, lo), (lead, n)):
+        for a in range(start, stop, KS_BLOCK):
+            b = min(a + KS_BLOCK, stop)
+            f = np.asarray(analytic(s[a:b]), dtype=float)
+            steps = np.arange(a, b + 1, dtype=float)
+            steps /= n  # Fhat just below and at each sorted point
+            gap = np.subtract(steps[1:], f)
+            tops.append(gap.max())
+            np.subtract(f, steps[:-1], out=gap)
+            if a == lead < hi:  # the reference jumps at 0: only Fhat(0) = hi/n against F(0)
+                gap[0] = f[0] - steps[1]
+            tops.append(gap.max())
+    return float(np.max(tops))
 
 
 def cycle_ks(samples: CycleSamples, law) -> tuple[float, float, float]:
     """KS distances of the busy, cycle and idle samples from law.busy_cdf, cycle_cdf, idle_cdf."""
     return (ks_distance(samples.busy, law.busy_cdf), ks_distance(samples.cycle, law.cycle_cdf),
             ks_distance(samples.idle, law.idle_cdf))
+
+
+def busy_idle_correlation(samples: CycleSamples) -> float:
+    """Sample correlation of the busy and idle periods; 0 when either is constant.
+
+    Either is constant for one cycle, and busy is identically 0 at the
+    degenerate endpoint.  The centred sums of squares and products run over
+    blocks of KS_BLOCK cycles.  np.corrcoef would first copy both samples into
+    one 2 x n array, fresh memory whose page faults cost more than the sums,
+    and call BLAS, whose threads can take milliseconds to wake on a busy box.
+    """
+    busy, idle = samples.busy, samples.idle
+    mean_busy, mean_idle = busy.mean(), idle.mean()
+    sbb = sbi = sii = 0.0
+    for a in range(0, samples.n, KS_BLOCK):
+        db, di = busy[a:a + KS_BLOCK] - mean_busy, idle[a:a + KS_BLOCK] - mean_idle
+        sbb += np.einsum("i,i", db, db)
+        sbi += np.einsum("i,i", db, di)
+        sii += np.einsum("i,i", di, di)
+    if sbb > 0.0 and sii > 0.0:
+        return float(np.clip(sbi / math.sqrt(sbb) / math.sqrt(sii), -1.0, 1.0))
+    return 0.0
 
 
 class CycleSummary(NamedTuple):

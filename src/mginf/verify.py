@@ -22,7 +22,7 @@ import numpy as np
 from . import closed_form as cf
 from .law import ServiceLaw, simpson_weights
 from .params import beta_bounds
-from .simulate import cycle_ks, run_cycles
+from .simulate import busy_idle_correlation, cycle_ks, run_cycles
 from .transforms import (
     busy_cycle_laplace, busy_period_laplace_from_service, busy_period_laplace_general,
 )
@@ -189,12 +189,9 @@ def check_monte_carlo(law: ServiceLaw, n_cycles: int, seed: int) -> list[CheckRe
     ks_busy, ks_cycle, ks_idle = cycle_ks(samples, law)
     ks_tol = math.sqrt(math.log(2.0 / KS_ALPHA) / (2.0 * n_cycles))
     atom = law.atom
-    zero_frac = float(np.mean(samples.busy == 0.0))
+    zero_frac = np.count_nonzero(samples.busy == 0.0) / n_cycles
     tol_atom = 3.0 * math.sqrt(max(atom * (1.0 - atom), 1e-12) / n_cycles)
-    if samples.busy.std() == 0.0 or samples.idle.std() == 0.0:
-        corr = 0.0  # degenerate: busy identically zero
-    else:
-        corr = float(np.corrcoef(samples.busy, samples.idle)[0, 1])
+    corr = busy_idle_correlation(samples)
     corr_tol = 3.0 / math.sqrt(n_cycles)
     return [
         _result("KS(busy period)", ks_busy < ks_tol, f"{ks_busy:.4f} < {ks_tol:.4f}"),

@@ -238,6 +238,16 @@ def test_verify_interior_beta_fails_only_floor_checks(capsys):
     assert failed == set(FLOOR_CHECKS)
 
 
+def test_verify_one_cycle_has_no_correlation(capsys):
+    # one cycle has no sample covariance: the independence check reads r = 0, with no warning
+    code, out, err = run(["verify", "--lambda", "1", "--rho", "1",
+                          "--beta", "0", "--cycles", "1", "--seed", "1"], capsys)
+    assert code == EXIT_VERIFY_FAIL and err == ""
+    assert "PASS busy/idle independence: |r| = 0.00000 < 3.00000" in out.splitlines()
+    assert set(parse_report(out).items()) >= {(n, "PASS") for n in (
+        "KS(busy period)", "KS(busy cycle)", "KS(idle period)", "zero-busy fraction matches atom")}
+
+
 def test_verify_tabulated_beta_runs_the_checks_of_a_constant(tmp_path, capsys):
     table = tmp_path / "ramp.csv"
     table.write_text("t,beta\n0.0,0.0\n1.0,0.2\n")

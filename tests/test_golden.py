@@ -3,7 +3,9 @@
 The points are those of bench/run.py (lambda = 1; rho, beta and cycle count
 per workload; eval on 12 mean busy periods at step 0.005), with seed 5.  A
 digest changes only when some output byte does: a change that claims to keep
-the arithmetic must leave all nine unchanged.
+the arithmetic must leave all twelve unchanged.  The simulate stdout holds the
+sample moments and the three KS distances at 17 significant digits, where the
+verify lines print KS to 4 decimals.
 """
 
 import hashlib
@@ -16,25 +18,28 @@ from mginf.cli import main
 SEED = 5
 
 # workload: (rho, --beta or the ramp table's rows, cycles,
-#            sha256 of the eval CSV, the simulate CSV and the verify stdout)
+#            sha256 of the eval CSV, the simulate CSV, the simulate stdout and the verify stdout)
 POINTS = {
     "mc-constant": (1.0, 0.0, 100_000, (
         "2fc548e0227348da8fbbb73196652bab9cb41d8ff77cb4f327192d034593478c",
         "82e474036513c90d4765dc99ad887728fab8ff7cbf93065a44b386e31deee0a5",
+        "ce097ab7623cdd4f631bd624e51fe5276772931faaa8e8ce95f384799db3825d",
         "6ff77e4b0ca3a4a85dbb4ddc8991a77a1fb2bce9a926ba35569490694909e43b")),
     "table-ramp": (1.0, ((0.0, 0.0), (1.0, 0.2)), 1000, (
         "85561c7b84ad7956cc2aeb44de0627638a61c43ed4b6b8bc014b393d8489c29f",
         "ddd160b674f42fcfbc3e267c18edad0b6665d8f347d4612c476280781dc85740",
+        "b3a297bf3e8ca81e4d0d9d20f867fa6e26bcf2bd6c62cac3d23a0b7eab8f2ac3",
         "915d4683cb1ba92fb1ce6d5e86c393c5c870167510b66b4a9774cf05f018e1f6")),
     "heavy-series": (3.0, 0.0, 20_000, (
         "49fd692f9865ef86030d75daec2f02600399fe4aff6349da9e6efc47553cef7c",
         "c095b3aa07d0bf0dc47cc501d03832976fee27b128710fcb6c74433f3a77e1b4",
+        "bb6f7982252e3a7b1f00c3b8f33f30bc7066716e4ee88625f161c6b9ddd28ca2",
         "00724f54b1d6d1aec3c39ebf4efab181720155f5e210ed9d8e4ac31b4fb38c55")),
 }
 
 
 def command_digests(tmp_path, capsys, rho, beta, cycles):
-    """sha256 of the eval CSV, the simulate CSV and the verify stdout at one point."""
+    """sha256 of the eval CSV, the simulate CSV, the simulate stdout and the verify stdout."""
     common = ["--lambda", "1.0", "--rho", repr(rho)]
     if isinstance(beta, float):
         common += ["--beta", repr(beta)]
@@ -46,12 +51,14 @@ def command_digests(tmp_path, capsys, rho, beta, cycles):
     t_max = 12.0 * math.expm1(rho)
     assert main(["eval", *common, "--t-max", repr(t_max), "--step", "0.005",
                  "--out", str(tmp_path / "eval.csv")]) == 0
-    assert main(["simulate", *common, *mc, "--out", str(tmp_path / "simulate.csv")]) == 0
     capsys.readouterr()
+    assert main(["simulate", *common, *mc, "--out", str(tmp_path / "simulate.csv")]) == 0
+    simulate_out = capsys.readouterr().out.encode()
     main(["verify", *common, *mc])  # exit 1: the paper's floor checks FAIL at interior beta
     verify_out = capsys.readouterr().out.encode()
     return tuple(hashlib.sha256(data).hexdigest() for data in (
-        (tmp_path / "eval.csv").read_bytes(), (tmp_path / "simulate.csv").read_bytes(), verify_out))
+        (tmp_path / "eval.csv").read_bytes(), (tmp_path / "simulate.csv").read_bytes(),
+        simulate_out, verify_out))
 
 
 @pytest.mark.parametrize("workload", sorted(POINTS))

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from mginf import closed_form as cf
-from mginf.errors import BetaOutOfRange, NegativeS, NegativeTime, NonFiniteParameter
+from mginf.errors import (BetaOutOfRange, NegativeS, NegativeTime, NonFiniteParameter,
+                          ProbabilityOutOfRange)
 from mginf.law import ServiceLaw, simpson_weights
 from mginf.params import BetaSpec, beta_bounds, validate_beta, validate_queue_params
 from mginf.transforms import busy_period_laplace_general, series_block
@@ -185,7 +186,8 @@ def test_quantile_roundtrip_tabulated():
             assert law.cdf(t) == pytest.approx(u, abs=1e-10)
 
 
-@pytest.mark.parametrize("beta", [0.0, 0.3, 1.0 / math.expm1(1.0), -1.0])
+# at beta < 0 the closed form's log argument is <= 0 for every u below the atom
+@pytest.mark.parametrize("beta", [0.0, 0.3, 1.0 / math.expm1(1.0), -0.5, -0.9, -1.0])
 def test_quantile_at_constant_beta_is_the_closed_form(beta):
     law = ServiceLaw(P11, BetaSpec(constant=beta))
     u = np.linspace(0.0, 0.999999, 2001)
@@ -211,6 +213,28 @@ def test_kernel_grid_step_follows_the_kernel_rate():
 
 
 THREE_KNOTS = BetaSpec(knots=((0.0, 0.3), (2.0, -0.2), (5.0, 0.1)))
+
+
+@pytest.mark.parametrize("spec", [BetaSpec(constant=0.0), THREE_KNOTS])
+def test_quantile_rejects_u_outside_the_unit_interval(spec):
+    law = ServiceLaw(P11, spec)
+    for bad in (math.nan, 1.0, -0.1):
+        with pytest.raises(ProbabilityOutOfRange):
+            law.quantile(bad)
+        with pytest.raises(ProbabilityOutOfRange):
+            law.quantile(np.array([0.5, bad, 0.25]))
+    empty = law.quantile(np.zeros(0))
+    assert isinstance(empty, np.ndarray) and empty.shape == (0,)
+
+
+@pytest.mark.parametrize("rho", [0.5, 1.0])
+@pytest.mark.parametrize("spec", [RAMP, THREE_KNOTS])
+def test_quantile_is_at_least_the_last_knot_from_its_cdf_value_on(rho, spec):
+    # the tail expression at u = G(t_knot) may round below t_knot (THREE_KNOTS at rho = 0.5
+    # did); its logarithm's argument is clamped to at least 1, so it never gives less
+    law = ServiceLaw(validate_queue_params(1.0, rho), spec)
+    u = law.g_knot + np.arange(2000) * np.spacing(law.g_knot)
+    assert np.all(law.quantile(u) >= law.t_knot)
 
 
 @pytest.mark.parametrize("rho", [0.5, 1.0])

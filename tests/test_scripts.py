@@ -53,6 +53,10 @@ def test_profile_commands_prints_one_json_line_per_call():
         assert ("write_s" in c) == (c["command"] != "verify")
         if "write_s" in c:
             assert 0 < c["write_s"] <= c["wall_s"], c
+        # simulate and verify time the Monte Carlo run and its KS distances
+        assert ("mc_s" in c) == ("ks_s" in c) == (c["command"] != "eval")
+        if "mc_s" in c:
+            assert 0 < c["mc_s"] <= c["wall_s"] and 0 < c["ks_s"] <= c["wall_s"], c
         if c["command"] == "verify":
             assert {"check_series_transform", "check_busy_tail", "check_mean_identities",
                     "check_bound_ordering", "check_transform_consistency",

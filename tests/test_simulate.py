@@ -79,15 +79,47 @@ def ks_gap_array(sample, analytic) -> float:
 @example([0.0])
 @example([2.0])
 @example([0.0] * 7 + [1.0, 1.0, 3.0])
+@example([-1.0, 0.0, -0.5, 0.0, 2.0, -1.0, 2.0, 2.0])
 @settings(max_examples=100, deadline=None)
 def test_ks_distance_is_bit_identical_to_the_gap_array(xs):
     assert ks_distance(xs, atom_cdf) == ks_gap_array(xs, atom_cdf)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate, "KS_BLOCK", 3)  # every example of more than 3 points off 0 spans blocks
+        assert ks_distance(xs, atom_cdf) == ks_gap_array(xs, atom_cdf)
+
+
+def test_ks_distance_is_bit_identical_to_the_gap_array_across_blocks():
+    # 2.5 blocks of points: 100 below 0, a run at 0 (the atom), and a run of 101 ties that
+    # straddles the end of the first block above the atom, where the blocks start
+    rng = np.random.default_rng(5)
+    n = 5 * simulate.KS_BLOCK // 2
+    s = np.sort(rng.exponential(1.0, n))
+    s[:100] = -s[:100]
+    s[100:n // 3] = 0.0
+    end = n // 3 + simulate.KS_BLOCK
+    s[end - 50:end + 51] = s[end - 50]
+    sample = rng.permutation(s)
+    assert ks_distance(sample, atom_cdf) == ks_gap_array(sample, atom_cdf)
 
 
 def test_ks_distance_matches_searchsorted_form_with_ties_and_atom():
     rng = np.random.default_rng(5)
     sample = np.where(rng.random(50_000) < 0.3, 0.0, np.round(rng.exponential(1.0, 50_000), 3))
     assert ks_distance(sample, atom_cdf) == ks_searchsorted(sample, atom_cdf)
+
+
+@pytest.mark.parametrize("block", [7, simulate.KS_BLOCK])
+def test_busy_idle_correlation_is_the_sample_correlation(monkeypatch, block):
+    # 40000 cycles span three blocks of KS_BLOCK, and thousands of blocks of 7
+    monkeypatch.setattr(simulate, "KS_BLOCK", block)
+    for rho, beta in ((1.0, 0.0), (3.0, -0.5)):
+        p = validate_queue_params(1.0, rho)
+        s = run_cycles(p, quantile(p, beta), 40_000, seed=3)
+        r = simulate.busy_idle_correlation(s)
+        assert r == pytest.approx(np.corrcoef(s.busy, s.idle)[0, 1], abs=1e-13)
+    # constant samples have no correlation: one cycle, and busy identically 0
+    assert simulate.busy_idle_correlation(run_cycles(P11, quantile(P11, 0.0), 1, seed=3)) == 0.0
+    assert simulate.busy_idle_correlation(run_cycles(P11, quantile(P11, -1.0), 500, seed=3)) == 0.0
 
 
 def test_run_cycles_determinism():
@@ -279,8 +311,8 @@ def test_run_cycles_memory_is_the_output_plus_one_chunk():
 
 @pytest.mark.parametrize("rho", [1.0, 3.0])
 def test_ks_against_the_closed_form_cycle_law_holds_three_arrays(rho):
-    # the sorted sample, then Z, formed in two arrays of the sample's size; then the KS
-    # buffers are Z, the steps i/n and one gap buffer beside the sorted sample
+    # at most the sorted sample and three more arrays of its size; the blocked KS holds the
+    # sorted sample and five arrays of KS_BLOCK points (Z and its temporaries, steps, gaps)
     p = validate_queue_params(1.0, rho)
     law = ServiceLaw(p, BetaSpec(constant=0.0))
     n = 100_000
