@@ -111,21 +111,7 @@ def time_checks() -> None:
         setattr(verify, name, timed_into(CHECK_SECONDS, name, getattr(verify, name)))
 
 
-WRITE_SECONDS = []  # wall seconds of each CSV write since the last timed call
-
-
-def time_writer() -> None:
-    """Wrap cli.write_csv so each call adds its wall time to WRITE_SECONDS."""
-    write = cli.write_csv
-
-    def timed(*args, **kwargs):
-        start = time.perf_counter()
-        try:
-            return write(*args, **kwargs)
-        finally:
-            WRITE_SECONDS.append(time.perf_counter() - start)
-
-    cli.write_csv = timed
+WRITE_SECONDS = {}  # wall seconds of the CSV writer ("write_s") since the last timed call
 
 
 MC_SECONDS = {}  # wall seconds of run_cycles ("mc_s") and cycle_ks ("ks_s") since the last timed call
@@ -163,7 +149,7 @@ def timed_call(argv: list[str]) -> dict:
     if argv[0] == "verify":
         result["checks_s"] = {name: round(sec, 6) for name, sec in CHECK_SECONDS.items()}
     else:
-        result["write_s"] = round(sum(WRITE_SECONDS), 6)
+        result["write_s"] = round(WRITE_SECONDS.get("write_s", 0.0), 6)
     if argv[0] != "eval":
         result.update({key: round(MC_SECONDS.get(key, 0.0), 6) for key in ("mc_s", "ks_s")})
     return result
@@ -177,7 +163,7 @@ def main() -> int:
     args = ap.parse_args()
     time_series()
     time_checks()
-    time_writer()
+    cli.write_csv = timed_into(WRITE_SECONDS, "write_s", cli.write_csv)
     time_monte_carlo()
     with tempfile.TemporaryDirectory() as tmp:
         calls = command_argvs(args.workload, args.seed, Path(tmp))

@@ -45,9 +45,9 @@ def check_time(t) -> np.ndarray:
     return t
 
 
-def _ret(x: np.ndarray, like: np.ndarray):
-    """x as a float when the argument it was computed from is a scalar."""
-    return float(x) if like.ndim == 0 else x
+def float_if_scalar(t, values: np.ndarray):
+    """values, computed from the argument t, as a float when t is a scalar."""
+    return values.item() if np.ndim(t) == 0 else values
 
 
 def service_cdf(params: QueueParams, beta: float, t) -> float | np.ndarray:
@@ -57,10 +57,10 @@ def service_cdf(params: QueueParams, beta: float, t) -> float | np.ndarray:
     lam, q0 = params.lam, params.exp_neg_rho
     s = lam + beta
     if s <= 0:
-        return _ret(np.ones_like(tt), tt)
+        return float_if_scalar(tt, np.ones_like(tt))
     e = np.exp(-s * tt)
     g = 1.0 - (1.0 - q0) * s * e / (lam * q0 + lam * (1.0 - q0) * e)
-    return _ret(g, tt)
+    return float_if_scalar(tt, g)
 
 
 def service_atom(params: QueueParams, beta: float) -> float:
@@ -85,7 +85,7 @@ def service_quantile(params: QueueParams, beta: float, u) -> float | np.ndarray:
     live = uu > service_atom(params, beta)
     v = (1.0 - uu[live]) * lam
     t[live] = np.log((1.0 - q0) * (s - v) / (v * q0)) / s
-    return _ret(np.maximum(t, 0.0), uu)
+    return float_if_scalar(uu, np.maximum(t, 0.0))
 
 
 def busy_period_cdf(params: QueueParams, beta: float, t) -> float | np.ndarray:
@@ -97,7 +97,7 @@ def busy_period_cdf(params: QueueParams, beta: float, t) -> float | np.ndarray:
     b = np.multiply(tt, -q0 * s, out=np.empty_like(tt))
     np.exp(b, out=b)
     b *= (s / lam) * (1.0 - q0)
-    return _ret(np.subtract(1.0, b, out=b), tt)
+    return float_if_scalar(tt, np.subtract(1.0, b, out=b))
 
 
 def cycle_survival(lam: float, gamma: float, weight: float, idle: float,
@@ -141,7 +141,7 @@ def busy_cycle_cdf(params: QueueParams, beta: float, t) -> float | np.ndarray:
     q0 = params.exp_neg_rho
     s = params.lam + beta
     z = cycle_survival(params.lam, q0 * s, (1.0 - q0) * s, 1.0, tt)
-    return _ret(np.subtract(1.0, z, out=z), tt)
+    return float_if_scalar(tt, np.subtract(1.0, z, out=z))
 
 
 def empty_probability(params: QueueParams, beta: float, t) -> float | np.ndarray:
@@ -151,7 +151,7 @@ def empty_probability(params: QueueParams, beta: float, t) -> float | np.ndarray
     q0 = params.exp_neg_rho
     s = params.lam + beta
     p = q0 + (1.0 - q0) * np.exp(-s * tt)
-    return _ret(p, tt)
+    return float_if_scalar(tt, p)
 
 
 def busy_start_empty_probability(params: QueueParams, beta: float, t) -> float | np.ndarray:
@@ -177,7 +177,7 @@ def monotony_indicator(params: QueueParams, beta: float, t) -> float | np.ndarra
     d = lam * (q0 + (1.0 - q0) * e)
     hazard = s * lam * q0 / d
     g = 1.0 - (1.0 - q0) * s * e / d
-    return _ret(hazard - lam * g, tt)
+    return float_if_scalar(tt, hazard - lam * g)
 
 
 class EnvelopeBounds(NamedTuple):
@@ -201,4 +201,5 @@ def envelope_bounds(params: QueueParams, t) -> EnvelopeBounds:
     bp_floor = -np.expm1(-hi * tt)
     cycle_ceiling = -np.expm1(-lam * tt)
     cycle_floor = busy_cycle_cdf(params, hi, tt)
-    return EnvelopeBounds(_ret(bp_floor, tt), _ret(cycle_floor, tt), _ret(cycle_ceiling, tt))
+    return EnvelopeBounds(float_if_scalar(tt, bp_floor), cycle_floor,
+                          float_if_scalar(tt, cycle_ceiling))

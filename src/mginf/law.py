@@ -40,11 +40,6 @@ from .transforms import MAX_GRID_POINTS, GridFunction, default_step
 CERT_ULPS = 8
 
 
-def _like(t, values: np.ndarray):
-    """values, computed on np.atleast_1d(t), as a float when t is a scalar."""
-    return float(values[0]) if np.ndim(t) == 0 else values
-
-
 def simpson_weights(n: int, h: float) -> np.ndarray:
     """Weights of a fourth-order sum over n >= 3 samples at spacing h.
 
@@ -227,11 +222,11 @@ class ServiceLaw:
 
     def kernel(self, t) -> float | np.ndarray:
         """f(t) = exp(-lambda t - int_0^t beta(u) du); f(t_knot) e^{-r (t - t_knot)} past t_knot."""
-        return _like(t, self._kernel(t)[0])
+        return cf.float_if_scalar(t, self._kernel(t)[0])
 
     def cdf(self, t) -> float | np.ndarray:
         """G(t) = 1 - (1 - e^{-rho}) phi(t) / (lambda p00(t))."""
-        return _like(t, self._service_cdf(*self._kernel(t)))
+        return cf.float_if_scalar(t, self._service_cdf(*self._kernel(t)))
 
     def quantile(self, u) -> float | np.ndarray:
         """Inverse of `cdf`, vectorised over u in [0, 1); exactly 0 for u <= G(0).
@@ -270,7 +265,7 @@ class ServiceLaw:
             body = (u1 > self.atom) & (u1 < self.g_knot)
             if np.any(body):
                 t[body] = self._body_quantile(u1[body])
-        return _like(u, t)
+        return cf.float_if_scalar(u, t)
 
     def _body_quantile(self, ub: np.ndarray) -> np.ndarray:
         """G^{-1}(ub) for G(0) < ub < G(t_knot): invert a Hermite cubic, then a Newton step on G."""
@@ -296,7 +291,7 @@ class ServiceLaw:
 
     def p00(self, t):
         """p00(t) = 1 - (1 - e^{-rho}) Phi(t), Phi the kernel's prefix mass; see `_kernel`."""
-        return _like(t, self._kernel(t)[1])
+        return cf.float_if_scalar(t, self._kernel(t)[1])
 
     def idle_cdf(self, t):
         """1 - e^{-lambda t}: the idle period is Exponential(lambda) for every beta."""
@@ -423,7 +418,7 @@ class ServiceLaw:
         """(B, Z) at the law's step, both fourth order (`transforms`), solved once."""
         # looked up on the module at call time, so a wrapper put there sees every solve
         b = transforms.busy_period_cdf_series(self)
-        return b, transforms.busy_cycle_cdf_series(self.params, b)
+        return b, transforms.busy_cycle_cdf_series(self, b)
 
     def busy_cdf(self, t):
         """B(t) = 1 - C e^{-gamma t} past T, (gamma, C) from `busy_tail`; see `_past_grid`."""
@@ -473,11 +468,11 @@ class ServiceLaw:
         """
         tt = np.atleast_1d(cf.check_time(t))
         if self.t_knot == 0:
-            return _like(t, tail(tt, 0.0, 0.0))
+            return cf.float_if_scalar(t, tail(tt, 0.0, 0.0))
         grid = self.series[curve]
         end = (grid.values.size - 1) * grid.step
         out = tail(tt - end, end, self.series[1].values[-1])
         body = tt <= end
         if body.any():
             out[body] = np.interp(tt[body], grid.times, grid.values)
-        return _like(t, out)
+        return cf.float_if_scalar(t, out)

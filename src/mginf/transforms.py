@@ -37,7 +37,8 @@ convolved with the exponential idle-period density; that convolution is a
 first-order recurrence, evaluated in O(n) with no FFT, whose increments
 integrate the idle density exactly against the cubic interpolant of B
 (exponential time differencing: Cox & Matthews, J. Comput. Phys. 176, 2002),
-so Z is fourth order too.
+so Z is fourth order too.  It takes the law whose grid B is; the law's step
+certificate keeps lambda h <= 0.01, so the weights are one power series.
 """
 from __future__ import annotations
 
@@ -315,72 +316,62 @@ def busy_period_cdf_series(law: ServiceLaw) -> GridFunction:
 
 
 @functools.cache
-def _lagrange(p: int) -> tuple[np.ndarray, ...]:
-    """Lagrange bases of degree p - 1 (cubic for p = 4) on the first, a middle and the last cell.
+def _lagrange() -> tuple[np.ndarray, ...]:
+    """Cubic Lagrange bases on the first, a middle and the last cell.
 
-    Nodes are grid points in steps from the cell's left end: 0..p-1 on the
-    first cell, -1..2 on a middle one, 2-p..1 on the last.  Each basis is the
+    Nodes are grid points in steps from the cell's left end: 0..3 on the
+    first cell, -1..2 on a middle one, -2..1 on the last.  Each basis is the
     matrix C with L_j(v) = sum_k C[k, j] v^k in v = 1 - s, s the position in
     the cell: the inverse of the nodes' Vandermonde matrix in v.
     """
-    return tuple(np.linalg.inv(np.vander(1.0 - (np.arange(p) - o), increasing=True))
-                 for o in (0, 1, p - 2))
+    return tuple(np.linalg.inv(np.vander(1.0 - (np.arange(4) - o), increasing=True))
+                 for o in (0, 1, 2))
 
 
-def _cell_weights(x: float, p: int) -> tuple[np.ndarray, ...]:
-    """x int_0^1 e^{-x (1 - s)} L_j(s) ds for each basis of `_lagrange(p)`: (first, middle, last).
+def _cell_weights(x: float) -> tuple[np.ndarray, ...]:
+    """x int_0^1 e^{-x (1 - s)} L_j(s) ds for each basis of `_lagrange`: (first, middle, last).
 
-    With v = 1 - s they are sum_k C[k, j] E_k, E_k = x int_0^1 e^{-x v} v^k dv.
-    For x < 1, E_k is its power series x sum_i (-x)^i / (i! (k + i + 1)) to 20
-    terms (x^20/20! < 5e-19); from x = 1 on the recurrence
-    E_k = (k/x) E_{k-1} - e^{-x}, E_0 = 1 - e^{-x}, which loses at most a factor
-    k!/x^k <= 6 in relative accuracy.  Each set of weights sums to
-    E_0 = 1 - e^{-x}, the idle density's mass on the cell.
+    With v = 1 - s they are sum_k C[k, j] E_k, E_k = x int_0^1 e^{-x v} v^k dv,
+    the power series x sum_i (-x)^i / (i! (k + i + 1)) to 20 terms.  A law's
+    step keeps x = lambda h <= 0.01 (its StepTooCoarse certificate bounds h by
+    0.01/(lambda + max|beta|)), so the first omitted term, below x^20/20!, is
+    far under rounding.  Each set of weights sums to E_0 = 1 - e^{-x}, the
+    idle density's mass on the cell.
     """
-    k = np.arange(p)
-    if x < 1.0:
-        i = np.arange(20.0)
-        terms = np.cumprod(np.concatenate([[1.0], -x / i[1:]]))  # (-x)^i / i!
-        moments = x * (terms / (k[:, None] + i + 1.0)).sum(axis=1)
-    else:
-        moments = np.empty(p)
-        moments[0] = -math.expm1(-x)
-        for j in k[1:]:
-            moments[j] = j / x * moments[j - 1] - math.exp(-x)
-    return tuple(moments @ basis for basis in _lagrange(p))
+    i = np.arange(20.0)
+    terms = np.cumprod(np.concatenate([[1.0], -x / i[1:]]))  # (-x)^i / i!
+    moments = x * (terms / (np.arange(4)[:, None] + i + 1.0)).sum(axis=1)
+    return tuple(moments @ basis for basis in _lagrange())
 
 
-def busy_cycle_cdf_series(params: QueueParams, b: GridFunction) -> GridFunction:
-    """Z(t) = (idle-period exponential density) * B(t) on the grid of B.
+def busy_cycle_cdf_series(law: ServiceLaw, b: GridFunction) -> GridFunction:
+    """Z(t) = (idle-period exponential density) * B(t) on B's grid, a grid of `law`.
 
-    With x = lambda h and q = e^{-x}, Z_k = q Z_{k-1} + inc_k, where inc_k is
-    the idle density's integral against B over cell k, [t_{k-1}, t_k].  As
-    the density's own integral there is 1 - q, Z = (1 - e^{-lambda t}) - W
-    with W_k = q W_{k-1} + w_k, w_k the integral against 1 - B; so B == 1
-    gives 1 - e^{-lambda t} exactly, and Z keeps below that ceiling wherever
-    W >= 0.  w_k integrates the idle density exactly against the cubic
-    Lagrange interpolant of 1 - B on the 4 points centred on the cell
-    (one-sided on the first and the last cell, fewer on a grid of under 4
-    points), with the weights of `_cell_weights`, formed once per grid.  That
-    is fourth order: against the trapezoid's, whose weights sum to
-    (x/2) coth(x/2), Z no longer overshoots 1 by x^2/12.  W is a cumulative
-    sum of e^{x j} w_j inside blocks of floor(200/x) points, so no factor
-    exceeds e^200, scaled back by e^{-x j} and carried across blocks.  Z is
-    clipped to [0, 1], as B is.
+    The law's step h keeps x = lambda h <= 0.01 and its walk gives at least
+    SERIES_BLOCK points.  With q = e^{-x}, Z_k = q Z_{k-1} + inc_k,
+    where inc_k is the idle density's integral against B over cell k,
+    [t_{k-1}, t_k].  As the density's own integral there is 1 - q,
+    Z = `law.idle_cdf` - W with W_k = q W_{k-1} + w_k, w_k the integral
+    against 1 - B; so B == 1 gives 1 - e^{-lambda t} exactly, and Z keeps
+    below that ceiling wherever W >= 0.  w_k integrates the idle density
+    exactly against the cubic Lagrange interpolant of 1 - B on the 4 points
+    centred on the cell (one-sided on the first and the last cell), with the
+    weights of `_cell_weights`, formed once per grid.  That is fourth order:
+    against the trapezoid's, whose weights sum to (x/2) coth(x/2), Z no longer
+    overshoots 1 by x^2/12.  W is a cumulative sum of e^{x j} w_j inside
+    blocks of int(200/x) points, so no factor exceeds e^200, scaled back by
+    e^{-x j} and carried across blocks.  Z is clipped to [0, 1], as B is.
     """
-    x = params.lam * b.step
+    x = law.params.lam * b.step
     q = math.exp(-x)
     v = 1.0 - b.values
     n = v.size
+    first, mid, last = _cell_weights(x)
     w = np.zeros(n)
-    if n > 1:
-        p = min(n, 4)
-        first, mid, last = _cell_weights(x, p)
-        w[1] = first @ v[:p]
-        if n > 3:
-            w[2:-1] = np.correlate(v, mid, "valid")
-        w[-1] = last @ v[-p:]
-    width = max(int(200.0 / x), 1)
+    w[1] = first @ v[:4]
+    w[2:-1] = np.correlate(v, mid, "valid")
+    w[-1] = last @ v[-4:]
+    width = int(200.0 / x)
     grow = np.exp(x * np.arange(min(width, n)))
     carry = 0.0  # W just before the block
     for start in range(0, n, width):
@@ -391,7 +382,7 @@ def busy_cycle_cdf_series(params: QueueParams, b: GridFunction) -> GridFunction:
         block += q * carry
         block /= e
         carry = block[-1]
-    z = -np.expm1(-params.lam * b.times)
+    z = law.idle_cdf(b.times)
     z -= w
     np.clip(z, 0.0, 1.0, out=z)  # near t = 0 at rho = 40, Z is the rounding of B ~ 0: -3e-18
     return GridFunction(step=b.step, values=z)
@@ -421,8 +412,11 @@ def busy_period_laplace_from_service(law: ServiceLaw, s) -> np.ndarray:
 
     G is smooth between beta's knots, where G'' jumps with beta's slope, so
     the nodes are uniform on each piece of [0, t*] between knots, 16 k
-    intervals on a piece of length w, k = max(1, round(2500 w/t*)); a
-    constant's one piece has 40,000.  G is evaluated once on all the nodes,
+    intervals on a piece of length w, k = max(1, round(2500 w/t*),
+    ceil(w R/(16 c))) with c = 3e-3, so the spacing is at most c/R, where
+    R = lambda + max beta on the piece (at one of its ends) bounds the rate
+    beta + lambda G at which 1 - G decays.  A constant (w r <= 36) keeps its
+    40,000 intervals.  G is evaluated once on all the nodes,
     and the inner integral is one composite Simpson prefix at the even nodes,
     shared by every s.  Each s then forms only its integrand at the even
     nodes and integrates each piece by `_romberg`: a larger s sees nodes
@@ -442,7 +436,10 @@ def busy_period_laplace_from_service(law: ServiceLaw, s) -> np.ndarray:
     knots = law.spec.knot_times
     edges = np.append(knots[knots < t_star], t_star)
     widths = np.diff(edges)
-    counts = 16 * np.maximum(1, np.rint(2500.0 / t_star * widths)).astype(int)
+    beta = law.spec.value(edges)
+    rate = params.lam + np.maximum(beta[:-1], beta[1:])  # R of each piece
+    k = np.maximum(np.rint(2500.0 / t_star * widths), np.ceil(widths * rate / (16 * 3e-3)))
+    counts = 16 * np.maximum(1, k).astype(int)
     offsets = np.concatenate([[0], np.cumsum(counts)])  # each piece's first node
     steps = widths / counts
     ts = np.arange(offsets[-1] + 1, dtype=float)

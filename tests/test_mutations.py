@@ -53,10 +53,10 @@ def test_a_tail_weight_off_by_1e_6_fails_a_busy_period_check(law, scale, want, m
     assert statuses(law, ("busy period tail meets its grid",)) == [want]
 
 
-def trapezoid_weights(x, p):
+def trapezoid_weights(x):
     """The trapezoid rule's cell weights, x e^{-x}/2 and x/2 on the cell's ends, on each stencil."""
-    first, mid, last = np.zeros(p), np.zeros(p), np.zeros(p)
-    for weights, left in ((first, 0), (mid, 1), (last, p - 2)):
+    first, mid, last = np.zeros(4), np.zeros(4), np.zeros(4)
+    for weights, left in ((first, 0), (mid, 1), (last, 2)):
         weights[left], weights[left + 1] = 0.5 * x * math.exp(-x), 0.5 * x
     return first, mid, last
 
@@ -68,3 +68,41 @@ def trapezoid_weights(x, p):
 def test_trapezoid_weights_for_z_fail_a_busy_cycle_check(law, monkeypatch):
     monkeypatch.setattr(transforms, "_cell_weights", trapezoid_weights)
     assert "FAIL" in statuses(law, Z_CHECKS)
+
+
+MC_CHECKS = ("KS(busy period)", "KS(busy cycle)", "KS(idle period)",
+             "zero-busy fraction matches atom", "busy/idle independence")
+
+
+def shifted(spec, delta):
+    """spec with beta moved by delta at every knot."""
+    if spec.constant is not None:
+        return BetaSpec(constant=spec.constant + delta)
+    return BetaSpec(knots=tuple((t, beta + delta) for t, beta in spec.knots))
+
+
+def quantile_statuses(law, delta, names):
+    """Statuses at 20,000 cycles when only the service times come from the law with beta + delta."""
+    subject = ServiceLaw(P11, SPECS[law])
+    subject.quantile = ServiceLaw(P11, shifted(SPECS[law], delta)).quantile
+    report = {r.name: r.status for r in verify_point(subject, 20_000, 1)}
+    return [report[name] for name in names]
+
+
+@pytest.mark.parametrize("delta, want", [(0.0, "PASS"), (0.05, "FAIL")])
+@pytest.mark.parametrize("law", sorted(SPECS))
+def test_a_beta_shift_of_0_05_in_the_quantile_fails_the_atom_and_ks(law, delta, want):
+    # the reference curves keep beta: the zero-busy fraction reads 0.333 against an atom of
+    # 0.368 (constant) and 0.263 against 0.293 (ramp), with gates 0.010; KS(busy period) reads
+    # 0.035 and 0.030 against 0.019
+    names = ("zero-busy fraction matches atom", "KS(busy period)")
+    assert quantile_statuses(law, delta, names) == [want, want]
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 4: beta + 0.01 in the quantile puts the "
+                                       "zero-busy fraction 0.009 (constant) and 0.006 (ramp) off "
+                                       "the atom against 3-stderr gates of 0.010, and KS(busy "
+                                       "period) at 0.011 and 0.010 against 0.019, at 20,000 cycles")
+@pytest.mark.parametrize("law", sorted(SPECS))
+def test_a_beta_shift_of_0_01_in_the_quantile_fails_a_monte_carlo_check(law):
+    assert "FAIL" in quantile_statuses(law, 0.01, MC_CHECKS)

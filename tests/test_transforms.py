@@ -27,6 +27,7 @@ from mginf.transforms import (
     _reciprocal,
 )
 from mginf.verify import TRANSFORM_S_POINTS, check_busy_tail, check_transform_consistency
+from test_kernel import TAIL_BELOW_R
 
 P11 = validate_queue_params(1.0, 1.0)
 RAMP = BetaSpec(knots=((0.0, 0.0), (1.0, 0.2)))
@@ -158,19 +159,16 @@ def exact_cycle_of_polynomial(lam, poly, ts):
 
 @pytest.mark.parametrize("lam, step, n", [
     (1.0, 0.005, 4096),  # the default grid, one block of the recurrence
-    (1.0, 0.05, 14001),  # lambda h = 0.05: blocks of 4000 points, three and a half of them
-    (3.0, 0.3, 50),  # lambda h = 0.9 < 1: the moments' power series
-    (1.0, 250.0, 7),  # lambda h = 250 > 200: blocks of one point; the moments' recurrence
-    (2.0, 0.7, 4), (2.0, 0.7, 3), (2.0, 0.7, 2),  # one middle cell, then fewer than 4 points
+    (1.0, 0.01, 25001),  # lambda h = 0.01, the largest a law's step allows: blocks of 20,000
 ])
 def test_busy_cycle_recurrence_is_exact_for_cubics(lam, step, n):
     # the increments integrate the idle density exactly against the cubic interpolant of B,
-    # so a cubic B (of degree n - 1 on fewer than 4 points) gives the exact convolution
-    p = validate_queue_params(lam, 1.0)
+    # so a cubic B gives the exact convolution, across the recurrence's blocks too
+    law = ServiceLaw(validate_queue_params(lam, 1.0), BetaSpec(constant=0.0), step)
     span = step * (n - 1)
-    poly = np.polynomial.Polynomial([0.3, 0.5 / span, -0.4 / span**2, 0.2 / span**3][:min(n, 4)])
+    poly = np.polynomial.Polynomial([0.3, 0.5 / span, -0.4 / span**2, 0.2 / span**3])
     b = GridFunction(step, poly(np.arange(n) * step))
-    z = busy_cycle_cdf_series(p, b)
+    z = busy_cycle_cdf_series(law, b)
     assert z.values[0] == 0.0
     assert np.max(np.abs(z.values - exact_cycle_of_polynomial(lam, poly, b.times))) <= 1e-14
 
@@ -391,6 +389,36 @@ def test_nested_quadrature_matches_the_kernel_form_to_1e_10(lam, rho, spec):
     assert transform_gap(ServiceLaw(p, spec)) <= 1e-10
 
 
+def nested_nodes(law):
+    """How many nodes the nested quadrature samples G on at verify's transform points."""
+    sizes, cdf = [], law.cdf
+
+    def counted(t):
+        sizes.append(t.size)
+        return cdf(t)
+
+    law.cdf = counted
+    busy_period_laplace_from_service(law, verify_points(law))
+    return sizes.pop()
+
+
+@pytest.mark.parametrize("rho, spec", [(1.0, BetaSpec(constant=0.0)), (1.0, RAMP),
+                                       (3.0, BetaSpec(constant=0.0))],
+                         ids=["mc-constant", "table-ramp", "heavy-series"])
+def test_nested_quadrature_nodes_of_the_benchmark_laws_follow_t_star(rho, spec):
+    # their spacing times lambda + max beta is 9e-4, under the rate rule's 3e-3: 16 x 2500
+    # intervals over [0, t*], as before that rule
+    assert nested_nodes(ServiceLaw(validate_queue_params(1.0, rho), spec)) == 40_001
+
+
+def test_nested_quadrature_nodes_follow_a_body_faster_than_the_tail():
+    # beta reaches 2945 on [0, 0.13] while r = 4.33 sets t* = 8.4: nodes spaced by t* alone
+    # left "kernel form vs nested quadrature" at 1.95e-7; at the body's rate it reads 2e-15
+    law = ServiceLaw(*TAIL_BELOW_R)
+    assert nested_nodes(law) > 40_001
+    assert_transform_check_holds(law)
+
+
 def admissible_law(p, spec):
     """The law of (p, spec); a draw where spec is not admissible is discarded."""
     try:
@@ -593,14 +621,14 @@ def test_series_atom_at_zero():
 
 def test_series_busy_cycle_matches_closed_form():
     law = law_for(P11, 0.0)
-    z = busy_cycle_cdf_series(P11, busy_period_cdf_series(law))
+    z = busy_cycle_cdf_series(law, busy_period_cdf_series(law))
     assert np.max(np.abs(z.values - cf.busy_cycle_cdf(P11, 0.0, z.times))) < 1e-3
     assert z.values[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_series_busy_cycle_confluent_point():
     law = law_for(PLN2, 1.0)
-    z = busy_cycle_cdf_series(PLN2, busy_period_cdf_series(law))
+    z = busy_cycle_cdf_series(law, busy_period_cdf_series(law))
     i = int(round(1.0 / 0.005))
     assert z.values[i] == pytest.approx(1 - 2 / math.e, abs=1e-3)
 
@@ -852,12 +880,11 @@ TAIL_TABLES = {
 def test_table_tail_continues_the_walked_grid(name, rho, monkeypatch):
     # past the junction, B and Z of the law (closed form in gamma, C and Z(T)) agree with a
     # grid walked on at the same step, 40 time units further at least
-    p = validate_queue_params(1.0, rho)
     law = table_law(rho, TAIL_TABLES[name])
     end = law.series[0].times[-1]
     h = law.step
     b = extended(law, monkeypatch, 1e-40)
-    z = busy_cycle_cdf_series(p, GridFunction(h, b)).values
+    z = busy_cycle_cdf_series(law, GridFunction(h, b)).values
     ts = np.arange(len(b)) * h
     assert ts[-1] >= end + 40.0
     assert np.max(np.abs(law.busy_cdf(ts) - b)) < transforms.TAIL_TOL
