@@ -5,13 +5,17 @@ Calls `mginf.cli.main` in-process for `eval`, `simulate`, `eval`, `verify`,
 the order of bench/child.py, at the --workload's point of bench/run.py
 (lambda = 1; eval on 12 mean busy periods at step 0.005).  As in the
 benchmark child, each `eval` entry repeats until its calls have taken
-EVAL_SECONDS, and each `--out` CSV is read back and hashed after its
-call.  Both matter to the page-fault count: glibc raises its mmap threshold
-to the size of the largest block freed so far (up to 32 MB), so after the
-CSV's bytes are freed the arrays of later calls come from the heap instead
-of fresh mappings.  One round runs first as a warm-up, so first-call costs
-(numpy's lazily imported modules, the heap's first growth) are not counted.
-Then each call of --rounds rounds prints one JSON line: the round, the
+EVAL_SECONDS, each `--out` CSV is read back and hashed after its call, and
+bench/child.py's `calibrate()` loop runs twice before the first entry and
+once after each entry.  All of that matters to the page-fault
+count: glibc raises its mmap threshold to the size of the largest block
+freed so far (up to 32 MB), so after the CSV's bytes are freed the arrays of
+later calls come from the heap instead of fresh mappings, and it returns the
+heap's free top to the kernel once that exceeds twice the threshold.  A
+warm-up round, round -1, runs first: its calls are the benchmark child's
+(first-call costs such as numpy's lazily imported modules and the heap's
+first growth included), and those of rounds 0 to --rounds - 1 are warm.
+Each call prints one JSON line: the round, the
 command, its exit code, wall time, `ru_minflt` delta (minor page faults:
 pages the process touched for the first time, or got back from the kernel
 afresh after freeing them), the sha256 of its CSV, `series_points`, the
@@ -38,6 +42,7 @@ Example:
 import argparse
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 import math
@@ -48,6 +53,8 @@ from pathlib import Path
 
 from mginf import cli, transforms, verify
 from mginf.cli import main as mginf_main
+
+CHILD = Path(__file__).resolve().parents[1] / "bench" / "child.py"
 
 EVAL_SECONDS = 0.25  # bench/run.py's EVAL_MIN_S
 
@@ -155,6 +162,14 @@ def timed_call(argv: list[str]) -> dict:
     return result
 
 
+def child_calibrate():
+    """bench/child.py's calibration loop, loaded from its file."""
+    spec = importlib.util.spec_from_file_location("bench_child", CHILD)
+    child = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(child)
+    return child.calibrate
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
@@ -165,6 +180,9 @@ def main() -> int:
     time_checks()
     cli.write_csv = timed_into(WRITE_SECONDS, "write_s", cli.write_csv)
     time_monte_carlo()
+    calibrate = child_calibrate()
+    calibrate()  # first-call costs, then the child's first timed loop
+    calibrate()
     with tempfile.TemporaryDirectory() as tmp:
         calls = command_argvs(args.workload, args.seed, Path(tmp))
         for rnd in range(-1, args.rounds):  # round -1 is the warm-up
@@ -173,10 +191,10 @@ def main() -> int:
                 while True:
                     result = timed_call(argv)
                     spent += result["wall_s"]
-                    if rnd >= 0:
-                        print(json.dumps({"round": rnd, "command": name, **result}))
+                    print(json.dumps({"round": rnd, "command": name, **result}))
                     if name != "eval" or spent >= EVAL_SECONDS:
                         break
+                calibrate()
     return 0
 
 

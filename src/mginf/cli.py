@@ -16,7 +16,12 @@ pass/fail verification reports.  Exit codes: 0 success / all checks pass,
 The CSV bytes are those of np.savetxt(fmt="%.17g", delimiter=","), but
 formatted in numpy: a value with decimal exponent in [-6, 16] gets its 17
 digits from an exact scaled product (Dekker's two-product), and only nan,
-inf and values outside that window go through Python's `%`.
+inf and values outside that window go through Python's `%`.  The digits
+come from two 10^4-entry tables built with numpy at import: the product's
+integer N is split into its leading digit and four 4-digit chunks, each
+chunk's 4 ASCII bytes are looked up and stored 16 bytes a row into the
+row template, and the count of significant digits is the largest of four
+lookups derived from each chunk's trailing zeros.
 """
 
 from __future__ import annotations
@@ -128,15 +133,47 @@ def _field_masks() -> np.ndarray:
 
 _FIELD_MASKS = _field_masks()
 
+def _chunk_tables():
+    """_CHUNK_TEXT, _CHUNK_ZEROS and _SIGNIFICANT, from the 4 digits of c in a (10,) * 4 grid.
+
+    N = d 10^16 + c1 10^12 + c2 10^8 + c3 10^4 + c4, every chunk c_j below
+    10^4.  _CHUNK_TEXT[c] holds the 4 ASCII digits f"{c:04d}" as one 4-byte
+    item and _CHUNK_ZEROS[c] their trailing zeros (4 for c = 0).  N has
+    nd = 1 + max_j _SIGNIFICANT[j - 1, c_j] significant digits:
+    _SIGNIFICANT[j - 1, c] = 4 j - _CHUNK_ZEROS[c] counts the digits after d
+    through the last nonzero one of chunk j = c, and is 0 for c = 0.
+    """
+    digits = np.ix_(*[np.arange(10, dtype=np.uint8)] * 4)
+    text = np.stack(np.broadcast_arrays(*digits), axis=-1).reshape(-1, 4) + ord("0")
+    zeros = 0
+    for digit in digits:  # the trailing zeros of the first 1, 2, 3 and 4 digits
+        zeros = (digit == 0) * (1 + zeros)
+    zeros = zeros.astype(np.uint8).ravel()
+    significant = (np.arange(4, 17, 4, dtype=np.uint8).reshape(-1, 1) - zeros) * (zeros < 4)
+    return text.view(np.uint32).ravel(), zeros, significant
+
+
+_CHUNK_TEXT, _CHUNK_ZEROS, _SIGNIFICANT = _chunk_tables()
+
 
 def _times_pow10(x: np.ndarray, q: np.ndarray):
-    """x 10^q as the unevaluated sum hi + lo, exactly (Dekker's two-product)."""
-    hi = x * _POW10[q]
-    c = x * _SPLIT
-    x_hi = c - (c - x)
+    """x 10^q as the unevaluated sum hi + lo, exactly (Dekker's two-product), formed in place."""
+    hi = _POW10.take(q)
+    hi *= x
+    x_hi = x * _SPLIT
+    t = x_hi - x
+    x_hi -= t  # c - (c - x), c = x * _SPLIT
     x_lo = x - x_hi
-    p_hi, p_lo = _POW10_HI[q], _POW10_LO[q]
-    return hi, ((x_hi * p_hi - hi) + x_hi * p_lo + x_lo * p_hi) + x_lo * p_lo
+    p_hi, p_lo = _POW10_HI.take(q), _POW10_LO.take(q)
+    lo = np.multiply(x_hi, p_hi, out=t)
+    lo -= hi
+    x_hi *= p_lo
+    lo += x_hi
+    p_hi *= x_lo
+    lo += p_hi
+    x_lo *= p_lo
+    lo += x_lo  # ((x_hi p_hi - hi) + x_hi p_lo + x_lo p_hi) + x_lo p_lo
+    return hi, lo
 
 
 def _bytes16(a: np.ndarray, col: int) -> np.ndarray:
@@ -156,46 +193,60 @@ def _decimal(v: np.ndarray):
     """
     x = np.abs(v)
     exact = (x >= 1e-6) & (x < 1e17)  # the window, up to the exponent check; False for nan
-    x = np.where(exact, x, 1.0)
-    k = np.clip(np.floor(np.log10(x)).astype(np.int64), _LOW_X, _HIGH_X)
+    x = np.where(exact, x, 2.0)  # X = 0, and N = 2 10^16 needs no exponent step
+    k = np.floor(np.log10(x))
+    k = np.minimum(np.maximum(k, _LOW_X, out=k), _HIGH_X, out=k).astype(np.int64)
     hi, lo = _times_pow10(x, 16 - k)
-    while True:  # log10 may miss X by one near a power of ten: step k until N has 17 digits
-        below = (hi < 1e16) | ((hi == 1e16) & (lo < 0))
-        above = (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
-        step = above.astype(np.int64) - below
-        redo = np.flatnonzero(exact & (step != 0))
+    # log10 may miss X by one near a power of ten: step k until N has 17 digits
+    redo = ((hi <= 1e16) | (hi >= 1e17)).nonzero()[0]
+    while True:
+        h, l = hi[redo], lo[redo]
+        step = ((h > 1e17) | ((h == 1e17) & (l >= 0))).astype(np.int64)
+        step -= (h < 1e16) | ((h == 1e16) & (l < 0))
+        redo, step = redo[step != 0], step[step != 0]
         if redo.size == 0:
             break
-        k[redo] += step[redo]
-        inside = (k[redo] >= _LOW_X) & (k[redo] <= _HIGH_X)
-        exact[redo[~inside]] = False
-        redo = redo[inside]
+        k[redo] += step
+        outside = (k[redo] < _LOW_X) | (k[redo] > _HIGH_X)
+        exact[redo[outside]] = False
+        k[redo[outside]] = 0
+        redo = redo[~outside]
         hi[redo], lo[redo] = _times_pow10(x[redo], 16 - k[redo])
     # N < 10^17: no double lies within half a unit of the 17th digit below a power
     # of ten, so rounding never carries (the tests print the neighbours of 10^k)
-    n = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
-    n[~exact] = 0
-    k[~exact] = 0
+    n = hi.astype(np.int64)
+    n += np.rint(lo, out=lo).astype(np.int64)
+    n *= exact
     return n, k, exact
 
 
-def _digits(n: np.ndarray):
-    """The 17 decimal digits of each N as ASCII, one row per position, and the
-    count of significant digits (at least 1) once trailing zeros are stripped."""
-    digits = np.empty((17, n.size), np.uint8)
-    nd = np.full(n.size, 17)
-    trailing = np.ones(n.size, bool)
-    rest = (n % 10**8).astype(np.uint32)
-    for j in range(16, -1, -1):
-        if j == 8:
-            rest = (n // 10**8).astype(np.uint32)
-        q = rest // 10
-        digits[j] = rest - q * 10
-        rest = q
-        trailing &= digits[j] == 0
-        nd -= trailing
-    digits += ord("0")
-    return digits, np.maximum(nd, 1)
+def _digits(out: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Write the 17 digits of each N into its row of out; return its significant digits less one.
+
+    d goes in column _DIGITS, and the text of c1..c4, one 16-byte item, in
+    columns _DIGITS + 1.. and again in _FRACTION..  N = 0 prints as the digit 0.
+    """
+    upper = n // 10**8
+    lower = (n - upper * 10**8).astype(np.uint32)  # c3 c4
+    upper = upper.astype(np.uint32)  # d c1 c2
+    top = upper // 10**4  # d c1
+    upper -= top * 10**4  # c2
+    lead = top // 10**4  # d
+    top -= lead * 10**4  # c1
+    c3 = lower // 10**4
+    lower -= c3 * 10**4  # c4
+    out[:, _DIGITS] += lead.astype(np.uint8)
+    chunks = (top, upper, c3, lower)
+    text = np.empty((n.size, 4), np.uint32)
+    for j, c in enumerate(chunks):
+        _CHUNK_TEXT.take(c, out=text[:, j], mode="clip")
+    text = text.view("V16").ravel()
+    _bytes16(out, _DIGITS + 1)[...] = text
+    _bytes16(out, _FRACTION)[...] = text
+    after = _SIGNIFICANT[0].take(top)
+    for j, c in enumerate(chunks[1:], 1):
+        np.maximum(after, _SIGNIFICANT[j].take(c), out=after)
+    return after
 
 
 def _format_block(v: np.ndarray, ncols: int) -> str:
@@ -205,13 +256,15 @@ def _format_block(v: np.ndarray, ncols: int) -> str:
     out[...] = _TEMPLATE
     out[:, -1, _SEP] = ord("\n")
     out = out.reshape(v.size, -1)
-    digits, nd = _digits(n)  # zeros print as the digit 0
-    out[:, _DIGITS:_DIGITS + 17] = digits.T
-    _bytes16(out, _FRACTION)[...] = _bytes16(out, _DIGITS + 1)
+    after = _digits(out, n)
     out[:, _EXP_DIGIT] = ord("0") - k
-    kind = (np.signbit(v) * _EXPONENTS + k - _LOW_X) * 17 + nd - 1
+    kind = k.astype(np.int16)  # row (sign * 23 + X + 6) * 17 + nd - 1 of _FIELD_MASKS
+    del n, k  # freed before the selection, the block's peak
+    kind += np.signbit(v) * np.int16(_EXPONENTS) - _LOW_X
+    kind *= 17
+    kind += after
 
-    text = np.flatnonzero(~exact & (v != 0))  # nan, inf and values outside the window
+    text = (~exact & (v != 0)).nonzero()[0]  # nan, inf and values outside the window
     if text.size:
         s = np.frombuffer(("%.17g\n" * text.size % tuple(v[text].tolist())).encode(), np.uint8)
         ends = np.flatnonzero(s == ord("\n"))
@@ -220,12 +273,16 @@ def _format_block(v: np.ndarray, ncols: int) -> str:
         out.ravel()[np.repeat(text * out.shape[1] - (ends - lens), lens + 1)
                     + np.arange(s.size)] = s
         kind[text] = _TEXT + lens - 1
-    return str(out[np.take(_FIELD_MASKS, kind, axis=0)], "ascii")
+    return str(out[_FIELD_MASKS.take(kind, axis=0)], "ascii")
 
 
-# Values formatted at once: few enough that the work arrays (under 200 bytes
-# per value) stay in cache and add under 2 MB to peak memory.
-CSV_BLOCK_VALUES = 1 << 13
+# Values formatted at once.  A block's arrays peak at under 140 bytes a value
+# (0.5 MB).  glibc hands the free top of its heap back to the kernel once it
+# exceeds the trim threshold, twice the largest mapping freed so far, and a
+# block that outgrows it faults its pages in afresh every time: 8190-value
+# blocks (1.3 MB before the 4-digit tables) took 250 minor faults each in a
+# fresh process, these none.
+CSV_BLOCK_VALUES = 1 << 12
 
 
 def write_csv(out, header: str, columns) -> None:

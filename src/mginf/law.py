@@ -461,18 +461,20 @@ class ServiceLaw:
         return lb, lz
 
     def _past_grid(self, curve: int, t, tail):
-        """tail(t - T, T, Z(T)) on np.atleast_1d(t), and series[curve] interpolated on [0, T].
+        """series[curve] interpolated on [0, T], and tail(t - T, T, Z(T)) past T (and at NaN).
 
         T is the walked grid's end, where the grid meets its exponential tail;
         at t_knot = 0 the tail is exact from t = 0, T = 0, and nothing walks.
+        The tail is evaluated only past T: before T its terms e^{|lambda - gamma| (T - t)}
+        may overflow.
         """
         tt = np.atleast_1d(cf.check_time(t))
         if self.t_knot == 0:
             return cf.float_if_scalar(t, tail(tt, 0.0, 0.0))
         grid = self.series[curve]
         end = (grid.values.size - 1) * grid.step
-        out = tail(tt - end, end, self.series[1].values[-1])
+        out = np.empty(tt.shape)
         body = tt <= end
-        if body.any():
-            out[body] = np.interp(tt[body], grid.times, grid.values)
+        out[body] = np.interp(tt[body], grid.times, grid.values)
+        out[~body] = tail(tt[~body] - end, end, self.series[1].values[-1])
         return cf.float_if_scalar(t, out)

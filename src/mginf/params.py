@@ -21,6 +21,7 @@ from .errors import (
     BetaOutOfRange,
     EmptyTable,
     InvalidTable,
+    MginfError,
     NonFiniteParameter,
     NonPositiveParameter,
     NonPositiveTime,
@@ -188,8 +189,20 @@ def running_average_beta(spec: BetaSpec, t: float) -> float:
     return float(spec.cumulative(t)) / t
 
 
+def _knot(row: list[str]) -> tuple[float, float] | None:
+    """(t, beta) from a CSV row's first two fields, or None if they are not two numbers."""
+    try:
+        return float(row[0]), float(row[1])
+    except (ValueError, IndexError):
+        return None
+
+
 def load_beta_table(path: str | Path) -> BetaSpec:
-    """Read a two-column CSV `t,beta` with a header row into a tabulated BetaSpec."""
+    """Read a two-column CSV `t,beta` with a header row into a tabulated BetaSpec.
+
+    The first row is always the header.  When it parses as two numbers, an
+    error about the knots says that this row was read as the header.
+    """
     knots = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -200,13 +213,19 @@ def load_beta_table(path: str | Path) -> BetaSpec:
             for row in reader:
                 if not row:
                     continue
-                try:
-                    knots.append((float(row[0]), float(row[1])))
-                except (ValueError, IndexError):
+                knot = _knot(row)
+                if knot is None:
                     raise InvalidTable(f"{path}, line {reader.line_num}: "
-                                       f"expected two numbers `t,beta`, got {row}") from None
+                                       f"expected two numbers `t,beta`, got {row}")
+                knots.append(knot)
         except (UnicodeDecodeError, csv.Error) as exc:
             raise InvalidTable(f"{path}: not UTF-8 CSV text ({exc})") from None
-    if not knots:
-        raise EmptyTable(f"{path}: no data rows")
-    return BetaSpec(knots=tuple(knots))
+    try:
+        if not knots:
+            raise EmptyTable(f"{path}: no data rows")
+        return BetaSpec(knots=tuple(knots))
+    except MginfError as exc:
+        if _knot(header) is None:
+            raise
+        raise type(exc)(f"{exc} ({path}: line 1, {','.join(header)}, "
+                        f"was read as the header row)") from None

@@ -1,13 +1,14 @@
 import io
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from mginf import closed_form as cf, transforms
+from mginf import cli, closed_form as cf, transforms
 from mginf.cli import EXIT_INVALID, EXIT_IO, EXIT_OK, EXIT_VERIFY_FAIL, main, write_csv
 from mginf.params import validate_queue_params
 from mginf.transforms import MAX_GRID_POINTS
@@ -440,6 +441,36 @@ def test_write_csv_exact_at_powers_of_ten_ties_and_random_exponents():
                           (spread, 8)):
         a = values.reshape(-1, ncols)
         assert write_csv_text(a, "h") == savetxt_text(a, "h")
+
+
+def test_chunk_tables_hold_each_chunks_digits_and_trailing_zeros():
+    text = [f"{i:04d}" for i in range(10**4)]
+    assert cli._CHUNK_TEXT.view("S4").astype(str).tolist() == text
+    zeros = [len(t) - len(t.rstrip("0")) for t in text]
+    assert cli._CHUNK_ZEROS.tolist() == zeros
+    # chunk j of N's 16 digits after the first ends its significant digits at 4 (j - 1) + 4 - zeros
+    for j in range(1, 5):
+        assert cli._SIGNIFICANT[j - 1].tolist() == [
+            4 * j - z if i else 0 for i, z in enumerate(zeros)]
+
+
+def test_a_csv_block_holds_under_140_bytes_a_value():
+    # a full block of 17-digit fields of every exponent and both signs; the block's arrays
+    # stay mapped from one block to the next only while they are small next to glibc's heap
+    # trim threshold (twice the largest block freed so far)
+    rng = np.random.default_rng(7)
+    n = cli.CSV_BLOCK_VALUES // 10 * 10
+    v = rng.choice([-1.0, 1.0], n) * rng.random(n) * 10.0 ** rng.integers(-6, 17, n)
+    cli._format_block(v, 10)  # first-call costs
+    tracemalloc.start()
+    try:
+        cli._format_block(v, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # measured 0.48 MB (118 bytes a value) for 4090 values; 1.34 MB (163 bytes a value) for
+    # 8190 values before the 4-digit tables
+    assert peak <= 140 * n <= 1_000_000
 
 
 @pytest.mark.parametrize("argv", [

@@ -576,6 +576,26 @@ def test_a_tail_root_below_the_resolution_of_r_is_held_by_x():
     assert abs(law.cycle_cdf(end) - law.cycle_cdf(math.nextafter(end, math.inf))) <= 1e-12
 
 
+# gamma = 40.4 and the walk ends at T = 20: |lambda - gamma| T = 788, so the tail form's
+# e^{|lambda - gamma| (T - t)} overflows at small t
+LONG_TAIL_GAP = (validate_queue_params(1.0, 0.02), BetaSpec(knots=((0.0, 40.0), (5.0, 41.0))))
+
+
+def test_curves_read_the_grid_before_its_end_and_the_tail_only_past_it():
+    law = ServiceLaw(*LONG_TAIL_GAP)
+    b, z = law.series
+    end = (b.values.size - 1) * b.step
+    assert abs(law.params.lam - law.busy_tail[0]) * end > 710
+    # a RuntimeWarning is an error here (pyproject's filterwarnings)
+    assert law.cycle_cdf(1.0) == np.interp(1.0, z.times, z.values)
+    t = np.array([0.0, 1.0, end, math.nextafter(end, math.inf), end + 1.0, math.nan])
+    for curve, grid in ((law.busy_cdf, b), (law.cycle_cdf, z)):
+        got = curve(t)
+        assert np.array_equal(got[:3], np.interp(t[:3], grid.times, grid.values))
+        assert abs(got[3] - got[2]) <= 1e-12 and got[2] <= got[3] <= got[4] <= 1.0
+        assert math.isnan(got[5])
+
+
 @given(lam=LAMBDAS, rho=RHOS, u=st.sampled_from([0.0, 1.0]) | st.floats(0.01, 0.99))
 @example(lam=1.0, rho=math.log(2), u=0.0)
 @example(lam=1.0, rho=math.log(2), u=1.0)

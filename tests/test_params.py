@@ -174,6 +174,22 @@ def test_load_beta_table(tmp_path):
         load_beta_table(empty)
 
 
+def test_load_beta_table_names_a_numeric_first_row_as_the_header(tmp_path):
+    # without a header row the first knot is swallowed, and the knot error says so
+    f = tmp_path / "beta.csv"
+    f.write_text("0,51.7\n1,0.2\n")
+    with pytest.raises(InvalidTable, match=r"first knot must be at t = 0 .*line 1, 0,51\.7, "
+                                           r"was read as the header row"):
+        load_beta_table(f)
+    f.write_text("0,51.7\n")
+    with pytest.raises(EmptyTable, match="no data rows .*was read as the header row"):
+        load_beta_table(f)
+    f.write_text("t,beta\n1,0.2\n")  # a named header is not mentioned
+    with pytest.raises(InvalidTable) as err:
+        load_beta_table(f)
+    assert "header" not in str(err.value)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.binary(max_size=64))
 def test_load_beta_table_takes_any_bytes(tmp_path_factory, data):

@@ -35,11 +35,12 @@ def test_profile_commands_prints_one_json_line_per_call():
     proc = run_script("profile_commands.py", "--workload", "table-ramp", "--rounds", "1")
     assert proc.returncode == 0, proc.stderr
     calls = [json.loads(line) for line in proc.stdout.splitlines()]
-    names = [c["command"] for c in calls]  # each eval entry repeats for a quarter second
-    assert [n for i, n in enumerate(names) if names[i - 1:i] != [n]] == [
-        "eval", "simulate", "eval", "verify"]
+    # the warm-up round -1 prints too; each eval entry repeats for a quarter second
+    entries = [(c["round"], c["command"]) for c in calls]
+    assert [e for i, e in enumerate(entries) if entries[i - 1:i] != [e]] == [
+        (rnd, name) for rnd in (-1, 0) for name in ("eval", "simulate", "eval", "verify")]
     for c in calls:
-        assert c["round"] == 0 and c["wall_s"] > 0 and c["minflt"] >= 0
+        assert c["wall_s"] > 0 and c["minflt"] >= 0
         # verify exits 1: the paper's floor envelope FAILs for the ramp's series curves
         assert c["exit"] == {"eval": 0, "simulate": 0, "verify": 1}[c["command"]]
         assert (c["out_sha256"] is None) == (c["command"] == "verify")
