@@ -15,25 +15,20 @@ heap's free top to the kernel once that exceeds twice the threshold.  A
 warm-up round, round -1, runs first: its calls are the benchmark child's
 (first-call costs such as numpy's lazily imported modules and the heap's
 first growth included), and those of rounds 0 to --rounds - 1 are warm.
-Each call prints one JSON line: the round, the
-command, its exit code, wall time, `ru_minflt` delta (minor page faults:
-pages the process touched for the first time, or got back from the kernel
-afresh after freeing them), the sha256 of its CSV, `series_points`, the
-busy-period grid points solved in that call (0 if none), and `series_s`, the
-wall seconds spent solving them; both are taken by a wrapper on
-`mginf.transforms.busy_period_cdf_series`, which `ServiceLaw.series` looks up
-on the module at call time, as in bench/child.py.  Each `verify`
-line also holds `checks_s`, the wall seconds of each `verify.check_*`
-function in that call (wrapped on the module, which `verify_point` looks them
-up on at call time).  Every law runs the same checks, `check_bound_ordering`
-among them.  `check_series_transform` reads the grids first, so its seconds
-hold the solve's.  Each `eval` and `simulate` line holds `write_s`, the
-wall seconds of `mginf.cli.write_csv`, the exact CSV writer (wrapped the same
-way).  Each `simulate` and `verify` line holds `mc_s`, the wall seconds of
-`run_cycles`, and `ks_s`, those of `cycle_ks`; both modules import the two
-names from `mginf.simulate`, so the wrappers go on `mginf.cli` and
-`mginf.verify`, where the commands look them up at call time.  Command stdout
-is discarded; CSVs go to a temporary directory.
+
+Each call prints one JSON line: the round, the command, its exit code, wall
+time, `ru_minflt` delta (minor page faults: pages the process touched for the
+first time, or got back from the kernel afresh after freeing them), the
+sha256 of its CSV, and the wall seconds of the stages in STAGES.  Each stage
+is a function that the commands look up on its module at call time, so one
+wrapper per row of the table times it: `series_s` is the busy-period grid
+solve (with `series_points`, the grid points it solved, 0 if none),
+`write_s` the CSV writer (`eval` and `simulate`), `mc_s` and `ks_s` the
+Monte Carlo run and its KS distances (`simulate` and `verify`), and
+`checks_s` each `verify.check_*` function (`verify`).  Every law runs the
+same checks; `check_series_transform` reads the grids first, so its seconds
+hold the solve's.  Command stdout is discarded; CSVs go to a temporary
+directory.
 
 Example:
     PYTHONPATH=src python3 scripts/profile_commands.py --workload table-ramp --seed 5 --rounds 3
@@ -82,65 +77,38 @@ def command_argvs(workload: str, seed: int, work: Path) -> list[tuple[str, list[
     return [("eval", ev), ("simulate", sim), ("eval", ev), ("verify", ["verify", *common, *mc])]
 
 
-SOLVED = []  # (grid points, wall seconds) of each busy-period solve since the last timed call
+# (module, function, key): each call of module.function adds its wall seconds to SPENT[key].
+# cli and verify import run_cycles and cycle_ks from mginf.simulate, so both get a row.
+STAGES = [
+    (transforms, "busy_period_cdf_series", "series_s"),
+    (cli, "write_csv", "write_s"),
+    *((module, name, key) for module in (cli, verify)
+      for name, key in (("run_cycles", "mc_s"), ("cycle_ks", "ks_s"))),
+    *((verify, name, name) for name in vars(verify) if name.startswith("check_")),
+]
+
+SPENT = {}  # wall seconds of each stage key, and series_points, since the last timed call
 
 
-def time_series() -> None:
-    """Wrap the busy-period grid solve so each call records its points and wall time."""
-    solve = transforms.busy_period_cdf_series
-
-    def timed(law):
-        start = time.perf_counter()
-        b = solve(law)
-        SOLVED.append((b.values.size, time.perf_counter() - start))
-        return b
-
-    transforms.busy_period_cdf_series = timed
-
-
-def timed_into(seconds: dict, key: str, fn):
-    """fn, wrapped so that each call adds its wall time to seconds[key]."""
+def timed(fn, key: str):
+    """fn, wrapped so that each call adds its wall seconds to SPENT[key]."""
     def wrapped(*args, **kwargs):
         start = time.perf_counter()
-        try:
-            return fn(*args, **kwargs)
-        finally:
-            seconds[key] = seconds.get(key, 0.0) + time.perf_counter() - start
+        out = fn(*args, **kwargs)
+        SPENT[key] = SPENT.get(key, 0.0) + time.perf_counter() - start
+        if key == "series_s":  # and the grid points of the busy-period solve
+            SPENT["series_points"] = SPENT.get("series_points", 0) + out.values.size
+        return out
     return wrapped
 
 
-CHECK_SECONDS = {}  # wall seconds of each verify.check_* function since the last timed call
-
-
-def time_checks() -> None:
-    """Wrap each verify.check_* function so each call adds its wall time to CHECK_SECONDS."""
-    for name in [n for n in vars(verify) if n.startswith("check_")]:
-        setattr(verify, name, timed_into(CHECK_SECONDS, name, getattr(verify, name)))
-
-
-WRITE_SECONDS = {}  # wall seconds of the CSV writer ("write_s") since the last timed call
-
-
-MC_SECONDS = {}  # wall seconds of run_cycles ("mc_s") and cycle_ks ("ks_s") since the last timed call
-
-
-def time_monte_carlo() -> None:
-    """Wrap run_cycles and cycle_ks on cli and verify so each call adds its wall time to MC_SECONDS."""
-    for module in (cli, verify):
-        module.run_cycles = timed_into(MC_SECONDS, "mc_s", module.run_cycles)
-        module.cycle_ks = timed_into(MC_SECONDS, "ks_s", module.cycle_ks)
-
-
 def timed_call(argv: list[str]) -> dict:
-    """Exit code, wall seconds, minor faults, CSV digest, series points and seconds of one call.
+    """Exit code, wall seconds, minor faults, CSV digest and stage seconds of one call.
 
-    A `verify` call also reports `checks_s`, an `eval` or `simulate` call `write_s`, and a
-    `simulate` or `verify` call `mc_s` and `ks_s`.
+    Every call reports `series_points` and `series_s`, an `eval` or `simulate` call
+    `write_s`, a `simulate` or `verify` call `mc_s` and `ks_s`, a `verify` call `checks_s`.
     """
-    SOLVED.clear()
-    CHECK_SECONDS.clear()
-    WRITE_SECONDS.clear()
-    MC_SECONDS.clear()
+    SPENT.clear()
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     start = time.perf_counter()
     with contextlib.redirect_stdout(io.StringIO()):
@@ -150,15 +118,16 @@ def timed_call(argv: list[str]) -> dict:
     digest = None
     if "--out" in argv:
         digest = hashlib.sha256(Path(argv[argv.index("--out") + 1]).read_bytes()).hexdigest()
+    seconds = {key: round(SPENT.get(key, 0.0), 6) for key in ("series_s", "write_s", "mc_s", "ks_s")}
     result = {"exit": code, "wall_s": round(wall, 6), "minflt": faults, "out_sha256": digest,
-              "series_points": sum(n for n, _ in SOLVED),
-              "series_s": round(sum(sec for _, sec in SOLVED), 6)}
+              "series_points": SPENT.get("series_points", 0), "series_s": seconds["series_s"]}
     if argv[0] == "verify":
-        result["checks_s"] = {name: round(sec, 6) for name, sec in CHECK_SECONDS.items()}
+        result["checks_s"] = {key: round(sec, 6) for key, sec in SPENT.items()
+                              if key.startswith("check_")}
     else:
-        result["write_s"] = round(WRITE_SECONDS.get("write_s", 0.0), 6)
+        result["write_s"] = seconds["write_s"]
     if argv[0] != "eval":
-        result.update({key: round(MC_SECONDS.get(key, 0.0), 6) for key in ("mc_s", "ks_s")})
+        result.update(mc_s=seconds["mc_s"], ks_s=seconds["ks_s"])
     return result
 
 
@@ -176,10 +145,8 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=5)
     ap.add_argument("--rounds", type=int, default=3)
     args = ap.parse_args()
-    time_series()
-    time_checks()
-    cli.write_csv = timed_into(WRITE_SECONDS, "write_s", cli.write_csv)
-    time_monte_carlo()
+    for module, name, key in STAGES:
+        setattr(module, name, timed(getattr(module, name), key))
     calibrate = child_calibrate()
     calibrate()  # first-call costs, then the child's first timed loop
     calibrate()

@@ -362,7 +362,7 @@ def main(argv=None) -> int:
     parser.add_argument("--beta", type=float, default=None,
                         help="constant monotony indicator beta")
     parser.add_argument("--beta-file", default=None,
-                        help="CSV table `t,beta` with header row, piecewise-linear")
+                        help="CSV table `t,beta` (optional header row), piecewise-linear")
     parser.add_argument("--t-max", dest="t_max", type=float, default=None,
                         help="last eval row (default 12 mean busy periods)")
     parser.add_argument("--step", type=float, default=None,

@@ -21,7 +21,6 @@ from .errors import (
     BetaOutOfRange,
     EmptyTable,
     InvalidTable,
-    MginfError,
     NonFiniteParameter,
     NonPositiveParameter,
     NonPositiveTime,
@@ -198,34 +197,24 @@ def _knot(row: list[str]) -> tuple[float, float] | None:
 
 
 def load_beta_table(path: str | Path) -> BetaSpec:
-    """Read a two-column CSV `t,beta` with a header row into a tabulated BetaSpec.
+    """Read a two-column CSV `t,beta` into a tabulated BetaSpec.
 
-    The first row is always the header.  When it parses as two numbers, an
-    error about the knots says that this row was read as the header.
+    The header row is optional: a first row that parses as two numbers is the first knot.
+    Blank rows are skipped.
     """
     knots = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader, None)
-            if header is None:
-                raise EmptyTable(f"{path}: empty file")
-            for row in reader:
-                if not row:
-                    continue
+            for i, row in enumerate(reader):
                 knot = _knot(row)
-                if knot is None:
+                if knot is not None:
+                    knots.append(knot)
+                elif row and i > 0:  # a first row of text is the header
                     raise InvalidTable(f"{path}, line {reader.line_num}: "
                                        f"expected two numbers `t,beta`, got {row}")
-                knots.append(knot)
         except (UnicodeDecodeError, csv.Error) as exc:
             raise InvalidTable(f"{path}: not UTF-8 CSV text ({exc})") from None
-    try:
-        if not knots:
-            raise EmptyTable(f"{path}: no data rows")
-        return BetaSpec(knots=tuple(knots))
-    except MginfError as exc:
-        if _knot(header) is None:
-            raise
-        raise type(exc)(f"{exc} ({path}: line 1, {','.join(header)}, "
-                        f"was read as the header row)") from None
+    if not knots:
+        raise EmptyTable(f"{path}: no data rows")
+    return BetaSpec(knots=tuple(knots))

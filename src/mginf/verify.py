@@ -49,6 +49,16 @@ BOUND_SLACK = 1e-9  # rounding slack by which a curve may cross a bound
 # B is stored as 1 - R/lambda, so a tail near ulp(1) = 2.2e-16 keeps only rounding (at most
 # 1.3e-16 measured): the absolute term is 4.5 ulps of 1.
 TAIL_REL_TOL, TAIL_ABS_TOL = 1e-7, 1e-15
+QUANTILE_POINTS = 1024  # u in (atom, 1) at which G(q(u)) is read against u
+QUANTILE_TAIL_POINTS = 256  # of them, 1 - 10^-1 ... 1 - 10^-12, log-spaced
+ATOM_POINTS = 256  # u in [0, atom] at which q(u) must be 0
+# max |G(q(u)) - u|.  Measured (numpy 2.4): at most 1.1e-15 on the 759 laws the tests build,
+# 3.4e-14 on a steep table (knots (0,0),(0.0137,0.58),(0.0412,0)) and 2.8e-13 on 3000 random
+# tables of up to three knots, the largest in the cell beside a knot between kernel-grid
+# nodes; 1e-11 is 35 times that.  beta + 1e-4 inside q alone reads 6.0e-5 to 9.5e-5 at the
+# benchmark's three points and 2.2e-8 on tests/test_kernel.py's TAIL_BELOW_R; beta + 0.01
+# reads 6e-3 at the benchmark's points.
+QUANTILE_TOL = 1e-11
 
 
 @dataclass(frozen=True)
@@ -183,6 +193,24 @@ def check_riccati_residual(law: ServiceLaw) -> list[CheckResult]:
                     f"max residual {res:.2e}")]
 
 
+def check_service_quantile(law: ServiceLaw) -> list[CheckResult]:
+    """max |G(q(u)) - u| over u in (atom, 1), and q(u) == 0 for u in [0, atom].
+
+    u is even in [0, atom] and in (atom, 1), and 1 - u is log-spaced over
+    [1e-12, 1e-1], deep in the tail's closed form, where 1 - u keeps few digits.
+    """
+    atom = law.atom
+    even = np.linspace(atom, 1.0, QUANTILE_POINTS - QUANTILE_TAIL_POINTS + 2)[1:-1]
+    u = np.concatenate([np.linspace(0.0, atom, ATOM_POINTS), even,
+                        1.0 - np.logspace(-1, -12, QUANTILE_TAIL_POINTS)])
+    u = u[(u >= 0.0) & (u < 1.0)]
+    t, on_atom = law.quantile(u), u <= atom
+    moved = np.count_nonzero(t[on_atom])
+    miss = float(np.max(np.abs(law.cdf(t[~on_atom]) - u[~on_atom]), initial=0.0))
+    detail = f"max |G(q(u)) - u| {miss:.2e}" + (f", {moved} u <= atom give q > 0" if moved else "")
+    return [_result("service quantile inverts its CDF", miss <= QUANTILE_TOL and not moved, detail)]
+
+
 def check_monte_carlo(law: ServiceLaw, n_cycles: int, seed: int) -> list[CheckResult]:
     """KS of busy, cycle and idle samples at the DKW gate for KS_ALPHA, plus two 3-stderr gates."""
     samples = run_cycles(law.params, law.quantile, n_cycles, seed)
@@ -216,4 +244,4 @@ def verify_point(law: ServiceLaw, n_cycles: int, seed: int) -> list[CheckResult]
     return (check_series_transform(law, s, kernel_form) + check_busy_tail(law)
             + check_mean_identities(law) + check_bound_ordering(law)
             + check_transform_consistency(law, s, kernel_form) + check_riccati_residual(law)
-            + check_monte_carlo(law, n_cycles, seed))
+            + check_service_quantile(law) + check_monte_carlo(law, n_cycles, seed))

@@ -331,6 +331,35 @@ def test_verify_solves_busy_period_series_once(beta_args, tmp_path, monkeypatch,
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("beta, walks", [
+    ("0", {"eval": [], "simulate": [], "verify": [4096]}),
+    ("ramp", {"eval": [4096], "simulate": [4096], "verify": [4096]})])
+def test_each_command_walks_the_series_grids_it_reads(beta, walks, tmp_path, monkeypatch,
+                                                        capsys):
+    # what scripts/profile_commands.py reports as series_points: a constant law's B and Z are
+    # closed form from t = 0, so only verify's series checks walk its grid; a table's eval and
+    # simulate read B and Z on the grid, and every command walks it once, in one block
+    solve = transforms.busy_period_cdf_series
+    points = []
+
+    def counted(law):
+        b = solve(law)
+        points.append(b.values.size)
+        return b
+
+    monkeypatch.setattr(transforms, "busy_period_cdf_series", counted)
+    table = tmp_path / "ramp.csv"
+    table.write_text("t,beta\n0.0,0.0\n1.0,0.2\n")
+    common = ["--lambda", "1", "--rho", "1",
+              *(["--beta", beta] if beta != "ramp" else ["--beta-file", str(table)])]
+    mc = ["--cycles", "200", "--seed", "1"]
+    argvs = {"eval": ["--t-max", "20.6", "--step", "0.005"], "simulate": mc, "verify": mc}
+    for command, extra in argvs.items():
+        points.clear()
+        run([command, *common, *extra], capsys)
+        assert points == walks[command], command
+
+
 @pytest.mark.parametrize("lam", ["0.01", "1", "100"])
 def test_verify_transform_checks_pass_at_every_time_scale(lam, capsys):
     _, out, _ = run(["verify", "--lambda", lam, "--rho", "1", "--beta", "0",
@@ -377,7 +406,7 @@ def test_verify_degenerate_endpoint_runs_every_check(rho, capsys):
                           "--cycles", "20000", "--seed", "1"], capsys)
     report = parse_report(out)
     assert code == EXIT_OK, out
-    assert set(report.values()) == {"PASS"} and len(report) == 16
+    assert set(report.values()) == {"PASS"} and len(report) == 17
     assert err == ""
 
 
@@ -393,7 +422,7 @@ def test_verify_is_invariant_under_time_scaling(rho, ratio, capsys):
                          "--cycles", "2000", "--seed", "1"], capsys)
         lines[c] = [line.partition(": ")[0] for line in out.splitlines()]
     assert lines[0.01] == lines[1.0] == lines[100.0]
-    assert len(lines[1.0]) == 16
+    assert len(lines[1.0]) == 17
 
 
 # ---- CSV output ----------------------------------------------------------------

@@ -24,17 +24,17 @@ POINTS = {
         "2fc548e0227348da8fbbb73196652bab9cb41d8ff77cb4f327192d034593478c",
         "82e474036513c90d4765dc99ad887728fab8ff7cbf93065a44b386e31deee0a5",
         "ce097ab7623cdd4f631bd624e51fe5276772931faaa8e8ce95f384799db3825d",
-        "6ff77e4b0ca3a4a85dbb4ddc8991a77a1fb2bce9a926ba35569490694909e43b")),
+        "cb581fa5d75ad48bdb951f1981b9bcbb6f07e8b0d95c0cb98055b9a7ab708ce1")),
     "table-ramp": (1.0, ((0.0, 0.0), (1.0, 0.2)), 1000, (
         "85561c7b84ad7956cc2aeb44de0627638a61c43ed4b6b8bc014b393d8489c29f",
         "ddd160b674f42fcfbc3e267c18edad0b6665d8f347d4612c476280781dc85740",
         "b3a297bf3e8ca81e4d0d9d20f867fa6e26bcf2bd6c62cac3d23a0b7eab8f2ac3",
-        "915d4683cb1ba92fb1ce6d5e86c393c5c870167510b66b4a9774cf05f018e1f6")),
+        "53ba466beaa249dce41b873663466a5bc086cf5492e1ea8ec31f86f02a8cc74e")),
     "heavy-series": (3.0, 0.0, 20_000, (
         "49fd692f9865ef86030d75daec2f02600399fe4aff6349da9e6efc47553cef7c",
         "c095b3aa07d0bf0dc47cc501d03832976fee27b128710fcb6c74433f3a77e1b4",
         "bb6f7982252e3a7b1f00c3b8f33f30bc7066716e4ee88625f161c6b9ddd28ca2",
-        "00724f54b1d6d1aec3c39ebf4efab181720155f5e210ed9d8e4ac31b4fb38c55")),
+        "0b0f31e43b781d1956eb2879e37d9ce94653ef5824f4a8d188abb04d79ade5d0")),
 }
 
 

@@ -14,7 +14,7 @@ import pytest
 from mginf import transforms
 from mginf.law import ServiceLaw
 from mginf.params import BetaSpec, validate_queue_params
-from mginf.verify import verify_point
+from mginf.verify import check_service_quantile, verify_point
 
 P11 = validate_queue_params(1.0, 1.0)
 SPECS = {"constant": BetaSpec(constant=0.0), "ramp": BetaSpec(knots=((0.0, 0.0), (1.0, 0.2)))}
@@ -81,11 +81,16 @@ def shifted(spec, delta):
     return BetaSpec(knots=tuple((t, beta + delta) for t, beta in spec.knots))
 
 
-def quantile_statuses(law, delta, names):
-    """Statuses at 20,000 cycles when only the service times come from the law with beta + delta."""
+def quantile_mutant(law, delta):
+    """The law whose quantile alone is that of the law with beta + delta."""
     subject = ServiceLaw(P11, SPECS[law])
     subject.quantile = ServiceLaw(P11, shifted(SPECS[law], delta)).quantile
-    report = {r.name: r.status for r in verify_point(subject, 20_000, 1)}
+    return subject
+
+
+def quantile_statuses(law, delta, names):
+    """Statuses at 20,000 cycles when only the service times come from the law with beta + delta."""
+    report = {r.name: r.status for r in verify_point(quantile_mutant(law, delta), 20_000, 1)}
     return [report[name] for name in names]
 
 
@@ -99,10 +104,16 @@ def test_a_beta_shift_of_0_05_in_the_quantile_fails_the_atom_and_ks(law, delta, 
     assert quantile_statuses(law, delta, names) == [want, want]
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 4: beta + 0.01 in the quantile puts the "
-                                       "zero-busy fraction 0.009 (constant) and 0.006 (ramp) off "
-                                       "the atom against 3-stderr gates of 0.010, and KS(busy "
-                                       "period) at 0.011 and 0.010 against 0.019, at 20,000 cycles")
 @pytest.mark.parametrize("law", sorted(SPECS))
-def test_a_beta_shift_of_0_01_in_the_quantile_fails_a_monte_carlo_check(law):
-    assert "FAIL" in quantile_statuses(law, 0.01, MC_CHECKS)
+def test_a_beta_shift_of_0_01_in_the_quantile_fails_a_check(law):
+    # at 20,000 cycles the Monte Carlo lines miss it: the zero-busy fraction is 0.009 (constant)
+    # and 0.006 (ramp) off the atom against 3-stderr gates of 0.010, KS(busy period) 0.011 and
+    # 0.010 against 0.019; G(q(u)) is 6.2e-3 and 5.9e-3 off u against 1e-11
+    assert "FAIL" in quantile_statuses(law, 0.01, (*MC_CHECKS, "service quantile inverts its CDF"))
+
+
+@pytest.mark.parametrize("delta, want", [(0.0, "PASS"), (1e-4, "FAIL")])
+@pytest.mark.parametrize("law", sorted(SPECS))
+def test_a_beta_shift_of_1e_4_in_the_quantile_fails_the_quantile_check(law, delta, want):
+    # G(q(u)) is 6.0e-5 (ramp) to 6.3e-5 (constant) off u, against a gate of 1e-11
+    assert [r.status for r in check_service_quantile(quantile_mutant(law, delta))] == [want]

@@ -174,20 +174,19 @@ def test_load_beta_table(tmp_path):
         load_beta_table(empty)
 
 
-def test_load_beta_table_names_a_numeric_first_row_as_the_header(tmp_path):
-    # without a header row the first knot is swallowed, and the knot error says so
+def test_load_beta_table_reads_a_numeric_first_row_as_a_knot(tmp_path):
+    # the header row is optional: a first row of two numbers is the first knot
     f = tmp_path / "beta.csv"
     f.write_text("0,51.7\n1,0.2\n")
-    with pytest.raises(InvalidTable, match=r"first knot must be at t = 0 .*line 1, 0,51\.7, "
-                                           r"was read as the header row"):
-        load_beta_table(f)
+    assert load_beta_table(f).knots == ((0.0, 51.7), (1.0, 0.2))
     f.write_text("0,51.7\n")
-    with pytest.raises(EmptyTable, match="no data rows .*was read as the header row"):
+    assert load_beta_table(f) == BetaSpec(constant=51.7)
+    f.write_text("0,0\n0,0.1\n1,0.2\n")  # no longer loads as ((0, 0.1), (1, 0.2))
+    with pytest.raises(InvalidTable, match="strictly increasing"):
         load_beta_table(f)
-    f.write_text("t,beta\n1,0.2\n")  # a named header is not mentioned
-    with pytest.raises(InvalidTable) as err:
+    f.write_text("t,beta\n0,0\nt,beta\n")  # a text row past the first is an error
+    with pytest.raises(InvalidTable, match="line 3"):
         load_beta_table(f)
-    assert "header" not in str(err.value)
 
 
 @settings(max_examples=200, deadline=None)

@@ -61,5 +61,6 @@ def test_profile_commands_prints_one_json_line_per_call():
         if c["command"] == "verify":
             assert {"check_series_transform", "check_busy_tail", "check_mean_identities",
                     "check_bound_ordering", "check_transform_consistency",
-                    "check_riccati_residual", "check_monte_carlo"} == set(c["checks_s"]), c
+                    "check_riccati_residual", "check_service_quantile",
+                    "check_monte_carlo"} == set(c["checks_s"]), c
             assert all(sec > 0 for sec in c["checks_s"].values()), c
