@@ -44,7 +44,7 @@ def main() -> int:
             label = f"{spec.constant:+.6f}" if spec.constant is not None else f"table {spec.knots}"
             print(f"== lambda={params.lam} rho={params.rho:.6f} beta={label} ==")
             for r in verify_point(ServiceLaw(params, spec), args.cycles, args.seed):
-                print(f"  {r.status:<4} {r.name}: {r.detail}")
+                print(f"  {r}")
                 n_fail += r.status == "FAIL"
     print(f"\n{n_fail} failing checks (floor envelopes fail for interior beta and the ramp)")
     return 1 if n_fail else 0

@@ -1,81 +1,55 @@
 #!/usr/bin/env python3
 """Wall time and minor page faults of each command call at one benchmark point.
 
-Calls `mginf.cli.main` in-process for `eval`, `simulate`, `eval`, `verify`,
-the order of bench/child.py, at the --workload's point of bench/run.py
-(lambda = 1; eval on 12 mean busy periods at step 0.005).  As in the
-benchmark child, each `eval` entry repeats until its calls have taken
-EVAL_SECONDS, each `--out` CSV is read back and hashed after its call, and
-bench/child.py's `calibrate()` loop runs twice before the first entry and
-once after each entry.  All of that matters to the page-fault
-count: glibc raises its mmap threshold to the size of the largest block
-freed so far (up to 32 MB), so after the CSV's bytes are freed the arrays of
-later calls come from the heap instead of fresh mappings, and it returns the
-heap's free top to the kernel once that exceeds twice the threshold.  A
-warm-up round, round -1, runs first: its calls are the benchmark child's
-(first-call costs such as numpy's lazily imported modules and the heap's
-first growth included), and those of rounds 0 to --rounds - 1 are warm.
+Runs the benchmark child's own entries: bench/run.py's `commands_for` at the
+--workload's point (`eval`, `simulate`, `eval`, `verify`, `eval`), each call
+made by bench/child.py's `call`, which captures the command's stdout and
+stderr and reads its `--out` CSV back and hashes it.  As in the child, an
+entry repeats while its call exits 0 until its calls have taken the entry's
+`min_seconds` (a quarter second for `eval`, one call otherwise), and the
+child's `calibrate()` loop runs twice before the first entry and once after
+each entry.  All of that matters to the page-fault count: glibc raises its
+mmap threshold to the size of the largest block freed so far (up to 32 MB),
+so after the CSV's bytes are freed the arrays of later calls come from the
+heap instead of fresh mappings, and it returns the heap's free top to the
+kernel once that exceeds twice the threshold.  A warm-up round, round -1,
+runs first: its calls are the benchmark child's (first-call costs such as
+numpy's lazily imported modules and the heap's first growth included), and
+those of rounds 0 to --rounds - 1 are warm.
 
 Each call prints one JSON line: the round, the command, its exit code, wall
-time, `ru_minflt` delta (minor page faults: pages the process touched for the
-first time, or got back from the kernel afresh after freeing them), the
-sha256 of its CSV, and the wall seconds of the stages in STAGES.  Each stage
-is a function that the commands look up on its module at call time, so one
-wrapper per row of the table times it: `series_s` is the busy-period grid
+time, `ru_minflt` delta over the whole `call` (minor page faults: pages the
+process touched for the first time, or got back from the kernel afresh after
+freeing them; the read-back of the CSV included), the sha256 of its CSV, and
+the wall seconds of the stages in STAGES.  Each stage is a function that the
+commands look up on its module at call time, so one wrapper per row of the
+table times it: `series_s` is the busy-period grid
 solve (with `series_points`, the grid points it solved, 0 if none),
 `write_s` the CSV writer (`eval` and `simulate`), `mc_s` and `ks_s` the
 Monte Carlo run and its KS distances (`simulate` and `verify`), and
 `checks_s` each `verify.check_*` function (`verify`).  Every law runs the
 same checks; `check_series_transform` reads the grids first, so its seconds
-hold the solve's.  Command stdout is discarded; CSVs go to a temporary
-directory.
+hold the solve's.  A call that raises prints its traceback to stderr and
+exit null; CSVs go to a temporary directory.
 
 Example:
     PYTHONPATH=src python3 scripts/profile_commands.py --workload table-ramp --seed 5 --rounds 3
 """
 
 import argparse
-import contextlib
-import hashlib
-import importlib.util
-import io
 import json
-import math
 import resource
+import sys
 import tempfile
 import time
 from pathlib import Path
 
 from mginf import cli, transforms, verify
-from mginf.cli import main as mginf_main
 
-CHILD = Path(__file__).resolve().parents[1] / "bench" / "child.py"
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
-EVAL_SECONDS = 0.25  # bench/run.py's EVAL_MIN_S
-
-# rho, --beta or the table's (t, beta) rows, cycles: the points of bench/run.py
-WORKLOADS = {
-    "mc-constant": (1.0, 0.0, 100_000),
-    "table-ramp": (1.0, ((0.0, 0.0), (1.0, 0.2)), 1000),
-    "heavy-series": (3.0, 0.0, 20_000),
-}
-
-
-def command_argvs(workload: str, seed: int, work: Path) -> list[tuple[str, list[str]]]:
-    rho, beta, cycles = WORKLOADS[workload]
-    common = ["--lambda", "1.0", "--rho", repr(rho)]
-    if isinstance(beta, float):
-        common += ["--beta", repr(beta)]
-    else:
-        table = work / "beta.csv"
-        table.write_text("t,beta\n" + "".join(f"{t!r},{b!r}\n" for t, b in beta))
-        common += ["--beta-file", str(table)]
-    mc = ["--cycles", str(cycles), "--seed", str(seed)]
-    ev = ["eval", *common, "--t-max", repr(12.0 * math.expm1(rho)), "--step", "0.005",
-          "--out", str(work / "eval.csv")]
-    sim = ["simulate", *common, *mc, "--out", str(work / "simulate.csv")]
-    return [("eval", ev), ("simulate", sim), ("eval", ev), ("verify", ["verify", *common, *mc])]
-
+import child  # noqa: E402  (bench/child.py: call, calibrate, MAX_CALLS)
+import run as bench  # noqa: E402  (bench/run.py: WORKLOADS, commands_for)
 
 # (module, function, key): each call of module.function adds its wall seconds to SPENT[key].
 # cli and verify import run_cycles and cycle_ks from mginf.simulate, so both get a row.
@@ -103,24 +77,21 @@ def timed(fn, key: str):
 
 
 def timed_call(argv: list[str]) -> dict:
-    """Exit code, wall seconds, minor faults, CSV digest and stage seconds of one call.
+    """Exit code, wall seconds, minor faults, CSV digest and stage seconds of one `child.call`.
 
     Every call reports `series_points` and `series_s`, an `eval` or `simulate` call
     `write_s`, a `simulate` or `verify` call `mc_s` and `ks_s`, a `verify` call `checks_s`.
     """
     SPENT.clear()
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    start = time.perf_counter()
-    with contextlib.redirect_stdout(io.StringIO()):
-        code = mginf_main(argv)
-    wall = time.perf_counter() - start
+    call = child.call(cli.main, argv)
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
-    digest = None
-    if "--out" in argv:
-        digest = hashlib.sha256(Path(argv[argv.index("--out") + 1]).read_bytes()).hexdigest()
+    if call["error"]:
+        sys.stderr.write(call["error"])
     seconds = {key: round(SPENT.get(key, 0.0), 6) for key in ("series_s", "write_s", "mc_s", "ks_s")}
-    result = {"exit": code, "wall_s": round(wall, 6), "minflt": faults, "out_sha256": digest,
-              "series_points": SPENT.get("series_points", 0), "series_s": seconds["series_s"]}
+    result = {"exit": call["exit"], "wall_s": round(call["wall_s"], 6), "minflt": faults,
+              "out_sha256": call["out_sha256"], "series_points": SPENT.get("series_points", 0),
+              "series_s": seconds["series_s"]}
     if argv[0] == "verify":
         result["checks_s"] = {key: round(sec, 6) for key, sec in SPENT.items()
                               if key.startswith("check_")}
@@ -131,37 +102,29 @@ def timed_call(argv: list[str]) -> dict:
     return result
 
 
-def child_calibrate():
-    """bench/child.py's calibration loop, loaded from its file."""
-    spec = importlib.util.spec_from_file_location("bench_child", CHILD)
-    child = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(child)
-    return child.calibrate
-
-
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
+    ap.add_argument("--workload", required=True, choices=sorted(bench.WORKLOADS))
     ap.add_argument("--seed", type=int, default=5)
     ap.add_argument("--rounds", type=int, default=3)
     args = ap.parse_args()
     for module, name, key in STAGES:
         setattr(module, name, timed(getattr(module, name), key))
-    calibrate = child_calibrate()
-    calibrate()  # first-call costs, then the child's first timed loop
-    calibrate()
+    child.calibrate()  # first-call costs, then the child's first timed loop
+    child.calibrate()
     with tempfile.TemporaryDirectory() as tmp:
-        calls = command_argvs(args.workload, args.seed, Path(tmp))
+        entries = bench.commands_for(bench.WORKLOADS[args.workload], args.seed, Path(tmp),
+                                     trace=False)
         for rnd in range(-1, args.rounds):  # round -1 is the warm-up
-            for name, argv in calls:
-                spent = 0.0
-                while True:
+            for name, argv, min_seconds in entries:
+                calls, spent = 0, 0.0
+                while True:  # bench/child.py's rule for repeating an entry
                     result = timed_call(argv)
-                    spent += result["wall_s"]
+                    calls, spent = calls + 1, spent + result["wall_s"]
                     print(json.dumps({"round": rnd, "command": name, **result}))
-                    if name != "eval" or spent >= EVAL_SECONDS:
+                    if result["exit"] != 0 or calls >= child.MAX_CALLS or spent >= min_seconds:
                         break
-                calibrate()
+                child.calibrate()
     return 0
 
 

@@ -343,7 +343,7 @@ def cmd_simulate(args, law: ServiceLaw) -> int:
 def cmd_verify(args, law: ServiceLaw) -> int:
     results = verify_point(law, args.cycles, args.seed)
     for r in results:
-        print(f"{r.status:<4} {r.name}: {r.detail}")
+        print(r)
     return EXIT_VERIFY_FAIL if any(r.status == "FAIL" for r in results) else EXIT_OK
 
 

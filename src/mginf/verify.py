@@ -67,6 +67,10 @@ class CheckResult:
     status: str  # PASS / FAIL
     detail: str
 
+    def __str__(self) -> str:
+        """The report line: status padded to four characters, name, detail."""
+        return f"{self.status:<4} {self.name}: {self.detail}"
+
 
 def _result(name: str, ok: bool, detail: str) -> CheckResult:
     return CheckResult(name, "PASS" if ok else "FAIL", detail)
@@ -76,14 +80,17 @@ def riccati_residual(law: ServiceLaw) -> float:
     """Max defect of the service-CDF ODE dG/dt = -lam*G^2 - (beta-lam)*G + beta, in units of lam.
 
     The horizon t_knot + 30/(lam + max|beta|) is the service law's own scale,
-    where 1 - G is still far above rounding at any rho; with the difference
-    step 1e-5/lam the residual does not change when
+    where 1 - G is still far above rounding at any rho.  The difference step
+    1e-5/(lam + max|beta|) is on that scale too: near the upper endpoint
+    max|beta| is about lam/rho, and a step of 1e-5/lam read 1.2e-2 at
+    rho = 1e-3 where this one reads 1.4e-8.  The residual does not change when
     (lam, beta, t) -> (c lam, c beta, t/c).
     """
     lam = law.params.lam
-    t_max = law.t_knot + 30.0 / (lam + law.spec.max_abs)
+    rate = lam + law.spec.max_abs
+    t_max = law.t_knot + 30.0 / rate
     ts = np.linspace(t_max / RICCATI_POINTS, t_max, RICCATI_POINTS)
-    eps = 1e-5 / lam
+    eps = 1e-5 / rate
     dg = (law.cdf(ts + eps) - law.cdf(ts - eps)) / (2 * eps)
     g = law.cdf(ts)
     b = law.indicator(ts)

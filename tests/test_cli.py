@@ -239,6 +239,17 @@ def test_verify_interior_beta_fails_only_floor_checks(capsys):
     assert failed == set(FLOOR_CHECKS)
 
 
+def test_verify_riccati_line_passes_at_small_rho(capsys):
+    # beta near its upper end lambda/(e^rho - 1): a difference step of 1e-5/lambda, not on the
+    # law's scale 1/(lambda + max|beta|), read 1.2e-2 here against the gate of 1e-3
+    code, out, _ = run(["verify", "--lambda", "1", "--rho", "0.001",
+                        "--beta", "999.4", "--cycles", "2000", "--seed", "1"], capsys)
+    report = parse_report(out)
+    assert report["service CDF solves the Riccati ODE"] == "PASS"
+    assert code == EXIT_VERIFY_FAIL
+    assert {n for n, s in report.items() if s == "FAIL"} == {FLOOR_CHECKS[0]}
+
+
 def test_verify_one_cycle_has_no_correlation(capsys):
     # one cycle has no sample covariance: the independence check reads r = 0, with no warning
     code, out, err = run(["verify", "--lambda", "1", "--rho", "1",

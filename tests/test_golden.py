@@ -29,7 +29,7 @@ POINTS = {
         "85561c7b84ad7956cc2aeb44de0627638a61c43ed4b6b8bc014b393d8489c29f",
         "ddd160b674f42fcfbc3e267c18edad0b6665d8f347d4612c476280781dc85740",
         "b3a297bf3e8ca81e4d0d9d20f867fa6e26bcf2bd6c62cac3d23a0b7eab8f2ac3",
-        "53ba466beaa249dce41b873663466a5bc086cf5492e1ea8ec31f86f02a8cc74e")),
+        "d3bb8a6ffbc35b360fcd29e625e8ed93cedb8fe28596c8af6e791aab8ae8b7e2")),
     "heavy-series": (3.0, 0.0, 20_000, (
         "49fd692f9865ef86030d75daec2f02600399fe4aff6349da9e6efc47553cef7c",
         "c095b3aa07d0bf0dc47cc501d03832976fee27b128710fcb6c74433f3a77e1b4",

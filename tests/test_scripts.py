@@ -1,10 +1,14 @@
 """Smoke tests: the scripts under scripts/ run end to end without a traceback."""
 
+import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -31,14 +35,30 @@ def test_sweep_constant_beta_writes_one_csv_per_beta(tmp_path):
     assert len(list(tmp_path.glob("curves_beta_*.csv"))) == 3
 
 
-def test_profile_commands_prints_one_json_line_per_call():
+@pytest.fixture
+def bench(monkeypatch):
+    """bench/run.py, the benchmark whose entries the profiler runs."""
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    return importlib.import_module("run")
+
+
+def test_profile_commands_offers_the_benchmark_workloads(bench):
+    proc = run_script("profile_commands.py", "--help")
+    assert proc.returncode == 0, proc.stderr
+    choices = re.search(r"--workload\s+\{([^}]*)\}", proc.stdout).group(1)
+    assert choices.split(",") == sorted(bench.WORKLOADS)
+
+
+def test_profile_commands_prints_one_json_line_per_call(bench, tmp_path):
     proc = run_script("profile_commands.py", "--workload", "table-ramp", "--rounds", "1")
     assert proc.returncode == 0, proc.stderr
     calls = [json.loads(line) for line in proc.stdout.splitlines()]
-    # the warm-up round -1 prints too; each eval entry repeats for a quarter second
+    # the benchmark child's entries, the warm-up round -1 included; an entry's repeated calls
+    # (each eval entry's, for a quarter second) print one line each
     entries = [(c["round"], c["command"]) for c in calls]
+    commands = bench.commands_for(bench.WORKLOADS["table-ramp"], 5, tmp_path, trace=False)
     assert [e for i, e in enumerate(entries) if entries[i - 1:i] != [e]] == [
-        (rnd, name) for rnd in (-1, 0) for name in ("eval", "simulate", "eval", "verify")]
+        (rnd, name) for rnd in (-1, 0) for name, _, _ in commands]
     for c in calls:
         assert c["wall_s"] > 0 and c["minflt"] >= 0
         # verify exits 1: the paper's floor envelope FAILs for the ramp's series curves
