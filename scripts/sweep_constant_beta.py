@@ -36,7 +36,7 @@ def main() -> int:
     args.out_dir.mkdir(parents=True, exist_ok=True)
 
     for beta in np.linspace(lo, hi, args.n_beta):
-        out = args.out_dir / f"curves_beta_{beta:+.4f}.csv"
+        out = args.out_dir / f"curves_beta_{beta:+.6g}.csv"
         code = cli_main([
             "eval",
             "--lambda", str(params.lam),
@@ -49,8 +49,8 @@ def main() -> int:
         if code != 0:
             return code
         atom = cf.service_atom(params, beta)
-        print(f"beta = {beta:+.4f}  atom G(0) = {atom:.4f}  -> {out}")
-    print(f"admissible range: [{lo:.6f}, {hi:.6f}]")
+        print(f"beta = {beta:+.6g}  atom G(0) = {atom:.4f}  -> {out}")
+    print(f"admissible range: [{lo:.6g}, {hi:.6g}]")
     return 0
 
 

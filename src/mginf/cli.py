@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 
 import numpy as np
@@ -371,6 +372,8 @@ def main(argv=None) -> int:
                         help="Monte Carlo cycles of simulate and verify")
     parser.add_argument("--seed", type=int, default=0, help="seed of simulate and verify")
     parser.add_argument("--out", default=None, help="CSV of eval or simulate (default stdout)")
+    # a token float() reads is a value, not an option: "--beta -1e-05" and "--rho -inf" too
+    parser._negative_number_matcher = re.compile(r"^-(\d|\.\d|inf(inity)?$|nan$)", re.I)
     args = parser.parse_args(argv)
     try:
         law = _build_law(args)

@@ -9,8 +9,8 @@ mass Phi = int_0^t f / I,
 Beyond the last beta knot the kernel is exactly exponential with rate
 r = lambda + beta(inf), so f, p00 and G are closed form there, with no beta
 integral, and G inverts in closed form; only [0, t_knot] is numeric, and for
-constant beta (t_knot = 0) nothing is.  Every admissible beta, constant,
-tabulated or the degenerate endpoint beta = -lambda, is one law: at r = 0 the
+constant beta (t_knot = 0) its grid is the one node 0.  Every admissible beta,
+constant, tabulated or the degenerate endpoint beta = -lambda, is one law: at r = 0 the
 integral diverges, 1/I is exactly 0, so phi == Phi == 0 and G == 1, the limit
 of the formula above.  B and Z take one path too: the series grids at the
 law's step up to T, where they meet the exponential tail 1 - B ~ C e^{-gamma t},
@@ -41,7 +41,7 @@ CERT_ULPS = 8
 
 
 def simpson_weights(n: int, h: float) -> np.ndarray:
-    """Weights of a fourth-order sum over n >= 3 samples at spacing h.
+    """Weights of a fourth-order sum over n >= 3 samples at spacing h; one sample weighs 0.
 
     Composite Simpson, with Simpson's 3/8 rule on the last three cells when
     the cells are odd in number (a 4096-point block always is).
@@ -68,8 +68,10 @@ class ServiceLaw:
     T and interpolate the series grids before it, T = 0 for constant beta.
     With `idle_cdf` they are the reference curves of the Monte Carlo checks.
 
-    The constructor integrates the kernel once on [0, t_knot], with a step of
-    at most 1e-3/(lambda + max|beta|), the kernel's own rate, and caches 1/I,
+    The constructor integrates the kernel once on [0, t_knot], with a step
+    `grid_h` of at most 1e-3/(lambda + max|beta|), the kernel's own rate: it
+    forms log f once on the grid's `nodes` and cell midpoints, for a constant
+    the one node 0 with step 0, and f from it.  It caches 1/I,
     f(t_knot), the tail constant m, G(0) and G(t_knot): past t_knot, G, f and
     p00 are closed form in them, not only the quantile.
     With body = int_0^{t_knot} f and f_end = f(t_knot), r I = r body + f_end,
@@ -94,27 +96,26 @@ class ServiceLaw:
         rate = params.lam + spec.max_abs
         if self.step * rate > 0.01 * (1 + 1e-9):
             raise StepTooCoarse(f"step {self.step} too coarse for rates up to {rate}")
-        # uniform grid on [0, t_knot] (empty for constant beta), f at its nodes and cell
-        # midpoints, and int_0^{grid_t} f, int_{grid_t}^{t_knot} f from the same Simpson cells
-        self.grid_t = self.grid_f = self.grid_fm = np.array([])
-        self.grid_prefix = self.grid_suffix = self.grid_t
-        body, f_end = 0.0, 1.0
-        if t_knot > 0:
-            cells = 1e3 * t_knot * (params.lam + spec.max_abs)
-            if cells > MAX_GRID_POINTS - 1:
-                raise GridTooLarge(f"kernel grid on [0, {t_knot:g}] needs {cells:.3g} cells, "
-                                   f"more than {MAX_GRID_POINTS} points")
-            n = max(math.ceil(cells), 100)
-            self.grid_t = ts = np.linspace(0.0, t_knot, n + 1)
-            h = ts[1] - ts[0]
-            self.grid_f = self._integrand(ts)
-            self.grid_fm = self._integrand(ts[:-1] + 0.5 * h)
-            cells = h / 6.0 * (self.grid_f[:-1] + 4.0 * self.grid_fm + self.grid_f[1:])
-            self.grid_prefix = np.concatenate([[0.0], np.cumsum(cells)])
-            self.grid_suffix = np.concatenate([np.cumsum(cells[::-1])[::-1], [0.0]])
-            # the body mass from the reverse sum, small cells first: the forward sum of a
-            # flat table to t = 40 ends 4e-14 short, which puts G(0) at -4e-14
-            body, f_end = float(self.grid_suffix[0]), float(self.grid_f[-1])
+        # n Simpson cells on [0, t_knot], none for constant beta, whose grid is the node 0;
+        # log f = -lambda t - int_0^t beta is formed once on the nodes, then the cell midpoints
+        cells = 1e3 * t_knot * rate
+        if cells > MAX_GRID_POINTS - 1:
+            raise GridTooLarge(f"kernel grid on [0, {t_knot:g}] needs {cells:.3g} cells, "
+                               f"more than {MAX_GRID_POINTS} points")
+        n = max(math.ceil(cells), 100) if cells else 0
+        self.grid_h = h = t_knot / max(n, 1)
+        self.grid_t = ts = np.linspace(0.0, t_knot, n + 1)
+        self.nodes = np.concatenate([ts, ts[:-1] + 0.5 * h])
+        self.log_f = self._log_kernel(self.nodes)
+        self.node_f = np.exp(self.log_f)
+        self.grid_f, self.grid_fm = self.node_f[:n + 1], self.node_f[n + 1:]
+        # int_0^{grid_t} f and int_{grid_t}^{t_knot} f from the same Simpson cells
+        cells = h / 6.0 * (self.grid_f[:-1] + 4.0 * self.grid_fm + self.grid_f[1:])
+        self.grid_prefix = np.concatenate([[0.0], np.cumsum(cells)])
+        self.grid_suffix = np.concatenate([np.cumsum(cells[::-1])[::-1], [0.0]])
+        # the body mass from the reverse sum, small cells first: the forward sum of a
+        # flat table to t = 40 ends 4e-14 short, which puts G(0) at -4e-14
+        body, f_end = float(self.grid_suffix[0]), float(self.grid_f[-1])
         transforms.series_block(t_knot, self.step)  # a series grid's first block too large raises
         self.f_knot = f_end
         r_total = tail_rate * body + f_end  # r I
@@ -140,11 +141,10 @@ class ServiceLaw:
                 "the service CDF G would decrease there"
             )
 
-    def _integrand(self, t: np.ndarray) -> np.ndarray:
-        """f(t) = exp(-lambda t - int_0^t beta), exact for every t >= 0, formed in place."""
-        f = self.spec.cumulative(t)
-        np.subtract(-self.params.lam * t, f, out=f)
-        return np.exp(f, out=f)
+    def _log_kernel(self, t: np.ndarray) -> np.ndarray:
+        """log f(t) = -lambda t - int_0^t beta, exact for every t >= 0, in a fresh array."""
+        log_f = self.spec.cumulative(t)
+        return np.subtract(-self.params.lam * t, log_f, out=log_f)
 
     def _kernel(self, t):
         """f and p00 = 1 - (1 - e^{-rho}) Phi on np.atleast_1d(t) >= 0.
@@ -165,10 +165,9 @@ class ServiceLaw:
         p00 = np.multiply(f, (1.0 - self.params.exp_neg_rho) * self.tail_mass)
         p00 += self.params.exp_neg_rho
         f *= self.f_knot
-        if self.t_knot > 0:
-            body = t < self.t_knot
-            if body.any():
-                f[body], p00[body] = self._body(t[body])
+        body = t < self.t_knot
+        if body.any():
+            f[body], p00[body] = self._body(t[body])
         return f, p00
 
     def _body(self, tb: np.ndarray):
@@ -177,12 +176,12 @@ class ServiceLaw:
         f is the exact integrand; the mass up to tb is the certified grid sum
         up to t0, the grid point at or below tb, plus Simpson over [t0, tb].
         """
-        fb = self._integrand(tb)
-        idx = np.clip((tb // self.grid_t[1]).astype(int), 0, len(self.grid_t) - 1)
+        fb = np.exp(self._log_kernel(tb))
+        idx = np.clip((tb // self.grid_h).astype(int), 0, len(self.grid_t) - 1)
         mid = self.grid_t[idx]  # t0, then the midpoint t0 + dt/2
         dt = tb - mid
         mid += 0.5 * dt
-        cell = self._integrand(mid)  # f there, then dt/6 (f(t0) + 4 f(mid) + f(tb))
+        cell = np.exp(self._log_kernel(mid))  # f there, then dt/6 (f(t0) + 4 f(mid) + f(tb))
         cell *= 4.0
         cell += self.grid_f[idx]
         cell += fb
@@ -271,7 +270,7 @@ class ServiceLaw:
         """G^{-1}(ub) for G(0) < ub < G(t_knot): invert a Hermite cubic, then a Newton step on G."""
         i = np.clip(np.searchsorted(self.grid_g, ub) - 1, 0, self.grid_t.size - 2)
         lo, hi = self.grid_t[i], self.grid_t[i + 1]  # the cell enclosing ub
-        h = self.grid_t[1]
+        h = self.grid_h
         g0 = self.grid_g[i]
         dg = self.grid_g[i + 1] - g0
         d0, d1 = h * self.grid_dg[i], h * self.grid_dg[i + 1]
@@ -295,31 +294,22 @@ class ServiceLaw:
 
     def idle_cdf(self, t):
         """1 - e^{-lambda t}: the idle period is Exponential(lambda) for every beta."""
-        return -np.expm1(-self.params.lam * np.asarray(t, dtype=float))
+        return cf.float_if_scalar(t, -np.expm1(-self.params.lam * cf.check_time(t)))
 
     @cached_property
     def _simpson(self):
-        """Simpson nodes of the kernel grid's cells, their weights times 1, t and f, and log f.
+        """Simpson weights of the kernel grid's `nodes`, times 1, t and f.
 
-        h/6 at the two ends, h/3 at interior nodes, 2h/3 at midpoints; all
-        empty for constant beta.  Also the sums of w f and of w t f.
+        h/6 at the two ends, h/3 at interior nodes, 2h/3 at midpoints, and 0
+        at a constant's one node.  Also the sums of w f and of w t f.
         """
-        nodes = f = weights = log_f = np.zeros(0)
-        if self.t_knot > 0:
-            ts = self.grid_t
-            h = ts[1] - ts[0]
-            nodes = np.concatenate([ts, ts[:-1] + 0.5 * h])
-            f = np.concatenate([self.grid_f, self.grid_fm])
-            weights = np.full(nodes.size, h / 3.0)
-            weights[[0, ts.size - 1]] = h / 6.0
-            weights[ts.size:] = 2.0 * h / 3.0
-            with np.errstate(divide="ignore"):
-                log_f = np.log(f)
-            gone = np.flatnonzero(f == 0.0)  # f underflowed: its exponent from beta
-            log_f[gone] = -self.params.lam * nodes[gone] - self.spec.cumulative(nodes[gone])
-        tweights = weights * nodes
-        wf, twf = weights * f, tweights * f
-        return nodes, weights, tweights, wf, twf, log_f, wf.sum(), twf.sum()
+        n, h = self.grid_t.size, self.grid_h
+        weights = np.full(self.nodes.size, h / 3.0)
+        weights[[0, n - 1]] = h / 6.0
+        weights[n:] = 2.0 * h / 3.0
+        tweights = weights * self.nodes
+        wf, twf = weights * self.node_f, tweights * self.node_f
+        return weights, tweights, wf, twf, wf.sum(), twf.sum()
 
     def kernel_moments(self, g: float, x: float | None = None) -> tuple[float, float]:
         """L(g) - 1 and L'(g), L(g) = int_0^inf e^{g t} phi(t) dt, for g < r.
@@ -334,17 +324,16 @@ class ServiceLaw:
         if self.inv_total == 0.0:
             return -1.0, 0.0
         r, tk, fk = self.tail_rate, self.t_knot, self.f_knot
-        nodes, weights, tweights, wf, twf, log_f, mass, tmass = self._simpson
+        weights, tweights, wf, twf, mass, tmass = self._simpson
         with np.errstate(all="ignore"):  # far right of gamma these overflow: busy_tail bisects
             if g * tk < 1.0:
-                grow = np.expm1(g * nodes)
+                grow = np.expm1(g * self.nodes)
                 body, tbody = (wf * grow).sum(), (twf * grow).sum() + tmass
                 knot = fk * math.expm1(g * tk)
             else:
-                grow = np.exp(log_f + g * nodes)
+                grow = np.exp(self.log_f + g * self.nodes)
                 body, tbody = (weights * grow).sum() - mass, (tweights * grow).sum()
-                log_fk = -self.params.lam * tk - float(self.spec.cumulative(tk))
-                knot = np.exp(log_fk + g * tk) - fk
+                knot = np.exp(self.log_f[self.grid_t.size - 1] + g * tk) - fk
             x = r - g if x is None else x
             d0 = body + (r * knot + g * fk) / (r * x)
             d1 = tbody + (knot + fk) * (tk / x + 1.0 / x**2)
@@ -377,7 +366,9 @@ class ServiceLaw:
         puts it 1e-97 below r = 4.33).  At g = r, L - 1 is the body sum A plus
         the tail term E/x, E = e^{r t_knot} f(t_knot)/I, so the root is
         x = (1 - e^{-rho}) E / (e^{-rho} - (1 - e^{-rho}) A), and C takes
-        L' at that same x; gamma is r.
+        L' at that same x; gamma is r.  Where E underflows (f(t_knot) = e^{-751}
+        does), x rounds to +0 with a positive denominator: gamma is r to double
+        precision and C = x/(lambda (e^{-rho} - (1 - e^{-rho}) A)) rounds to 0.
         """
         if self.inv_total == 0.0:
             return 0.0, 0.0
@@ -400,9 +391,12 @@ class ServiceLaw:
                     x -= step
                 g += step
                 if g >= r:  # the root may lie below the resolution of r: solve x at g = r
-                    tail = self.inv_total * math.exp((r - self.params.lam) * self.t_knot
-                                                     - float(self.spec.cumulative(self.t_knot)))
-                    x = w * tail / (q0 - w * self.kernel_moments(r, math.inf)[0])
+                    tail = self.inv_total * math.exp(r * self.t_knot
+                                                     + self.log_f[self.grid_t.size - 1])
+                    den = q0 - w * self.kernel_moments(r, math.inf)[0]
+                    x = w * tail / den
+                    if x == 0.0 and den > 0.0:  # the tail term underflowed: so do x and C
+                        return float(r), 0.0
                     if 0.0 < x and r - x == r:
                         g, d1 = r, self.kernel_moments(r, x)[1]
                         break

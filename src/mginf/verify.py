@@ -150,8 +150,7 @@ def check_mean_identities(law: ServiceLaw) -> list[CheckResult]:
     lam = law.params.lam
     rho_eff = law.params.rho if law.inv_total > 0 else 0.0
     g_mean = (math.log(law.p00(law.t_knot)) + rho_eff) / lam
-    if law.t_knot > 0:
-        g_mean += simpson_weights(law.grid_t.size, law.grid_t[1]) @ (1.0 - law.grid_g)
+    g_mean += simpson_weights(law.grid_t.size, law.grid_h) @ (1.0 - law.grid_g)
     (b_mean,), (z_mean,) = law.survival_transforms(0.0)
     targets = {
         "service mean": (g_mean, rho_eff / lam),

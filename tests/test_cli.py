@@ -731,6 +731,24 @@ def test_simulate_prints_the_ks_values_of_verify(tmp_path, capsys):
         assert line.split(": ")[1].split(" <")[0] == f"{float(printed[key]):.4f}"
 
 
+@pytest.mark.parametrize("value", ["-1e-05", "-1E-5", "-.001", "-0.001"])
+def test_a_negative_value_in_any_float_form_may_follow_its_option(value, capsys):
+    argv = ["eval", "--lambda", "1", "--rho", "1", "--t-max", "1", "--step", "0.25"]
+    joined = run([*argv, f"--beta={value}"], capsys)
+    assert joined[0] == EXIT_OK
+    assert run([*argv, "--beta", value], capsys) == joined
+
+
+@pytest.mark.parametrize("option, value, message", [
+    ("--lambda", "-1e-3", "lambda must be > 0, got -0.001"),
+    ("--rho", "-inf", "rho must be finite, got -inf"),
+])
+def test_a_negative_value_reaches_the_parameter_checks(option, value, message, capsys):
+    argv = ["eval", "--lambda", "1", "--rho", "1", "--beta", "0"]
+    argv[argv.index(option) + 1] = value
+    assert run(argv, capsys) == (EXIT_INVALID, "", f"error: {message}\n")
+
+
 # ---- any input: an exit code, never a traceback ----------------------------
 
 BAD_FLOATS = st.sampled_from([0.0, -1.0, math.nan, math.inf, -math.inf])
@@ -744,20 +762,24 @@ def mostly(good, bad=BAD_FLOATS):
 def cli_argv(draw, work):
     """Mostly valid runs on grids of at most about 50k points with at most 5000 cycles.
 
-    Values follow "=", so argparse reads "-inf" as a value, not as an option.
+    Each option is "--opt=value" or, half the time, "--opt value", so a value
+    such as "-1e-05" or "-inf" also follows its option as a token of its own.
     """
+    def option(flag, value):
+        return [flag, str(value)] if draw(st.booleans()) else [f"{flag}={value}"]
+
     lam = draw(mostly(st.floats(0.5, 2.0)))
     rho = draw(mostly(st.floats(0.2, 3.0), BAD_FLOATS | st.sampled_from([40.0, 709.8, 1e6])))
-    argv = [draw(st.sampled_from(["eval", "simulate", "verify"])), f"--lambda={lam!r}",
-            f"--rho={rho!r}", f"--cycles={draw(st.integers(-1, 5000))}",
-            f"--seed={draw(st.integers(-1, 2**64))}", f"--out={work / 'out.csv'}"]
+    argv = [draw(st.sampled_from(["eval", "simulate", "verify"])), *option("--lambda", repr(lam)),
+            *option("--rho", repr(rho)), *option("--cycles", draw(st.integers(-1, 5000))),
+            *option("--seed", draw(st.integers(-1, 2**64))), *option("--out", work / "out.csv")]
     lo, hi = -1.0, 1.0  # beta in units of the admissible range, a little beyond it too
     if 0 < lam < math.inf and 0 < rho < 700:
         lo, hi = -lam, lam / math.expm1(rho)
     beta = mostly(st.floats(-0.2, 1.2).map(lambda u: lo + u * (hi - lo))).map(repr)
     source = draw(st.sampled_from(["beta", "beta", "table", "table", "text", "both", "none"]))
     if source in ("beta", "both"):
-        argv.append(f"--beta={draw(beta)}")
+        argv += option("--beta", draw(beta))
     if source in ("table", "text", "both"):
         rows, t = [f"0,{draw(beta)}"], 0.0
         for dt in draw(st.lists(st.floats(0.05, 2.0), max_size=3)):
@@ -767,11 +789,11 @@ def cli_argv(draw, work):
         if source == "text":
             text = draw(st.text("0123456789.,-e\nnab", max_size=30))
         (work / "beta.csv").write_text(text)
-        argv.append(f"--beta-file={work / 'beta.csv'}")
+        argv += option("--beta-file", work / "beta.csv")
     for flag, good in (("--t-max", st.floats(0.1, 20.0)), ("--step", st.floats(0.002, 0.5))):
         value = draw(st.none() | mostly(good))
         if value is not None:
-            argv.append(f"{flag}={value!r}")
+            argv += option(flag, repr(value))
     return argv
 
 

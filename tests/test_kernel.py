@@ -332,14 +332,19 @@ def test_table_p00_does_not_cancel_before_the_last_knot(rho):
     assert np.max(np.abs(law.cdf(ts) - cf.service_cdf(p, 0.0, ts))) <= 1e-12
 
 
-@pytest.mark.parametrize("rho", [0.1, 1.0, 3.0, 8.0])
-@pytest.mark.parametrize("beta", [-0.5, 0.0])
-def test_busy_tail_of_a_flat_table_is_its_constant(rho, beta):
+@pytest.mark.parametrize("beta, rho, end", [
+    *(pytest.param(beta, rho, 1.0, id=f"{beta}-{rho}")
+      for beta in (-0.5, 0.0) for rho in (0.1, 1.0, 3.0, 8.0)),
+    # f is subnormal on t in (708, 745), whose log kept few bits: at rho = 1e-3, e^{gamma t}
+    # weighs those nodes about 0.5, and C was 1.6e-4 off when log f was taken of f
+    pytest.param(0.0, 1e-3, 800.0, id="0.0-0.001-to-800"),
+])
+def test_busy_tail_of_a_flat_table_is_its_constant(beta, rho, end):
     # 1 - B = (1 - G(0)) e^{-(lambda + beta) e^{-rho} t} exactly for constant beta; the flat
     # table gets (gamma, C) from Newton steps on Simpson sums over its kernel grid
     p = validate_queue_params(1.0, rho)
     want = ((p.lam + beta) * p.exp_neg_rho, 1.0 - cf.service_cdf(p, beta, 0.0))
-    for spec in (BetaSpec(constant=beta), BetaSpec(knots=((0.0, beta), (1.0, beta)))):
+    for spec in (BetaSpec(constant=beta), BetaSpec(knots=((0.0, beta), (end, beta)))):
         got = ServiceLaw(p, spec).busy_tail
         assert got == pytest.approx(want, rel=1e-10, abs=0.0), spec
 
@@ -408,7 +413,7 @@ def reference_kernel(law, t):
         far = q0 + (1.0 - q0) * (law.inv_total * (law.grid_suffix[idx] - cell) + law.tail_mass)
         p00[body] = np.where(near < 0.5, far, near)
     g = 1.0 - (1.0 - q0) * (law.inv_total * f) / (lam * p00)
-    return {"kernel": f, "p00": p00, "cdf": g}
+    return {"kernel": f, "p00": p00, "cdf": g, "idle_cdf": -np.expm1(-lam * t)}
 
 
 EVALUATOR_SPECS = {
@@ -440,7 +445,7 @@ def test_evaluator_is_bit_identical_to_its_formulas(name):
 @pytest.mark.parametrize("spec", [BetaSpec(constant=0.0), RAMP])
 def test_evaluator_rejects_negative_time_and_passes_nan(spec):
     law = ServiceLaw(P11, spec)
-    for fn in (law.kernel, law.p00, law.cdf, law.busy_cdf, law.cycle_cdf):
+    for fn in (law.kernel, law.p00, law.cdf, law.busy_cdf, law.cycle_cdf, law.idle_cdf):
         for t in (-1e-300, [0.5, -1.0], [np.nan, -1.0], np.array([[0.5], [-2.0]])):
             with pytest.raises(NegativeTime):
                 fn(t)
@@ -574,6 +579,31 @@ def test_a_tail_root_below_the_resolution_of_r_is_held_by_x():
     # 1 - B is continuous at T: the grid and the tail just past it agree to the grid's error
     assert abs(law.busy_cdf(end) - law.busy_cdf(math.nextafter(end, math.inf))) <= 1e-12
     assert abs(law.cycle_cdf(end) - law.cycle_cdf(math.nextafter(end, math.inf))) <= 1e-12
+
+
+# f(1) = e^{-751}: the tail term of L at g = r underflows, and so does x = r - gamma
+TAIL_TERM_UNDERFLOWS = (validate_queue_params(1.0, 1e-4),
+                        BetaSpec(knots=((0.0, 1500.0), (1.0, 0.0))))
+
+
+def test_a_tail_term_that_underflows_gives_gamma_r_and_no_weight(monkeypatch):
+    calls = []
+    moments = ServiceLaw.kernel_moments
+    monkeypatch.setattr(ServiceLaw, "kernel_moments",
+                        lambda law, *a: calls.append(a) or moments(law, *a))
+    law = ServiceLaw(*TAIL_TERM_UNDERFLOWS)
+    # it was (1 - 2^-53, 1.5e7) after 21 calls, C from L' where the bisection left x at 1e-38
+    assert law.busy_tail == (1.0, 0.0) and len(calls) <= 4
+    monkeypatch.undo()
+    b = law.series[0]
+    assert b.values.size == series_block(law.t_knot, law.step)[1]  # one block, not 7
+    s = law.params.lam * np.array(TRANSFORM_S_POINTS)
+    kernel_form = busy_period_laplace_general(law, s)
+    # all but the Monte Carlo lines and the envelope line, whose paper floors are false here
+    checks = (check_series_transform(law, s, kernel_form) + check_busy_tail(law)
+              + check_mean_identities(law) + check_bound_ordering(law)[1:]
+              + check_transform_consistency(law, s, kernel_form) + check_riccati_residual(law))
+    assert [c for c in checks if c.status != "PASS"] == []
 
 
 # gamma = 40.4 and the walk ends at T = 20: |lambda - gamma| T = 788, so the tail form's

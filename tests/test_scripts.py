@@ -35,6 +35,15 @@ def test_sweep_constant_beta_writes_one_csv_per_beta(tmp_path):
     assert len(list(tmp_path.glob("curves_beta_*.csv"))) == 3
 
 
+def test_sweep_constant_beta_runs_betas_in_exponent_form(tmp_path):
+    # at lambda = 1e-5 the betas are -1e-05, -2.1e-06 and 5.8e-06: each follows "--beta" as a
+    # token of its own, and each gets its own file
+    proc = run_script("sweep_constant_beta.py", "--lambda", "1e-5", "--n-beta", "3",
+                      "--step", "1e4", "--out-dir", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert len(list(tmp_path.glob("curves_beta_*.csv"))) == 3
+
+
 @pytest.fixture
 def bench(monkeypatch):
     """bench/run.py, the benchmark whose entries the profiler runs."""
